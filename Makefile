@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test cover vet bench bench-baseline bench-mpc gateway-bench race fuzz smoke experiments examples clean
+.PHONY: all build test cover vet bench bench-check race fuzz smoke experiments examples clean
 
 all: build vet test
 
@@ -37,24 +37,11 @@ smoke:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Refresh BENCH_baseline.json: per-experiment wall times of the quick
-# suite, the reference point for judging parallel-pipeline regressions.
-bench-baseline:
-	$(GO) run ./cmd/eppi-bench -experiment all -quick -metrics=false -baseline BENCH_baseline.json
-
-# Append a gateway latency snapshot (cold + warm cache percentiles over a
-# self-contained loopback shard fleet) to BENCH_gateway.json, tracked next
-# to BENCH_baseline.json.
-gateway-bench:
-	$(GO) run ./cmd/eppi-gateway -selfbench 20000 -baseline BENCH_gateway.json
-	scripts/bench_guard.sh BENCH_gateway.json
-
-# Append a scalar-vs-wide secure-construction measurement (CountBelow/Reveal
-# stage wall time and AND-gate-instance throughput) to BENCH_mpc.json, then
-# fail if the wide throughput regressed >20% vs the previous entry.
-bench-mpc:
-	$(GO) run ./cmd/eppi-bench -mpcbench BENCH_mpc.json
-	$(GO) run ./scripts/benchguard -mpc BENCH_mpc.json
+# bench/ is its own module, so build/vet/test above never see it: compile
+# and test the benchmark harness against the current internal/ packages.
+# Not part of `test` — it holds a ~12 s timing-dependent test.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -timeout 5m ./...
 
 # Short fuzz session over every fuzz target. The batch equivalence fuzz
 # gets the longest slice: it drives the whole gateway query path.

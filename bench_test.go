@@ -136,8 +136,8 @@ func BenchmarkAblationDepth(b *testing.B) {
 // (β thresholds, aggregation, mixing, randomized publication) at several
 // worker-pool sizes over the quick Fig4a workload. Output is bit-identical
 // across sub-benchmarks; only wall time may differ. On a multi-core
-// machine NumCPU workers should beat Workers=1 by roughly the core count;
-// compare against BENCH_baseline.json for regressions.
+// machine NumCPU workers should beat Workers=1 by roughly the core count
+// (bench/ reports the same ratio as core.parallel_speedup).
 func BenchmarkConstructParallel(b *testing.B) {
 	const samples = 30
 	freqs := make([]int, samples)

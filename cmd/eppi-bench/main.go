@@ -24,12 +24,10 @@
 //
 // -wide evaluates the secure-construction experiments with the bit-sliced
 // 64-wide GMW evaluator (identical published results, different protocol
-// cost). -mpcbench FILE runs the dedicated scalar-vs-wide construction
-// benchmark and appends the measurement to FILE (see `make bench-mpc`).
+// cost).
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -38,13 +36,9 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
-	"testing"
 	"time"
 
-	"repro/internal/audit"
-	"repro/internal/bitmat"
 	"repro/internal/experiments"
-	"repro/internal/index"
 	"repro/internal/metrics"
 )
 
@@ -69,8 +63,6 @@ func run(args []string, out io.Writer) error {
 	transportName := fs.String("transport", "inmem", "protocol transport for fig6a/fig6c: inmem|tcp")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); results are identical at any value")
 	wide := fs.Bool("wide", false, "run secure-construction experiments (fig6a/fig6c) with the bit-sliced 64-wide GMW evaluator")
-	mpcBench := fs.String("mpcbench", "", "run the scalar-vs-wide MPC benchmark and append the measurement to this JSON history (skips experiments)")
-	baseline := fs.String("baseline", "", "write per-experiment wall times as a JSON baseline to this file")
 	withMetrics := fs.Bool("metrics", true, "append a JSON metrics snapshot to text output")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -121,9 +113,6 @@ func run(args []string, out io.Writer) error {
 	if *transportName != "inmem" && *transportName != "tcp" {
 		return fmt.Errorf("unknown transport %q", *transportName)
 	}
-	if *mpcBench != "" {
-		return runMPCBench(*mpcBench, *seed, *workers, out)
-	}
 	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers, Wide: *wide}
 	var reg *metrics.Registry
 	if *withMetrics {
@@ -152,7 +141,6 @@ func run(args []string, out io.Writer) error {
 	}
 
 	ran := false
-	var timings []baselineEntry
 	for _, exp := range all {
 		if *experiment != "all" && *experiment != exp.id {
 			continue
@@ -163,7 +151,6 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("%s: %w", exp.id, err)
 		}
-		timings = append(timings, baselineEntry{ID: exp.id, Seconds: time.Since(start).Seconds()})
 		if *format == "csv" {
 			if err := result.RenderCSV(out); err != nil {
 				return fmt.Errorf("%s: %w", exp.id, err)
@@ -176,23 +163,6 @@ func run(args []string, out io.Writer) error {
 	if !ran {
 		return fmt.Errorf("unknown experiment %q", *experiment)
 	}
-	if *baseline != "" {
-		allocs, err := auditDisabledQueryAllocs()
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		if err := writeBaseline(*baseline, baselineDoc{
-			Seed:                     *seed,
-			Quick:                    *quick,
-			Workers:                  *workers,
-			GoMaxProcs:               runtime.GOMAXPROCS(0),
-			Transport:                *transportName,
-			AuditDisabledQueryAllocs: allocs,
-			Experiments:              timings,
-		}); err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-	}
 	// The snapshot rides along with the text rendering only: CSV output is
 	// meant to be machine-piped per experiment and must stay schema-clean.
 	if reg != nil && *format == "text" {
@@ -201,72 +171,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// baselineEntry is one experiment's wall time in a baseline document.
-type baselineEntry struct {
-	ID      string  `json:"id"`
-	Seconds float64 `json:"seconds"`
-}
-
-// baselineDoc is the schema of -baseline output (BENCH_baseline.json):
-// enough run context to make later comparisons honest, plus the
-// per-experiment wall times.
-type baselineDoc struct {
-	Seed       int64  `json:"seed"`
-	Quick      bool   `json:"quick"`
-	Workers    int    `json:"workers"`
-	GoMaxProcs int    `json:"gomaxprocs"`
-	Transport  string `json:"transport"`
-	// AuditDisabledQueryAllocs is the allocs/op of a served query with
-	// auditing disabled (nil sink) — contract: 0. The benchmark form
-	// lives in internal/audit (BenchmarkQueryAuditDisabled).
-	AuditDisabledQueryAllocs float64         `json:"audit_disabled_query_allocs"`
-	Experiments              []baselineEntry `json:"experiments"`
-}
-
-// auditDisabledQueryAllocs measures the audit-off query hot path the
-// same way internal/audit's zero-alloc test does: a tiny index whose
-// benchmark owner resolves to an empty column, queried with a nil
-// *audit.Sink recording each result. testing.AllocsPerRun is callable
-// outside tests, so the baseline file carries the number alongside the
-// wall times it contextualizes.
-func auditDisabledQueryAllocs() (float64, error) {
-	m := bitmat.MustNew(8, 2)
-	for r := 0; r < 8; r++ {
-		m.Set(r, 1, true)
-	}
-	srv, err := index.NewServer(m, []string{"owner://empty", "owner://full"})
-	if err != nil {
-		return 0, err
-	}
-	var sink *audit.Sink
-	ctx := context.Background()
-	var queryErr error
-	allocs := testing.AllocsPerRun(1000, func() {
-		res, err := srv.QueryCtx(ctx, "owner://empty")
-		if err != nil {
-			queryErr = err
-			return
-		}
-		sink.Record(audit.Entry{Route: "query", Owner: "owner://empty", Shard: -1, Epoch: 1, Results: len(res), Status: 200})
-	})
-	return allocs, queryErr
-}
-
-// writeBaseline writes doc as indented JSON.
-func writeBaseline(path string, doc baselineDoc) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // writeSnapshot appends the registry contents gathered across the run —

@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,36 +18,6 @@ func TestRunSingleExperiment(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
 		}
-	}
-}
-
-// TestBaselineCarriesAuditAllocs runs a quick experiment with -baseline
-// and checks the document records the audit-disabled query hot path at
-// 0 allocs/op — the number make bench-baseline commits to
-// BENCH_baseline.json.
-func TestBaselineCarriesAuditAllocs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "baseline.json")
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "fig6b", "-quick", "-metrics=false",
-		"-baseline", path}, &out); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc baselineDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatalf("baseline is not JSON: %v\n%s", err, raw)
-	}
-	if doc.AuditDisabledQueryAllocs != 0 {
-		t.Errorf("audit_disabled_query_allocs = %v, want 0", doc.AuditDisabledQueryAllocs)
-	}
-	if len(doc.Experiments) != 1 || doc.Experiments[0].ID != "fig6b" {
-		t.Errorf("experiments = %+v", doc.Experiments)
-	}
-	if !strings.Contains(string(raw), "audit_disabled_query_allocs") {
-		t.Errorf("baseline JSON missing the allocs field:\n%s", raw)
 	}
 }
 

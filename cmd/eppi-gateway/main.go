@@ -18,20 +18,10 @@
 // /v1/search?q=…, GET /v1/stats (aggregated over shards), GET
 // /v1/healthz (per-replica probe verdicts), GET /v1/metrics, GET
 // /v1/traces.
-//
-// Benchmark mode:
-//
-//	eppi-gateway -selfbench 2000 -baseline BENCH_gateway.json
-//
-// boots a self-contained demo fleet (deterministic demo index, column
-// shards served on loopback), drives N lookups through the full gateway
-// stack cold and warm, and appends a latency snapshot to the baseline
-// file so gateway performance is tracked next to BENCH_baseline.json.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -39,21 +29,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/gateway"
-	"repro/internal/httpapi"
 	"repro/internal/logx"
-	"repro/internal/mathx"
 	"repro/internal/metrics"
-	"repro/internal/shard"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 const drainTimeout = 5 * time.Second
@@ -61,13 +45,13 @@ const drainTimeout = 5 * time.Second
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
+	if err := run(ctx, os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "eppi-gateway:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, out *os.File) error {
+func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("eppi-gateway", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address")
 	shardsSpec := fs.String("shards", "", "replica base URLs: commas between replicas, semicolons between shards")
@@ -84,15 +68,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 	hotThreshold := fs.Int("hot-threshold", 0, "flag an owner queried this often within a decay window (0: off)")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
-	selfbench := fs.Int("selfbench", 0, "run N lookups against a self-contained demo fleet and exit")
-	baseline := fs.String("baseline", "BENCH_gateway.json", "selfbench: append the latency snapshot to this file")
-	benchShards := fs.Int("bench-shards", 3, "selfbench: demo fleet shard count")
-	providers := fs.Int("providers", 50, "selfbench: demo index providers")
-	// 128 owners keep the warm working set L1-resident so the warm phases
-	// measure the lookup pipeline rather than DRAM stalls, while still
-	// spreading identities over every shard of the demo fleet.
-	owners := fs.Int("owners", 128, "selfbench: demo index owners")
-	seed := fs.Int64("seed", 1, "selfbench: demo index seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -126,14 +101,6 @@ func run(ctx context.Context, args []string, out *os.File) error {
 		}
 		defer sink.Close()
 		cfg.Audit = sink
-	}
-
-	if *selfbench > 0 {
-		return runSelfbench(ctx, cfg, logger, out, selfbenchConfig{
-			lookups: *selfbench, shards: *benchShards,
-			providers: *providers, owners: *owners, seed: *seed,
-			baseline: *baseline,
-		})
 	}
 
 	shardURLs, err := parseShards(*shardsSpec)
@@ -214,260 +181,4 @@ func serve(ctx context.Context, listener net.Listener, handler http.Handler, log
 		}
 	}
 	return nil
-}
-
-type selfbenchConfig struct {
-	lookups   int
-	shards    int
-	providers int
-	owners    int
-	seed      int64
-	baseline  string
-}
-
-// benchBatchSize is the owners-per-request size of the selfbench batch
-// passes. 64 is large enough that per-request HTTP and cache-lock costs
-// amortize visibly, small enough to stay under every batch cap.
-const benchBatchSize = 64
-
-// benchSnapshot is one appended entry of the BENCH_gateway.json history.
-// The batch fields are pointers so entries written before the batched
-// lookup path existed round-trip without growing spurious zero phases.
-type benchSnapshot struct {
-	Timestamp string      `json:"timestamp"`
-	Shards    int         `json:"shards"`
-	Providers int         `json:"providers"`
-	Owners    int         `json:"owners"`
-	Seed      int64       `json:"seed"`
-	Lookups   int         `json:"lookups"`
-	Cold      benchPhase  `json:"cold"`
-	Warm      benchPhase  `json:"warm"`
-	BatchSize int         `json:"batch_size,omitempty"`
-	BatchCold *benchPhase `json:"batch_cold,omitempty"`
-	BatchWarm *benchPhase `json:"batch_warm,omitempty"`
-}
-
-// benchPhase is one pass's latency distribution. Percentiles are recorded
-// in nanoseconds: a warm cache hit — and even more so a warm batch row —
-// completes in well under a microsecond, so the original whole-µs fields
-// rounded warm percentiles down to 0. The µs keys are kept, now with
-// fractional values derived from the ns fields, so old history entries
-// and anything reading p50_us stay meaningful. QPS counts owners
-// resolved per second, so single and batch phases compare directly.
-type benchPhase struct {
-	P50Nanos  int64   `json:"p50_ns"`
-	P95Nanos  int64   `json:"p95_ns"`
-	P99Nanos  int64   `json:"p99_ns"`
-	P50Micros float64 `json:"p50_us"`
-	P95Micros float64 `json:"p95_us"`
-	P99Micros float64 `json:"p99_us"`
-	QPS       float64 `json:"qps"`
-}
-
-// benchPhaseFrom encodes a pass: sort the per-request latencies, take
-// nearest-rank percentiles at full ns resolution, and derive the legacy
-// µs floats from them. ops is the owner-lookup count of the pass — equal
-// to len(lat) for singles, len(lat)×batch size for batch passes — so QPS
-// stays an owners-per-second figure either way. lat is sorted in place.
-func benchPhaseFrom(lat []time.Duration, ops int, elapsed time.Duration) benchPhase {
-	if len(lat) == 0 || elapsed <= 0 {
-		return benchPhase{}
-	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-	pick := func(p float64) time.Duration {
-		idx := int(p * float64(len(lat)))
-		if idx >= len(lat) {
-			idx = len(lat) - 1
-		}
-		return lat[idx]
-	}
-	p50, p95, p99 := pick(0.50), pick(0.95), pick(0.99)
-	return benchPhase{
-		P50Nanos: p50.Nanoseconds(), P95Nanos: p95.Nanoseconds(), P99Nanos: p99.Nanoseconds(),
-		P50Micros: float64(p50.Nanoseconds()) / 1e3,
-		P95Micros: float64(p95.Nanoseconds()) / 1e3,
-		P99Micros: float64(p99.Nanoseconds()) / 1e3,
-		QPS:       float64(ops) / elapsed.Seconds(),
-	}
-}
-
-// runSelfbench stands up a demo fleet — one loopback HTTP server per
-// column shard of a deterministic demo index — and drives lookups through
-// the full gateway stack, once with a cold cache (every lookup goes
-// upstream) and once warm (every lookup is a cache hit). The resulting
-// latency snapshot is appended to the baseline file.
-func runSelfbench(ctx context.Context, cfg gateway.Config, logger *slog.Logger, out *os.File, bc selfbenchConfig) error {
-	d, err := workload.GenerateZipf(workload.ZipfConfig{
-		Providers: bc.providers, Owners: bc.owners, Exponent: 1.1, Seed: bc.seed,
-	})
-	if err != nil {
-		return err
-	}
-	res, err := core.Construct(d.Matrix, d.Eps, core.Config{
-		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Seed: bc.seed,
-	})
-	if err != nil {
-		return err
-	}
-	parts, err := shard.Partition(res.Published, d.Names, bc.shards)
-	if err != nil {
-		return err
-	}
-	var servers []*http.Server
-	defer func() {
-		for _, s := range servers {
-			_ = s.Close()
-		}
-	}()
-	cfg.Shards = nil
-	for _, srv := range parts {
-		handler, err := httpapi.NewHandler(srv)
-		if err != nil {
-			return err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: handler}
-		go func() { _ = hs.Serve(l) }()
-		servers = append(servers, hs)
-		cfg.Shards = append(cfg.Shards, []string{"http://" + l.Addr().String()})
-	}
-	g, err := gateway.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer g.Close()
-
-	run := func() (benchPhase, error) {
-		lat := make([]time.Duration, 0, bc.lookups)
-		start := time.Now()
-		for i := 0; i < bc.lookups; i++ {
-			if err := ctx.Err(); err != nil {
-				return benchPhase{}, err
-			}
-			owner := d.Names[i%len(d.Names)]
-			t0 := time.Now()
-			if _, err := g.Lookup(ctx, owner); err != nil {
-				return benchPhase{}, fmt.Errorf("lookup %q: %w", owner, err)
-			}
-			lat = append(lat, time.Since(t0))
-		}
-		return benchPhaseFrom(lat, bc.lookups, time.Since(start)), nil
-	}
-
-	logger.Info("selfbench: cold pass", slog.Int("lookups", bc.lookups), slog.Int("shards", bc.shards))
-	// Cold: more distinct owners than lookups may exist; every first
-	// lookup of an owner misses. With lookups > owners, later iterations
-	// hit — that is the realistic mixed profile, reported as "cold".
-	cold, err := run()
-	if err != nil {
-		return err
-	}
-	logger.Info("selfbench: warm pass")
-	warm, err := run()
-	if err != nil {
-		return err
-	}
-
-	// Batch passes run against a second gateway with the same config but a
-	// fresh cache — the single passes left the first one fully warm, and
-	// the batch cold pass must miss. Identical config keeps the single and
-	// batch phases comparable: the batch speedup reported below is the
-	// real amortization (one lock, one epoch load, one metrics update per
-	// 64 owners), not a stripped-down gateway.
-	g2, err := gateway.New(cfg)
-	if err != nil {
-		return err
-	}
-	defer g2.Close()
-	// Cold runs lookups/64 batches so its miss ratio matches the singles
-	// cold pass (the same owner set drawn once); warm runs lookups timed
-	// calls so its sample count — and so its percentile resolution and
-	// QPS stability — matches the singles warm pass. Batch windows are
-	// precomputed over a wrapped name ring and the answer buffer is
-	// reused, so the loop measures the gateway, not the harness.
-	ring := append(append(make([]string, 0, len(d.Names)+benchBatchSize), d.Names...), d.Names[:min(benchBatchSize, len(d.Names))]...)
-	answerBuf := make([]gateway.BatchAnswer, benchBatchSize)
-	runBatch := func(batches int) (benchPhase, error) {
-		if batches < 1 {
-			batches = 1
-		}
-		lat := make([]time.Duration, 0, batches)
-		start := time.Now()
-		for b := 0; b < batches; b++ {
-			if err := ctx.Err(); err != nil {
-				return benchPhase{}, err
-			}
-			off := (b * benchBatchSize) % len(d.Names)
-			end := off + benchBatchSize
-			if end > len(ring) {
-				off, end = 0, benchBatchSize
-			}
-			owners := ring[off:end]
-			t0 := time.Now()
-			answers := g2.LookupBatchInto(ctx, owners, answerBuf)
-			for i := range answers {
-				if answers[i].Err != nil {
-					return benchPhase{}, fmt.Errorf("batch lookup %q: %w", answers[i].Owner, answers[i].Err)
-				}
-			}
-			lat = append(lat, time.Since(t0))
-		}
-		return benchPhaseFrom(lat, batches*benchBatchSize, time.Since(start)), nil
-	}
-	logger.Info("selfbench: batch cold pass", slog.Int("batch", benchBatchSize))
-	batchCold, err := runBatch(bc.lookups / benchBatchSize)
-	if err != nil {
-		return err
-	}
-	logger.Info("selfbench: batch warm pass")
-	batchWarm, err := runBatch(bc.lookups)
-	if err != nil {
-		return err
-	}
-
-	snap := benchSnapshot{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Shards:    bc.shards, Providers: bc.providers, Owners: bc.owners,
-		Seed: bc.seed, Lookups: bc.lookups, Cold: cold, Warm: warm,
-		BatchSize: benchBatchSize, BatchCold: &batchCold, BatchWarm: &batchWarm,
-	}
-	if err := appendSnapshot(bc.baseline, snap); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "gateway selfbench: %d lookups over %d shards\n", bc.lookups, bc.shards)
-	printPhase := func(name string, p benchPhase) {
-		fmt.Fprintf(out, "  %s: p50=%.1fus p95=%.1fus p99=%.1fus (%.0f qps)\n",
-			name, p.P50Micros, p.P95Micros, p.P99Micros, p.QPS)
-	}
-	printPhase("cold", cold)
-	printPhase("warm", warm)
-	printPhase(fmt.Sprintf("batch-%d cold", benchBatchSize), batchCold)
-	printPhase(fmt.Sprintf("batch-%d warm", benchBatchSize), batchWarm)
-	if warm.QPS > 0 {
-		fmt.Fprintf(out, "  batch warm speedup over sequential singles: %.1fx\n", batchWarm.QPS/warm.QPS)
-	}
-	fmt.Fprintf(out, "  snapshot appended to %s\n", bc.baseline)
-	return nil
-}
-
-// appendSnapshot appends snap to the JSON array in path (creating it when
-// missing), so the file holds the benchmark history.
-func appendSnapshot(path string, snap benchSnapshot) error {
-	var history []benchSnapshot
-	if raw, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(raw, &history); err != nil {
-			return fmt.Errorf("%s holds invalid history: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	history = append(history, snap)
-	buf, err := json.MarshalIndent(history, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }

@@ -1,13 +1,10 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"os/exec"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestParseShards(t *testing.T) {
@@ -28,130 +25,22 @@ func TestParseShards(t *testing.T) {
 	}
 }
 
-func TestSelfbenchWritesSnapshot(t *testing.T) {
-	// The full -selfbench path: demo fleet on loopback, lookups through
-	// the gateway, snapshot appended twice to the same history file.
-	baseline := filepath.Join(t.TempDir(), "BENCH_gateway.json")
-	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+// TestHostBinaryIsConstructionFree pins the paper's trust boundary: the
+// gateway runs on the untrusted host that only ever sees M′, so it must
+// not link the providers' construction engine or its MPC substrate.
+func TestHostBinaryIsConstructionFree(t *testing.T) {
+	goTool, err := exec.LookPath("go")
 	if err != nil {
-		t.Fatal(err)
+		t.Skip("go tool not on PATH")
 	}
-	defer devnull.Close()
-	args := []string{
-		"-selfbench", "40", "-bench-shards", "2",
-		"-providers", "10", "-owners", "12",
-		"-baseline", baseline, "-log-level", "error",
-	}
-	for i := 0; i < 2; i++ {
-		if err := run(context.Background(), args, devnull); err != nil {
-			t.Fatalf("selfbench run %d: %v", i, err)
-		}
-	}
-	raw, err := os.ReadFile(baseline)
+	out, err := exec.Command(goTool, "list", "-deps", ".").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("go list -deps: %v", err)
 	}
-	var history []benchSnapshot
-	if err := json.Unmarshal(raw, &history); err != nil {
-		t.Fatalf("baseline not a snapshot array: %v\n%s", err, raw)
-	}
-	if len(history) != 2 {
-		t.Fatalf("history has %d entries, want 2 (appended)", len(history))
-	}
-	for i, snap := range history {
-		if snap.Lookups != 40 || snap.Shards != 2 {
-			t.Fatalf("entry %d = %+v", i, snap)
+	deps := strings.Fields(string(out))
+	for _, pkg := range []string{"core", "secsum", "gmw", "ot", "circuit", "transport", "secretshare", "workload"} {
+		if slices.Contains(deps, "repro/internal/"+pkg) {
+			t.Errorf("eppi-gateway links repro/internal/%s", pkg)
 		}
-		if snap.Cold.QPS <= 0 || snap.Warm.QPS <= 0 {
-			t.Fatalf("entry %d has non-positive qps: %+v", i, snap)
-		}
-		if snap.BatchSize != benchBatchSize || snap.BatchCold == nil || snap.BatchWarm == nil {
-			t.Fatalf("entry %d lacks batch phases: %+v", i, snap)
-		}
-		if snap.BatchWarm.QPS <= 0 || snap.BatchWarm.P50Nanos <= 0 {
-			t.Fatalf("entry %d batch warm = %+v, want positive qps and ns percentiles", i, snap.BatchWarm)
-		}
-	}
-}
-
-// TestBenchPhaseFromSubMicrosecond pins the fix for the µs-rounding bug:
-// warm percentiles well under a microsecond must encode as non-zero ns
-// integers and fractional µs floats (they used to round down to 0).
-func TestBenchPhaseFromSubMicrosecond(t *testing.T) {
-	lat := []time.Duration{300, 450, 600, 750, 900} // nanoseconds
-	p := benchPhaseFrom(lat, 5, 3*time.Microsecond)
-	if p.P50Nanos <= 0 || p.P95Nanos <= 0 || p.P99Nanos <= 0 {
-		t.Fatalf("sub-µs percentiles rounded to zero: %+v", p)
-	}
-	if p.P50Micros <= 0 || p.P50Micros >= 1 {
-		t.Fatalf("p50_us = %v, want a fraction in (0, 1)", p.P50Micros)
-	}
-	if p.P50Micros != float64(p.P50Nanos)/1e3 {
-		t.Fatalf("µs field %v disagrees with ns field %d", p.P50Micros, p.P50Nanos)
-	}
-	if p.QPS <= 0 {
-		t.Fatalf("qps = %v", p.QPS)
-	}
-}
-
-func TestBenchPhaseFromPercentiles(t *testing.T) {
-	// 1µs..100µs: nearest-rank picks index floor(p·n).
-	lat := make([]time.Duration, 100)
-	for i := range lat {
-		// Reverse order: benchPhaseFrom must sort before picking.
-		lat[i] = time.Duration(100-i) * time.Microsecond
-	}
-	p := benchPhaseFrom(lat, 100, 100*time.Millisecond)
-	if want := int64(51_000); p.P50Nanos != want {
-		t.Fatalf("p50 = %dns, want %d", p.P50Nanos, want)
-	}
-	if want := int64(96_000); p.P95Nanos != want {
-		t.Fatalf("p95 = %dns, want %d", p.P95Nanos, want)
-	}
-	if want := int64(100_000); p.P99Nanos != want {
-		t.Fatalf("p99 = %dns, want %d", p.P99Nanos, want)
-	}
-	if want := 100 / 0.1; p.QPS != want {
-		t.Fatalf("qps = %v, want %v", p.QPS, want)
-	}
-}
-
-func TestBenchPhaseFromDegenerateInputs(t *testing.T) {
-	if p := benchPhaseFrom(nil, 0, time.Second); p != (benchPhase{}) {
-		t.Fatalf("empty latencies: %+v, want zero phase", p)
-	}
-	if p := benchPhaseFrom([]time.Duration{time.Millisecond}, 1, 0); p != (benchPhase{}) {
-		t.Fatalf("zero elapsed: %+v, want zero phase", p)
-	}
-	if p := benchPhaseFrom([]time.Duration{time.Millisecond}, 1, time.Second); p.P50Nanos != int64(time.Millisecond) {
-		t.Fatalf("single sample p50 = %d, want 1ms", p.P50Nanos)
-	}
-}
-
-// TestBenchSnapshotReadsPreBatchHistory: entries written before the batch
-// pipeline (whole-µs percentiles, no batch fields) must still round-trip
-// through benchSnapshot so appending to an old history file keeps working.
-func TestBenchSnapshotReadsPreBatchHistory(t *testing.T) {
-	old := `[{"timestamp":"2026-07-01T00:00:00Z","shards":2,"providers":10,"owners":12,
-		"seed":7,"lookups":40,
-		"cold":{"p50_us":120,"p95_us":300,"p99_us":400,"qps":8000},
-		"warm":{"p50_us":1,"p95_us":2,"p99_us":3,"qps":500000}}]`
-	var history []benchSnapshot
-	if err := json.Unmarshal([]byte(old), &history); err != nil {
-		t.Fatalf("old history rejected: %v", err)
-	}
-	if len(history) != 1 || history[0].Cold.P50Micros != 120 || history[0].Warm.QPS != 500000 {
-		t.Fatalf("old history misread: %+v", history)
-	}
-	if history[0].BatchCold != nil || history[0].BatchWarm != nil {
-		t.Fatalf("pre-batch entry grew batch phases: %+v", history[0])
-	}
-	// And writing it back must not invent batch keys for the old entry.
-	out, err := json.Marshal(history)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s := string(out); strings.Contains(s, "batch_warm") || strings.Contains(s, "batch_cold") {
-		t.Fatalf("re-encoded pre-batch entry has batch keys: %s", s)
 	}
 }

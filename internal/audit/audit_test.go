@@ -297,8 +297,7 @@ func TestQueryAuditDisabledZeroAlloc(t *testing.T) {
 
 // BenchmarkQueryAuditDisabled measures the query hot path with
 // auditing disabled — the default production configuration. Guarded at
-// 0 allocs/op by TestQueryAuditDisabledZeroAlloc and recorded in
-// BENCH_baseline.json by make bench-baseline.
+// 0 allocs/op by TestQueryAuditDisabledZeroAlloc.
 func BenchmarkQueryAuditDisabled(b *testing.B) {
 	srv := queryHotPathServer(b)
 	var sink *Sink

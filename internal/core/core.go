@@ -214,7 +214,7 @@ type SecureStats struct {
 	// MPCWall is the wall time of the CountBelow/Reveal construction
 	// stages (circuit compilation, preprocessing and protocol execution;
 	// SecSumShare and publication excluded) — the phase the wide evaluator
-	// accelerates, benchmarked by eppi-bench -mpcbench.
+	// accelerates, reported by bench/ as core.secure_mpc_share.
 	MPCWall time.Duration
 }
 

@@ -7,7 +7,7 @@ import (
 
 // The warm benchmarks pin down the batched pipeline's reason to exist:
 // a warm LookupBatch row must cost a small fraction of a warm single
-// Lookup (the selfbench acceptance bar is 5×). Run them when touching
+// Lookup (the acceptance bar is 5×). Run them when touching
 // the cache or LookupBatch fast paths:
 //
 //	go test -bench 'LookupWarm|BatchWarm' -benchmem ./internal/gateway/

@@ -495,7 +495,7 @@ func (g *Gateway) LookupBatch(ctx context.Context, owners []string) []BatchAnswe
 }
 
 // LookupBatchInto is LookupBatch resolving into buf's backing storage, so
-// a caller looping over batches (the selfbench, a bulk re-resolver) does
+// a caller looping over batches (the benchmark, a bulk re-resolver) does
 // not feed the garbage collector one answer slice per call — at warm
 // batch rates the GC assists otherwise dominate the tail. buf is grown
 // when too small; the returned slice is the answer, always len(owners).

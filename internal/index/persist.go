@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"os"
 
 	"repro/internal/bitmat"
 )
@@ -29,13 +30,10 @@ import (
 // bad magic / unknown version / absurd length, a payload corruption as a
 // checksum mismatch, and a short file as ErrTruncated.
 
-// FrameVersion is the current snapshot format version. Version 2 added
-// the epoch number to Snapshot and shard.Manifest payloads; version-1
-// frames (and pre-frame plain gob) still load, reporting epoch 0.
+// FrameVersion is the snapshot format version, the only one read or
+// written. Version 2 added the epoch number to Snapshot and
+// shard.Manifest payloads.
 const FrameVersion uint16 = 2
-
-// frameVersionV1 is the pre-epoch frame version, still accepted on read.
-const frameVersionV1 uint16 = 1
 
 // frameMagic opens every framed artifact.
 var frameMagic = [4]byte{'E', 'P', 'P', 'I'}
@@ -83,9 +81,9 @@ var (
 // frameHeaderLen is the fixed byte length of the frame header.
 const frameHeaderLen = 4 + 2 + 1 + 8 + 4
 
-// maxFramePayload bounds the payload length a reader will allocate for.
-// Corrupted headers must not turn into multi-gigabyte allocations; the
-// bound is far above any realistic index (a 1M×10K matrix is ~1.2 GB).
+// maxFramePayload bounds the payload length a header may declare, far
+// above any realistic index (a 1M×10K matrix is ~1.2 GB). ReadFrame
+// allocates by the bytes present, not by the declared length.
 const maxFramePayload = 1 << 34
 
 // WriteFrame writes one framed payload and returns the bytes written.
@@ -110,17 +108,19 @@ func WriteFrame(w io.Writer, kind FrameKind, payload []byte) (int64, error) {
 // returned either way.
 func ReadFrame(r io.Reader, want FrameKind) (FrameKind, []byte, error) {
 	var hdr [frameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	n, err := io.ReadFull(r, hdr[:])
+	// Magic first, so a short non-ε-PPI file reads as foreign, not truncated.
+	if n >= len(frameMagic) && !bytes.Equal(hdr[0:4], frameMagic[:]) {
+		return 0, nil, ErrBadMagic
+	}
+	if err != nil {
 		if err == io.EOF || err == io.ErrUnexpectedEOF {
 			return 0, nil, fmt.Errorf("%w: %d-byte header incomplete", ErrTruncated, frameHeaderLen)
 		}
 		return 0, nil, err
 	}
-	if !bytes.Equal(hdr[0:4], frameMagic[:]) {
-		return 0, nil, ErrBadMagic
-	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != FrameVersion && v != frameVersionV1 {
-		return 0, nil, fmt.Errorf("%w: file has v%d, this build reads v%d and older", ErrVersion, v, FrameVersion)
+	if v := binary.BigEndian.Uint16(hdr[4:6]); v != FrameVersion {
+		return 0, nil, fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, v, FrameVersion)
 	}
 	kind := FrameKind(hdr[6])
 	if want != 0 && kind != want {
@@ -130,18 +130,46 @@ func ReadFrame(r io.Reader, want FrameKind) (FrameKind, []byte, error) {
 	if length > maxFramePayload {
 		return kind, nil, fmt.Errorf("%w: header declares absurd payload length %d", ErrChecksum, length)
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
+	// The declared length is untrusted: allocate it up front only when
+	// the reader can show that many bytes remain (one allocation, no copy);
+	// otherwise the buffer grows with the bytes actually read.
+	var buf bytes.Buffer
+	if rem, ok := remaining(r); ok && length <= uint64(rem) {
+		// MinRead of slack keeps Buffer.ReadFrom from regrowing at EOF.
+		buf.Grow(int(length) + bytes.MinRead)
+	}
+	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
+		if err == io.EOF {
 			return kind, nil, fmt.Errorf("%w: payload shorter than declared %d bytes", ErrTruncated, length)
 		}
 		return kind, nil, err
 	}
+	payload := buf.Bytes()
 	wantSum := binary.BigEndian.Uint32(hdr[15:19])
 	if got := crc32.ChecksumIEEE(payload); got != wantSum {
 		return kind, nil, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrChecksum, got, wantSum)
 	}
 	return kind, payload, nil
+}
+
+// remaining reports how many unread bytes r holds, for the readers that
+// know: in-memory readers and regular files.
+func remaining(r io.Reader) (int64, bool) {
+	switch v := r.(type) {
+	case interface{ Len() int }: // *bytes.Reader, *bytes.Buffer, *strings.Reader
+		return int64(v.Len()), true
+	case *os.File:
+		fi, err := v.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0, false
+		}
+		pos, err := v.Seek(0, io.SeekCurrent)
+		if err != nil {
+			return 0, false
+		}
+		return fi.Size() - pos, fi.Size() >= pos
+	}
+	return 0, false
 }
 
 // Snapshot is the serializable form of a PPI server: the published matrix
@@ -159,8 +187,7 @@ type Snapshot struct {
 	Shards int
 	// Epoch is the publication epoch the snapshot belongs to. Re-published
 	// indexes carry increasing epochs so the serving tier can tell index
-	// versions apart; 0 means "never re-published" (and is what every
-	// pre-epoch snapshot reads as, since gob leaves absent fields zero).
+	// versions apart; 0 means "never re-published".
 	Epoch uint64
 }
 
@@ -180,35 +207,14 @@ func (s *Server) WriteTo(w io.Writer) (int64, error) {
 }
 
 // Read deserializes a server previously written with WriteTo, verifying
-// the frame checksum first. Query statistics start fresh. Pre-framing
-// snapshots (plain gob, no header) are still accepted for compatibility
-// with indexes exported before the frame format existed.
+// the frame checksum first. Query statistics start fresh.
 func Read(r io.Reader) (*Server, error) {
-	// Peek the magic: legacy snapshots start straight into the gob stream.
-	var head [4]byte
-	n, err := io.ReadFull(r, head[:])
-	if err == io.EOF || err == io.ErrUnexpectedEOF {
-		// Shorter than the magic: valid in neither format.
-		return nil, fmt.Errorf("%w: %d-byte input", ErrTruncated, n)
-	}
+	_, payload, err := ReadFrame(r, FrameSnapshot)
 	if err != nil {
 		return nil, err
 	}
-	rest := io.MultiReader(bytes.NewReader(head[:n]), r)
-	if bytes.Equal(head[:], frameMagic[:]) {
-		_, payload, err := ReadFrame(rest, FrameSnapshot)
-		if err != nil {
-			return nil, err
-		}
-		return decodeSnapshot(bytes.NewReader(payload))
-	}
-	return decodeSnapshot(rest)
-}
-
-// decodeSnapshot rebuilds a server from a gob-encoded Snapshot stream.
-func decodeSnapshot(r io.Reader) (*Server, error) {
 	var snap Snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
+	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("index: decode snapshot: %w", err)
 	}
 	var mat bitmat.Matrix

@@ -3,8 +3,10 @@ package index
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -45,11 +47,25 @@ func TestPersistRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	if _, err := Read(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage accepted")
+	if _, err := Read(strings.NewReader("not a snapshot")); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("garbage: err = %v, want ErrBadMagic", err)
 	}
 	if _, err := Read(strings.NewReader("")); err == nil {
 		t.Fatal("empty input accepted")
+	}
+	// An un-framed gob stream carries no checksum: it must not reach the
+	// gob decoder.
+	s := sampleServer(t)
+	raw, err := s.published.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain bytes.Buffer
+	if err := gob.NewEncoder(&plain).Encode(Snapshot{Matrix: raw, Names: s.names}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Read(&plain); !errors.Is(err, ErrBadMagic) {
+		t.Fatalf("plain gob: err = %v, want ErrBadMagic", err)
 	}
 }
 
@@ -94,6 +110,11 @@ func TestReadRejectsVersionAndKind(t *testing.T) {
 	if _, err := Read(bytes.NewReader(future)); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: err = %v, want ErrVersion", err)
 	}
+	v1 := append([]byte(nil), raw...)
+	v1[4], v1[5] = 0, 1
+	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
+		t.Errorf("v1 frame: err = %v, want ErrVersion", err)
+	}
 
 	var manifest bytes.Buffer
 	if _, err := WriteFrame(&manifest, FrameManifest, []byte("payload")); err != nil {
@@ -123,24 +144,23 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadLegacyUnframedSnapshot(t *testing.T) {
-	// Indexes exported before the frame format are plain gob streams; they
-	// must still load.
-	s := sampleServer(t)
-	raw, err := s.published.MarshalBinary()
-	if err != nil {
+// TestReadFrameHostileLength: a bare header declaring 8 GiB of payload
+// must cost what the input holds, not what the header claims.
+func TestReadFrameHostileLength(t *testing.T) {
+	var hdr bytes.Buffer
+	if _, err := WriteFrame(&hdr, FrameSnapshot, nil); err != nil {
 		t.Fatal(err)
 	}
-	var legacy bytes.Buffer
-	if err := gob.NewEncoder(&legacy).Encode(Snapshot{Matrix: raw, Names: s.names}); err != nil {
-		t.Fatal(err)
+	binary.BigEndian.PutUint64(hdr.Bytes()[7:15], 1<<33)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadFrame(bytes.NewReader(hdr.Bytes()), FrameSnapshot)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrTruncated) {
+		t.Fatalf("err = %v, want ErrTruncated", err)
 	}
-	back, err := Read(&legacy)
-	if err != nil {
-		t.Fatalf("legacy snapshot rejected: %v", err)
-	}
-	if back.Owners() != 3 || back.Providers() != 4 {
-		t.Fatalf("legacy dims %dx%d", back.Providers(), back.Owners())
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes for a %d-byte input", got, hdr.Len())
 	}
 }
 
@@ -153,25 +173,6 @@ func TestPersistEpoch(t *testing.T) {
 	}
 	if back.Epoch() != 7 {
 		t.Fatalf("epoch after round trip = %d, want 7", back.Epoch())
-	}
-}
-
-func TestReadV1Frame(t *testing.T) {
-	// Version-1 frames predate the epoch field. The checksum covers only
-	// the payload, and gob omits zero fields, so a freshly written epoch-0
-	// snapshot with the version bytes set to 1 is byte-for-byte a genuine
-	// v1 file. It must load and report epoch 0.
-	raw := encode(t, sampleServer(t))
-	raw[4], raw[5] = 0, 1
-	back, err := Read(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatalf("v1 frame rejected: %v", err)
-	}
-	if back.Epoch() != 0 {
-		t.Fatalf("v1 frame epoch = %d, want 0", back.Epoch())
-	}
-	if back.Owners() != 3 || back.Providers() != 4 {
-		t.Fatalf("v1 dims %dx%d", back.Providers(), back.Owners())
 	}
 }
 

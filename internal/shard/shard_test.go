@@ -1,11 +1,12 @@
 package shard
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"testing"
 
@@ -288,66 +289,6 @@ func TestLoadShardRejectsEpochMismatch(t *testing.T) {
 	}
 }
 
-func TestPreEpochShardSetLoads(t *testing.T) {
-	// Shard sets written before the epoch field are version-1 frames with
-	// no epoch in manifest or snapshots. The frame checksum covers only the
-	// payload and gob omits zero fields, so rewriting a fresh epoch-0 set's
-	// version bytes to 1 reproduces a genuine legacy set byte for byte. It
-	// must load whole, everything reporting epoch 0.
-	published, names := buildIndex(t, 10, 12)
-	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Patch each member snapshot to a v1 frame and refresh the manifest's
-	// whole-file CRCs, exactly as a v1 writer would have recorded them.
-	for k, sf := range man.Files {
-		path := filepath.Join(dir, sf.Name)
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw[4], raw[5] = 0, 1 // frame version → 1
-		if err := os.WriteFile(path, raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		man.Files[k].CRC32 = crc32.ChecksumIEEE(raw)
-	}
-	if err := man.write(dir); err != nil {
-		t.Fatal(err)
-	}
-	manPath := filepath.Join(dir, ManifestName)
-	raw, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[4], raw[5] = 0, 1
-	if err := os.WriteFile(manPath, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	back, err := ReadManifest(dir)
-	if err != nil {
-		t.Fatalf("legacy manifest rejected: %v", err)
-	}
-	if back.Epoch != 0 {
-		t.Fatalf("legacy manifest epoch = %d, want 0", back.Epoch)
-	}
-	if err := back.Verify(dir); err != nil {
-		t.Fatalf("legacy set fails verify: %v", err)
-	}
-	for k := 0; k < 2; k++ {
-		srv, err := back.LoadShard(dir, k)
-		if err != nil {
-			t.Fatalf("legacy shard %d rejected: %v", k, err)
-		}
-		if srv.Epoch() != 0 {
-			t.Fatalf("legacy shard %d epoch = %d, want 0", k, srv.Epoch())
-		}
-	}
-}
-
 func TestReadManifestRejectsCorruption(t *testing.T) {
 	published, names := buildIndex(t, 10, 12)
 	dir := t.TempDir()
@@ -365,5 +306,22 @@ func TestReadManifestRejectsCorruption(t *testing.T) {
 	}
 	if _, err := ReadManifest(dir); !errors.Is(err, index.ErrChecksum) {
 		t.Fatalf("corrupted manifest = %v, want ErrChecksum", err)
+	}
+
+	// A length field claiming 8 GiB (one flipped bit, or a hostile origin)
+	// must read as a short file without the loader allocating the claim.
+	binary.BigEndian.PutUint64(raw[7:15], 1<<33)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = ReadManifest(dir)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, index.ErrTruncated) {
+		t.Fatalf("oversized length = %v, want ErrTruncated", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("allocated %d bytes reading a %d-byte manifest", got, len(raw))
 	}
 }
