@@ -47,6 +47,7 @@ bench-check:
 # gets the longest slice: it drives the whole gateway query path.
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/bitmat/
+	$(GO) test -fuzz=FuzzOwnerMajor -fuzztime=10s -run '^$$' ./internal/bitmat/
 	$(GO) test -fuzz=FuzzBeta -fuzztime=10s ./internal/mathx/
 	$(GO) test -fuzz=FuzzLambda -fuzztime=10s ./internal/mathx/
 	$(GO) test -fuzz=FuzzBatchEquivalence -fuzztime=30s -run '^$$' ./internal/gateway/

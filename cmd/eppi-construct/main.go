@@ -40,6 +40,7 @@ import (
 	"log/slog"
 	"os"
 
+	"repro/internal/bitmat"
 	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/index"
@@ -170,10 +171,6 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("privacy audit: %w", err)
 	}
-	srv, err := index.NewServer(res.Published, d.Names)
-	if err != nil {
-		return err
-	}
 	if *epochDir != "" {
 		if *outPath != "" {
 			return fmt.Errorf("-epoch-dir and -out are mutually exclusive")
@@ -183,7 +180,7 @@ func run(args []string, out io.Writer) error {
 			n = 1
 		}
 		pub := epoch.Publisher{Root: *epochDir, Keep: *epochKeep}
-		e, err := pub.PublishWithReport(srv.PublishedMatrix(), srv.Names(), n, rep, det)
+		e, err := pub.PublishWithReport(res.Published, d.Names, n, rep, det)
 		if err != nil {
 			return fmt.Errorf("publish epoch: %w", err)
 		}
@@ -192,7 +189,7 @@ func run(args []string, out io.Writer) error {
 			slog.Float64("success_ratio", rep.SuccessRatio),
 			slog.Int("privacy_violations", rep.ViolationCount))
 	} else if *outPath != "" {
-		if err := export(*outPath, *shards, srv, logger); err != nil {
+		if err := export(*outPath, *shards, res.Published, d.Names, logger); err != nil {
 			return err
 		}
 	} else if *shards > 0 {
@@ -216,9 +213,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	fmt.Fprintf(out, "  published common set: %d identities\n", hidden)
-	truePositives := d.Matrix.Count()
+	searchCost, truePositives := res.Published.Count(), d.Matrix.Count()
 	fmt.Fprintf(out, "  search cost:    %d published positives (%d true, %.2fx overhead)\n",
-		srv.SearchCost(), truePositives, float64(srv.SearchCost())/float64(truePositives))
+		searchCost, truePositives, float64(searchCost)/float64(truePositives))
 	fmt.Fprintf(out, "  privacy audit:  success ratio %.4f, %d Eq.1 violations\n",
 		rep.SuccessRatio, rep.ViolationCount)
 	if res.Secure != nil {
@@ -241,18 +238,22 @@ func run(args []string, out io.Writer) error {
 // export writes the constructed index to disk: a single checksummed
 // snapshot file, or (shards > 0) a directory of per-shard snapshots plus
 // a checksummed manifest that eppi-serve -shard and eppi-gateway consume.
-func export(path string, shards int, srv *index.Server, logger *slog.Logger) error {
+func export(path string, shards int, published *bitmat.Matrix, names []string, logger *slog.Logger) error {
 	if shards > 0 {
 		if err := os.MkdirAll(path, 0o755); err != nil {
 			return fmt.Errorf("export: %w", err)
 		}
-		man, err := shard.WriteSet(path, srv.PublishedMatrix(), srv.Names(), shards)
+		man, err := shard.WriteSet(path, published, names, shards)
 		if err != nil {
 			return fmt.Errorf("export shard set: %w", err)
 		}
 		logger.Info("shard set written", slog.String("dir", path),
 			slog.Int("shards", man.Shards), slog.Int("owners", man.Owners))
 		return nil
+	}
+	srv, err := index.NewServer(published, names)
+	if err != nil {
+		return fmt.Errorf("export: %w", err)
 	}
 	f, err := os.Create(path)
 	if err != nil {

@@ -36,6 +36,7 @@ import (
 	"sort"
 	"sync"
 
+	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/index"
@@ -84,8 +85,12 @@ var (
 type Network struct {
 	providers []*provider.Provider
 
-	mu         sync.Mutex
-	server     *index.Server
+	mu     sync.Mutex
+	server *index.Server
+	// published is M' as constructed (providers × owners), kept so the
+	// export paths hand it to the partitioner without transposing the
+	// server's owner-major copy back.
+	published  *bitmat.Matrix
 	report     *ConstructionReport
 	privacy    *privacy.Report
 	privacyDet *privacy.Detail
@@ -339,7 +344,7 @@ func (n *Network) ConstructPPI(opts ...Option) (*ConstructionReport, error) {
 		CommonCount: res.CommonCount,
 		Lambda:      res.Lambda,
 		Xi:          res.Xi,
-		SearchCost:  server.SearchCost(),
+		SearchCost:  res.Published.Count(),
 		Secure:      res.Secure,
 	}
 	for j, owner := range names {
@@ -373,6 +378,7 @@ func (n *Network) ConstructPPI(opts ...Option) (*ConstructionReport, error) {
 
 	n.mu.Lock()
 	n.server = server
+	n.published = res.Published
 	n.report = report
 	n.privacy = priv
 	n.privacyDet = privDet
@@ -480,6 +486,16 @@ func (s *Searcher) Search(owner string) (*SearchResult, error) {
 		out.Records = append(out.Records, Record{Owner: r.Owner, Kind: r.Kind, Body: r.Body})
 	}
 	return out, nil
+}
+
+// publishedHandle returns the constructed M' and its column labels.
+func (n *Network) publishedHandle() (*bitmat.Matrix, []string, error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.server == nil {
+		return nil, nil, ErrNotConstructed
+	}
+	return n.published, n.server.Names(), nil
 }
 
 func (n *Network) serverHandle() (*index.Server, error) {

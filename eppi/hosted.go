@@ -36,11 +36,11 @@ func (n *Network) WriteIndex(w io.Writer) (int64, error) {
 // coordination. Each shard file carries only public state, exactly like
 // WriteIndex. It fails before ConstructPPI.
 func (n *Network) WriteShardSet(dir string, shards int) (*shard.Manifest, error) {
-	srv, err := n.serverHandle()
+	published, names, err := n.publishedHandle()
 	if err != nil {
 		return nil, err
 	}
-	man, err := shard.WriteSet(dir, srv.PublishedMatrix(), srv.Names(), shards)
+	man, err := shard.WriteSet(dir, published, names, shards)
 	if err != nil {
 		return nil, fmt.Errorf("eppi: write shard set: %w", err)
 	}
@@ -59,12 +59,12 @@ func (n *Network) WriteShardSet(dir string, shards int) (*shard.Manifest, error)
 // inside the network behind PrivacyDetail. It fails before
 // ConstructPPI.
 func (n *Network) PublishEpoch(root string, shards int) (uint64, error) {
-	srv, err := n.serverHandle()
+	published, names, err := n.publishedHandle()
 	if err != nil {
 		return 0, err
 	}
 	pub := epoch.Publisher{Root: root}
-	e, err := pub.PublishWithReport(srv.PublishedMatrix(), srv.Names(), shards, n.PrivacyReport(), nil)
+	e, err := pub.PublishWithReport(published, names, shards, n.PrivacyReport(), nil)
 	if err != nil {
 		return 0, fmt.Errorf("eppi: publish epoch: %w", err)
 	}

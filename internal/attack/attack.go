@@ -100,8 +100,8 @@ func CommonIdentityAttack(signal []uint64, signalThreshold uint64, isCommon []bo
 // the public frequency signal of a provider-level index.
 func PublishedFrequencies(published *bitmat.Matrix) []uint64 {
 	out := make([]uint64, published.Cols())
-	for j := range out {
-		out[j] = uint64(published.ColCount(j))
+	for j, c := range published.ColCounts() {
+		out[j] = uint64(c)
 	}
 	return out
 }

@@ -1,7 +1,18 @@
 // Package bitmat provides compact boolean matrices for the ε-PPI membership
-// data: the private matrix M (providers × identities) and the published,
-// noise-bearing matrix M'. Rows are providers, columns are identities,
-// matching M(i, j) in the paper.
+// data. The Matrix type is orientation-neutral: rows are bitsets of
+// ⌈cols/64⌉ words and nothing in it knows what a row stands for. By
+// convention the private matrix M and the published, noise-bearing matrix
+// M' are providers × identities, matching M(i, j) in the paper — that is
+// how construction produces them — while the serving index
+// (internal/index) holds the transpose, identities × providers, because
+// its one query reads a column of M'.
+//
+// Two families of operations coexist on purpose. Get, ColOnes and
+// ColCount probe one column bit by bit: they are the reference the rest is
+// tested against and the right tool for looking at a single column.
+// Transposed, ColCounts, RowOnes and SelectRows work a word or a 64×64
+// tile (Transpose64) at a time and are what every whole-matrix or hot
+// path uses.
 //
 // The matrices are bitset-backed so that networks of 25,000 providers and
 // millions of identities stay addressable in memory during experiments.
@@ -42,10 +53,10 @@ func MustNew(rows, cols int) *Matrix {
 	return m
 }
 
-// Rows returns the number of rows (providers).
+// Rows returns the number of rows (providers, for M and M').
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns (identities).
+// Cols returns the number of columns (identities, for M and M').
 func (m *Matrix) Cols() int { return m.cols }
 
 // Get returns the bit at (row, col).
@@ -127,6 +138,42 @@ func (m *Matrix) ColOnes(col int) []int {
 	return out
 }
 
+// RowOnes returns the column indices with a set bit in row `row`, in
+// ascending order — Transposed().RowOnes(j) is ColOnes(j) read from
+// contiguous words. One popcount pass sizes the result exactly and one
+// trailing-zeros pass fills it: a single allocation, none for an empty row
+// (which returns nil, like ColOnes).
+func (m *Matrix) RowOnes(row int) []int {
+	m.checkRow(row)
+	words := m.data[row*m.words : (row+1)*m.words]
+	count := 0
+	for _, w := range words {
+		count += bits.OnesCount64(w)
+	}
+	if count == 0 {
+		return nil
+	}
+	out := make([]int, 0, count)
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			out = append(out, i*64+bits.TrailingZeros64(w))
+		}
+	}
+	return out
+}
+
+// SelectRows returns a new len(rows) × Cols matrix whose row k is a copy
+// of row rows[k] — the shard partitioner's gather over an owner-major
+// index.
+func (m *Matrix) SelectRows(rows []int) *Matrix {
+	out := MustNew(len(rows), m.cols)
+	for k, row := range rows {
+		m.checkRow(row)
+		copy(out.data[k*m.words:(k+1)*m.words], m.data[row*m.words:(row+1)*m.words])
+	}
+	return out
+}
+
 // Count returns the total number of set bits.
 func (m *Matrix) Count() int {
 	count := 0
@@ -198,6 +245,14 @@ func ColFalsePositiveRate(truth, published *Matrix, col int) (float64, error) {
 
 func (m *Matrix) idx(row, col int) (word int, bit uint) {
 	return row*m.words + col/64, uint(col % 64)
+}
+
+// checkRow is check for whole-row operations, which are well defined on
+// a matrix with no columns.
+func (m *Matrix) checkRow(row int) {
+	if row < 0 || row >= m.rows {
+		panic(fmt.Sprintf("bitmat: row %d out of %dx%d", row, m.rows, m.cols))
+	}
 }
 
 func (m *Matrix) check(row, col int) {

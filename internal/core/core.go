@@ -112,9 +112,9 @@ type Config struct {
 	// own transport session), bounding circuit size and memory. 0 means
 	// one batch for everything.
 	BatchSize int
-	// Workers bounds the construction worker pool: β-threshold shards,
-	// column aggregation, concurrent MPC identity batches, and randomized
-	// publication shards all share it. 0 means runtime.NumCPU(); 1 forces
+	// Workers bounds the construction worker pool: β-threshold and mixing
+	// shards, concurrent MPC identity batches, and randomized publication
+	// shards all share it. 0 means runtime.NumCPU(); 1 forces
 	// the sequential path. Per-shard randomness is derived from Seed with
 	// mathx.DeriveSeed, so results are bit-identical at any worker count.
 	Workers int
@@ -353,37 +353,25 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 }
 
 // constructTrusted runs the simulation path: frequencies in the clear.
-// Aggregation, mixing and publication are sharded across the worker pool;
-// every shard derives its randomness from (cfg.Seed, stage stream, shard
-// index), so the result is bit-identical at any worker count.
+// Mixing and publication are sharded across the worker pool; every shard
+// derives its randomness from (cfg.Seed, stage stream, shard index), so
+// the result is bit-identical at any worker count.
 func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, thresholds []uint64, cfg Config) (*Result, error) {
 	m, n := truth.Rows(), truth.Cols()
 	workers := cfg.workers()
-	aggCtx, aggSpan := trace.StartChild(ctx, "core.aggregate")
+	// One tiled pass counts every column: a few milliseconds where
+	// publication takes hundreds, so it is not sharded.
+	_, aggSpan := trace.StartChild(ctx, "core.aggregate")
 	freqs := make([]uint64, n)
-	shards := (n + colShard - 1) / colShard
-	partialCommons := make([]int, shards)
-	err := parallel.Blocks(workers, n, colShard, func(b, lo, hi int) error {
-		_, sp := trace.StartChild(aggCtx, "core.aggregate.shard",
-			trace.Int("lo", lo), trace.Int("hi", hi))
-		defer sp.End()
-		for j := lo; j < hi; j++ {
-			freqs[j] = uint64(truth.ColCount(j))
-			if freqs[j] >= thresholds[j] {
-				partialCommons[b]++
-			}
-		}
-		return nil
-	})
 	commons := 0
-	for _, p := range partialCommons {
-		commons += p
+	for j, f := range truth.ColCounts() {
+		freqs[j] = uint64(f)
+		if freqs[j] >= thresholds[j] {
+			commons++
+		}
 	}
 	aggSpan.SetInt("commons", commons)
 	aggSpan.End()
-	if err != nil {
-		return nil, err
-	}
 	xi := cfg.XiOverride
 	if xi <= 0 {
 		for j := 0; j < n; j++ {

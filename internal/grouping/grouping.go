@@ -120,8 +120,8 @@ func Construct(truth *bitmat.Matrix, cfg Config) (*Result, error) {
 	res := &Result{Published: published, GroupOf: groupOf, Members: members}
 	if cfg.Variant == VariantSSPPI {
 		leaked := make([]uint64, n)
-		for j := 0; j < n; j++ {
-			leaked[j] = uint64(truth.ColCount(j))
+		for j, c := range truth.ColCounts() {
+			leaked[j] = uint64(c)
 		}
 		res.LeakedFrequencies = leaked
 	}

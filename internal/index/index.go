@@ -2,6 +2,12 @@
 // by the untrusted third-party locator service. It stores only the obscured
 // matrix M' — never the private matrix M or the β values — and serves the
 // QueryPPI operation: "which providers may hold records of owner t?".
+//
+// QueryPPI reads one column of M' (providers × owners), so the server
+// keeps the transpose: one row of ⌈m/64⌉ contiguous words per owner, built
+// once by bitmat.Transposed when the index is handed over and stored in
+// that orientation in snapshots. A lookup is then a popcount and a
+// trailing-zeros scan of a few cache lines, whatever n is.
 package index
 
 import (
@@ -23,9 +29,11 @@ var ErrUnknownOwner = errors.New("index: unknown owner identity")
 // Load counters are lock-free (sync/atomic) so concurrent QueryColumn
 // calls never contend.
 type Server struct {
-	published *bitmat.Matrix
-	names     []string
-	byName    map[string]int
+	// owners is M' transposed, owners × providers: row j is the provider
+	// set of names[j]. It is the only copy of the matrix the server holds.
+	owners *bitmat.Matrix
+	names  []string
+	byName map[string]int
 
 	// shard/shards identify this server as one column shard of a larger
 	// index (0 ≤ shard < shards); shards == 0 means unsharded.
@@ -86,6 +94,18 @@ func NewServer(published *bitmat.Matrix, names []string) (*Server, error) {
 	if len(names) != published.Cols() {
 		return nil, fmt.Errorf("index: %d names for %d identity columns", len(names), published.Cols())
 	}
+	// Defensive copy: the server must not observe later caller mutations.
+	// The transpose is that copy.
+	return adopt(published.Transposed(), append([]string(nil), names...))
+}
+
+// adopt builds a server around an owner-major matrix and its row labels,
+// taking ownership of both (no copy): the caller must hold no other
+// reference. Snapshot loading and Select feed it matrices they just built.
+func adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
+	if len(names) != owners.Rows() {
+		return nil, fmt.Errorf("index: %d names for %d owner rows", len(names), owners.Rows())
+	}
 	byName := make(map[string]int, len(names))
 	for j, name := range names {
 		if _, dup := byName[name]; dup {
@@ -93,8 +113,19 @@ func NewServer(published *bitmat.Matrix, names []string) (*Server, error) {
 		}
 		byName[name] = j
 	}
-	// Defensive copy: the server must not observe later caller mutations.
-	return &Server{published: published.Clone(), names: append([]string(nil), names...), byName: byName}, nil
+	return &Server{owners: owners, names: names, byName: byName}, nil
+}
+
+// Select returns a new server holding the owners at the given positions
+// of this one, in the given order, with provider lists unchanged — the
+// shard partitioner's split. Shard identity and epoch are not carried
+// over. It panics on a position out of range and rejects a repeated one.
+func (s *Server) Select(owners []int) (*Server, error) {
+	names := make([]string, len(owners))
+	for k, j := range owners {
+		names[k] = s.names[j]
+	}
+	return adopt(s.owners.SelectRows(owners), names)
 }
 
 // SetShard marks the server as column shard id of a set of `of` shards.
@@ -123,19 +154,19 @@ func (s *Server) SetEpoch(e uint64) { s.epoch = e }
 // Epoch returns the publication epoch (0: never re-published).
 func (s *Server) Epoch() uint64 { return s.epoch }
 
-// PublishedMatrix returns a copy of M'. The matrix is public by
-// construction — it is exactly what the untrusted host serves — so
-// exposing it leaks nothing; the shard partitioner uses it to split
-// columns.
+// PublishedMatrix returns M' (providers × owners) as a fresh matrix,
+// transposed back from the serving layout; not for hot paths. The matrix
+// is public by construction — it is exactly what the untrusted host
+// serves — so exposing it leaks nothing.
 func (s *Server) PublishedMatrix() *bitmat.Matrix {
-	return s.published.Clone()
+	return s.owners.Transposed()
 }
 
 // Providers returns the provider count m.
-func (s *Server) Providers() int { return s.published.Rows() }
+func (s *Server) Providers() int { return s.owners.Cols() }
 
 // Owners returns the identity count n.
-func (s *Server) Owners() int { return s.published.Cols() }
+func (s *Server) Owners() int { return s.owners.Rows() }
 
 // Names returns the identity labels in column order.
 func (s *Server) Names() []string {
@@ -209,7 +240,7 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 			}
 			continue
 		}
-		providers := s.published.ColOnes(j)
+		providers := s.owners.RowOnes(j)
 		if providers == nil {
 			providers = []int{}
 		}
@@ -270,7 +301,7 @@ func (s *Server) Search(ctx context.Context, substr string, limit int) []Match {
 
 // QueryColumn is Query by column number.
 func (s *Server) QueryColumn(j int) []int {
-	result := s.published.ColOnes(j)
+	result := s.owners.RowOnes(j)
 	s.queries.Add(1)
 	s.fanout.Add(uint64(len(result)))
 	if in := s.inst.Load(); in != nil {
@@ -306,5 +337,5 @@ func (s *Server) Stats() Stats {
 // network-wide query fan-out an exhaustive searcher would pay; experiments
 // use it as the search-overhead metric.
 func (s *Server) SearchCost() int {
-	return s.published.Count()
+	return s.owners.Count()
 }

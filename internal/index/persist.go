@@ -32,8 +32,11 @@ import (
 
 // FrameVersion is the snapshot format version, the only one read or
 // written. Version 2 added the epoch number to Snapshot and
-// shard.Manifest payloads.
-const FrameVersion uint16 = 2
+// shard.Manifest payloads; version 3 turned Snapshot.Matrix owner-major.
+// A file of any other version is refused with ErrVersion — a v2 matrix
+// decoded as v3 would swap providers with owners — and the operator
+// republishes.
+const FrameVersion uint16 = 3
 
 // frameMagic opens every framed artifact.
 var frameMagic = [4]byte{'E', 'P', 'P', 'I'}
@@ -177,9 +180,13 @@ func remaining(r io.Reader) (int64, bool) {
 // third-party host must never receive β values, thresholds or any other
 // construction by-product.
 type Snapshot struct {
-	// Matrix is the binary encoding of M'.
+	// Matrix is the bitmat binary encoding of M' as the server stores it:
+	// transposed, one row per owner and one column per provider, so a
+	// loader adopts the decoded words without reshaping them. A set bit at
+	// column ≥ m would be a phantom provider id; the decoder refuses it as
+	// a set padding bit.
 	Matrix []byte
-	// Names are the identity labels in column order.
+	// Names are the identity labels, one per matrix row, in row order.
 	Names []string
 	// Shard and Shards identify a column shard of a larger index
 	// (0 ≤ Shard < Shards). Both zero for an unsharded index.
@@ -194,7 +201,7 @@ type Snapshot struct {
 // WriteTo serializes the server state: a checksummed, versioned frame
 // around the gob-encoded Snapshot.
 func (s *Server) WriteTo(w io.Writer) (int64, error) {
-	raw, err := s.published.MarshalBinary()
+	raw, err := s.owners.MarshalBinary()
 	if err != nil {
 		return 0, fmt.Errorf("index: encode matrix: %w", err)
 	}
@@ -221,7 +228,10 @@ func Read(r io.Reader) (*Server, error) {
 	if err := mat.UnmarshalBinary(snap.Matrix); err != nil {
 		return nil, fmt.Errorf("index: decode matrix: %w", err)
 	}
-	srv, err := NewServer(&mat, snap.Names)
+	// The decoded matrix and names are referenced by nothing else: adopt
+	// them as they are (still checking names against rows and for
+	// duplicates) instead of paying NewServer's defensive copies.
+	srv, err := adopt(&mat, snap.Names)
 	if err != nil {
 		return nil, err
 	}

@@ -56,7 +56,7 @@ func TestReadRejectsGarbage(t *testing.T) {
 	// An un-framed gob stream carries no checksum: it must not reach the
 	// gob decoder.
 	s := sampleServer(t)
-	raw, err := s.published.MarshalBinary()
+	raw, err := s.owners.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,10 +110,14 @@ func TestReadRejectsVersionAndKind(t *testing.T) {
 	if _, err := Read(bytes.NewReader(future)); !errors.Is(err, ErrVersion) {
 		t.Errorf("future version: err = %v, want ErrVersion", err)
 	}
-	v1 := append([]byte(nil), raw...)
-	v1[4], v1[5] = 0, 1
-	if _, err := Read(bytes.NewReader(v1)); !errors.Is(err, ErrVersion) {
-		t.Errorf("v1 frame: err = %v, want ErrVersion", err)
+	// Retired versions are refused, not converted: v2 held the matrix
+	// providers × owners, and reading it as v3 would swap the two.
+	for _, v := range []byte{1, 2} {
+		old := append([]byte(nil), raw...)
+		old[4], old[5] = 0, v
+		if _, err := Read(bytes.NewReader(old)); !errors.Is(err, ErrVersion) {
+			t.Errorf("v%d frame: err = %v, want ErrVersion", v, err)
+		}
 	}
 
 	var manifest bytes.Buffer

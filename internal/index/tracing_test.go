@@ -25,13 +25,13 @@ func traceTestServer(tb testing.TB) *Server {
 }
 
 // TestQueryCtxUntracedAddsNoAllocs pins the disabled-tracing fast path:
-// a spanless context must add zero allocations over the raw column scan
-// (whose result slice is the only allocation either way).
+// a spanless context must add zero allocations over the raw owner-row
+// read (whose result slice is the only allocation either way).
 func TestQueryCtxUntracedAddsNoAllocs(t *testing.T) {
 	srv := traceTestServer(t)
 	ctx := context.Background()
 	base := testing.AllocsPerRun(200, func() {
-		srv.published.ColOnes(0)
+		srv.owners.RowOnes(0)
 	})
 	traced := testing.AllocsPerRun(200, func() {
 		if _, err := srv.QueryCtx(ctx, "a"); err != nil {

@@ -280,13 +280,13 @@ func Compute(in Input) (*Report, *Detail, error) {
 	var epsSum, fpSum [NumBuckets]float64
 	var fpCount [NumBuckets]int
 	revealed, satisfied := 0, 0
+	pubCounts, trueCounts := p.ColCounts(), t.ColCounts()
 	for j := 0; j < n; j++ {
 		idx := BucketIndex(in.Eps[j])
 		det.IdentityBuckets[in.Names[j]] = uint8(idx)
 		b := &r.Buckets[idx]
 
-		pub := p.ColCount(j)
-		trueCount := t.ColCount(j)
+		pub, trueCount := pubCounts[j], trueCounts[j]
 		hidden := pub == m // all-ones column
 		if in.Hidden != nil {
 			hidden = in.Hidden[j]

@@ -64,62 +64,51 @@ func Group(owners []string, of int) [][]string {
 // original column order; provider rows are complete in every shard, so
 // shard-local QueryPPI answers are bit-identical to the full index.
 // Shards with no identities are valid (small n, unlucky hash) — they
-// serve an empty index.
+// serve an empty index that still reports all m providers.
+//
+// The index is owner-major (one row per identity), so the split costs one
+// tiled transpose of M' and one contiguous row copy per identity — no
+// per-bit column walk.
 func Partition(published *bitmat.Matrix, names []string, of int) ([]*index.Server, error) {
-	if published == nil {
-		return nil, errors.New("shard: nil matrix")
+	if of < 1 { // before paying for the transpose
+		return nil, fmt.Errorf("shard: bad shard count %d", of)
+	}
+	full, err := index.NewServer(published, names)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
+	}
+	return PartitionServer(full, of)
+}
+
+// PartitionServer is Partition over an existing full server (e.g. one
+// loaded from an unsharded snapshot file): its owner rows are split as
+// they are stored, and every shard inherits its epoch.
+func PartitionServer(full *index.Server, of int) ([]*index.Server, error) {
+	if full == nil {
+		return nil, errors.New("shard: nil server")
 	}
 	if of < 1 {
 		return nil, fmt.Errorf("shard: bad shard count %d", of)
 	}
-	if len(names) != published.Cols() {
-		return nil, fmt.Errorf("shard: %d names for %d columns", len(names), published.Cols())
+	if _, _, sharded := full.ShardInfo(); sharded {
+		return nil, errors.New("shard: refusing to re-partition an already-sharded index")
 	}
-	cols := make([][]int, of) // shard → original column indices
-	for j, name := range names {
+	rows := make([][]int, of) // shard → owner positions in full
+	for j, name := range full.Names() {
 		k := For(name, of)
-		cols[k] = append(cols[k], j)
+		rows[k] = append(rows[k], j)
 	}
 	out := make([]*index.Server, of)
 	for k := range out {
-		mat, err := bitmat.New(published.Rows(), len(cols[k]))
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
-		}
-		shardNames := make([]string, len(cols[k]))
-		for local, j := range cols[k] {
-			shardNames[local] = names[j]
-			for _, row := range published.ColOnes(j) {
-				mat.Set(row, local, true)
-			}
-		}
-		srv, err := index.NewServer(mat, shardNames)
+		srv, err := full.Select(rows[k])
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", k, err)
 		}
 		if err := srv.SetShard(k, of); err != nil {
 			return nil, err
 		}
+		srv.SetEpoch(full.Epoch())
 		out[k] = srv
 	}
 	return out, nil
-}
-
-// PartitionServer is Partition over an existing full server (e.g. one
-// loaded from an unsharded snapshot file).
-func PartitionServer(full *index.Server, of int) ([]*index.Server, error) {
-	if full == nil {
-		return nil, errors.New("shard: nil server")
-	}
-	if _, _, sharded := full.ShardInfo(); sharded {
-		return nil, errors.New("shard: refusing to re-partition an already-sharded index")
-	}
-	parts, err := Partition(full.PublishedMatrix(), full.Names(), of)
-	if err != nil {
-		return nil, err
-	}
-	for _, p := range parts {
-		p.SetEpoch(full.Epoch())
-	}
-	return parts, nil
 }

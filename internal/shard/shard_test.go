@@ -1,13 +1,14 @@
 package shard
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"sort"
 	"testing"
 
 	"repro/internal/bitmat"
@@ -89,43 +90,101 @@ func TestPartitionCoversEveryOwnerExactlyOnce(t *testing.T) {
 	}
 }
 
+// TestPartitionAnswersIdenticalToFullIndex holds every shard to the
+// per-bit column reference of the source matrix (ragged against the 64-bit
+// tile on both sides): each owner is answered by exactly its own shard
+// with ColOnes of its column, by position, by name and in a batch, and
+// splitting a full server gives the same shards as splitting the matrix.
 func TestPartitionAnswersIdenticalToFullIndex(t *testing.T) {
-	published, names := buildIndex(t, 30, 40)
+	published, names := buildIndex(t, 70, 130)
+	const of = 4
+	shards, err := Partition(published, names, of)
+	if err != nil {
+		t.Fatal(err)
+	}
 	full, err := index.NewServer(published, names)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards, err := Partition(published, names, 4)
+	full.SetEpoch(6)
+	fromServer, err := PartitionServer(full, of)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range names {
-		want, err := full.Query(name)
-		if err != nil {
-			t.Fatal(err)
+	local := make([]int, of) // next local column per shard: original order is kept
+	for j, name := range names {
+		want := published.ColOnes(j)
+		k := For(name, of)
+		for _, set := range [][]*index.Server{shards, fromServer} {
+			if got := set[k].QueryColumn(local[k]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("shard %d column %d (%q) = %v, source column = %v", k, local[k], name, got, want)
+			}
+			got, err := set[k].Query(name)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("shard %d Query(%q) = %v, %v; source column = %v", k, name, got, err, want)
+			}
 		}
-		got, err := shards[For(name, 4)].Query(name)
-		if err != nil {
-			t.Fatalf("shard query %q: %v", name, err)
+		local[k]++
+		for other := range shards {
+			if _, err := shards[other].Query(name); other != k && !errors.Is(err, index.ErrUnknownOwner) {
+				t.Fatalf("shard %d answers for %q, which belongs to shard %d", other, name, k)
+			}
 		}
-		if !equalInts(got, want) {
-			t.Fatalf("Query(%q): shard %v, full %v", name, got, want)
+	}
+	for k := range shards {
+		if local[k] != shards[k].Owners() || local[k] != fromServer[k].Owners() {
+			t.Fatalf("shard %d holds %d / %d owners, want %d", k, shards[k].Owners(), fromServer[k].Owners(), local[k])
+		}
+		if shards[k].Epoch() != 0 || fromServer[k].Epoch() != 6 {
+			t.Fatalf("shard %d epochs %d / %d, want 0 / 6", k, shards[k].Epoch(), fromServer[k].Epoch())
+		}
+		// One batch over the shard's own names ≡ the singles above.
+		for i, item := range shards[k].QueryBatch(context.Background(), shards[k].Names()) {
+			single := shards[k].QueryColumn(i)
+			if !item.Found || len(item.Providers) != len(single) || (len(single) > 0 && !reflect.DeepEqual(item.Providers, single)) {
+				t.Fatalf("shard %d batch row %d = %+v, single = %v", k, i, item, single)
+			}
 		}
 	}
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// TestEmptyShardServes: with more shards than owners some shards are
+// empty; they still serve (every owner unknown), report all m providers,
+// and survive the snapshot round trip.
+func TestEmptyShardServes(t *testing.T) {
+	published, names := buildIndex(t, 70, 3)
+	const of = 16
+	dir := t.TempDir()
+	man, err := WriteSet(dir, published, names, of)
+	if err != nil {
+		t.Fatal(err)
 	}
-	sort.Ints(a)
-	sort.Ints(b)
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	empties := 0
+	for k := 0; k < of; k++ {
+		srv, err := man.LoadShard(dir, k)
+		if err != nil {
+			t.Fatalf("load shard %d: %v", k, err)
+		}
+		if srv.Providers() != 70 {
+			t.Fatalf("shard %d reports %d providers, want 70", k, srv.Providers())
+		}
+		if srv.Owners() > 0 {
+			continue
+		}
+		empties++
+		if _, err := srv.Query(names[0]); !errors.Is(err, index.ErrUnknownOwner) {
+			t.Fatalf("empty shard %d: Query = %v, want ErrUnknownOwner", k, err)
+		}
+		if items := srv.QueryBatch(context.Background(), names); len(items) != len(names) || items[0].Found {
+			t.Fatalf("empty shard %d: batch = %+v", k, items)
+		}
+		if srv.SearchCost() != 0 || len(srv.Search(context.Background(), "", 0)) != 0 {
+			t.Fatalf("empty shard %d holds data", k)
 		}
 	}
-	return true
+	if empties < of-len(names) {
+		t.Fatalf("%d empty shards, want at least %d", empties, of-len(names))
+	}
 }
 
 func TestPartitionValidation(t *testing.T) {
