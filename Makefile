@@ -52,6 +52,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzLambda -fuzztime=10s ./internal/mathx/
 	$(GO) test -fuzz=FuzzBatchEquivalence -fuzztime=30s -run '^$$' ./internal/gateway/
 	$(GO) test -fuzz=FuzzGMWWideEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
+	$(GO) test -fuzz=FuzzPublishKernel -fuzztime=10s -run '^$$' ./internal/core/
 
 # Regenerate every paper table and figure at full scale.
 experiments:

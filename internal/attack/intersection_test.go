@@ -97,6 +97,63 @@ func TestStaticIndexResistsIntersection(t *testing.T) {
 	}
 }
 
+// Republished with the same seed while the victim's ε (hence β) drifts and
+// another owner gains a provider every epoch, the publication coins are
+// fixed per cell and monotone in β: the victim's snapshots nest, so
+// intersecting all of them yields exactly the one snapshot built at the
+// smallest β, and no prefix of the series gives the attacker more
+// confidence than that snapshot alone. Red when Equation 2 draws its coins
+// from a stream: the neighbour's new true bit is one draw fewer, and every
+// later cell of the tile — the victim's column included — is re-flipped.
+func TestSameSeedRebuildsLeakOnlyTheWeakestEpoch(t *testing.T) {
+	const m, freq, churner, victim, bystander = 1000, 10, 0, 1, 2
+	truth := bitmat.MustNew(m, 3)
+	for j := 0; j < 3; j++ {
+		for i := 0; i < freq; i++ {
+			truth.Set((j*37+i*11)%m, j, true)
+		}
+	}
+	cfg := core.Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Seed: 7}
+	var snaps []*bitmat.Matrix
+	weakest, minBeta := -1, 2.0
+	churned := truth.Clone()
+	for r, e := range []float64{0.8, 0.85, 0.75, 0.9, 0.7, 0.8} {
+		churned.Set(500+r, churner, true)
+		res, err := core.Construct(churned, []float64{0.6, e, 0.6}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps = append(snaps, res.Published)
+		if res.Betas[victim] < minBeta {
+			weakest, minBeta = r, res.Betas[victim]
+		}
+	}
+	single, err := Intersect(truth, snaps[weakest:weakest+1], victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 1; k <= len(snaps); k++ {
+		inter, err := Intersect(truth, snaps[:k], victim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inter.Confidence > single.Confidence {
+			t.Errorf("%d snapshots: confidence %v exceeds the weakest epoch's %v", k, inter.Confidence, single.Confidence)
+		}
+		if k == len(snaps) && inter.Survivors != single.Survivors {
+			t.Errorf("all snapshots: %d survivors, the weakest epoch alone has %d", inter.Survivors, single.Survivors)
+		}
+	}
+	// The bystander changed neither ε nor membership: its column never flaps.
+	for _, s := range snaps[1:] {
+		for i := 0; i < m; i++ {
+			if s.Get(i, bystander) != snaps[0].Get(i, bystander) {
+				t.Fatalf("unchanged column flapped at provider %d", i)
+			}
+		}
+	}
+}
+
 func TestIntersectRandomisedProperty(t *testing.T) {
 	// Survivors shrink monotonically as snapshots accumulate.
 	rng := rand.New(rand.NewSource(9))

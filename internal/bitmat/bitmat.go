@@ -10,9 +10,9 @@
 // Two families of operations coexist on purpose. Get, ColOnes and
 // ColCount probe one column bit by bit: they are the reference the rest is
 // tested against and the right tool for looking at a single column.
-// Transposed, ColCounts, RowOnes and SelectRows work a word or a 64×64
-// tile (Transpose64) at a time and are what every whole-matrix or hot
-// path uses.
+// Transposed, ColCounts, RowOnes, SelectRows and OrRow work a word or a
+// 64×64 tile (Transpose64) at a time and are what every whole-matrix or
+// hot path uses.
 //
 // The matrices are bitset-backed so that networks of 25,000 providers and
 // millions of identities stay addressable in memory during experiments.
@@ -172,6 +172,25 @@ func (m *Matrix) SelectRows(rows []int) *Matrix {
 		copy(out.data[k*m.words:(k+1)*m.words], m.data[row*m.words:(row+1)*m.words])
 	}
 	return out
+}
+
+// OrRow ORs words — one row's worth, ⌈Cols/64⌉ of them, column c at bit
+// c%64 of word c/64 — into row `row`. Bits past Cols in the last word are
+// dropped, so padding stays clear whatever the caller passes. It is the
+// word-level write of randomized publication: a provider's noise bits land
+// on its cloned truth row in one pass, without a Set per cell.
+func (m *Matrix) OrRow(row int, words []uint64) {
+	m.checkRow(row)
+	if len(words) != m.words {
+		panic(fmt.Sprintf("bitmat: OrRow got %d words for a %d-word row", len(words), m.words))
+	}
+	dst := m.data[row*m.words : (row+1)*m.words]
+	for i, w := range words {
+		dst[i] |= w
+	}
+	if tail := uint(m.cols % 64); tail != 0 {
+		dst[m.words-1] &= 1<<tail - 1
+	}
 }
 
 // Count returns the total number of set bits.

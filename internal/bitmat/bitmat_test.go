@@ -2,6 +2,7 @@ package bitmat
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -82,6 +83,49 @@ func TestRowOps(t *testing.T) {
 	if m.RowCount(1) != 0 {
 		t.Errorf("RowCount empty = %d", m.RowCount(1))
 	}
+}
+
+// OrRow sets exactly the real columns named by its words, leaves the other
+// rows alone, keeps padding clear even when handed set padding bits, and
+// refuses a slice that is not one row long.
+func TestOrRow(t *testing.T) {
+	m := MustNew(3, 70) // two words, six real bits in the second
+	m.Set(1, 3, true)
+	m.Set(2, 69, true)
+	m.OrRow(1, []uint64{1<<0 | 1<<63, ^uint64(0)})
+	want := []int{0, 3, 63, 64, 65, 66, 67, 68, 69}
+	if got := m.RowOnes(1); !slices.Equal(got, want) {
+		t.Fatalf("RowOnes(1) = %v, want %v", got, want)
+	}
+	if m.RowCount(0) != 0 || m.RowCount(2) != 1 {
+		t.Error("OrRow disturbed another row")
+	}
+	if m.Count() != len(want)+1 {
+		t.Errorf("Count = %d, want %d: padding bits leaked", m.Count(), len(want)+1)
+	}
+	raw, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(Matrix).UnmarshalBinary(raw); err != nil {
+		t.Errorf("matrix written by OrRow does not decode: %v", err)
+	}
+	for _, fn := range []func(){
+		func() { m.OrRow(1, make([]uint64, 1)) },
+		func() { m.OrRow(1, make([]uint64, 3)) },
+		func() { m.OrRow(3, make([]uint64, 2)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("expected panic on a wrong-length or out-of-range OrRow")
+				}
+			}()
+			fn()
+		}()
+	}
+	empty := MustNew(2, 0)
+	empty.OrRow(1, nil) // a row of no columns takes no words
 }
 
 func TestColOps(t *testing.T) {

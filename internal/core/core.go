@@ -115,8 +115,9 @@ type Config struct {
 	// Workers bounds the construction worker pool: β-threshold and mixing
 	// shards, concurrent MPC identity batches, and randomized publication
 	// shards all share it. 0 means runtime.NumCPU(); 1 forces
-	// the sequential path. Per-shard randomness is derived from Seed with
-	// mathx.DeriveSeed, so results are bit-identical at any worker count.
+	// the sequential path. Mixing shards draw from streams derived from Seed
+	// with mathx.DeriveSeed and publication coins are keyed per cell, so
+	// results are bit-identical at any worker count.
 	Workers int
 	// Triples selects the MPC preprocessing source (dealer by default;
 	// TripleOT runs the real oblivious-transfer protocol).
@@ -353,9 +354,10 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 }
 
 // constructTrusted runs the simulation path: frequencies in the clear.
-// Mixing and publication are sharded across the worker pool; every shard
-// derives its randomness from (cfg.Seed, stage stream, shard index), so
-// the result is bit-identical at any worker count.
+// Mixing and publication are sharded across the worker pool; a mixing
+// shard derives its randomness from (cfg.Seed, stage stream, shard index)
+// and publication from per-cell keyed coins, so the result is bit-identical
+// at any worker count.
 func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, thresholds []uint64, cfg Config) (*Result, error) {
 	m, n := truth.Rows(), truth.Cols()
 	workers := cfg.workers()
@@ -427,24 +429,4 @@ func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, 
 		Lambda:      lambda,
 		Xi:          xi,
 	}, nil
-}
-
-// Publish applies the randomized publication rule of Equation 2: true bits
-// are copied unchanged (1 → 1, guaranteeing 100% recall), false bits flip
-// to 1 independently with probability β_j.
-func Publish(truth *bitmat.Matrix, betas []float64, rng *rand.Rand) *bitmat.Matrix {
-	published := truth.Clone()
-	m, n := truth.Rows(), truth.Cols()
-	for j := 0; j < n; j++ {
-		beta := betas[j]
-		if beta <= 0 {
-			continue
-		}
-		for i := 0; i < m; i++ {
-			if !truth.Get(i, j) && mathx.Bernoulli(rng, beta) {
-				published.Set(i, j, true)
-			}
-		}
-	}
-	return published
 }

@@ -278,7 +278,7 @@ func TestXiOverride(t *testing.T) {
 func TestPublishZeroBetaIsIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	truth := randomMatrix(rng, 50, 10, 0.2)
-	pub := Publish(truth, make([]float64, 10), rng)
+	pub := publishKernel(truth, make([]float64, 10), 10)
 	if !pub.Equal(truth) {
 		t.Fatal("β=0 publication altered the matrix")
 	}
@@ -288,7 +288,7 @@ func TestPublishBetaOneFillsColumn(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	truth := randomMatrix(rng, 50, 3, 0.2)
 	betas := []float64{1, 0, 1}
-	pub := Publish(truth, betas, rng)
+	pub := publishKernel(truth, betas, 11)
 	if pub.ColCount(0) != 50 || pub.ColCount(2) != 50 {
 		t.Fatal("β=1 column not fully published")
 	}
@@ -298,10 +298,9 @@ func TestPublishBetaOneFillsColumn(t *testing.T) {
 }
 
 func TestPublishFlipRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
 	m := 20000
 	truth := bitmat.MustNew(m, 1)
-	pub := Publish(truth, []float64{0.3}, rng)
+	pub := publishKernel(truth, []float64{0.3}, 12)
 	rate := float64(pub.ColCount(0)) / float64(m)
 	if math.Abs(rate-0.3) > 0.02 {
 		t.Fatalf("flip rate %v, want ≈ 0.3", rate)

@@ -63,7 +63,7 @@ func TestPublishColumnIsolation(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	truth := randomMatrix(rng, 200, 6, 0.1)
 	betas := []float64{0, 1, 0.5, 0, 1, 0.5}
-	pub := Publish(truth, betas, rand.New(rand.NewSource(2)))
+	pub := publishKernel(truth, betas, 2)
 	for _, j := range []int{0, 3} {
 		for i := 0; i < 200; i++ {
 			if pub.Get(i, j) != truth.Get(i, j) {

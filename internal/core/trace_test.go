@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -168,5 +169,47 @@ func TestConstructUntracedRecordsNothing(t *testing.T) {
 	cfg := Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1}
 	if _, err := Construct(truth, []float64{0.3, 0.3, 0.3}, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Publication shards by rows, so a construct records ⌈m/rowShard⌉
+// core.publish.shard spans however wide the matrix. At 4 000 × 16 384 the
+// former column × row tiles alone (256 · 32) filled the tracer's per-trace
+// cap and the stage span was dropped.
+func TestPublishSpanSurvivesTracerCap(t *testing.T) {
+	const m, n = 4000, 16384
+	truth := bitmat.MustNew(m, n)
+	for j := 0; j < n; j++ {
+		truth.Set(j%m, j, true)
+	}
+	eps := make([]float64, n)
+	for j := range eps {
+		eps[j] = 0.5
+	}
+	tracer := trace.New(1)
+	cfg := Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1, Tracer: tracer}
+	if _, err := Construct(truth, eps, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if d := tracer.Dropped(); d != 0 {
+		t.Fatalf("%d spans dropped", d)
+	}
+	stage, shards, rows := 0, 0, 0
+	for _, s := range tracer.Recent()[0].Spans {
+		switch s.Name {
+		case "core.publish":
+			stage++
+		case "core.publish.shard":
+			shards++
+			for _, a := range s.Attrs {
+				if a.Key == "rows" {
+					k, _ := strconv.Atoi(a.Value)
+					rows += k
+				}
+			}
+		}
+	}
+	if want := (m + rowShard - 1) / rowShard; stage != 1 || shards != want || rows != m {
+		t.Fatalf("core.publish spans = %d, shard spans = %d covering %d rows; want 1, %d, %d", stage, shards, rows, want, m)
 	}
 }

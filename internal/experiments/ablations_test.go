@@ -58,6 +58,24 @@ func TestAblationRebuild(t *testing.T) {
 	if last < 0.9 {
 		t.Errorf("six-rebuild confidence %v, want ≈ 1", last)
 	}
+	// Same seed while ε drifts: the snapshots nest, so the attacker is held
+	// to the weakest single epoch however many they intersect.
+	prevSurv := 0.0
+	for k, row := range table.Rows {
+		var surv, conf, bound float64
+		for i, dst := range []*float64{&surv, &conf, &bound} {
+			if _, err := sscan(row[4+i], dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if conf > bound+0.1 {
+			t.Errorf("same-seed confidence after %d snapshots %v, want ≤ 1−min ε = %v", k+1, conf, bound)
+		}
+		if k > 0 && surv > prevSurv {
+			t.Errorf("same-seed survivors grew from %v to %v at snapshot %d", prevSurv, surv, k+1)
+		}
+		prevSurv = surv
+	}
 }
 
 func TestAblationDepth(t *testing.T) {
