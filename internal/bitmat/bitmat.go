@@ -88,6 +88,14 @@ func (m *Matrix) Row(row int) []bool {
 	return out
 }
 
+// RowWords returns row `row` as its ⌈Cols/64⌉ backing words, column c at
+// bit c%64 of word c/64, with the padding bits of the last word clear. The
+// slice aliases the matrix: callers read it and must not write it.
+func (m *Matrix) RowWords(row int) []uint64 {
+	m.checkRow(row)
+	return m.data[row*m.words : (row+1)*m.words : (row+1)*m.words]
+}
+
 // SetRow overwrites one row from a boolean slice of length Cols.
 func (m *Matrix) SetRow(row int, vals []bool) error {
 	if len(vals) != m.cols {

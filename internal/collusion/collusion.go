@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/secretshare"
+	"repro/internal/secsum"
 	"repro/internal/transport"
 )
 
@@ -28,11 +29,17 @@ type RecordingNetwork struct {
 
 	mu       sync.Mutex
 	received map[int][]transport.Message
+	// scheme is the public parameter set (Z_q, c) of the recorded
+	// SecSumShare run, announced by secsum before any message moves.
+	scheme secretshare.Scheme
 
 	nodes []*recordingNode
 }
 
-var _ transport.Network = (*RecordingNetwork)(nil)
+var (
+	_ transport.Network    = (*RecordingNetwork)(nil)
+	_ secsum.ParamObserver = (*RecordingNetwork)(nil)
+)
 
 // NewRecording wraps inner.
 func NewRecording(inner transport.Network) *RecordingNetwork {
@@ -64,6 +71,14 @@ func (r *RecordingNetwork) Instrument(reg *metrics.Registry) { transport.Instrum
 
 // Metrics returns the inner network's registry, or nil.
 func (r *RecordingNetwork) Metrics() *metrics.Registry { return transport.RegistryOf(r.inner) }
+
+// ObserveScheme records the public parameters of the SecSumShare run: every
+// party knows Z_q and c, so they belong to every coalition's view.
+func (r *RecordingNetwork) ObserveScheme(s secretshare.Scheme) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.scheme = s
+}
 
 // Received returns copies of all messages party id received, in order.
 func (r *RecordingNetwork) Received(id int) []transport.Message {
@@ -119,6 +134,9 @@ type Coalition struct {
 	Views map[int][]transport.Message
 	// OwnInputs maps member id to its own private input vector.
 	OwnInputs map[int][]uint64
+	// scheme is the run's public parameter set (zero when the recording
+	// saw no SecSumShare run).
+	scheme secretshare.Scheme
 }
 
 // NewCoalition assembles a coalition's pooled view from a recording
@@ -129,6 +147,9 @@ func NewCoalition(rec *RecordingNetwork, members []int, inputs [][]uint64) (*Coa
 		Views:     make(map[int][]transport.Message, len(members)),
 		OwnInputs: make(map[int][]uint64, len(members)),
 	}
+	rec.mu.Lock()
+	c.scheme = rec.scheme
+	rec.mu.Unlock()
 	for _, id := range members {
 		if id < 0 || id >= rec.Size() {
 			return nil, fmt.Errorf("collusion: member %d out of range", id)
@@ -164,8 +185,8 @@ func (c *Coalition) ReconstructFrequencies(scheme secretshare.Scheme, numIdentit
 	cc := scheme.Shares()
 	f := scheme.Field()
 	// A coordinator k's final share vector s(k,·) is the sum of the
-	// super-shares it received (transport.KindSuperShare messages) — all of
-	// which appear in its recorded view.
+	// super-shares it received (transport.KindSuperShare messages, bit-packed
+	// on the wire) — all of which appear in its recorded view.
 	out := make([]uint64, numIdentities)
 	for k := 0; k < cc; k++ {
 		if !c.Contains(k) {
@@ -176,11 +197,12 @@ func (c *Coalition) ReconstructFrequencies(scheme secretshare.Scheme, numIdentit
 			if msg.Kind != transport.KindSuperShare {
 				continue
 			}
-			if len(msg.Data) != numIdentities {
-				return nil, fmt.Errorf("collusion: malformed super-share from %d", msg.From)
+			super, err := secsum.DecodeSuperShare(f, msg.Data, numIdentities)
+			if err != nil {
+				return nil, fmt.Errorf("collusion: malformed super-share from %d: %w", msg.From, err)
 			}
-			for j, v := range msg.Data {
-				vec[j] = f.Add(vec[j], f.Reduce(v))
+			for j, v := range super {
+				vec[j] = f.Add(vec[j], v)
 			}
 		}
 		for j, v := range vec {
@@ -192,7 +214,11 @@ func (c *Coalition) ReconstructFrequencies(scheme secretshare.Scheme, numIdentit
 
 // ShareObservations extracts, per identity, every first-stage share value
 // the coalition received from non-members — the marginal an attacker would
-// analyse statistically. Used by the indistinguishability tests.
+// analyse statistically. Used by the indistinguishability tests. A
+// first-stage message carries a share key; the shares are its expansion
+// (secsum.ExpandShare) in the recorded run's Z_q. A key that does not
+// expand — or any key, when the recording saw no SecSumShare run — yields
+// no observation.
 func (c *Coalition) ShareObservations(numIdentities int) [][]uint64 {
 	out := make([][]uint64, numIdentities)
 	for _, id := range c.Members {
@@ -200,8 +226,12 @@ func (c *Coalition) ShareObservations(numIdentities int) [][]uint64 {
 			if msg.Kind != transport.KindShare || c.Contains(msg.From) {
 				continue
 			}
-			for j := 0; j < numIdentities && j < len(msg.Data); j++ {
-				out[j] = append(out[j], msg.Data[j])
+			shares, err := secsum.ExpandShare(c.scheme.Field(), msg.Data, numIdentities)
+			if err != nil {
+				continue
+			}
+			for j, v := range shares {
+				out[j] = append(out[j], v)
 			}
 		}
 	}

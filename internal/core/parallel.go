@@ -23,8 +23,8 @@ const (
 	// for a given seed. Tuned once, not per-run.
 	colShard = 64
 	// rowShard is scheduling granularity only: the rows one publication task
-	// (or one SecSumShare marshalling task) handles. Publication coins are
-	// keyed per cell, so no output depends on it.
+	// handles. Publication coins are keyed per cell, so no output depends on
+	// it.
 	rowShard = 128
 )
 

@@ -107,19 +107,6 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	stats := &SecureStats{}
 
 	// --- Stage A: SecSumShare over all m providers -------------------------
-	inputs := make([][]uint64, m)
-	parallel.Blocks(workers, m, rowShard, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			row := make([]uint64, n)
-			for j := 0; j < n; j++ {
-				if truth.Get(i, j) {
-					row[j] = 1
-				}
-			}
-			inputs[i] = row
-		}
-		return nil
-	})
 	provNet, err := newNet(m)
 	if err != nil {
 		return nil, fmt.Errorf("provider network: %w", err)
@@ -127,7 +114,7 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	transport.Instrument(provNet, cfg.Metrics)
 	_, ssSpan := trace.StartChild(ctx, "secsum.share")
 	transport.AttachSpan(provNet, ssSpan)
-	sumRes, err := secsum.Run(provNet, scheme, inputs, cfg.Seed)
+	sumRes, err := secsum.RunBits(provNet, scheme, n, truth.RowWords, cfg.Seed)
 	ssSpan.End()
 	closeErr := provNet.Close()
 	if err != nil {

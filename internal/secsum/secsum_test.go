@@ -24,6 +24,21 @@ func scheme(t testing.TB, q uint64, c int) secretshare.Scheme {
 	return s
 }
 
+// additive is scheme over the group Z_q, q any modulus ≥ 2 (construction
+// uses q = 2^w).
+func additive(t testing.TB, q uint64, c int) secretshare.Scheme {
+	t.Helper()
+	f, err := field.NewAdditive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := secretshare.New(f, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func runInMem(t testing.TB, s secretshare.Scheme, inputs [][]uint64, seed int64) *Result {
 	t.Helper()
 	net, err := transport.NewInMem(len(inputs))
