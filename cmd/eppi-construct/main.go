@@ -27,8 +27,12 @@
 // achieved per-ε-decile false-positive protection of the published
 // matrix, re-derived from M vs M' rather than trusted from the β math.
 //
+// -secure runs the coordinator MPC on the bit-sliced evaluator: three GMW
+// executions over all owners, publishing the same matrix as the scalar
+// evaluator, and opening only the total common count.
+//
 // -trace records a span tree of the whole construction — β-phase,
-// SecSumShare, per-batch MPC with GMW/OT phases, mixing, publication —
+// SecSumShare, the MPC executions with GMW/OT phases, mixing, publication —
 // and writes it as Chrome trace-event JSON (load it in Perfetto).
 // Progress logs are structured (log/slog, -log-level / -log-format).
 package main
@@ -123,6 +127,7 @@ func run(args []string, out io.Writer) error {
 	if *secure {
 		cfg.Mode = core.ModeSecure
 		cfg.C = *c
+		cfg.Wide = true
 		if *tcp {
 			cfg.NewNetwork = func(parties int) (transport.Network, error) {
 				return transport.NewTCP(parties)

@@ -8,8 +8,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/index"
+	"repro/internal/mathx"
 	"repro/internal/shard"
+	"repro/internal/workload"
 )
 
 func TestConstructTrusted(t *testing.T) {
@@ -35,6 +38,43 @@ func TestConstructSecure(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q", want)
 		}
+	}
+}
+
+// -secure runs the bit-sliced evaluator; the index it exports must equal
+// the published matrix of the scalar evaluator on the same dataset and
+// seed.
+func TestConstructSecureExportMatchesScalar(t *testing.T) {
+	const providers, owners, seed = 12, 70, 5
+	path := filepath.Join(t.TempDir(), "index.eppi")
+	var out bytes.Buffer
+	err := run([]string{"-providers", "12", "-owners", "70", "-seed", "5", "-secure", "-c", "3",
+		"-out", path, "-log-level", "error"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv, err := index.Read(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	d, err := workload.GenerateZipf(workload.ZipfConfig{Providers: providers, Owners: owners, Exponent: 1.1, Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scalar, err := core.Construct(d.Matrix, d.Eps, core.Config{
+		Policy: mathx.PolicyChernoff, Delta: 0.02, Gamma: 0.9, Mode: core.ModeSecure, C: 3, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !srv.PublishedMatrix().Equal(scalar.Published) {
+		t.Fatal("-secure export differs from the scalar secure construction")
 	}
 }
 

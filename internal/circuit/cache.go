@@ -8,9 +8,9 @@ import (
 // Compilation cache. The secure construction pipeline used to recompile an
 // identical CountBelow circuit for every identity batch — compilation (gate
 // emission, constant folding, round scheduling) is pure CPU waste when the
-// parameters repeat, and the wide slab path leans on exactly that reuse:
-// one CountBelowSlice/RevealSlice compile serves every slab of a
-// construction. Compiled *Circuit values are immutable after Build (the
+// parameters repeat, and the wide path leans on exactly that reuse: its
+// CountBelowSlice/RevealSlice compiles are shared by every construction
+// with the same parameters. Compiled *Circuit values are immutable after Build (the
 // GMW evaluator already shares one circuit across all party goroutines),
 // so handing the same pointer to every caller is safe.
 //

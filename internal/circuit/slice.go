@@ -19,15 +19,14 @@ import "fmt"
 // offset (2^W − t_j) enters as *data*, not circuit structure — folded into
 // party 0's additive share before slicing (CountBelowSlice), or fed as a
 // party-0 private input vector when the raw frequency is also needed
-// downstream (RevealSlice). One compile then serves every slab of every
-// batch.
+// downstream (RevealSlice). One compile then serves every identity.
 //
 // CountBelowSlice deliberately has no opening step: revealing per-identity
 // ≥-bits would leak exactly the common set that ε-PPI hides. The wide run
-// keeps the output *shared*; SliceCount is the small scalar circuit that
-// XOR-reconstructs the 64 lane bits inside MPC, popcounts them, and opens
-// only the per-slab count — the same count granularity the batch pipeline
-// already discloses.
+// keeps the output *shared*; SliceCount is the count opener that
+// XOR-reconstructs one batch's kept bits inside MPC, popcounts them, and
+// opens only the batch's count — the same count granularity the scalar
+// batch pipeline discloses. Run wide, each lane is one batch.
 
 // SliceParams configures CountBelowSlice and RevealSlice.
 type SliceParams struct {
@@ -72,21 +71,21 @@ func CountBelowSlice(p SliceParams) (*Circuit, error) {
 	return b.Build()
 }
 
-// SliceCountParams configures the per-slab count opener.
+// SliceCountParams configures the per-batch count opener.
 type SliceCountParams struct {
 	// Parties is c, the number of coordinators.
 	Parties int
-	// Slots is the number of lanes whose kept-shared ≥-bits are counted
-	// (64 for a full slab; padded lanes carry zero bits by construction).
+	// Slots is the number of kept-shared ≥-bits counted per instance (the
+	// batch size; padded identities carry zero bits by construction).
 	Slots int
 	// Arithmetic selects ripple (default) or log-depth prefix arithmetic.
 	Arithmetic Style
 }
 
 // SliceCount compiles the count opener: party k inputs its Slots XOR-share
-// bits of a slab's ≥-threshold lanes (as produced shares-kept by
+// bits of a batch's ≥-threshold bits (as produced shares-kept by
 // CountBelowSlice under the wide evaluator), the circuit reconstructs each
-// lane bit by XOR, popcounts, and opens only the count.
+// bit by XOR, popcounts, and opens only the count.
 func SliceCount(p SliceCountParams) (*Circuit, error) {
 	if p.Parties < 2 || p.Slots < 1 {
 		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)

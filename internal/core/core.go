@@ -110,7 +110,9 @@ type Config struct {
 	// circuit in ModeSecure; larger identity sets are processed in
 	// independent batches (run concurrently up to Workers, each over its
 	// own transport session), bounding circuit size and memory. 0 means
-	// one batch for everything.
+	// one batch for everything. The per-batch common counts are opened, so
+	// it is also the count release granularity — its only meaning under
+	// Wide, whose executions span every identity.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold and mixing
 	// shards, concurrent MPC identity batches, and randomized publication
@@ -123,10 +125,11 @@ type Config struct {
 	// TripleOT runs the real oblivious-transfer protocol).
 	Triples TripleSource
 	// Wide, in ModeSecure, evaluates the CountBelow/Reveal stages with the
-	// bit-sliced 64-wide GMW evaluator: identities are scheduled onto
-	// 64-lane slabs, one protocol execution per slab instead of one per
-	// identity batch circuit. The published matrix is bit-identical to the
-	// scalar path at any worker count; only the protocol cost changes.
+	// bit-sliced GMW evaluator: three protocol executions over all n
+	// identities (⌈n/64⌉ words per wire) instead of two per identity batch,
+	// so the round count does not grow with n. The published matrix is
+	// bit-identical to the scalar path at any worker count; only the
+	// protocol cost changes.
 	Wide bool
 	// Arithmetic selects the circuit adder style: ripple (default) or
 	// log-depth parallel-prefix, which trades AND gates for fewer GMW

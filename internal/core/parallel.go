@@ -37,9 +37,8 @@ const (
 	seedStreamCoins
 	seedStreamCountBelow
 	seedStreamReveal
-	// Wide-path streams: one per slab-level protocol execution, indexed by
-	// the slab's global identity offset (unique across batches because
-	// slabs never straddle batch boundaries).
+	// Wide-path streams: one per bit-sliced execution, which runs once per
+	// construction over all identities (index 0).
 	seedStreamWideCountBelow
 	seedStreamSliceCount
 	seedStreamWideReveal

@@ -70,6 +70,8 @@ func pickBatchErr(errs []error) error {
 // concurrent batches never interleave messages. Per-batch randomness —
 // protocol seeds and mixing coins — derives from (Seed, stage stream,
 // batch index), keeping the whole run bit-identical at any worker count.
+// With Config.Wide, stages B and C are instead three bit-sliced executions
+// over all identities at once (secure_wide.go).
 //
 // ξ is taken over identities that *can* be common (public thresholds
 // t_j <= m); the trusted path uses the paper's exact max-over-true-commons,
@@ -89,7 +91,7 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	shareBits := circuit.BitsNeeded(uint64(m + 1))
 	groupBits := shareBits
 	if cfg.Wide {
-		// The wide slab comparator folds the public threshold into party
+		// The wide comparator folds the public threshold into party
 		// 0's share and reads the sign bit of freq − t, which needs one bit
 		// of sign slack: shares live in Z_{2^W}, W = bits(m+1) + 1. The
 		// wider group changes no frequency (Σ shares mod 2^W = freq because
@@ -179,9 +181,10 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		return res, nil
 	}
 
-	// In wide mode the per-batch stages below are replaced by slab-level
-	// bit-sliced executions; the batching geometry, coin streams and every
-	// opened value stay identical to the scalar path.
+	// In wide mode the per-batch stages below are replaced by three
+	// bit-sliced executions over all n identities; the batch geometry of
+	// the released counts, the coin streams and every opened value stay
+	// identical to the scalar path.
 	var ws *wideState
 	if cfg.Wide {
 		ws = &wideState{
@@ -191,10 +194,11 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 			c:          c,
 			w:          groupBits,
 			m:          m,
+			n:          n,
+			words:      (n + gmw.WideLanes - 1) / gmw.WideLanes,
 			workers:    workers,
 			shares:     sumRes.CoordinatorShares,
 			thresholds: thresholds,
-			scalarMPC:  runMPC,
 		}
 	}
 
@@ -203,65 +207,66 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	// size and memory stay bounded for large n; the batches are
 	// independent and run concurrently up to Workers. The per-batch common
 	// counts are summed into the global count; batch boundaries are public
-	// parameters, so the extra release is the count granularity only.
+	// parameters, so the extra release is the count granularity only. The
+	// wide path opens the same per-batch counts from one execution.
 	batch := cfg.BatchSize
 	if batch <= 0 || batch > n {
 		batch = n
 	}
 	nb := (n + batch - 1) / batch
 	mpcStart := time.Now()
-	cbOuts := make([]wideOut, nb)
-	cbErrs := make([]error, nb)
-	parallel.For(workers, nb, func(b int) error {
-		lo := b * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
+	var cbOuts []wideOut
+	if cfg.Wide {
+		out, err := ws.countBelow(batch, nb)
+		if err != nil {
+			return nil, fmt.Errorf("wide CountBelow: %w", err)
 		}
-		if cfg.Wide {
-			out, err := ws.countBelowBatch(lo, hi)
+		cbOuts = []wideOut{out}
+	} else {
+		cbOuts = make([]wideOut, nb)
+		cbErrs := make([]error, nb)
+		parallel.For(workers, nb, func(b int) error {
+			lo := b * batch
+			hi := lo + batch
+			if hi > n {
+				hi = n
+			}
+			cbCirc, err := circuit.CountBelowCached(circuit.CountBelowParams{
+				Parties:    c,
+				Identities: hi - lo,
+				ShareBits:  shareBits,
+				Thresholds: thresholds[lo:hi],
+				Arithmetic: cfg.Arithmetic,
+			})
 			if err != nil {
-				cbErrs[b] = fmt.Errorf("wide CountBelow [%d:%d]: %w", lo, hi, err)
+				cbErrs[b] = fmt.Errorf("compile CountBelow [%d:%d]: %w", lo, hi, err)
 				return cbErrs[b]
 			}
-			cbOuts[b] = out
-			return nil
-		}
-		cbCirc, err := circuit.CountBelowCached(circuit.CountBelowParams{
-			Parties:    c,
-			Identities: hi - lo,
-			ShareBits:  shareBits,
-			Thresholds: thresholds[lo:hi],
-			Arithmetic: cfg.Arithmetic,
-		})
-		if err != nil {
-			cbErrs[b] = fmt.Errorf("compile CountBelow [%d:%d]: %w", lo, hi, err)
-			return cbErrs[b]
-		}
-		cbInputs := make([][]bool, c)
-		for k := 0; k < c; k++ {
-			bits := make([]bool, 0, (hi-lo)*shareBits)
-			for j := lo; j < hi; j++ {
-				bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
+			cbInputs := make([][]bool, c)
+			for k := 0; k < c; k++ {
+				bits := make([]bool, 0, (hi-lo)*shareBits)
+				for j := lo; j < hi; j++ {
+					bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
+				}
+				cbInputs[k] = bits
 			}
-			cbInputs[k] = bits
+			cbRes, err := runMPC("mpc.countbelow", uint32(1+2*b), lo, hi, cbCirc, cbInputs,
+				mathx.DeriveSeed(cfg.Seed, seedStreamCountBelow, uint64(b)))
+			if err != nil {
+				cbErrs[b] = fmt.Errorf("CountBelow MPC [%d:%d]: %w", lo, hi, err)
+				return cbErrs[b]
+			}
+			cbOuts[b] = wideOut{
+				circ:   cbCirc.Stats(),
+				count:  int(circuit.UnpackBits(cbRes.Outputs)),
+				stats:  cbRes.Stats,
+				rounds: cbRes.Rounds,
+			}
+			return nil
+		})
+		if err := pickBatchErr(cbErrs); err != nil {
+			return nil, err
 		}
-		cbRes, err := runMPC("mpc.countbelow", uint32(1+2*b), lo, hi, cbCirc, cbInputs,
-			mathx.DeriveSeed(cfg.Seed, seedStreamCountBelow, uint64(b)))
-		if err != nil {
-			cbErrs[b] = fmt.Errorf("CountBelow MPC [%d:%d]: %w", lo, hi, err)
-			return cbErrs[b]
-		}
-		cbOuts[b] = wideOut{
-			circ:   cbCirc.Stats(),
-			count:  int(circuit.UnpackBits(cbRes.Outputs)),
-			stats:  cbRes.Stats,
-			rounds: cbRes.Rounds,
-		}
-		return nil
-	})
-	if err := pickBatchErr(cbErrs); err != nil {
-		return nil, err
 	}
 	commonCount := 0
 	for _, out := range cbOuts { // reduce in batch order: deterministic accounting
@@ -303,82 +308,82 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	hidden := make([]bool, n)
 	betas := make([]float64, n)
 	per := 1 + shareBits
-	rvOuts := make([]wideOut, nb)
-	rvErrs := make([]error, nb)
-	parallel.For(workers, nb, func(b int) error {
-		lo := b * batch
-		hi := lo + batch
-		if hi > n {
-			hi = n
-		}
-		if cfg.Wide {
-			out, err := ws.revealBatch(b, lo, hi, coinBits, coinMod, mixThreshold, eps, hidden, betas)
-			if err != nil {
-				rvErrs[b] = fmt.Errorf("wide Reveal [%d:%d]: %w", lo, hi, err)
-				return rvErrs[b]
-			}
-			rvOuts[b] = out
-			return nil
-		}
-		rvCirc, err := circuit.RevealCached(circuit.RevealParams{
-			Parties:      c,
-			Identities:   hi - lo,
-			ShareBits:    shareBits,
-			Thresholds:   thresholds[lo:hi],
-			CoinBits:     coinBits,
-			MixThreshold: mixThreshold,
-			Arithmetic:   cfg.Arithmetic,
-		})
+	var rvOuts []wideOut
+	if cfg.Wide {
+		out, err := ws.reveal(batch, coinBits, coinMod, mixThreshold, eps, hidden, betas)
 		if err != nil {
-			rvErrs[b] = fmt.Errorf("compile Reveal [%d:%d]: %w", lo, hi, err)
-			return rvErrs[b]
+			return nil, fmt.Errorf("wide Reveal: %w", err)
 		}
-		coinRng := rand.New(rand.NewSource(mathx.DeriveSeed(cfg.Seed, seedStreamCoins, uint64(b))))
-		rvInputs := make([][]bool, c)
-		for k := 0; k < c; k++ {
-			bits := make([]bool, 0, (hi-lo)*(shareBits+coinBits))
-			for j := lo; j < hi; j++ {
-				bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
-				bits = append(bits, circuit.PackBits(coinRng.Uint64()%coinMod, coinBits)...)
+		rvOuts = []wideOut{out}
+	} else {
+		rvOuts = make([]wideOut, nb)
+		rvErrs := make([]error, nb)
+		parallel.For(workers, nb, func(b int) error {
+			lo := b * batch
+			hi := lo + batch
+			if hi > n {
+				hi = n
 			}
-			rvInputs[k] = bits
-		}
-		rvRes, err := runMPC("mpc.reveal", uint32(2+2*b), lo, hi, rvCirc, rvInputs,
-			mathx.DeriveSeed(cfg.Seed, seedStreamReveal, uint64(b)))
-		if err != nil {
-			rvErrs[b] = fmt.Errorf("Reveal MPC [%d:%d]: %w", lo, hi, err)
-			return rvErrs[b]
-		}
-
-		// Decode per-identity (hidden, maskedFreq) and derive β (Eq. 6).
-		// Batches write disjoint [lo:hi) ranges of hidden/betas.
-		if len(rvRes.Outputs) != per*(hi-lo) {
-			rvErrs[b] = fmt.Errorf("core: reveal output length %d, want %d", len(rvRes.Outputs), per*(hi-lo))
-			return rvErrs[b]
-		}
-		for j := lo; j < hi; j++ {
-			off := (j - lo) * per
-			hidden[j] = rvRes.Outputs[off]
-			if hidden[j] {
-				betas[j] = 1
-				continue
-			}
-			freq := circuit.UnpackBits(rvRes.Outputs[off+1 : off+per])
-			sigma := float64(freq) / float64(m)
-			bv, err := mathx.Beta(cfg.Policy, mathx.BetaParams{
-				Sigma: sigma, Epsilon: eps[j], M: m, Delta: cfg.Delta, Gamma: cfg.Gamma,
+			rvCirc, err := circuit.RevealCached(circuit.RevealParams{
+				Parties:      c,
+				Identities:   hi - lo,
+				ShareBits:    shareBits,
+				Thresholds:   thresholds[lo:hi],
+				CoinBits:     coinBits,
+				MixThreshold: mixThreshold,
+				Arithmetic:   cfg.Arithmetic,
 			})
 			if err != nil {
-				rvErrs[b] = fmt.Errorf("β for identity %d: %w", j, err)
+				rvErrs[b] = fmt.Errorf("compile Reveal [%d:%d]: %w", lo, hi, err)
 				return rvErrs[b]
 			}
-			betas[j] = bv
+			coinRng := rand.New(rand.NewSource(mathx.DeriveSeed(cfg.Seed, seedStreamCoins, uint64(b))))
+			rvInputs := make([][]bool, c)
+			for k := 0; k < c; k++ {
+				bits := make([]bool, 0, (hi-lo)*(shareBits+coinBits))
+				for j := lo; j < hi; j++ {
+					bits = append(bits, circuit.PackBits(sumRes.CoordinatorShares[k][j], shareBits)...)
+					bits = append(bits, circuit.PackBits(coinRng.Uint64()%coinMod, coinBits)...)
+				}
+				rvInputs[k] = bits
+			}
+			rvRes, err := runMPC("mpc.reveal", uint32(2+2*b), lo, hi, rvCirc, rvInputs,
+				mathx.DeriveSeed(cfg.Seed, seedStreamReveal, uint64(b)))
+			if err != nil {
+				rvErrs[b] = fmt.Errorf("Reveal MPC [%d:%d]: %w", lo, hi, err)
+				return rvErrs[b]
+			}
+
+			// Decode per-identity (hidden, maskedFreq) and derive β (Eq. 6).
+			// Batches write disjoint [lo:hi) ranges of hidden/betas.
+			if len(rvRes.Outputs) != per*(hi-lo) {
+				rvErrs[b] = fmt.Errorf("core: reveal output length %d, want %d", len(rvRes.Outputs), per*(hi-lo))
+				return rvErrs[b]
+			}
+			for j := lo; j < hi; j++ {
+				off := (j - lo) * per
+				hidden[j] = rvRes.Outputs[off]
+				if hidden[j] {
+					betas[j] = 1
+					continue
+				}
+				freq := circuit.UnpackBits(rvRes.Outputs[off+1 : off+per])
+				sigma := float64(freq) / float64(m)
+				bv, err := mathx.Beta(cfg.Policy, mathx.BetaParams{
+					Sigma: sigma, Epsilon: eps[j], M: m, Delta: cfg.Delta, Gamma: cfg.Gamma,
+				})
+				if err != nil {
+					rvErrs[b] = fmt.Errorf("β for identity %d: %w", j, err)
+					return rvErrs[b]
+				}
+				betas[j] = bv
+			}
+			rvOuts[b] = wideOut{circ: rvCirc.Stats(), stats: rvRes.Stats, rounds: rvRes.Rounds}
+			return nil
+		})
+		if err := pickBatchErr(rvErrs); err != nil {
+			return nil, err
 		}
-		rvOuts[b] = wideOut{circ: rvCirc.Stats(), stats: rvRes.Stats, rounds: rvRes.Rounds}
-		return nil
-	})
-	if err := pickBatchErr(rvErrs); err != nil {
-		return nil, err
 	}
 	for _, out := range rvOuts {
 		stats.RevealCircuit = addCircuitStats(stats.RevealCircuit, out.circ)
@@ -388,16 +393,9 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	}
 	stats.MPCWall = time.Since(mpcStart)
 	if cfg.Wide {
-		waste := 0
-		for _, out := range cbOuts {
-			waste += out.waste
-		}
-		for _, out := range rvOuts {
-			waste += out.waste
-		}
 		if g := cfg.Metrics.Gauge("eppi_gmw_slab_waste_slots",
-			"Padded lanes across the wide slab executions of the most recent secure construction (CountBelow and Reveal passes counted separately; 0 when every slab is full)."); g != nil {
-			g.Set(float64(waste))
+			"Padded lanes in the final word of the wide CountBelow and Reveal executions of the most recent secure construction (both passes counted; 0 when the identity count is a multiple of 64)."); g != nil {
+			g.Set(float64(2 * (gmw.WideLanes*ws.words - n)))
 		}
 	}
 	if err := mux.Close(); err != nil {

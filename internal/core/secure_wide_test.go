@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/transport"
+	"repro/internal/workload"
 )
 
 // TestWideSecureConstructEndToEnd is the acceptance gate of the bit-sliced
@@ -170,6 +172,82 @@ func TestWideSlabWasteGauge(t *testing.T) {
 	if v := reg.Gauge("eppi_gmw_slab_waste_slots", "").Value(); v != 2*61 {
 		t.Fatalf("slab waste gauge = %v, want %d", v, 2*61)
 	}
+}
+
+// Rounds and messages of the wide path follow the circuits' depths, not
+// the identity count: at m = 9 and BatchSize 40, 100 and 1 000 identities
+// take the same protocol rounds and messages. Every tenth identity is held
+// by all providers and the rest by one, so both sizes have the same
+// common share, hence the same λ and the same compiled Reveal circuit.
+func TestWideRoundsIndependentOfN(t *testing.T) {
+	run := func(n int) *Result {
+		t.Helper()
+		freqs := make([]int, n)
+		eps := make([]float64, n)
+		for j := range freqs {
+			freqs[j] = 1
+			if j%10 == 0 {
+				freqs[j] = 9
+			}
+			eps[j] = 0.5
+		}
+		cfg := secureCfg(61)
+		cfg.Policy = mathx.PolicyBasic
+		cfg.Wide = true
+		cfg.BatchSize = 40
+		res, err := Construct(matrixWithFreqs(9, freqs), eps, cfg)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if res.CommonCount != n/10 {
+			t.Fatalf("n=%d: CommonCount = %d, want %d", n, res.CommonCount, n/10)
+		}
+		return res
+	}
+	small, large := run(100), run(1000)
+	if small.Lambda != large.Lambda {
+		t.Fatalf("λ differs: %v vs %v", small.Lambda, large.Lambda)
+	}
+	if s, l := small.Secure.MPCRounds, large.Secure.MPCRounds; s != l {
+		t.Errorf("MPC rounds: n=100 took %d, n=1000 took %d", s, l)
+	}
+	if s, l := small.Secure.MPC.Messages, large.Secure.MPC.Messages; s != l {
+		t.Errorf("MPC messages: n=100 sent %d, n=1000 sent %d", s, l)
+	}
+}
+
+// BenchmarkWideStages times stages B and C of one wide secure construction
+// at the secure benchmark's shape: 512 providers × 32 768 identities,
+// c = 3, prefix arithmetic, 32 coin bits, batch 128. It reports the
+// protocol rounds and the stage wall time (SecureStats.MPCWall) per
+// word-AND gate evaluated.
+func BenchmarkWideStages(b *testing.B) {
+	const m, n = 512, 32768
+	d, err := workload.GenerateZipf(workload.ZipfConfig{
+		Providers: m, Owners: n, Exponent: 1.0, MaxFrequency: m / 5,
+		EpsLow: 0.1, EpsHigh: 0.9, Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{
+		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
+		Wide: true, Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+	}
+	var wall time.Duration
+	var s *SecureStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Construct(d.Matrix, d.Eps, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s = res.Secure
+		wall += s.MPCWall
+	}
+	andWords := s.CountBelowCircuit.AndGates + s.RevealCircuit.AndGates
+	b.ReportMetric(float64(s.MPCRounds), "rounds")
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/float64(andWords), "ns/word-AND")
 }
 
 // TestWideSecureFaultInjection drives the wide pipeline over a faulty

@@ -15,20 +15,21 @@ import (
 )
 
 // Bit-sliced (SIMD-within-a-register) evaluation: one protocol execution
-// runs WideLanes = 64 independent instances of the same circuit. A wire's
-// share is a uint64 whose bit k belongs to instance k; XOR and
-// AND-combination are single word operations, a NOT is a word complement
-// at party 0, and one Beaver word-triple serves all 64 instances of an
-// AND gate. Each AND layer broadcasts the d/e *words* directly — no
-// per-bit pack/unpack — so the message count, session count and round
-// count of 64 scalar executions collapse into one.
+// runs 64·L independent instances of the same circuit. A wire's share is L
+// uint64 words, and bit k of word l belongs to instance 64·l + k. XOR and
+// AND-combination are word loops, a NOT is a word complement at party 0,
+// and one Beaver word-triple per (AND gate, word) serves 64 instances.
+// Each AND layer broadcasts its d/e *words* in one message per peer — no
+// per-bit pack/unpack — so a run takes the circuit's AND depth plus two
+// rounds (one fewer with outputs kept shared) whatever L is.
 
-// WideLanes is the number of circuit instances evaluated per wide run.
+// WideLanes is the number of circuit instances one word of a wire carries.
 const WideLanes = 64
 
 // WideTriples holds one party's XOR shares of bit-sliced Beaver triples:
-// word t is the 64-lane triple for AND-gate ordinal t, and for every lane
-// k the bits satisfy (⊕ᵢ Aᵢ[t]) ∧ (⊕ᵢ Bᵢ[t]) = ⊕ᵢ Cᵢ[t] bit-wise.
+// every word is a 64-lane triple whose bits satisfy
+// (⊕ᵢ Aᵢ[t]) ∧ (⊕ᵢ Bᵢ[t]) = ⊕ᵢ Cᵢ[t] bit-wise. A run over L words per wire
+// uses word t·L + l for AND-gate ordinal t, word l.
 type WideTriples struct {
 	A, B, C []uint64
 }
@@ -142,10 +143,12 @@ func GenTriplesWideOT(net transport.Network, count int, seed int64) ([]WideTripl
 	return out, nil
 }
 
-// WideResult carries a wide run's outputs and execution accounting.
+// WideResult carries a wide run's outputs and execution accounting. Output
+// wire i of a run over L words per wire occupies words [i·L, (i+1)·L), and
+// bit k of word l is instance 64·l + k's value.
 type WideResult struct {
-	// Outputs holds one word per circuit output wire, bit k = instance k's
-	// value; nil when the run kept the outputs shared.
+	// Outputs holds the opened output words; nil when the run kept the
+	// outputs shared.
 	Outputs []uint64
 	// OutputShares[p] holds party p's XOR-share words of the output wires
 	// when the run kept them shared (RunWideShared); nil otherwise. Opening
@@ -157,10 +160,10 @@ type WideResult struct {
 	Stats transport.Stats
 }
 
-// RunWide evaluates 64 independent instances of circ securely over net
-// with dealer-generated word-triples. inputs[p] holds one word per input
-// wire owned by party p (in the order p's wires appear in circ.Inputs());
-// bit k of each word is instance k's private bit.
+// RunWide evaluates 64 independent instances of circ (one word per wire)
+// securely over net with dealer-generated word-triples. inputs[p] holds
+// one word per input wire owned by party p (in the order p's wires appear
+// in circ.Inputs()); bit k of each word is instance k's private bit.
 func RunWide(net transport.Network, circ *circuit.Circuit, inputs [][]uint64, seed int64) (*WideResult, error) {
 	andCount := circ.Stats().AndGates
 	dealerRng := rand.New(rand.NewSource(seed))
@@ -168,13 +171,17 @@ func RunWide(net transport.Network, circ *circuit.Circuit, inputs [][]uint64, se
 	if err != nil {
 		return nil, err
 	}
-	return runWideCommon(net, circ, inputs, triples, seed, false)
+	return runWideCommon(net, circ, 1, inputs, triples, seed, false)
 }
 
-// RunWideWithTriples is RunWide with caller-provided word-triples (from
-// GenTriplesWideSharded, GenTriplesWideOT, or another preprocessing).
-func RunWideWithTriples(net transport.Network, circ *circuit.Circuit, inputs [][]uint64, triples []WideTriples, seed int64) (*WideResult, error) {
-	return runWideCommon(net, circ, inputs, triples, seed, false)
+// RunWideWithTriples evaluates 64·words independent instances of circ with
+// caller-provided word-triples (from GenTriplesWideSharded,
+// GenTriplesWideOT, or another preprocessing), words of them per AND gate.
+// inputs[p] holds `words` words per input wire owned by party p, wire by
+// wire in the order p's wires appear in circ.Inputs(); bit k of a wire's
+// word l is instance 64·l + k's private bit.
+func RunWideWithTriples(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, triples []WideTriples, seed int64) (*WideResult, error) {
+	return runWideCommon(net, circ, words, inputs, triples, seed, false)
 }
 
 // RunWideShared evaluates like RunWideWithTriples but skips the output
@@ -182,12 +189,15 @@ func RunWideWithTriples(net transport.Network, circ *circuit.Circuit, inputs [][
 // words instead of opened values. The secure pipeline uses this when
 // opening would leak (per-identity threshold bits must stay hidden and
 // only a downstream aggregate is ever opened).
-func RunWideShared(net transport.Network, circ *circuit.Circuit, inputs [][]uint64, triples []WideTriples, seed int64) (*WideResult, error) {
-	return runWideCommon(net, circ, inputs, triples, seed, true)
+func RunWideShared(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, triples []WideTriples, seed int64) (*WideResult, error) {
+	return runWideCommon(net, circ, words, inputs, triples, seed, true)
 }
 
-func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint64, triples []WideTriples, seed int64, keepShared bool) (*WideResult, error) {
+func runWideCommon(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, triples []WideTriples, seed int64, keepShared bool) (*WideResult, error) {
 	n := net.Size()
+	if words < 1 {
+		return nil, fmt.Errorf("%w: %d words per wire", ErrInputShape, words)
+	}
 	if len(inputs) != n {
 		return nil, fmt.Errorf("%w: %d input sets for %d parties", ErrInputShape, len(inputs), n)
 	}
@@ -199,19 +209,20 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 		owned[in.Party] = append(owned[in.Party], idx)
 	}
 	for p := 0; p < n; p++ {
-		if len(inputs[p]) != len(owned[p]) {
-			return nil, fmt.Errorf("%w: party %d supplies %d words, owns %d wires",
-				ErrInputShape, p, len(inputs[p]), len(owned[p]))
+		if len(inputs[p]) != len(owned[p])*words {
+			return nil, fmt.Errorf("%w: party %d supplies %d words, owns %d wires of %d words",
+				ErrInputShape, p, len(inputs[p]), len(owned[p]), words)
 		}
 	}
 	andCount := circ.Stats().AndGates
 	if len(triples) != n {
 		return nil, fmt.Errorf("%w: %d triple sets for %d parties", ErrTripleShape, len(triples), n)
 	}
+	need := andCount * words
 	for p, wt := range triples {
-		if len(wt.A) < andCount || len(wt.B) < andCount || len(wt.C) < andCount {
-			return nil, fmt.Errorf("%w: party %d holds %d word-triples, circuit needs %d",
-				ErrTripleShape, p, len(wt.A), andCount)
+		if len(wt.A) < need || len(wt.B) < need || len(wt.C) < need {
+			return nil, fmt.Errorf("%w: party %d holds %d word-triples, circuit needs %d (%d AND gates × %d words)",
+				ErrTripleShape, p, min(len(wt.A), len(wt.B), len(wt.C)), need, andCount, words)
 		}
 	}
 
@@ -224,7 +235,8 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 	runSpan := transport.SpanOf(net)
 	runSpan.SetAttrs(
 		trace.Int("parties", n),
-		trace.Int("instances", WideLanes),
+		trace.Int("words", words),
+		trace.Int("instances", WideLanes*words),
 		trace.Int("and_gates", andCount),
 		trace.Int("and_layers", len(circ.AndRounds())),
 		trace.Int("rounds", rounds))
@@ -242,7 +254,7 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 				sp = runSpan
 			}
 			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*104729))
-			out, err := runPartyWide(net.Node(p), circ, owned, inputs[p], triples[p], rng, tm, sp, keepShared)
+			out, err := runPartyWide(net.Node(p), circ, owned, words, inputs[p], triples[p], rng, tm, sp, keepShared)
 			if err != nil {
 				errs[p] = fmt.Errorf("party %d: %w", p, err)
 				failOnce.Do(func() { net.Close() })
@@ -281,7 +293,7 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 	after := net.Stats()
 	tm.rounds.Add(uint64(rounds))
 	tm.andLayers.Add(uint64(countAndLayers(circ)))
-	tm.triples.Add(uint64(andCount) * WideLanes)
+	tm.triples.Add(uint64(need) * WideLanes)
 	res.Stats = transport.Stats{
 		Messages: after.Messages - before.Messages,
 		Bytes:    after.Bytes - before.Bytes,
@@ -289,13 +301,15 @@ func runWideCommon(net transport.Network, circ *circuit.Circuit, inputs [][]uint
 	return res, nil
 }
 
-// runPartyWide executes one party's role across all 64 lanes and returns
-// either the opened output words or (keepShared) this party's share words.
-func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myInputs []uint64, triples WideTriples, rng *rand.Rand, tm *timers, sp *trace.Span, keepShared bool) ([]uint64, error) {
+// runPartyWide executes one party's role across all 64·words lanes and
+// returns either the opened output words or (keepShared) this party's
+// share words. Wire w's share occupies words [w·words, (w+1)·words).
+func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, words int, myInputs []uint64, triples WideTriples, rng *rand.Rand, tm *timers, sp *trace.Span, keepShared bool) ([]uint64, error) {
 	n := node.Size()
 	id := node.ID()
 	coll := transport.NewCollector(node)
-	shares := make([]uint64, circ.NumWires())
+	shares := make([]uint64, circ.NumWires()*words)
+	wire := func(w circuit.Wire) []uint64 { return shares[int(w)*words : int(w+1)*words] }
 	circInputs := circ.Inputs()
 	gates := circ.Gates()
 
@@ -316,7 +330,7 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 			}
 			// Accumulate what we sent so our own share closes the XOR.
 			for i, wireIdx := range owned[id] {
-				shares[circInputs[wireIdx].Wire] ^= buf[i]
+				xorWords(wire(circInputs[wireIdx].Wire), buf[i*words:])
 			}
 			msg := transport.Message{Kind: transport.KindGMWShare, Data: buf}
 			if err := node.Send(q, msg); err != nil {
@@ -325,7 +339,7 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 			transport.PutWords(buf)
 		}
 		for i, wireIdx := range owned[id] {
-			shares[circInputs[wireIdx].Wire] ^= myInputs[i]
+			xorWords(wire(circInputs[wireIdx].Wire), myInputs[i*words:])
 		}
 	}
 	for p := 0; p < n; p++ {
@@ -336,12 +350,12 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 		if err != nil {
 			return nil, fmt.Errorf("recv input shares: %w", err)
 		}
-		if len(msg.Data) != len(owned[msg.From]) {
+		if len(msg.Data) != len(owned[msg.From])*words {
 			return nil, fmt.Errorf("%w: input-share message from %d has %d words, want %d",
-				ErrProtocol, msg.From, len(msg.Data), len(owned[msg.From]))
+				ErrProtocol, msg.From, len(msg.Data), len(owned[msg.From])*words)
 		}
 		for i, wireIdx := range owned[msg.From] {
-			shares[circInputs[wireIdx].Wire] = msg.Data[i]
+			copy(wire(circInputs[wireIdx].Wire), msg.Data[i*words:])
 		}
 		transport.PutWords(msg.Data)
 	}
@@ -354,14 +368,20 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 	// --- Rounds 2..: layered evaluation ------------------------------------
 	evalLocal := func(gi int) {
 		g := gates[gi]
+		out, a := wire(g.Out), wire(g.A)
 		switch g.Op {
 		case circuit.OpXOR:
-			shares[g.Out] = shares[g.A] ^ shares[g.B]
+			b := wire(g.B)
+			for l := range out {
+				out[l] = a[l] ^ b[l]
+			}
 		case circuit.OpNOT:
 			if id == 0 {
-				shares[g.Out] = ^shares[g.A] // flips every lane
+				for l := range out {
+					out[l] = ^a[l] // flips every lane
+				}
 			} else {
-				shares[g.Out] = shares[g.A]
+				copy(out, a)
 			}
 		}
 	}
@@ -375,8 +395,8 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 	}
 	var deBuf, openedBuf []uint64
 	if maxBatch > 0 {
-		deBuf = transport.GetWords(2 * maxBatch)
-		openedBuf = transport.GetWords(2 * maxBatch)
+		deBuf = transport.GetWords(2 * maxBatch * words)
+		openedBuf = transport.GetWords(2 * maxBatch * words)
 		defer transport.PutWords(deBuf)
 		defer transport.PutWords(openedBuf)
 	}
@@ -388,14 +408,20 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 		if len(batch) == 0 {
 			continue
 		}
-		// d = x ⊕ a, e = y ⊕ b per lane: the broadcast is the word pair
-		// itself — one message opens the layer for all 64 instances.
-		de := deBuf[:2*len(batch)]
+		// d = x ⊕ a, e = y ⊕ b per lane: gate bi's d words sit at
+		// [2·bi·L, (2·bi+1)·L) and its e words right after. One message
+		// per peer opens the layer for every lane.
+		de := deBuf[:2*len(batch)*words]
 		for bi, gi := range batch {
 			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			de[2*bi] = shares[g.A] ^ triples.A[t]
-			de[2*bi+1] = shares[g.B] ^ triples.B[t]
+			t := circ.AndOrdinal(gi) * words
+			ta, tb := triples.A[t:t+words], triples.B[t:t+words]
+			x, y := wire(g.A), wire(g.B)
+			d, e := de[2*bi*words:(2*bi+1)*words], de[(2*bi+1)*words:(2*bi+2)*words]
+			for l := range d {
+				d[l] = x[l] ^ ta[l]
+				e[l] = y[l] ^ tb[l]
+			}
 		}
 		for q := 0; q < n; q++ {
 			if q == id {
@@ -417,20 +443,23 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 				return nil, fmt.Errorf("%w: AND message from %d has %d words, want %d",
 					ErrProtocol, msg.From, len(msg.Data), len(de))
 			}
-			for i := range opened {
-				opened[i] ^= msg.Data[i]
-			}
+			xorWords(opened, msg.Data)
 			transport.PutWords(msg.Data)
 		}
 		for bi, gi := range batch {
 			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			d, e := opened[2*bi], opened[2*bi+1]
-			z := d&triples.B[t] ^ e&triples.A[t] ^ triples.C[t]
-			if id == 0 {
-				z ^= d & e
+			t := circ.AndOrdinal(gi) * words
+			ta, tb, tc := triples.A[t:t+words], triples.B[t:t+words], triples.C[t:t+words]
+			d, e := opened[2*bi*words:(2*bi+1)*words], opened[(2*bi+1)*words:(2*bi+2)*words]
+			z := wire(g.Out)
+			for l := range z {
+				z[l] = d[l]&tb[l] ^ e[l]&ta[l] ^ tc[l]
 			}
-			shares[g.Out] = z
+			if id == 0 {
+				for l := range z {
+					z[l] ^= d[l] & e[l]
+				}
+			}
 		}
 	}
 	for _, gi := range localRounds[len(andRounds)] {
@@ -441,9 +470,9 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 	phaseSpan.End()
 
 	outWires := circ.Outputs()
-	outShares := make([]uint64, len(outWires))
+	outShares := make([]uint64, len(outWires)*words)
 	for i, w := range outWires {
-		outShares[i] = shares[w]
+		copy(outShares[i*words:], wire(w))
 	}
 	if keepShared {
 		return outShares, nil
@@ -473,10 +502,16 @@ func runPartyWide(node transport.Node, circ *circuit.Circuit, owned [][]int, myI
 			return nil, fmt.Errorf("%w: output message from %d has %d words, want %d",
 				ErrProtocol, msg.From, len(msg.Data), len(final))
 		}
-		for i := range final {
-			final[i] ^= msg.Data[i]
-		}
+		xorWords(final, msg.Data)
 		transport.PutWords(msg.Data)
 	}
 	return final, nil
+}
+
+// xorWords XORs src into dst word by word over dst's length.
+func xorWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] ^= src[i]
+	}
 }

@@ -1,6 +1,7 @@
 package gmw
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -256,7 +257,7 @@ func TestWideSharedReconstructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	res, err := RunWideShared(net, circ, inputs, triples, 20)
+	res, err := RunWideShared(net, circ, 1, inputs, triples, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,9 +318,159 @@ func TestRunWideValidation(t *testing.T) {
 		t.Error("wrong per-party word count accepted")
 	}
 	short := []WideTriples{{}, {}}
-	if _, err := RunWideWithTriples(net, circ, [][]uint64{{1}, {2}}, short, 1); err == nil {
+	if _, err := RunWideWithTriples(net, circ, 1, [][]uint64{{1}, {2}}, short, 1); err == nil {
 		t.Error("short triples accepted")
 	}
+}
+
+// fuzzCircuit builds a random 2–4 party circuit of 25 XOR/AND/NOT/OR gates
+// over 2–4 input bits per party, with up to 5 outputs, drawing everything
+// from rng. Degenerate draws skip the fuzz case.
+func fuzzCircuit(t *testing.T, rng *rand.Rand) (int, *circuit.Circuit) {
+	t.Helper()
+	parties := 2 + rng.Intn(3)
+	b := circuit.NewBuilder()
+	pool := make([]circuit.Wire, 0, 40)
+	for p := 0; p < parties; p++ {
+		pool = append(pool, b.InputVec(p, 2+rng.Intn(3))...)
+	}
+	for g := 0; g < 25; g++ {
+		a := pool[rng.Intn(len(pool))]
+		c := pool[rng.Intn(len(pool))]
+		var w circuit.Wire
+		switch rng.Intn(4) {
+		case 0:
+			w = b.XOR(a, c)
+		case 1:
+			w = b.AND(a, c)
+		case 2:
+			w = b.NOT(a)
+		default:
+			w = b.OR(a, c)
+		}
+		if !w.IsConst() {
+			pool = append(pool, w)
+		}
+	}
+	outs := 0
+	for i := len(pool) - 1; i >= 0 && outs < 5; i-- {
+		if err := b.Output(pool[i]); err == nil {
+			outs++
+		}
+	}
+	if outs == 0 {
+		t.Skip("degenerate circuit with no outputs")
+	}
+	circ, err := b.Build()
+	if err != nil {
+		t.Skip("unbuildable circuit")
+	}
+	return parties, circ
+}
+
+// shortAndNet drops the last word of every AND-layer and output message
+// party 0 sends.
+type shortAndNet struct{ transport.Network }
+
+func (n shortAndNet) Node(id int) transport.Node { return shortAndNode{n.Network.Node(id)} }
+
+type shortAndNode struct{ transport.Node }
+
+func (n shortAndNode) Send(to int, m transport.Message) error {
+	if n.ID() == 0 && (m.Kind == transport.KindGMWAnd || m.Kind == transport.KindGMWOutput) {
+		m.Data = m.Data[:len(m.Data)-1]
+	}
+	return n.Node.Send(to, m)
+}
+
+// FuzzWideWordsEquivalence checks the word axis of the evaluator on the
+// random circuits of FuzzGMWWideEquivalence: a run over L ∈ [1, 9] words
+// per wire must open, word for word, what L one-word runs open, and its
+// kept shares must XOR to the same words. A message or a triple set one
+// word short must fail with an error, not a panic.
+func FuzzWideWordsEquivalence(f *testing.F) {
+	f.Add(int64(1), uint8(0))
+	f.Add(int64(7), uint8(3))
+	f.Add(int64(42), uint8(8))
+	f.Fuzz(func(t *testing.T, seed int64, l uint8) {
+		words := int(l%9) + 1
+		rng := rand.New(rand.NewSource(seed))
+		parties, circ := fuzzCircuit(t, rng)
+		inputs := make([][]uint64, parties)
+		for _, in := range circ.Inputs() {
+			inputs[in.Party] = append(inputs[in.Party], make([]uint64, words)...)
+		}
+		for p := range inputs {
+			for i := range inputs[p] {
+				inputs[p][i] = rng.Uint64()
+			}
+		}
+		andWords := circ.Stats().AndGates * words
+		triples, err := GenTriplesWideSharded(seed, parties, andWords, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(net transport.Network, keepShared bool, triples []WideTriples) (*WideResult, error) {
+			defer net.Close()
+			if keepShared {
+				return RunWideShared(net, circ, words, inputs, triples, seed)
+			}
+			return RunWideWithTriples(net, circ, words, inputs, triples, seed)
+		}
+		newNet := func() transport.Network {
+			net, err := transport.NewInMem(parties)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return net
+		}
+		opened, err := run(newNet(), false, triples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kept, err := run(newNet(), true, triples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs := len(circ.Outputs())
+		for l := 0; l < words; l++ {
+			one := make([][]uint64, parties)
+			for p := range one {
+				for i := 0; i < len(inputs[p])/words; i++ {
+					one[p] = append(one[p], inputs[p][i*words+l])
+				}
+			}
+			net := newNet()
+			ref, err := RunWide(net, circ, one, seed+int64(l)+1)
+			net.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < outs; i++ {
+				if got := opened.Outputs[i*words+l]; got != ref.Outputs[i] {
+					t.Fatalf("L=%d output %d word %d: %#x, one-word run %#x", words, i, l, got, ref.Outputs[i])
+				}
+				var x uint64
+				for _, sh := range kept.OutputShares {
+					x ^= sh[i*words+l]
+				}
+				if x != ref.Outputs[i] {
+					t.Fatalf("L=%d output %d word %d: kept shares XOR to %#x, one-word run %#x", words, i, l, x, ref.Outputs[i])
+				}
+			}
+		}
+
+		if _, err := run(shortAndNet{newNet()}, false, triples); !errors.Is(err, ErrProtocol) {
+			t.Fatalf("L=%d: message one word short gave %v, want ErrProtocol", words, err)
+		}
+		if andWords > 0 {
+			short := append([]WideTriples(nil), triples...)
+			short[parties-1].C = short[parties-1].C[:andWords-1]
+			if _, err := run(newNet(), false, short); !errors.Is(err, ErrTripleShape) {
+				t.Fatalf("L=%d: triple set one word short gave %v, want ErrTripleShape", words, err)
+			}
+		}
+	})
 }
 
 // FuzzGMWWideEquivalence drives random circuits and random lane words —
@@ -333,43 +484,7 @@ func FuzzGMWWideEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, active uint8) {
 		lanes := int(active%64) + 1 // 1..64 active lanes (ragged slab model)
 		rng := rand.New(rand.NewSource(seed))
-		parties := 2 + rng.Intn(3)
-		b := circuit.NewBuilder()
-		pool := make([]circuit.Wire, 0, 40)
-		for p := 0; p < parties; p++ {
-			pool = append(pool, b.InputVec(p, 2+rng.Intn(3))...)
-		}
-		for g := 0; g < 25; g++ {
-			a := pool[rng.Intn(len(pool))]
-			c := pool[rng.Intn(len(pool))]
-			var w circuit.Wire
-			switch rng.Intn(4) {
-			case 0:
-				w = b.XOR(a, c)
-			case 1:
-				w = b.AND(a, c)
-			case 2:
-				w = b.NOT(a)
-			default:
-				w = b.OR(a, c)
-			}
-			if !w.IsConst() {
-				pool = append(pool, w)
-			}
-		}
-		outs := 0
-		for i := len(pool) - 1; i >= 0 && outs < 5; i-- {
-			if err := b.Output(pool[i]); err == nil {
-				outs++
-			}
-		}
-		if outs == 0 {
-			t.Skip("degenerate circuit with no outputs")
-		}
-		circ, err := b.Build()
-		if err != nil {
-			t.Skip("unbuildable circuit")
-		}
+		parties, circ := fuzzCircuit(t, rng)
 		mask := ^uint64(0) >> uint(64-lanes)
 		inputs := make([][]uint64, parties)
 		nOwned := make([]int, parties)

@@ -256,9 +256,11 @@ func SuccessProbability(m, pos int, beta, epsilon float64) float64 {
 	return binomialTail(t, beta, need)
 }
 
-// binomialTail returns P[X >= k] for X ~ Binomial(n, p), computed by
-// summing the PMF from k upward with incremental ratio updates for
-// numerical stability at moderate n (n <= ~10^5 in our experiments).
+// binomialTail returns P[X >= k] for X ~ Binomial(n, p). It sums the tail
+// that lies away from the mean — the upper tail from k upward when k is
+// above the mean, else 1 minus the lower tail from k−1 downward — so the
+// first PMF term is the summed tail's largest. A first term that
+// underflows then stands for a tail of 0, never for a dropped bulk.
 func binomialTail(n int, p float64, k int) float64 {
 	if k <= 0 {
 		return 1
@@ -272,22 +274,31 @@ func binomialTail(n int, p float64, k int) float64 {
 	if p >= 1 {
 		return 1
 	}
-	// Start at the PMF of k via logarithms, then walk up.
-	logPMF := logChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p)
-	pmf := math.Exp(logPMF)
-	sum := pmf
-	for x := k; x < n; x++ {
-		// pmf(x+1) = pmf(x) * (n-x)/(x+1) * p/(1-p)
-		pmf *= float64(n-x) / float64(x+1) * p / (1 - p)
-		sum += pmf
-		if pmf < 1e-18*sum {
-			break
+	if float64(k) > float64(n)*p {
+		// Upper tail: from PMF(k) upward, each term the previous times
+		// (n−x)/(x+1) · p/(1−p).
+		pmf := binomialPMF(n, p, k)
+		sum := pmf
+		for x := k; x < n && pmf >= 1e-18*sum; x++ {
+			pmf *= float64(n-x) / float64(x+1) * p / (1 - p)
+			sum += pmf
 		}
+		return math.Min(sum, 1)
 	}
-	if sum > 1 {
-		return 1
+	// Lower tail P[X ≤ k−1]: from PMF(k−1) downward, each term the
+	// previous times x/(n−x+1) · (1−p)/p.
+	pmf := binomialPMF(n, p, k-1)
+	sum := pmf
+	for x := k - 1; x > 0 && pmf >= 1e-18*sum; x-- {
+		pmf *= float64(x) / float64(n-x+1) * (1 - p) / p
+		sum += pmf
 	}
-	return sum
+	return math.Max(1-sum, 0)
+}
+
+// binomialPMF returns P[X = k] for X ~ Binomial(n, p), via logarithms.
+func binomialPMF(n int, p float64, k int) float64 {
+	return math.Exp(logChoose(n, k) + float64(k)*math.Log(p) + float64(n-k)*math.Log(1-p))
 }
 
 func logChoose(n, k int) float64 {

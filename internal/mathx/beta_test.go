@@ -298,6 +298,44 @@ func TestSuccessProbability(t *testing.T) {
 	}
 }
 
+// binomialTailRef sums every PMF term of the tail independently in log
+// space: slow, but no term depends on a neighbour that may have underflowed.
+func binomialTailRef(n int, p float64, k int) float64 {
+	sum := 0.0
+	for x := k; x <= n; x++ {
+		sum += math.Exp(logChoose(n, x) + float64(x)*math.Log(p) + float64(n-x)*math.Log(1-p))
+	}
+	return sum
+}
+
+// The tail must hold when k sits far below the mean, where PMF(k)
+// underflows to 0 but the tail is ≈ 1, as well as near and far above it.
+func TestBinomialTailAcrossTheMean(t *testing.T) {
+	cases := []struct {
+		n int
+		p float64
+		k int
+	}{
+		{4000, 0.5, 10},   // k ≪ mean: PMF(k) underflows, tail ≈ 1
+		{4000, 0.5, 1500}, // k ≪ mean
+		{4000, 0.5, 1990}, // k ≈ mean
+		{4000, 0.5, 2000},
+		{4000, 0.5, 2010},
+		{4000, 0.5, 2500}, // k ≫ mean: tail ≈ 1e-55
+		{4000, 0.01, 1},
+		{4000, 0.01, 40},
+		{4000, 0.01, 100},
+		{30, 0.3, 9},
+		{30, 0.3, 10},
+	}
+	for _, tc := range cases {
+		got, want := binomialTail(tc.n, tc.p, tc.k), binomialTailRef(tc.n, tc.p, tc.k)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Errorf("binomialTail(%d, %v, %d) = %v, want %v", tc.n, tc.p, tc.k, got, want)
+		}
+	}
+}
+
 func TestSuccessProbabilityMatchesMonteCarlo(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m, pos, beta, eps := 200, 20, 0.15, 0.5
