@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzWideWordsEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
 	$(GO) test -fuzz=FuzzPublishKernel -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzSuperShareDecode -fuzztime=10s -run '^$$' ./internal/secsum/
+	$(GO) test -fuzz=FuzzSuperShareKernel -fuzztime=10s -run '^$$' ./internal/secsum/
 
 # Regenerate every paper table and figure at full scale.
 experiments:

@@ -47,6 +47,21 @@ func checksum(r *Report) (string, error) {
 	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)), nil
 }
 
+// seal encodes v — a *Report or *Detail with Checksum blank — once and
+// splices the CRC32 of those bytes in as the closing "checksum" field:
+// Checksum is the last field and omitempty, so this is byte for byte what
+// encoding the stamped document again would produce. It returns the file
+// bytes, newline included.
+func seal(v any) ([]byte, error) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("privacy: %w", err)
+	}
+	// Version is never omitted, so the object ends "\n}".
+	end := len(body) - len("\n}")
+	return fmt.Appendf(body[:end:end], ",\n  \"checksum\": \"%08x\"\n}\n", crc32.ChecksumIEEE(body)), nil
+}
+
 // Sealed returns a copy of r stamped with epoch and its self-checksum
 // — the form Decode accepts. Serving paths that compute a report in
 // memory (demo nodes without an epoch store) seal it before install so
@@ -65,15 +80,9 @@ func Sealed(r *Report, epoch uint64) (*Report, error) {
 // Seal stamps the epoch and self-checksum onto a report, returning the
 // bytes WriteFile would persist.
 func Seal(r *Report, epoch uint64) ([]byte, error) {
-	cp, err := Sealed(r, epoch)
-	if err != nil {
-		return nil, err
-	}
-	raw, err := encode(cp)
-	if err != nil {
-		return nil, fmt.Errorf("privacy: %w", err)
-	}
-	return append(raw, '\n'), nil
+	cp := *r
+	cp.Epoch, cp.Checksum = epoch, ""
+	return seal(&cp)
 }
 
 // WriteFile seals the report for epoch and writes it as privacy.json
@@ -153,17 +162,11 @@ func detailChecksum(d *Detail) (string, error) {
 // owner, and serving paths must never pick it up.
 func WriteDetailFile(dir string, d *Detail, epoch uint64) error {
 	cp := *d
-	cp.Epoch = epoch
-	sum, err := detailChecksum(&cp)
+	cp.Epoch, cp.Checksum = epoch, ""
+	raw, err := seal(&cp)
 	if err != nil {
 		return err
 	}
-	cp.Checksum = sum
-	raw, err := encodeDetail(&cp)
-	if err != nil {
-		return fmt.Errorf("privacy: %w", err)
-	}
-	raw = append(raw, '\n')
 	tmp := filepath.Join(dir, "."+DetailFileName+".tmp")
 	if err := os.WriteFile(tmp, raw, 0o600); err != nil {
 		return fmt.Errorf("privacy: %w", err)

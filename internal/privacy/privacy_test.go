@@ -1,6 +1,7 @@
 package privacy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -432,5 +433,75 @@ func TestDetailFileRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeDetail([]byte(`{"version": 99, "checksum": "00000000"}`)); !errors.Is(err, ErrVersion) {
 		t.Errorf("bad version: err = %v", err)
+	}
+}
+
+// twoPassReport and twoPassDetail are the reference sealers: the CRC of
+// the encoding with Checksum blank, then the stamped document encoded a
+// second time.
+func twoPassReport(t *testing.T, r *Report, epoch uint64) []byte {
+	t.Helper()
+	cp, err := Sealed(r, epoch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := encode(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(raw, '\n')
+}
+
+func twoPassDetail(t *testing.T, d *Detail, epoch uint64) []byte {
+	t.Helper()
+	cp := *d
+	cp.Epoch = epoch
+	sum, err := detailChecksum(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp.Checksum = sum
+	raw, err := encodeDetail(&cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(raw, '\n')
+}
+
+// The one-encode seal writes exactly the two-pass writer's bytes for a
+// report, a detail and an empty detail, and a stale Checksum on the input
+// does not leak into either.
+func TestSealMatchesTwoPassEncoding(t *testing.T) {
+	r, det, err := Compute(handInput())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Checksum, det.Checksum = "stale", "stale"
+	dir := t.TempDir()
+	check := func(name string, want []byte) {
+		t.Helper()
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s differs from the two-pass encoding:\n%s\nwant\n%s", name, got, want)
+		}
+	}
+	if err := WriteFile(dir, r, 7); err != nil {
+		t.Fatal(err)
+	}
+	check(FileName, twoPassReport(t, r, 7))
+	for _, d := range []*Detail{det, {Version: Version}} {
+		if err := WriteDetailFile(dir, d, 7); err != nil {
+			t.Fatal(err)
+		}
+		check(DetailFileName, twoPassDetail(t, d, 7))
+		if _, err := ReadDetailFile(dir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := ReadFile(dir); err != nil {
+		t.Fatal(err)
 	}
 }

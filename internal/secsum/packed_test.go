@@ -77,6 +77,105 @@ func FuzzSuperShareDecode(f *testing.F) {
 	})
 }
 
+// FuzzSuperShareKernel checks the provider pass against a per-element
+// reference — input − Σ ExpandShare(own) + Σ ExpandShare(received) mod q,
+// then pack — for inputs loaded as RunBits rows (bits set past n must reach
+// no element) and as Run vectors (values past q reduced), at identity counts
+// on every word and chunk boundary. The packed fold of the result into a
+// random accumulator must equal DecodeSuperShare plus elementwise add.
+func FuzzSuperShareKernel(f *testing.F) {
+	for sel := range fuzzFields {
+		for nsel := 0; nsel < 12; nsel++ {
+			f.Add(uint8(sel), uint8(nsel), uint8(2+nsel%3), nsel%2 == 0, int64(sel*12+nsel))
+		}
+	}
+	f.Fuzz(func(t *testing.T, sel, nsel, cSel uint8, useBits bool, seed int64) {
+		fld := fuzzFields[int(sel)%len(fuzzFields)]
+		r, err := newRing(fld)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes := []int{0, 1, r.per - 1, r.per, r.per + 1, 63, 64, 65,
+			r.chunk - 1, r.chunk, r.chunk + 1, 2*r.chunk + r.per + 3}
+		n := sizes[int(nsel)%len(sizes)]
+		c := 2 + int(cSel)%3
+		rng := rand.New(rand.NewSource(seed))
+		q := fld.Modulus()
+
+		own, in := make([]shareKey, c-1), make([]shareKey, c-1)
+		for k := range own {
+			own[k] = shareKey{rng.Uint64(), rng.Uint64()}
+			in[k] = shareKey{rng.Uint64(), rng.Uint64()}
+		}
+		want := make([]uint64, n)
+		var load loader
+		if useBits {
+			row := make([]uint64, (n+63)/64)
+			for i := range row {
+				row[i] = rng.Uint64() // the last word's bits past n included
+			}
+			for j := range want {
+				want[j] = row[j/64] >> (j % 64) & 1
+			}
+			load = r.bitLoader(row)
+		} else {
+			vals := make([]uint64, n)
+			for j := range vals {
+				vals[j] = rng.Uint64()
+				want[j] = vals[j] % q
+			}
+			load = r.valueLoader(vals)
+		}
+		for k := range own {
+			subs, err := ExpandShare(fld, own[k][:], n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			adds, err := ExpandShare(fld, in[k][:], n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				want[j] = fld.Add(fld.Sub(want[j], subs[j]), adds[j])
+			}
+		}
+		ref := make([]uint64, r.packedLen(n))
+		r.pack(ref, want)
+
+		got := r.superShare(n, load, own, in)
+		defer transport.PutWords(got)
+		if len(got) != len(ref) {
+			t.Fatalf("q=%d n=%d: %d words, want %d", q, n, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i] {
+				t.Fatalf("q=%d n=%d c=%d: word %d is %#x, reference %#x", q, n, c, i, got[i], ref[i])
+			}
+		}
+
+		base := make([]uint64, n)
+		for j := range base {
+			base[j] = rng.Uint64() % q
+		}
+		acc := make([]uint64, r.packedLen(n))
+		r.pack(acc, base)
+		if err := r.fold(acc, got, n); err != nil {
+			t.Fatalf("q=%d n=%d: fold rejected the pass's own output: %v", q, n, err)
+		}
+		dec, err := DecodeSuperShare(fld, got, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := make([]uint64, n)
+		r.unpack(sum, acc)
+		for j := range sum {
+			if w := fld.Add(base[j], dec[j]); sum[j] != w {
+				t.Fatalf("q=%d n=%d: folded element %d is %d, want %d", q, n, j, sum[j], w)
+			}
+		}
+	})
+}
+
 // The expansion is a function of the key alone: chunk boundaries never
 // shift an element, in either the masked or the rejection-sampled path.
 func TestExpansionChunkingInvariant(t *testing.T) {
@@ -175,6 +274,13 @@ func BenchmarkSecSum(b *testing.B) {
 		}
 		wire = res.Stats.Bytes
 	}
+	r, err := newRing(s.Field())
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportMetric(float64(wire), "wire_B")
+	// Keystream bytes a provider draws per cell: one 8-byte word per per
+	// elements on each of its 2(c−1) streams.
+	b.ReportMetric(8*float64(2*(s.Shares()-1))/float64(r.per), "ks_B/cell")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(rows)*n), "ns/cell")
 }

@@ -20,6 +20,11 @@
 //     keys it received to its kept share, in one streaming pass over
 //     identity chunks, and sends the result bit-packed (ring.pack) to
 //     coordinator (i mod c), which folds each one in as it arrives.
+//
+// For q = 2^w both the pass and the fold run on the packed words
+// themselves: element j of an expansion is a w-bit field of keystream word
+// ⌊j/per⌋, in the very slot it takes on the wire, so one 64-bit field-wise
+// add or subtract (addw, subw) handles per = ⌊64/w⌋ identities.
 package secsum
 
 import (
@@ -76,9 +81,10 @@ type ParamObserver interface {
 	ObserveScheme(secretshare.Scheme)
 }
 
-// loader writes a provider's private input for identities
-// [lo, lo+len(dst)) into dst, each element reduced into Z_q.
-type loader func(dst []uint64, lo int)
+// loader writes a provider's private input, packed, into words
+// [t, t+len(dst)) of its super-share layout (ring.pack). Slots past the last
+// identity may hold anything: the pass never lets them reach the wire.
+type loader func(dst []uint64, t int)
 
 // Run executes SecSumShare over net. inputs[i] is provider i's private
 // vector (one value per identity; for ε-PPI these are 0/1 membership bits,
@@ -106,17 +112,14 @@ func Run(net transport.Network, scheme secretshare.Scheme, inputs [][]uint64, se
 	if err != nil {
 		return nil, err
 	}
-	return run(net, scheme, r, numIDs, func(i int) loader {
-		in := inputs[i]
-		return func(dst []uint64, lo int) { r.reduce(dst, in[lo:lo+len(dst)]) }
-	}, seed)
+	return run(net, scheme, r, numIDs, func(i int) loader { return r.valueLoader(inputs[i]) }, seed)
 }
 
 // RunBits is Run over 0/1 inputs held as bitsets, the form construction
 // keeps the private matrix in: row(i) is provider i's ⌈n/64⌉ words,
 // identity j at bit j%64 of word j/64 (bitmat.Matrix.RowWords). The
-// streaming pass reads its input bits straight from the row, so no
-// per-identity input vector is ever built.
+// streaming pass spreads each packed word's per input bits straight from
+// the row, so no per-identity input vector is ever built.
 func RunBits(net transport.Network, scheme secretshare.Scheme, n int, row func(i int) []uint64, seed int64) (*Result, error) {
 	m := net.Size()
 	if err := checkRing(m, scheme.Shares()); err != nil {
@@ -135,14 +138,32 @@ func RunBits(net transport.Network, scheme secretshare.Scheme, n int, row func(i
 	if err != nil {
 		return nil, err
 	}
-	return run(net, scheme, r, n, func(i int) loader {
-		in := row(i)
-		return func(dst []uint64, lo int) {
-			for j := range dst {
-				dst[j] = in[(lo+j)/64] >> ((lo + j) % 64) & 1
+	return run(net, scheme, r, n, func(i int) loader { return r.bitLoader(row(i)) }, seed)
+}
+
+// valueLoader loads Run's input vector, packing it.
+func (r *ring) valueLoader(in []uint64) loader {
+	return func(dst []uint64, t int) {
+		lo := t * r.per
+		r.pack(dst, in[lo:min(lo+len(dst)*r.per, len(in))])
+	}
+}
+
+// bitLoader loads RunBits' input row, spreading the per bits of each packed
+// word from the row bits [t·per, (t+1)·per) — a window that may straddle two
+// row words.
+func (r *ring) bitLoader(row []uint64) loader {
+	return func(dst []uint64, t int) {
+		for k := range dst {
+			b := (t + k) * r.per
+			w, off := b/64, uint(b%64)
+			win := row[w] >> off
+			if off+uint(r.per) > 64 && w+1 < len(row) {
+				win |= row[w+1] << (64 - off)
 			}
+			dst[k] = r.spreadBits(win)
 		}
-	}, seed)
+	}
 }
 
 func checkRing(m, c int) error {
@@ -310,10 +331,11 @@ func runProvider(node transport.Node, r *ring, c, numIDs int, load loader, seed 
 	defer phaseSpan.End()
 
 	// Coordinator role: fold in the super-share of every provider p with
-	// p mod c == id (our own, sent above, included) as it arrives.
+	// p mod c == id (our own, sent above, included) as it arrives, into a
+	// packed accumulator unpacked once at the end.
 	expected := (m - id + c - 1) / c
 	seen := make([]bool, m)
-	acc := make([]uint64, numIDs)
+	acc := make([]uint64, r.packedLen(numIDs))
 	for got := 0; got < expected; got++ {
 		msg, err := coll.RecvKind(transport.KindSuperShare, 0)
 		if err != nil {
@@ -327,12 +349,14 @@ func runProvider(node transport.Node, r *ring, c, numIDs int, load loader, seed 
 			return nil, fmt.Errorf("%w: duplicate super-share from party %d", ErrMalformedShare, from)
 		}
 		seen[from] = true
-		if err := r.fold(acc, msg.Data); err != nil {
+		if err := r.fold(acc, msg.Data, numIDs); err != nil {
 			return nil, fmt.Errorf("super-share from party %d: %w", from, err)
 		}
 		transport.PutWords(msg.Data)
 	}
-	return acc, nil
+	shares := make([]uint64, numIDs)
+	r.unpack(shares, acc)
+	return shares, nil
 }
 
 // shareKey is a 16-byte AES key as the two little-endian words of its
@@ -355,16 +379,15 @@ func newShareKey(seed int64, i, k int) shareKey {
 type ring struct {
 	f    field.Field
 	q    uint64
-	pow2 bool   // q = 2^w: add and subtract with mask, no modular reduction
-	mask uint64 // q − 1 when pow2
-	// small: q = 2^w ≤ 2^16, so a share element is two keystream bytes
-	// masked to w bits; otherwise it is an 8-byte word, rejection-sampled
-	// below max by Field.Rand's rule.
-	small bool
-	max   uint64
-	w     uint // bits per packed element: bits.Len64(q − 1)
-	per   int  // elements per packed word: ⌊64/w⌋
-	chunk int  // identities per step of the streaming pass: a multiple of 64 and of per
+	pow2 bool   // q = 2^w: the pass and the fold work field-wise on packed words
+	max  uint64 // q not a power of two: keystream words ≥ max are rejected
+	w    uint   // bits per packed element: bits.Len64(q − 1)
+	per  int    // elements per packed word: ⌊64/w⌋
+	full uint64 // the per fields of a word: its low per·w bits
+	high uint64 // the top bit of each of the per fields
+	// spread[b] has bit i of b at bit i·w (the low bit of field i), i < 8.
+	spread [256]uint64
+	chunk  int // identities per step of the streaming pass: a multiple of 64 and of per
 }
 
 func newRing(f field.Field) (*ring, error) {
@@ -372,14 +395,18 @@ func newRing(f field.Field) (*ring, error) {
 	if q < 2 {
 		return nil, fmt.Errorf("secsum: modulus %d", q)
 	}
-	r := &ring{f: f, q: q, w: uint(bits.Len64(q - 1))}
-	r.per = 64 / int(r.w)
-	r.pow2 = q&(q-1) == 0
-	if r.pow2 {
-		r.mask = q - 1
-		r.small = q <= 1<<16
-	}
+	r := &ring{f: f, q: q, pow2: q&(q-1) == 0, w: uint(bits.Len64(q - 1))}
 	r.max = ^uint64(0) - ^uint64(0)%q
+	r.per = 64 / int(r.w)
+	r.full = ^uint64(0) >> (64 - uint(r.per)*r.w)
+	for s := 0; s < r.per; s++ {
+		r.high |= 1 << (uint(s)*r.w + r.w - 1)
+	}
+	for b := range r.spread {
+		for i := uint(0); i < 8; i++ {
+			r.spread[b] |= uint64(b>>i&1) << (i * r.w)
+		}
+	}
 	r.chunk = 64 * r.per
 	for r.chunk < 512 {
 		r.chunk *= 2
@@ -390,57 +417,47 @@ func newRing(f field.Field) (*ring, error) {
 // packedLen is the word count of an n-element super-share: ⌈n/per⌉.
 func (r *ring) packedLen(n int) int { return (n + r.per - 1) / r.per }
 
-// reduce writes src into dst reduced into Z_q.
-func (r *ring) reduce(dst, src []uint64) {
-	src = src[:len(dst)]
-	if r.pow2 {
-		for i, v := range src {
-			dst[i] = v & r.mask
-		}
-		return
-	}
-	for i, v := range src {
-		dst[i] = r.f.Reduce(v)
-	}
+// tail masks the used slots of the last word of an n-element super-share,
+// n > 0.
+func (r *ring) tail(n int) uint64 {
+	k := n - (r.packedLen(n)-1)*r.per
+	return ^uint64(0) >> (64 - uint(k)*r.w)
 }
 
-// add sets a[i] += b[i] (mod q); both in range.
-func (r *ring) add(a, b []uint64) {
-	b = b[:len(a)]
-	if r.pow2 {
-		for i, v := range b {
-			a[i] = (a[i] + v) & r.mask
-		}
-		return
+// spreadBits returns the packed word whose field s is bit s of win, s < per.
+// Higher bits of win land above the per fields or in none.
+func (r *ring) spreadBits(win uint64) uint64 {
+	x := r.spread[win&0xff]
+	for b := 8; b < r.per; b += 8 {
+		x |= r.spread[win>>uint(b)&0xff] << (uint(b) * r.w)
 	}
-	for i, v := range b {
-		a[i] = r.f.Add(a[i], v)
-	}
+	return x
 }
 
-// sub sets a[i] −= b[i] (mod q); both in range.
-func (r *ring) sub(a, b []uint64) {
-	b = b[:len(a)]
-	if r.pow2 {
-		for i, v := range b {
-			a[i] = (a[i] - v) & r.mask
-		}
-		return
-	}
-	for i, v := range b {
-		a[i] = r.f.Sub(a[i], v)
-	}
-}
+// addw and subw add and subtract packed words field by field mod 2^w, h
+// the top bit of each field: the low w−1 bits of every field are summed
+// with the top bits cleared, so no carry or borrow crosses into the next
+// field, and the top bits are restored by XOR. Bits above the fields carry
+// garbage the caller masks off.
+func addw(x, y, h uint64) uint64 { return ((x &^ h) + (y &^ h)) ^ ((x ^ y) & h) }
 
-// expander streams the share vector a key stands for: element j is the
-// j-th draw from the AES-CTR keystream under the key (IV 0) — two bytes,
-// little-endian and masked to w bits, when the ring is small, otherwise an
-// 8-byte little-endian word taken iff it is below max, reduced mod q. It is
-// the one expansion sender, receiver and ExpandShare share, and its output
-// does not depend on how the caller chunks the identities.
+func subw(x, y, h uint64) uint64 { return ((x | h) - (y &^ h)) ^ ((x ^ ^y) & h) }
+
+// expander streams the share vector a key stands for, a function of the
+// AES-CTR keystream under the key (IV 0) read as little-endian 8-byte
+// words. For q = 2^w element j is field j mod per of keystream word
+// ⌊j/per⌋ — the slot it takes in a packed super-share — and the top
+// 64 − per·w bits of every word are discarded. Otherwise element j is the
+// j-th word below max, reduced mod q. It is the one expansion sender,
+// receiver and ExpandShare share, and its output does not depend on how
+// the caller chunks the identities.
 type expander struct {
 	r   *ring
 	ctr cipher.Stream
+	// cur holds the left fields of the last keystream word drawn that no
+	// element has taken yet, lowest first (q = 2^w, next only).
+	cur  uint64
+	left int
 }
 
 func (r *ring) expander(key shareKey) *expander {
@@ -455,27 +472,37 @@ func (r *ring) expander(key shareKey) *expander {
 	return &expander{r: r, ctr: cipher.NewCTR(block, iv[:])}
 }
 
+// stream fills b with the next len(b) keystream bytes and returns it.
+func (e *expander) stream(b []byte) []byte {
+	clear(b)
+	e.ctr.XORKeyStream(b, b)
+	return b
+}
+
 // next fills dst with the next len(dst) share elements; ks is keystream
 // scratch of at least 8·len(dst) bytes.
 func (e *expander) next(dst []uint64, ks []byte) {
-	if e.r.small {
-		b := ks[:2*len(dst)]
-		clear(b)
-		e.ctr.XORKeyStream(b, b)
+	r := e.r
+	if r.pow2 {
+		b := e.stream(ks[:8*((max(len(dst)-e.left, 0)+r.per-1)/r.per)])
 		for i := range dst {
-			dst[i] = uint64(binary.LittleEndian.Uint16(b[2*i:])) & e.r.mask
+			if e.left == 0 {
+				e.cur, e.left = binary.LittleEndian.Uint64(b), r.per
+				b = b[8:]
+			}
+			dst[i] = e.cur & (r.q - 1)
+			e.cur >>= r.w
+			e.left--
 		}
 		return
 	}
 	for i := 0; i < len(dst); {
 		// One 8-byte word per missing element: no keystream is drawn that
 		// is not consumed, so the element sequence is chunking-independent.
-		b := ks[:8*(len(dst)-i)]
-		clear(b)
-		e.ctr.XORKeyStream(b, b)
+		b := e.stream(ks[:8*(len(dst)-i)])
 		for o := 0; o < len(b); o += 8 {
-			if v := binary.LittleEndian.Uint64(b[o:]); v < e.r.max {
-				dst[i] = v % e.r.q
+			if v := binary.LittleEndian.Uint64(b[o:]); v < r.max {
+				dst[i] = v % r.q
 				i++
 			}
 		}
@@ -483,11 +510,11 @@ func (e *expander) next(dst []uint64, ks []byte) {
 }
 
 // superShare is provider i's round-2 pass: per chunk of identities it loads
-// the input, subtracts the expansions of its own c−1 keys (leaving its kept
-// share), adds those of the c−1 keys it received, and packs the result
-// straight into the wire words — all 2(c−1) CTR streams advance together and
-// nothing n-sized but the packed output is allocated. The returned buffer
-// comes from transport.GetWords.
+// the packed input, subtracts the expansions of its own c−1 keys (leaving
+// its kept share) and adds those of the c−1 keys it received, straight in
+// the wire words — all 2(c−1) CTR streams advance together and nothing
+// n-sized but the packed output is allocated. The returned buffer comes
+// from transport.GetWords.
 func (r *ring) superShare(n int, load loader, own, in []shareKey) []uint64 {
 	out := transport.GetWords(r.packedLen(n))
 	subs := make([]*expander, len(own))
@@ -502,20 +529,55 @@ func (r *ring) superShare(n int, load loader, own, in []shareKey) []uint64 {
 	s.grow(r.chunk)
 	for lo := 0; lo < n; lo += r.chunk {
 		hi := min(lo+r.chunk, n)
-		acc, tmp := s.acc[:hi-lo], s.tmp[:hi-lo]
-		load(acc, lo)
+		dst := out[lo/r.per : r.packedLen(hi)]
+		load(dst, lo/r.per)
+		if !r.pow2 {
+			r.mixElements(dst, hi-lo, subs, adds, s)
+			continue
+		}
+		// Each keystream word is the per share elements of its packed slot.
+		h, full, ks := r.high, r.full, s.ks[:8*len(dst)]
 		for _, e := range subs {
-			e.next(tmp, s.ks)
-			r.sub(acc, tmp)
+			b := e.stream(ks)
+			for t := range dst {
+				dst[t] = subw(dst[t], binary.LittleEndian.Uint64(b[8*t:]), h)
+			}
 		}
 		for _, e := range adds {
-			e.next(tmp, s.ks)
-			r.add(acc, tmp)
+			b := e.stream(ks)
+			for t := range dst {
+				dst[t] = addw(dst[t], binary.LittleEndian.Uint64(b[8*t:]), h)
+			}
 		}
-		r.pack(out[lo/r.per:], acc)
+		for t := range dst {
+			dst[t] &= full
+		}
+	}
+	if n > 0 {
+		out[len(out)-1] &= r.tail(n)
 	}
 	scratchPool.Put(s)
 	return out
+}
+
+// mixElements is superShare's step over the k identities of dst for q not
+// a power of two, one element at a time.
+func (r *ring) mixElements(dst []uint64, k int, subs, adds []*expander, s *scratch) {
+	acc, tmp := s.acc[:k], s.tmp[:k]
+	r.unpack(acc, dst)
+	for _, e := range subs {
+		e.next(tmp, s.ks)
+		for j, v := range tmp {
+			acc[j] = r.f.Sub(acc[j], v)
+		}
+	}
+	for _, e := range adds {
+		e.next(tmp, s.ks)
+		for j, v := range tmp {
+			acc[j] = r.f.Add(acc[j], v)
+		}
+	}
+	r.pack(dst, acc)
 }
 
 // scratch is the per-pass working set of superShare, pooled across the m
@@ -533,13 +595,16 @@ func (s *scratch) grow(chunk int) {
 	}
 }
 
-// pack writes elems (each < q) into dst[:⌈len(elems)/per⌉]: element e at
-// bits (e mod per)·w of word ⌊e/per⌋, every other bit zero.
+// pack writes elems, each reduced into Z_q, into dst[:⌈len(elems)/per⌉]:
+// element e at bits (e mod per)·w of word ⌊e/per⌋, every other bit zero.
 func (r *ring) pack(dst, elems []uint64) {
 	for t := 0; len(elems) > 0; t++ {
 		k := min(r.per, len(elems))
 		var word uint64
 		for s, v := range elems[:k] {
+			if v >= r.q {
+				v = r.f.Reduce(v)
+			}
 			word |= v << (uint(s) * r.w)
 		}
 		dst[t] = word
@@ -547,34 +612,52 @@ func (r *ring) pack(dst, elems []uint64) {
 	}
 }
 
-// fold adds the packed super-share words into acc (mod q). It rejects with
-// ErrMalformedShare — never a panic — a payload of other than
-// ⌈len(acc)/per⌉ words, an element ≥ q, and set padding bits (the top
-// 64 − per·w bits of every word and the unused slots of the last).
-func (r *ring) fold(acc, words []uint64) error {
-	n := len(acc)
-	if want := r.packedLen(n); len(words) != want {
-		return fmt.Errorf("%w: %d words, want %d", ErrMalformedShare, len(words), want)
+// unpack is pack's inverse: it fills dst with the first len(dst) elements
+// of the packed words.
+func (r *ring) unpack(dst, words []uint64) {
+	elem := uint64(1)<<r.w - 1
+	for t := 0; len(dst) > 0; t++ {
+		k := min(r.per, len(dst))
+		word := words[t]
+		for s := range dst[:k] {
+			dst[s] = word & elem
+			word >>= r.w
+		}
+		dst = dst[k:]
+	}
+}
+
+// fold adds the packed super-share words of an n-identity run into the
+// packed accumulator acc, field by field mod q. It rejects with
+// ErrMalformedShare — never a panic — a payload of other than len(acc)
+// words, set padding bits (the top 64 − per·w bits of every word and the
+// unused slots of the last), and, for q not a power of two, an element
+// ≥ q; for q = 2^w every field holds an element.
+func (r *ring) fold(acc, words []uint64, n int) error {
+	if len(words) != len(acc) {
+		return fmt.Errorf("%w: %d words, want %d", ErrMalformedShare, len(words), len(acc))
+	}
+	if last := len(words) - 1; last >= 0 && words[last]&^r.tail(n) != 0 {
+		return fmt.Errorf("%w: padding bits set in word %d", ErrMalformedShare, last)
 	}
 	elem := uint64(1)<<r.w - 1
 	for t, word := range words {
-		k := min(r.per, n-t*r.per)
-		if used := uint(k) * r.w; used < 64 && word>>used != 0 {
+		if word&^r.full != 0 {
 			return fmt.Errorf("%w: padding bits set in word %d", ErrMalformedShare, t)
 		}
-		dst := acc[t*r.per : t*r.per+k]
-		for s := range dst {
-			v := word & elem
-			word >>= r.w
-			if v >= r.q {
-				return fmt.Errorf("%w: element %d is %d, not below q = %d", ErrMalformedShare, t*r.per+s, v, r.q)
-			}
-			if r.pow2 {
-				dst[s] = (dst[s] + v) & r.mask
-			} else {
-				dst[s] = r.f.Add(dst[s], v)
-			}
+		if r.pow2 {
+			acc[t] = addw(acc[t], word, r.high)
+			continue
 		}
+		var sum uint64
+		for s := uint(0); s < uint(r.per); s++ {
+			a, v := acc[t]>>(s*r.w)&elem, word>>(s*r.w)&elem
+			if v >= r.q {
+				return fmt.Errorf("%w: element %d is %d, not below q = %d", ErrMalformedShare, t*r.per+int(s), v, r.q)
+			}
+			sum |= r.f.Add(a, v) << (s * r.w)
+		}
+		acc[t] = sum
 	}
 	return nil
 }
@@ -614,10 +697,12 @@ func DecodeSuperShare(f field.Field, words []uint64, n int) ([]uint64, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("%w: %d identities", ErrMalformedShare, n)
 	}
-	out := make([]uint64, n)
-	if err := r.fold(out, words); err != nil {
+	acc := make([]uint64, r.packedLen(n))
+	if err := r.fold(acc, words, n); err != nil {
 		return nil, err
 	}
+	out := make([]uint64, n)
+	r.unpack(out, acc)
 	return out, nil
 }
 

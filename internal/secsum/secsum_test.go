@@ -200,25 +200,26 @@ func TestFrequenciesValidation(t *testing.T) {
 // deterministic function of the inputs (it is masked by other providers'
 // randomness). Two runs with different seeds must (almost surely) differ.
 func TestCoordinatorSharesLookRandom(t *testing.T) {
-	s := scheme(t, 104729, 3)
 	inputs := [][]uint64{{1, 0, 1}, {0, 0, 1}, {1, 1, 1}, {0, 0, 0}, {1, 0, 0}}
-	a := runInMem(t, s, inputs, 100)
-	b := runInMem(t, s, inputs, 200)
-	same := true
-	for j := range a.CoordinatorShares[0] {
-		if a.CoordinatorShares[0][j] != b.CoordinatorShares[0][j] {
-			same = false
+	for _, s := range []secretshare.Scheme{scheme(t, 104729, 3), additive(t, 1<<11, 3)} {
+		a := runInMem(t, s, inputs, 100)
+		b := runInMem(t, s, inputs, 200)
+		same := true
+		for j := range a.CoordinatorShares[0] {
+			if a.CoordinatorShares[0][j] != b.CoordinatorShares[0][j] {
+				same = false
+			}
 		}
-	}
-	if same {
-		t.Fatal("coordinator 0's vector identical across independent runs")
-	}
-	// But the reconstructed sums must agree.
-	fa, _ := Frequencies(s, a.CoordinatorShares)
-	fb, _ := Frequencies(s, b.CoordinatorShares)
-	for j := range fa {
-		if fa[j] != fb[j] {
-			t.Fatal("frequencies differ across runs")
+		if same {
+			t.Fatalf("q=%d: coordinator 0's vector identical across independent runs", s.Field().Modulus())
+		}
+		// But the reconstructed sums must agree.
+		fa, _ := Frequencies(s, a.CoordinatorShares)
+		fb, _ := Frequencies(s, b.CoordinatorShares)
+		for j := range fa {
+			if fa[j] != fb[j] {
+				t.Fatalf("q=%d: frequencies differ across runs", s.Field().Modulus())
+			}
 		}
 	}
 }
