@@ -261,7 +261,7 @@ func (g *Gateway) hedgeDelay() time.Duration {
 	if g.hedge > 0 || g.hedge == -1 {
 		return g.hedge
 	}
-	d := g.lat.percentile(hedgePercentile, 50*time.Millisecond)
+	d := g.lat.hedgeTrigger(50 * time.Millisecond)
 	if d < defaultHedgeFloor {
 		d = defaultHedgeFloor
 	}
@@ -416,13 +416,15 @@ func raceReplicas[T any](g *Gateway, ctx context.Context, candidates []*replica,
 	next := 1
 	hedged := false
 	var firstErr error
-	hedge := g.hedgeDelay()
-	var timer *time.Timer
 	var hedgeC <-chan time.Time
-	if hedge > 0 && next < len(candidates) {
-		timer = time.NewTimer(hedge)
-		hedgeC = timer.C
-		defer timer.Stop()
+	// Only a second candidate can take a hedge: a lone replica does not
+	// even read the trigger.
+	if next < len(candidates) {
+		if hedge := g.hedgeDelay(); hedge > 0 {
+			timer := time.NewTimer(hedge)
+			hedgeC = timer.C
+			defer timer.Stop()
+		}
 	}
 	for {
 		select {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -245,14 +244,10 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "owner not found: " + owner})
 		return
 	}
-	providers := res.providers
-	if providers == nil {
-		providers = []int{}
-	}
 	if g.sink != nil {
-		g.auditRecord(r, "query", owner, ownerShard, res.epoch, len(providers), http.StatusOK)
+		g.auditRecord(r, "query", owner, ownerShard, res.epoch, len(res.providers), http.StatusOK)
 	}
-	writeJSON(w, http.StatusOK, httpapi.QueryResponse{Owner: owner, Providers: providers})
+	httpapi.WriteQuery(w, owner, res.providers)
 }
 
 // handleBatch is the gateway's POST /v1/query/batch: the whole batch is
@@ -262,39 +257,17 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 // carries the gateway's fleet view after the batch (each row's authoritative
 // epoch is the snapshot of the sub-batch that answered it).
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, httpapi.MaxBatchBody)
-	var req httpapi.BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("batch body exceeds %d bytes", httpapi.MaxBatchBody)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad batch request body: " + err.Error()})
-		return
-	}
-	if len(req.Owners) > httpapi.MaxBatchOwners {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d owners exceeds the %d cap", len(req.Owners), httpapi.MaxBatchOwners)})
+	owners, status, err := httpapi.ReadBatchRequest(w, r)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	// A scanner batching its probes must trip the hot-owner tracker and
 	// leave an audit trail exactly like k single queries would.
-	for _, owner := range req.Owners {
+	for _, owner := range owners {
 		g.hot.Observe(owner)
 	}
-	answers := g.LookupBatch(r.Context(), req.Owners)
-	rows := make([]httpapi.BatchRow, len(answers))
-	for i, ans := range answers {
-		rows[i] = httpapi.BatchRow{Owner: ans.Owner, Found: ans.Found, Providers: ans.Providers}
-		if rows[i].Providers == nil {
-			rows[i].Providers = []int{}
-		}
-		if ans.Err != nil {
-			rows[i].Error = ans.Err.Error()
-		}
-	}
+	answers := g.LookupBatch(r.Context(), owners)
 	if g.sink != nil {
 		for _, ans := range answers {
 			ownerShard := shard.For(ans.Owner, len(g.shards))
@@ -309,7 +282,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	w.Header().Set(httpapi.EpochHeader, strconv.FormatUint(g.Epoch(), 10))
-	writeJSON(w, http.StatusOK, httpapi.BatchQueryResponse{Results: rows})
+	httpapi.WriteBatch(w, len(answers), func(i int) httpapi.BatchRow {
+		ans := &answers[i]
+		row := httpapi.BatchRow{Owner: ans.Owner, Found: ans.Found, Providers: ans.Providers}
+		if ans.Err != nil {
+			row.Error = ans.Err.Error()
+		}
+		return row
+	})
 }
 
 func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {

@@ -3,7 +3,7 @@ package gateway
 import (
 	"context"
 	"log/slog"
-	"sort"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -118,15 +118,30 @@ func (g *Gateway) probeOnce(ctx context.Context) {
 	wg.Wait()
 }
 
-// latencyWindow tracks recent upstream lookup latencies and serves a
-// percentile of them — the adaptive hedge trigger. A fixed-size ring
-// keeps it O(1) per sample; percentile queries copy and sort the window
-// (256 entries, off the hot path: once per lookup that actually waits).
+// Latency window geometry: percentiles need minWindowSamples samples to
+// be trusted, and observe refreshes the cached hedge trigger once every
+// windowRefresh samples.
+const (
+	minWindowSamples = 16
+	windowRefresh    = 16
+)
+
+// latencyWindow tracks recent upstream lookup latencies and serves their
+// hedgePercentile — the adaptive hedge trigger. A fixed-size ring keeps
+// observe O(1); every windowRefresh samples it re-sorts the window and
+// publishes the trigger atomically, so reading it (once per upstream
+// call with a second replica to hedge to) is one atomic load.
 type latencyWindow struct {
-	mu     sync.Mutex
-	ring   [256]time.Duration
-	filled int
-	next   int
+	mu      sync.Mutex
+	ring    [256]time.Duration
+	sorted  [256]time.Duration // percentile's scratch, guarded by mu
+	filled  int
+	next    int
+	pending int // samples since the last refresh
+
+	// trigger is the hedgePercentile of the window at the last refresh,
+	// 0 before the first.
+	trigger atomic.Int64
 }
 
 func (l *latencyWindow) observe(d time.Duration) {
@@ -136,26 +151,39 @@ func (l *latencyWindow) observe(d time.Duration) {
 	if l.filled < len(l.ring) {
 		l.filled++
 	}
+	l.pending++
+	refresh := l.pending >= windowRefresh && l.filled >= minWindowSamples
+	if refresh {
+		l.pending = 0
+	}
 	l.mu.Unlock()
+	if refresh {
+		l.trigger.Store(int64(l.percentile(hedgePercentile, 0)))
+	}
 }
 
-// percentile returns the p-quantile (0 < p < 1) of the window, or def
-// when too few samples have been seen to trust it.
+// hedgeTrigger returns the hedgePercentile as of the last refresh, or def
+// before the window has enough samples.
+func (l *latencyWindow) hedgeTrigger(def time.Duration) time.Duration {
+	if d := time.Duration(l.trigger.Load()); d > 0 {
+		return d
+	}
+	return def
+}
+
+// percentile returns the p-quantile (0 < p < 1) of the window now, or
+// def when too few samples have been seen to trust it. It sorts the
+// window into a scratch array, so it allocates nothing.
 func (l *latencyWindow) percentile(p float64, def time.Duration) time.Duration {
 	l.mu.Lock()
-	if l.filled < 16 {
-		l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.filled < minWindowSamples {
 		return def
 	}
-	buf := make([]time.Duration, l.filled)
+	buf := l.sorted[:l.filled]
 	copy(buf, l.ring[:l.filled])
-	l.mu.Unlock()
-	sort.Slice(buf, func(i, j int) bool { return buf[i] < buf[j] })
-	idx := int(p * float64(len(buf)))
-	if idx >= len(buf) {
-		idx = len(buf) - 1
-	}
-	return buf[idx]
+	slices.Sort(buf)
+	return buf[min(int(p*float64(len(buf))), len(buf)-1)]
 }
 
 // replicaLabel renders a replica index for metric labels.

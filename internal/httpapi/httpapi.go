@@ -437,10 +437,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if h.sink != nil {
 		h.auditRecord(r, srv, "query", owner, len(providers), http.StatusOK)
 	}
-	if providers == nil {
-		providers = []int{}
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{Owner: owner, Providers: providers})
+	WriteQuery(w, owner, providers)
 }
 
 // handleQueryBatch resolves a whole owner list against one snapshot.
@@ -452,35 +449,15 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	srv := h.srv()
 	setEpochHeader(w, srv)
-	r.Body = http.MaxBytesReader(w, r.Body, MaxBatchBody)
-	var req BatchQueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeJSON(w, http.StatusRequestEntityTooLarge,
-				errorResponse{Error: fmt.Sprintf("batch body exceeds %d bytes", MaxBatchBody)})
-			return
-		}
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad batch request body: " + err.Error()})
-		return
-	}
-	if len(req.Owners) > MaxBatchOwners {
-		writeJSON(w, http.StatusRequestEntityTooLarge,
-			errorResponse{Error: fmt.Sprintf("batch of %d owners exceeds the %d cap", len(req.Owners), MaxBatchOwners)})
+	owners, status, err := ReadBatchRequest(w, r)
+	if err != nil {
+		writeJSON(w, status, errorResponse{Error: err.Error()})
 		return
 	}
 	if h.batchSize != nil {
-		h.batchSize.Observe(float64(len(req.Owners)))
+		h.batchSize.Observe(float64(len(owners)))
 	}
-	items := srv.QueryBatch(r.Context(), req.Owners)
-	rows := make([]BatchRow, len(items))
-	for i, it := range items {
-		providers := it.Providers
-		if providers == nil {
-			providers = []int{}
-		}
-		rows[i] = BatchRow{Owner: it.Owner, Found: it.Found, Providers: providers}
-	}
+	items := srv.QueryBatch(r.Context(), owners)
 	if h.sink != nil {
 		// One audit entry per owner, exactly like k single queries would
 		// leave: a scanner must not shrink its trail by batching probes.
@@ -492,7 +469,9 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			h.auditRecord(r, srv, "batch", it.Owner, n, http.StatusOK)
 		}
 	}
-	writeJSON(w, http.StatusOK, BatchQueryResponse{Results: rows})
+	WriteBatch(w, len(items), func(i int) BatchRow {
+		return BatchRow{Owner: items[i].Owner, Found: items[i].Found, Providers: items[i].Providers}
+	})
 }
 
 func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -809,6 +788,18 @@ func epochOf(resp *http.Response) uint64 {
 	return n
 }
 
+// maxErrorBody bounds the error payload a client reads: it is one short
+// message.
+const maxErrorBody = 64 << 10
+
+// errorText returns the message of a failed call's uniform error payload
+// (empty when the body is not one).
+func errorText(resp *http.Response) string {
+	var e errorResponse
+	_ = json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&e)
+	return e.Error
+}
+
 // Query runs QueryPPI remotely. The context bounds the round-trip
 // (cancellation and deadline).
 func (c *Client) Query(ctx context.Context, owner string) ([]int, error) {
@@ -833,12 +824,10 @@ func (c *Client) QueryEpoch(ctx context.Context, owner string) ([]int, uint64, e
 	case http.StatusNotFound:
 		return nil, epoch, fmt.Errorf("%w: %q", ErrOwnerNotFound, owner)
 	default:
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, epoch, fmt.Errorf("httpapi: query status %d: %s", resp.StatusCode, e.Error)
+		return nil, epoch, fmt.Errorf("httpapi: query status %d: %s", resp.StatusCode, errorText(resp))
 	}
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
+	qr, err := readWire(resp.Body, parseQueryResponse)
+	if err != nil {
 		return nil, epoch, fmt.Errorf("httpapi: decode query response: %w", err)
 	}
 	return qr.Providers, epoch, nil
@@ -859,10 +848,9 @@ func (c *Client) QueryBatch(ctx context.Context, owners []string) ([]BatchRow, e
 // snapshot that answered. The server resolves the whole batch against one
 // snapshot, so the epoch applies to every row.
 func (c *Client) QueryBatchEpoch(ctx context.Context, owners []string) ([]BatchRow, uint64, error) {
-	body, err := json.Marshal(BatchQueryRequest{Owners: owners})
-	if err != nil {
-		return nil, 0, fmt.Errorf("httpapi: encode batch request: %w", err)
-	}
+	// The body is not pooled: the transport may still be reading it after
+	// the response arrives.
+	body := appendBatchRequest(nil, owners)
 	// The POST carries an owner list too long for a query string but
 	// reads published state exactly like GET /v1/query — it is safe to
 	// repeat, so the GET-only retry gate is explicitly opened for it.
@@ -873,15 +861,13 @@ func (c *Client) QueryBatchEpoch(ctx context.Context, owners []string) ([]BatchR
 	defer resp.Body.Close()
 	epoch := epochOf(resp)
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, epoch, fmt.Errorf("httpapi: query batch status %d: %s", resp.StatusCode, e.Error)
+		return nil, epoch, fmt.Errorf("httpapi: query batch status %d: %s", resp.StatusCode, errorText(resp))
 	}
-	var br BatchQueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
+	rows, err := readWire(resp.Body, parseBatchResponse)
+	if err != nil {
 		return nil, epoch, fmt.Errorf("httpapi: decode batch response: %w", err)
 	}
-	return br.Results, epoch, nil
+	return rows, epoch, nil
 }
 
 // Search runs a remote substring search over the owner labels. limit <= 0
@@ -906,9 +892,7 @@ func (c *Client) SearchEpoch(ctx context.Context, q string, limit int) ([]index.
 	defer resp.Body.Close()
 	epoch := epochOf(resp)
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, epoch, fmt.Errorf("httpapi: search status %d: %s", resp.StatusCode, e.Error)
+		return nil, epoch, fmt.Errorf("httpapi: search status %d: %s", resp.StatusCode, errorText(resp))
 	}
 	var sr SearchResponse
 	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
@@ -936,9 +920,7 @@ func (c *Client) Privacy(ctx context.Context) (*privacy.Report, error) {
 		return nil, ErrNoPrivacyReport
 	}
 	if resp.StatusCode != http.StatusOK {
-		var e errorResponse
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return nil, fmt.Errorf("httpapi: privacy status %d: %s", resp.StatusCode, e.Error)
+		return nil, fmt.Errorf("httpapi: privacy status %d: %s", resp.StatusCode, errorText(resp))
 	}
 	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
 	if err != nil {
