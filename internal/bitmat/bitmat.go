@@ -10,9 +10,9 @@
 // Two families of operations coexist on purpose. Get, ColOnes and
 // ColCount probe one column bit by bit: they are the reference the rest is
 // tested against and the right tool for looking at a single column.
-// Transposed, ColCounts, RowOnes, SelectRows and OrRow work a word or a
-// 64×64 tile (Transpose64) at a time and are what every whole-matrix or
-// hot path uses.
+// Transposed, SplitTransposed, ColCounts, RowOnes, SelectRows and OrRow
+// work a word or a 64×64 tile at a time and are what every whole-matrix
+// or hot path uses.
 //
 // The matrices are bitset-backed so that networks of 25,000 providers and
 // millions of identities stay addressable in memory during experiments.

@@ -1,6 +1,7 @@
 package bitmat
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -131,22 +132,64 @@ func benchMatrix(b *testing.B) *Matrix {
 // sink keeps benchmark results alive.
 var sink int
 
-func BenchmarkTransposed(b *testing.B) {
-	m := benchMatrix(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += m.Transposed().Rows()
+// kernelShapes are the two benchmark workloads' M′ geometries
+// (bench/workloads.go): trusted-cold and secure-hot.
+var kernelShapes = [][2]int{{4000, 14336}, {512, 32768}}
+
+// kernelDensities, in percent, span a published M′ (0.23 % on
+// trusted-cold, 1.9 % on secure-hot), a sparser one, and the dense
+// Zipf-head fills on the far side of the kernels' sparse/dense switches.
+var kernelDensities = []float64{0.03, 0.23, 2, 20, 50}
+
+// randomMatrix is a rows × cols matrix with about a density share of its
+// cells set, seeded so every run times the same bits. Sparse fills set
+// that many random cells; dense ones threshold a random byte per cell.
+func randomMatrix(rows, cols int, density float64, seed int64) *Matrix {
+	m := MustNew(rows, cols)
+	rng := rand.New(rand.NewSource(seed))
+	if density < 1.0/16 {
+		for i := 0; i < int(density*float64(rows)*float64(cols)); i++ {
+			m.Set(rng.Intn(rows), rng.Intn(cols), true)
+		}
+		return m
+	}
+	limit := uint64(density * 256)
+	for r := 0; r < rows; r++ {
+		row := m.data[r*m.words : (r+1)*m.words]
+		for c := 0; c < cols; c += 8 {
+			u := rng.Uint64()
+			for b := 0; b < 8 && c+b < cols; b++ {
+				if u>>(8*b)&0xff < limit {
+					row[(c+b)/64] |= 1 << uint((c+b)%64)
+				}
+			}
+		}
+	}
+	return m
+}
+
+// benchKernel runs one sub-benchmark per kernel shape and density.
+func benchKernel(b *testing.B, op func(*Matrix) int) {
+	for _, shape := range kernelShapes {
+		for _, d := range kernelDensities {
+			b.Run(fmt.Sprintf("%dx%d/%g%%", shape[0], shape[1], d), func(b *testing.B) {
+				m := randomMatrix(shape[0], shape[1], d/100, 5)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sink += op(m)
+				}
+			})
+		}
 	}
 }
 
+func BenchmarkTransposed(b *testing.B) {
+	benchKernel(b, func(m *Matrix) int { return m.Transposed().Rows() })
+}
+
 func BenchmarkColCounts(b *testing.B) {
-	m := benchMatrix(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sink += len(m.ColCounts())
-	}
+	benchKernel(b, func(m *Matrix) int { return len(m.ColCounts()) })
 }
 
 // BenchmarkRowOnes is one QueryPPI read off the owner-major layout;

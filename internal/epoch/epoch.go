@@ -15,14 +15,15 @@
 //	    000002/
 //	    000003/
 //
-// A Publisher writes each new shard set into a hidden temp directory,
-// renames it to epochs/<n>/ (so a half-written set is never visible under
-// its final name), then flips CURRENT via write-temp + fsync + rename —
-// the POSIX-atomic pointer swap. Readers (Watcher, Load) go the other
-// way: read CURRENT, verify the manifest and every member checksum, and
-// reject anything inconsistent — a corrupted pointer or a torn epoch
-// directory leaves the node serving its current epoch, never a broken
-// one.
+// A Publisher writes each new shard set, with its privacy report and
+// detail, into a hidden temp directory, fsyncs every file and the
+// directory, renames it to epochs/<n>/ (so a half-written set is never
+// visible under its final name) and fsyncs epochs/, then flips CURRENT
+// via write-temp + fsync + rename — the POSIX-atomic pointer swap.
+// Readers (Watcher, Load) go the other way: read CURRENT, verify the
+// manifest and every member checksum, and reject anything inconsistent —
+// a corrupted pointer or a torn epoch directory leaves the node serving
+// its current epoch, never a broken one.
 package epoch
 
 import (
@@ -278,18 +279,29 @@ func (p *Publisher) PublishWithReport(published *bitmat.Matrix, names []string, 
 	if err := os.RemoveAll(tmp); err != nil {
 		return 0, fmt.Errorf("epoch: %w", err)
 	}
-	if _, err := shard.WriteSetAt(tmp, published, names, shards, next); err != nil {
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
+		return 0, fmt.Errorf("epoch: %w", err)
+	}
+	// The audit files are sealed and written while the shard set is.
+	setDone := make(chan error, 1)
+	go func() {
+		_, err := shard.WriteSetAt(tmp, published, names, shards, next)
+		setDone <- err
+	}()
+	var auditErr error
+	if rep != nil {
+		auditErr = privacy.WriteFile(tmp, rep, next)
+	}
+	if det != nil && auditErr == nil {
+		auditErr = privacy.WriteDetailFile(tmp, det, next)
+	}
+	if err := errors.Join(<-setDone, auditErr); err != nil {
 		return 0, err
 	}
-	if rep != nil {
-		if err := privacy.WriteFile(tmp, rep, next); err != nil {
-			return 0, err
-		}
-	}
-	if det != nil {
-		if err := privacy.WriteDetailFile(tmp, det, next); err != nil {
-			return 0, err
-		}
+	// Every member reaches stable storage before the set becomes visible,
+	// so CURRENT can never name an epoch whose files a power loss tore.
+	if err := syncTree(tmp); err != nil {
+		return 0, err
 	}
 	final := Dir(p.Root, next)
 	// A leftover from a publish that crashed after the rename but before
@@ -300,6 +312,7 @@ func (p *Publisher) PublishWithReport(published *bitmat.Matrix, names []string, 
 	if err := os.Rename(tmp, final); err != nil {
 		return 0, fmt.Errorf("epoch: %w", err)
 	}
+	syncDir(filepath.Join(p.Root, EpochsDir))
 	if err := writeCurrent(p.Root, next); err != nil {
 		return 0, err
 	}
@@ -310,6 +323,45 @@ func (p *Publisher) PublishWithReport(published *bitmat.Matrix, names []string, 
 		return next, fmt.Errorf("epoch %d published, retention failed: %w", next, err)
 	}
 	return next, nil
+}
+
+// fsync flushes the file or directory at path to stable storage. It is
+// the publisher's one durability seam: tests replace it to record what is
+// synced, and when.
+var fsync = func(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// syncTree fsyncs every file of the assembly directory dir, then dir
+// itself, so the files and their names are durable before the rename
+// publishes them.
+func syncTree(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("epoch: %w", err)
+	}
+	for _, e := range entries {
+		if err := fsync(filepath.Join(dir, e.Name())); err != nil {
+			return fmt.Errorf("epoch: %w", err)
+		}
+	}
+	syncDir(dir)
+	return nil
+}
+
+// syncDir fsyncs a directory, persisting the names created or renamed in
+// it. Some filesystems reject fsync on a directory handle; the renames
+// are still atomic, so that is advisory.
+func syncDir(dir string) {
+	_ = fsync(dir)
 }
 
 // writeCurrent flips the CURRENT pointer: write a temp file, fsync it,
@@ -335,11 +387,7 @@ func writeCurrent(root string, n uint64) error {
 	if err := os.Rename(tmp, filepath.Join(root, CurrentName)); err != nil {
 		return fmt.Errorf("epoch: %w", err)
 	}
-	// Persist the rename itself. Some filesystems reject fsync on a
-	// directory handle; the rename is still atomic, so that is advisory.
-	if d, err := os.Open(root); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
+	// Persist the rename itself.
+	syncDir(root)
 	return nil
 }

@@ -96,13 +96,15 @@ func NewServer(published *bitmat.Matrix, names []string) (*Server, error) {
 	}
 	// Defensive copy: the server must not observe later caller mutations.
 	// The transpose is that copy.
-	return adopt(published.Transposed(), append([]string(nil), names...))
+	return Adopt(published.Transposed(), append([]string(nil), names...))
 }
 
-// adopt builds a server around an owner-major matrix and its row labels,
+// Adopt builds a server around an owner-major matrix (owners ×
+// providers: row j is the provider set of names[j]) and its row labels,
 // taking ownership of both (no copy): the caller must hold no other
-// reference. Snapshot loading and Select feed it matrices they just built.
-func adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
+// reference. Snapshot loading, Select and the shard partitioner feed it
+// matrices they just built. Duplicate names are rejected.
+func Adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
 	if len(names) != owners.Rows() {
 		return nil, fmt.Errorf("index: %d names for %d owner rows", len(names), owners.Rows())
 	}
@@ -125,7 +127,7 @@ func (s *Server) Select(owners []int) (*Server, error) {
 	for k, j := range owners {
 		names[k] = s.names[j]
 	}
-	return adopt(s.owners.SelectRows(owners), names)
+	return Adopt(s.owners.SelectRows(owners), names)
 }
 
 // SetShard marks the server as column shard id of a set of `of` shards.

@@ -89,14 +89,20 @@ const frameHeaderLen = 4 + 2 + 1 + 8 + 4
 // allocates by the bytes present, not by the declared length.
 const maxFramePayload = 1 << 34
 
-// WriteFrame writes one framed payload and returns the bytes written.
-func WriteFrame(w io.Writer, kind FrameKind, payload []byte) (int64, error) {
-	var hdr [frameHeaderLen]byte
+// putFrameHeader fills hdr, frameHeaderLen bytes, with the header of a
+// frame of the given kind around payload.
+func putFrameHeader(hdr []byte, kind FrameKind, payload []byte) {
 	copy(hdr[0:4], frameMagic[:])
 	binary.BigEndian.PutUint16(hdr[4:6], FrameVersion)
 	hdr[6] = byte(kind)
 	binary.BigEndian.PutUint64(hdr[7:15], uint64(len(payload)))
 	binary.BigEndian.PutUint32(hdr[15:19], crc32.ChecksumIEEE(payload))
+}
+
+// WriteFrame writes one framed payload and returns the bytes written.
+func WriteFrame(w io.Writer, kind FrameKind, payload []byte) (int64, error) {
+	var hdr [frameHeaderLen]byte
+	putFrameHeader(hdr[:], kind, payload)
 	n, err := w.Write(hdr[:])
 	if err != nil {
 		return int64(n), err
@@ -199,18 +205,39 @@ type Snapshot struct {
 }
 
 // WriteTo serializes the server state: a checksummed, versioned frame
-// around the gob-encoded Snapshot.
+// around the gob-encoded Snapshot, handed to w in one Write (see Frame).
 func (s *Server) WriteTo(w io.Writer) (int64, error) {
+	frame, err := s.Frame()
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(frame)
+	return int64(n), err
+}
+
+// Frame returns the bytes WriteTo writes: the snapshot frame, assembled
+// in one buffer sized up front for the whole frame, so it is allocated
+// once and never regrown. The header is reserved at the front and filled
+// in place when the gob payload behind it is known.
+func (s *Server) Frame() ([]byte, error) {
 	raw, err := s.owners.MarshalBinary()
 	if err != nil {
-		return 0, fmt.Errorf("index: encode matrix: %w", err)
+		return nil, fmt.Errorf("index: encode matrix: %w", err)
 	}
-	var buf bytes.Buffer
+	// gob spends at most 9 bytes on a length or an int, and a few hundred
+	// on the type descriptors that open the stream.
+	size := frameHeaderLen + 512 + 9 + len(raw)
+	for _, name := range s.names {
+		size += 9 + len(name)
+	}
+	buf := bytes.NewBuffer(make([]byte, frameHeaderLen, size))
 	snap := Snapshot{Matrix: raw, Names: s.names, Shard: s.shard, Shards: s.shards, Epoch: s.epoch}
-	if err := gob.NewEncoder(&buf).Encode(snap); err != nil {
-		return 0, fmt.Errorf("index: encode snapshot: %w", err)
+	if err := gob.NewEncoder(buf).Encode(snap); err != nil {
+		return nil, fmt.Errorf("index: encode snapshot: %w", err)
 	}
-	return WriteFrame(w, FrameSnapshot, buf.Bytes())
+	frame := buf.Bytes()
+	putFrameHeader(frame[:frameHeaderLen], FrameSnapshot, frame[frameHeaderLen:])
+	return frame, nil
 }
 
 // Read deserializes a server previously written with WriteTo, verifying
@@ -231,7 +258,7 @@ func Read(r io.Reader) (*Server, error) {
 	// The decoded matrix and names are referenced by nothing else: adopt
 	// them as they are (still checking names against rows and for
 	// duplicates) instead of paying NewServer's defensive copies.
-	srv, err := adopt(&mat, snap.Names)
+	srv, err := Adopt(&mat, snap.Names)
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,15 @@
 package privacy
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 )
 
 // FileName is the report's name inside an epoch directory.
@@ -57,9 +60,24 @@ func seal(v any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("privacy: %w", err)
 	}
+	return sealBody(body), nil
+}
+
+// The closing field sealBody puts in place of a body's final "\n}":
+// checksumOpen, eight hex digits, checksumClose.
+const (
+	checksumOpen  = ",\n  \"checksum\": \""
+	checksumClose = "\"\n}\n"
+	sealTailLen   = len(checksumOpen) + 8 + len(checksumClose)
+)
+
+// sealBody splices the CRC32 of body, an indented document with Checksum
+// blank, into it as the closing "checksum" field, in place when body has
+// the capacity.
+func sealBody(body []byte) []byte {
+	sum := crc32.ChecksumIEEE(body)
 	// Version is never omitted, so the object ends "\n}".
-	end := len(body) - len("\n}")
-	return fmt.Appendf(body[:end:end], ",\n  \"checksum\": \"%08x\"\n}\n", crc32.ChecksumIEEE(body)), nil
+	return fmt.Appendf(body[:len(body)-len("\n}")], checksumOpen+"%08x"+checksumClose, sum)
 }
 
 // Sealed returns a copy of r stamped with epoch and its self-checksum
@@ -139,31 +157,12 @@ func ReadFile(dir string) (*Report, error) {
 	return Decode(raw)
 }
 
-// encodeDetail and detailChecksum mirror encode/checksum for the
-// operator detail document: same canonical indented JSON, same
-// checksum-blank CRC.
-func encodeDetail(d *Detail) ([]byte, error) {
-	return json.MarshalIndent(d, "", "  ")
-}
-
-func detailChecksum(d *Detail) (string, error) {
-	cp := *d
-	cp.Checksum = ""
-	body, err := encodeDetail(&cp)
-	if err != nil {
-		return "", fmt.Errorf("privacy: %w", err)
-	}
-	return fmt.Sprintf("%08x", crc32.ChecksumIEEE(body)), nil
-}
-
 // WriteDetailFile seals the detail for epoch and writes it as
 // privacy_detail.json into dir via write-temp + rename. The file is
 // created 0600: it is an operator artifact, readable only by the store
 // owner, and serving paths must never pick it up.
 func WriteDetailFile(dir string, d *Detail, epoch uint64) error {
-	cp := *d
-	cp.Epoch, cp.Checksum = epoch, ""
-	raw, err := seal(&cp)
+	raw, err := sealDetail(d, epoch)
 	if err != nil {
 		return err
 	}
@@ -177,8 +176,79 @@ func WriteDetailFile(dir string, d *Detail, epoch uint64) error {
 	return nil
 }
 
+// bucketsField is identity_buckets as MarshalIndent writes it for a nil
+// map: the slot sealDetail fills.
+const bucketsField = "\n  \"identity_buckets\": null"
+
+// sealDetail returns the bytes seal would for d stamped with epoch,
+// without encoding/json's reflection over the n-entry identity map. The
+// fixed fields go through MarshalIndent with the map left nil, and the
+// map is written into its slot by hand: keys sorted once with
+// slices.Sort (the byte order encoding/json sorts map keys in), and each
+// key either written as is — plain printable ASCII that needs no escape
+// — or escaped by json.Marshal.
+func sealDetail(d *Detail, epoch uint64) ([]byte, error) {
+	cp := *d
+	cp.Epoch, cp.Checksum, cp.IdentityBuckets = epoch, "", nil
+	head, err := json.MarshalIndent(&cp, "", "  ")
+	if err != nil {
+		return nil, fmt.Errorf("privacy: %w", err)
+	}
+	if d.IdentityBuckets == nil {
+		return sealBody(head), nil
+	}
+	// Identity buckets precede violations, and no string can hold a raw
+	// newline, so the first match is the field.
+	at := bytes.Index(head, []byte(bucketsField)) + len(bucketsField) - len("null")
+	keys := make([]string, 0, len(d.IdentityBuckets))
+	size := len(head) + sealTailLen
+	for k := range d.IdentityBuckets {
+		keys = append(keys, k)
+		size += len(k) + len(",\n    \"\": 9")
+	}
+	slices.Sort(keys)
+	body := make([]byte, 0, size)
+	body = append(body, head[:at]...)
+	if len(keys) == 0 {
+		body = append(body, "{}"...)
+	} else {
+		for i, k := range keys {
+			if i == 0 {
+				body = append(body, "{\n    "...)
+			} else {
+				body = append(body, ",\n    "...)
+			}
+			body = appendKey(body, k)
+			body = append(body, ": "...)
+			body = strconv.AppendUint(body, uint64(d.IdentityBuckets[k]), 10)
+		}
+		body = append(body, "\n  }"...)
+	}
+	body = append(body, head[at+len("null"):]...)
+	return sealBody(body), nil
+}
+
+// appendKey appends k as a JSON string exactly as encoding/json writes a
+// map key: directly when every byte is printable ASCII other than the
+// quote, the backslash and the HTML-escaped <, > and &; through
+// json.Marshal otherwise.
+func appendKey(dst []byte, k string) []byte {
+	for i := 0; i < len(k); i++ {
+		if c := k[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(k) // a string always encodes
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, k...)
+	return append(dst, '"')
+}
+
 // DecodeDetail parses a sealed detail document and verifies its
-// self-checksum, exactly like Decode does for reports.
+// self-checksum. Unlike Decode it checks the CRC over the bytes as
+// written rather than over a re-encoding, so every document the writer
+// seals reads back — also one whose keys encoding/json cannot round-trip
+// (invalid UTF-8 decodes to U+FFFD) — and any edit still breaks it.
 func DecodeDetail(raw []byte) (*Detail, error) {
 	var d Detail
 	if err := json.Unmarshal(raw, &d); err != nil {
@@ -190,11 +260,14 @@ func DecodeDetail(raw []byte) (*Detail, error) {
 	if d.Checksum == "" {
 		return nil, ErrNoChecksum
 	}
-	want, err := detailChecksum(&d)
-	if err != nil {
-		return nil, err
+	// The seal covers the bytes as written: the document with its closing
+	// checksum field taken out again.
+	cut := len(raw) - sealTailLen
+	if cut < 0 || !bytes.HasPrefix(raw[cut:], []byte(checksumOpen)) || !bytes.HasSuffix(raw, []byte(checksumClose)) {
+		return nil, fmt.Errorf("%w: checksum is not the closing field", ErrChecksum)
 	}
-	if want != d.Checksum {
+	sum := crc32.Update(crc32.ChecksumIEEE(raw[:cut]), crc32.IEEETable, []byte("\n}"))
+	if want := fmt.Sprintf("%08x", sum); want != d.Checksum {
 		return nil, fmt.Errorf("%w: have %s, computed %s", ErrChecksum, d.Checksum, want)
 	}
 	return &d, nil

@@ -5,11 +5,13 @@ import (
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bitmat"
 	"repro/internal/index"
+	"repro/internal/parallel"
 )
 
 // ManifestName is the manifest's file name inside a shard-set directory.
@@ -60,7 +62,9 @@ func WriteSet(dir string, published *bitmat.Matrix, names []string, of int) (*Ma
 
 // WriteSetAt is WriteSet with an explicit publication epoch: every member
 // snapshot and the manifest are stamped with it, so a serving node (and
-// the gateway behind it) can tell which index version the set is.
+// the gateway behind it) can tell which index version the set is. The
+// shards are encoded and written concurrently, each as one sized frame
+// written once and checksummed once; the manifest follows them.
 func WriteSetAt(dir string, published *bitmat.Matrix, names []string, of int, epoch uint64) (*Manifest, error) {
 	shards, err := Partition(published, names, of)
 	if err != nil {
@@ -76,22 +80,27 @@ func WriteSetAt(dir string, published *bitmat.Matrix, names []string, of int, ep
 		Epoch:     epoch,
 		Files:     make([]ShardFile, of),
 	}
-	for k, srv := range shards {
+	err = parallel.For(of, of, func(k int) error {
+		srv := shards[k]
 		srv.SetEpoch(epoch)
-		var buf bytes.Buffer
-		if _, err := srv.WriteTo(&buf); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
+		frame, err := srv.Frame()
+		if err != nil {
+			return fmt.Errorf("shard %d: %w", k, err)
 		}
 		name := FileName(k)
-		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
+		if err := os.WriteFile(filepath.Join(dir, name), frame, 0o644); err != nil {
+			return fmt.Errorf("shard %d: %w", k, err)
 		}
 		man.Files[k] = ShardFile{
 			Name:   name,
 			Owners: srv.Owners(),
-			CRC32:  crc32.ChecksumIEEE(buf.Bytes()),
-			Size:   int64(buf.Len()),
+			CRC32:  crc32.ChecksumIEEE(frame),
+			Size:   int64(len(frame)),
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return man, man.write(dir)
 }
@@ -134,24 +143,53 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
+// verifyBufSize is the read buffer Verify streams every member through.
+const verifyBufSize = 256 << 10
+
 // Verify checks every member file of the set against the manifest:
-// presence, size and CRC-32. It reports the first mismatch.
+// presence, size and CRC-32. It reports the first mismatch. The members
+// are streamed through one fixed buffer, so verifying a set costs a
+// buffer, not the set's size in memory.
 func (m *Manifest) Verify(dir string) error {
+	buf := make([]byte, verifyBufSize)
 	for k, sf := range m.Files {
-		raw, err := os.ReadFile(filepath.Join(dir, sf.Name))
+		size, sum, err := checksumFile(filepath.Join(dir, sf.Name), buf)
 		if err != nil {
 			return fmt.Errorf("shard %d: %w", k, err)
 		}
-		if int64(len(raw)) != sf.Size {
+		if size != sf.Size {
 			return fmt.Errorf("shard %d (%s): %d bytes, manifest says %d: %w",
-				k, sf.Name, len(raw), sf.Size, index.ErrTruncated)
+				k, sf.Name, size, sf.Size, index.ErrTruncated)
 		}
-		if got := crc32.ChecksumIEEE(raw); got != sf.CRC32 {
+		if sum != sf.CRC32 {
 			return fmt.Errorf("shard %d (%s): crc32 %08x, manifest says %08x: %w",
-				k, sf.Name, got, sf.CRC32, index.ErrChecksum)
+				k, sf.Name, sum, sf.CRC32, index.ErrChecksum)
 		}
 	}
 	return nil
+}
+
+// checksumFile streams the file at path through buf and returns its
+// length and IEEE CRC-32.
+func checksumFile(path string, buf []byte) (int64, uint32, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return 0, 0, err
+	}
+	defer f.Close()
+	var size int64
+	var sum uint32
+	for {
+		n, err := f.Read(buf)
+		size += int64(n)
+		sum = crc32.Update(sum, crc32.IEEETable, buf[:n])
+		if err == io.EOF {
+			return size, sum, nil
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
 }
 
 // LoadShard opens, verifies and loads member k of the set in dir,

@@ -66,23 +66,47 @@ func Group(owners []string, of int) [][]string {
 // Shards with no identities are valid (small n, unlucky hash) — they
 // serve an empty index that still reports all m providers.
 //
-// The index is owner-major (one row per identity), so the split costs one
-// tiled transpose of M' and one contiguous row copy per identity — no
-// per-bit column walk.
+// The split is one tiled transpose of M' straight into the shards'
+// owner-major matrices (bitmat.SplitTransposed): no full index, name map
+// or row copy is built on the way. Duplicate names are still refused —
+// equal names hash to the same shard, whose server rejects them.
 func Partition(published *bitmat.Matrix, names []string, of int) ([]*index.Server, error) {
 	if of < 1 { // before paying for the transpose
 		return nil, fmt.Errorf("shard: bad shard count %d", of)
 	}
-	full, err := index.NewServer(published, names)
-	if err != nil {
-		return nil, fmt.Errorf("shard: %w", err)
+	if published == nil {
+		return nil, errors.New("shard: nil matrix")
 	}
-	return PartitionServer(full, of)
+	if len(names) != published.Cols() {
+		return nil, fmt.Errorf("shard: %d names for %d identity columns", len(names), published.Cols())
+	}
+	to := make([]int, len(names))
+	shardNames := make([][]string, of)
+	for j, name := range names {
+		k := For(name, of)
+		to[j] = k
+		shardNames[k] = append(shardNames[k], name)
+	}
+	parts := published.SplitTransposed(to, of)
+	out := make([]*index.Server, of)
+	for k := range out {
+		srv, err := index.Adopt(parts[k], shardNames[k])
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", k, err)
+		}
+		if err := srv.SetShard(k, of); err != nil {
+			return nil, err
+		}
+		out[k] = srv
+	}
+	return out, nil
 }
 
 // PartitionServer is Partition over an existing full server (e.g. one
 // loaded from an unsharded snapshot file): its owner rows are split as
-// they are stored, and every shard inherits its epoch.
+// they are stored (Server.Select), and every shard inherits its epoch.
+// It shares no kernel with Partition beyond the hash, which makes each
+// the other's reference in the tests.
 func PartitionServer(full *index.Server, of int) ([]*index.Server, error) {
 	if full == nil {
 		return nil, errors.New("shard: nil server")
