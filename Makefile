@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzGMWWideEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
 	$(GO) test -fuzz=FuzzWideWordsEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
 	$(GO) test -fuzz=FuzzPublishKernel -fuzztime=10s -run '^$$' ./internal/core/
+	$(GO) test -fuzz=FuzzThresholds -fuzztime=10s -run '^$$' ./internal/core/
 	$(GO) test -fuzz=FuzzSuperShareDecode -fuzztime=10s -run '^$$' ./internal/secsum/
 	$(GO) test -fuzz=FuzzSuperShareKernel -fuzztime=10s -run '^$$' ./internal/secsum/
 

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"time"
@@ -177,6 +178,14 @@ func (c Config) validate() error {
 	if !c.Policy.Valid() {
 		return fmt.Errorf("%w: policy %v", ErrBadConfig, c.Policy)
 	}
+	// The threshold table skips mathx.Beta's per-call checks, so the policy
+	// parameters are checked here, before any stage runs.
+	if c.Policy == mathx.PolicyIncremented && (c.Delta < 0 || math.IsNaN(c.Delta)) {
+		return fmt.Errorf("%w: Δ=%v, want >= 0", ErrBadConfig, c.Delta)
+	}
+	if c.Policy == mathx.PolicyChernoff && !(c.Gamma > 0.5 && c.Gamma < 1) {
+		return fmt.Errorf("%w: γ=%v, want in (0.5, 1)", ErrBadConfig, c.Gamma)
+	}
 	switch c.Mode {
 	case ModeTrusted:
 	case ModeSecure:
@@ -248,34 +257,82 @@ type Result struct {
 	Secure *SecureStats
 }
 
-// rawBeta evaluates the configured policy without clamping.
-func (c Config) rawBeta(sigma, epsilon float64, m int) float64 {
-	switch c.Policy {
-	case mathx.PolicyBasic:
-		return mathx.BetaBasic(sigma, epsilon)
-	case mathx.PolicyIncremented:
-		return mathx.BetaIncremented(sigma, epsilon, c.Delta)
-	default:
-		return mathx.BetaChernoff(sigma, epsilon, m, c.Gamma)
-	}
-}
-
 // Threshold returns t_j: the smallest frequency count (1..m) at which the
 // configured policy reaches β* >= 1 for privacy degree epsilon, or m+1 if
 // the identity can never be common. The policies are monotone in σ, so a
 // binary search suffices; the result is public (it depends only on public
 // parameters), matching Algorithm 1's σ' computation.
 func (c Config) Threshold(epsilon float64, m int) uint64 {
+	return c.thresholdSearch(m, false).threshold(epsilon)
+}
+
+// thresholdSearch finds t_j for one configuration and provider count m. A
+// construction fills table, the σ side of the policy at every count k, once
+// and then runs one combine step per probe; Config.Threshold leaves it nil
+// and computes each probe's σ side as it goes. Both paths run the same
+// search and the same mathx expressions, so their t_j are identical.
+type thresholdSearch struct {
+	cfg     Config
+	m       int
+	lnGamma float64
+	// table[k] is the σ side at σ = k/m, k ∈ [1, m] (nil: compute per probe).
+	table []mathx.SigmaSide
+}
+
+func (c Config) thresholdSearch(m int, table bool) *thresholdSearch {
+	ts := &thresholdSearch{cfg: c, m: m}
+	if c.Policy == mathx.PolicyChernoff {
+		ts.lnGamma = mathx.ChernoffLog(c.Gamma)
+	}
+	if table && m > 0 {
+		sides := make([]mathx.SigmaSide, m+1)
+		for k := 1; k <= m; k++ {
+			sides[k] = ts.sigma(k)
+		}
+		ts.table = sides
+	}
+	return ts
+}
+
+// sigma is the σ side of the configured policy at σ = k/m.
+func (ts *thresholdSearch) sigma(k int) mathx.SigmaSide {
+	if ts.table != nil {
+		return ts.table[k]
+	}
+	sigma := float64(k) / float64(ts.m)
+	if ts.cfg.Policy == mathx.PolicyChernoff {
+		return mathx.ChernoffSigma(sigma, ts.m, ts.lnGamma)
+	}
+	return mathx.BasicSigma(sigma)
+}
+
+// common reports whether the policy marks an identity with ε side e common
+// at frequency count k.
+func (ts *thresholdSearch) common(k int, e mathx.EpsSide) bool {
+	s := ts.sigma(k)
+	switch ts.cfg.Policy {
+	case mathx.PolicyBasic:
+		return mathx.IsCommon(mathx.CombineBasic(s, e))
+	case mathx.PolicyIncremented:
+		return mathx.IsCommon(mathx.CombineIncremented(s, e, ts.cfg.Delta))
+	default:
+		return mathx.IsCommon(mathx.CombineChernoff(s, e))
+	}
+}
+
+func (ts *thresholdSearch) threshold(epsilon float64) uint64 {
+	m := ts.m
 	if m <= 0 {
 		return 1
 	}
-	if !mathx.IsCommon(c.rawBeta(1, epsilon, m)) {
+	e := mathx.Eps(epsilon)
+	if !ts.common(m, e) {
 		return uint64(m + 1)
 	}
 	lo, hi := 1, m // invariant: answer in [lo, hi]
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if mathx.IsCommon(c.rawBeta(float64(mid)/float64(m), epsilon, m)) {
+		if ts.common(mid, e) {
 			hi = mid
 		} else {
 			lo = mid + 1
@@ -306,7 +363,7 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 		return nil, fmt.Errorf("%w: %d ε values for %d owners", ErrShape, len(eps), n)
 	}
 	for j, e := range eps {
-		if e < 0 || e > 1 {
+		if e < 0 || e > 1 || math.IsNaN(e) {
 			return nil, fmt.Errorf("%w: ε[%d]=%v out of [0,1]", ErrShape, j, e)
 		}
 	}
@@ -333,12 +390,13 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 	// (Algorithm 1's σ' computation), sharded across the worker pool.
 	betaCtx, betaSpan := trace.StartChild(ctx, "core.beta_thresholds")
 	thresholds := make([]uint64, n)
+	search := cfg.thresholdSearch(m, true)
 	perr := parallel.Blocks(workers, n, colShard, func(_, lo, hi int) error {
 		_, sp := trace.StartChild(betaCtx, "core.beta_thresholds.shard",
 			trace.Int("lo", lo), trace.Int("hi", hi))
 		defer sp.End()
 		for j := lo; j < hi; j++ {
-			thresholds[j] = cfg.Threshold(eps[j], m)
+			thresholds[j] = search.threshold(eps[j])
 		}
 		return nil
 	})

@@ -21,6 +21,19 @@ func randomMatrix(rng *rand.Rand, m, n int, density float64) *bitmat.Matrix {
 	return mat
 }
 
+// rawBeta evaluates the configured policy without clamping, through the
+// one-call mathx formulas: the oracle the threshold tests hold the search to.
+func (c Config) rawBeta(sigma, epsilon float64, m int) float64 {
+	switch c.Policy {
+	case mathx.PolicyBasic:
+		return mathx.BetaBasic(sigma, epsilon)
+	case mathx.PolicyIncremented:
+		return mathx.BetaIncremented(sigma, epsilon, c.Delta)
+	default:
+		return mathx.BetaChernoff(sigma, epsilon, m, c.Gamma)
+	}
+}
+
 // matrixWithFreqs builds an m×n matrix where column j has exactly freqs[j]
 // ones (in the first freqs[j] rows).
 func matrixWithFreqs(m int, freqs []int) *bitmat.Matrix {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/aes"
 	"crypto/cipher"
@@ -44,6 +45,26 @@ const (
 	seedStreamWideReveal
 )
 
+// listedMax is K, the most columns with a non-zero first threshold byte a
+// word may hold and still have them compared one byte at a time from a
+// list; a word with more keeps the eight-lane SWAR compare. A listed column
+// costs a load and a compare per row, a SWAR word eight lessBytes calls
+// whatever it holds. Measured on a 2-core x86-64 (AES-NI), one worker,
+// 512 × 32 768 with L such columns in every word (1 ≤ t8 ≤ 31, the rest
+// β = 0), list and SWAR cross between L = 16 and L = 24. At the two
+// benchmark shapes (BenchmarkPublish): the trusted 4000 × 14 336 profile
+// has ≤ 8 such columns in all but 4 of its 224 words and times 24–31 ms at
+// every K ∈ {4, 8, 16, 32, 64}; the secure 512 × 32 768 profile has 64 in
+// every word, 18 ms on SWAR and 34 ms if listed (K = 64).
+const listedMax = 16
+
+// listedCol is one column on the byte-at-a-time list.
+type listedCol struct {
+	j    int
+	t8   byte
+	tail uint64
+}
+
 // publishSharded applies the randomized publication rule of Equation 2:
 // true bits copy unchanged, and provider i flips its zero cell (i, j) to 1
 // iff its coin u(i, j) < β_j.
@@ -59,8 +80,16 @@ const (
 // stays published at every β′ ≥ β (DESIGN.md §7, "Publication coin").
 //
 // Work is sharded by rows (publication is provider-local). Per row the
-// keystream is expanded once into a reused buffer and each 64-column word
-// of noise is eight 8-byte compares, ORed onto the cloned truth row.
+// keystream is expanded once into a reused buffer, and each live column
+// (0 < β < 1) is compared by the cheapest of three routes, fixed per
+// construction by its first threshold byte t8 = T_j >> 56:
+//
+//   - t8 = 0 (tie-only): no byte is below 0, so the cell can publish only
+//     where its keystream byte is 0. One bytes.IndexByte walk over the row's
+//     keystream finds those bytes; hits in other columns are skipped.
+//   - t8 ≥ 1 in a word holding at most listedMax such columns: compared one
+//     byte at a time from a list.
+//   - t8 ≥ 1 in a fuller word: eight 8-byte SWAR compares for the word.
 func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, seed int64, workers int) *bitmat.Matrix {
 	published := truth.Clone()
 	m, n := truth.Rows(), truth.Cols()
@@ -69,12 +98,15 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 	defer pubSpan.End()
 
 	// Per-column tables: T_j split into its first byte and 56-bit tail, and
-	// per-word masks of the columns that need a coin (0 < β < 1) or are
-	// published outright (β ≥ 1). β ≤ 0 and padding columns are in neither.
+	// per-word masks of the columns published outright (β ≥ 1), of the
+	// tie-only columns and of the rest of the live ones. β ≤ 0 and padding
+	// columns are in none.
 	t8 := make([]byte, words*64)
 	tail := make([]uint64, n)
-	live := make([]uint64, words)
 	ones := make([]uint64, words)
+	tieOnly := make([]uint64, words)
+	above := make([]uint64, words) // live columns with t8 ≥ 1
+	tieOnlyCols := 0
 	for j, beta := range betas[:n] {
 		switch {
 		case beta >= 1:
@@ -84,9 +116,29 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 			// keeps the product below 2⁶⁴.
 			t := uint64(math.Ldexp(beta, 64))
 			t8[j], tail[j] = byte(t>>56), t&(1<<56-1)
-			live[j/64] |= 1 << (j % 64)
+			if t8[j] == 0 {
+				tieOnly[j/64] |= 1 << (j % 64)
+				tieOnlyCols++
+			} else {
+				above[j/64] |= 1 << (j % 64)
+			}
 		}
 	}
+	var listed []listedCol
+	var swar []int
+	for w, a := range above {
+		if bits.OnesCount64(a) > listedMax {
+			swar = append(swar, w)
+			continue
+		}
+		for ; a != 0; a &= a - 1 {
+			j := w*64 + bits.TrailingZeros64(a)
+			listed = append(listed, listedCol{j: j, t8: t8[j], tail: tail[j]})
+		}
+	}
+	pubSpan.SetInt("tie_only", tieOnlyCols)
+	pubSpan.SetInt("listed", len(listed))
+	pubSpan.SetInt("swar_words", len(swar))
 	zeros := make([]byte, len(t8))
 
 	parallel.Blocks(workers, m, rowShard, func(_, lo, hi int) error {
@@ -103,7 +155,8 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 				panic(err) // a 16-byte key is always valid
 			}
 			cipher.NewCTR(block, iv[:]).XORKeyStream(ks, zeros)
-			for w := range row {
+			copy(row, ones)
+			for _, w := range swar {
 				var lt, eq uint64
 				kw, tw := ks[w*64:w*64+64], t8[w*64:w*64+64]
 				for b := 0; b < 64; b += 8 {
@@ -111,13 +164,30 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 					lt |= l << b
 					eq |= e << b
 				}
-				for ties := eq & live[w]; ties != 0; ties &= ties - 1 {
+				for ties := eq & above[w]; ties != 0; ties &= ties - 1 {
 					j := w*64 + bits.TrailingZeros64(ties)
 					if coinTail(block, &scratch, j) < tail[j] {
 						lt |= 1 << (j % 64)
 					}
 				}
-				row[w] = lt&live[w] | ones[w]
+				row[w] |= lt & above[w]
+			}
+			for _, c := range listed {
+				if kb := ks[c.j]; kb < c.t8 || kb == c.t8 && coinTail(block, &scratch, c.j) < c.tail {
+					row[c.j/64] |= 1 << (c.j % 64)
+				}
+			}
+			if tieOnlyCols > 0 {
+				for j := 0; ; j++ {
+					k := bytes.IndexByte(ks[j:], 0)
+					if k < 0 {
+						break
+					}
+					j += k
+					if tieOnly[j/64]&(1<<(j%64)) != 0 && coinTail(block, &scratch, j) < tail[j] {
+						row[j/64] |= 1 << (j % 64)
+					}
+				}
 			}
 			published.OrRow(i, row)
 		}

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
+	"repro/internal/circuit"
 	"repro/internal/mathx"
 	"repro/internal/workload"
 )
@@ -273,21 +274,58 @@ func TestPublishEdges(t *testing.T) {
 
 // FuzzPublishKernel pins the word-at-a-time kernel to the per-bit
 // reference over random shapes (empty on either side, ragged or exact
-// against the 64-column word) and β vectors that mix 0, 1, k/256 (a
-// first-byte tie wherever the coin's first byte is k) and arbitrary values.
+// against the 64-column word) and β vectors drawn by profile % 5:
+//
+//   - 0: a mix of 0, 1, k/256 (a first-byte tie wherever the coin's first
+//     byte is k) and arbitrary values;
+//   - 1: 2⁻⁸ and its float neighbours, where T_j's first byte turns from 0
+//     (tie-only) to 1 (listed);
+//   - 2: words of exactly listedMax and listedMax+1 listed columns, on
+//     either side of the list/SWAR switch;
+//   - 3: no tie-only column (the zero-byte walk is skipped);
+//   - 4: only tie-only columns.
+//
+// Every workers value in {1, 3, 8} must publish the same matrix.
 func FuzzPublishKernel(f *testing.F) {
-	f.Add(int64(1), uint8(0), uint8(9))
-	f.Add(int64(2), uint8(9), uint8(0))
+	f.Add(int64(1), uint8(0), uint8(9), uint8(0))
+	f.Add(int64(2), uint8(9), uint8(0), uint8(0))
 	for _, cols := range []uint8{1, 63, 64, 65, 130, 255} {
-		f.Add(int64(cols), uint8(5), cols)
+		f.Add(int64(cols), uint8(5), cols, uint8(0))
 	}
-	f.Add(int64(3), uint8(200), uint8(70))
-	f.Fuzz(func(t *testing.T, seed int64, rows, cols uint8) {
+	f.Add(int64(3), uint8(200), uint8(70), uint8(0))
+	for profile := uint8(1); profile < 5; profile++ {
+		f.Add(int64(profile), uint8(40), uint8(255), profile)
+		f.Add(int64(10+profile), uint8(255), uint8(128), profile)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, rows, cols, profile uint8) {
 		m, n := int(rows), int(cols)
 		rng := rand.New(rand.NewSource(seed))
 		truth := randomMatrix(rng, m, n, 0.1)
-		betas := make([]float64, n)
-		for j := range betas {
+		betas := fuzzBetas(rng, n, profile%5)
+		got := publishSharded(context.Background(), truth, betas, seed, 3)
+		if want := refPublish(truth, betas, seed); !got.Equal(want) {
+			t.Fatalf("%d×%d seed %d: kernel differs from the per-bit reference", m, n, seed)
+		}
+		if !paddingClear(got) {
+			t.Fatalf("%d×%d seed %d: padding bits set", m, n, seed)
+		}
+		for _, workers := range []int{1, 8} {
+			if other := publishSharded(context.Background(), truth, betas, seed, workers); !other.Equal(got) {
+				t.Fatalf("%d×%d seed %d profile %d: workers=%d differs from workers=3", m, n, seed, profile%5, workers)
+			}
+		}
+	})
+}
+
+// fuzzBetas draws FuzzPublishKernel's β vector of one profile.
+func fuzzBetas(rng *rand.Rand, n int, profile uint8) []float64 {
+	const edge = 1.0 / 256 // the smallest β whose T_j has first byte 1
+	listed := func() float64 { return edge + (1-edge)*rng.Float64()*rng.Float64() }
+	tieOnly := func() float64 { return math.Nextafter(edge*rng.Float64(), edge) }
+	betas := make([]float64, n)
+	for j := range betas {
+		switch profile {
+		case 0:
 			switch rng.Intn(5) {
 			case 0:
 				betas[j] = 0
@@ -300,37 +338,80 @@ func FuzzPublishKernel(f *testing.F) {
 			default:
 				betas[j] = rng.Float64()
 			}
+		case 1:
+			betas[j] = []float64{math.Nextafter(edge, 0), edge, math.Nextafter(edge, 1), 0, 1}[rng.Intn(5)]
+		case 3:
+			betas[j] = []float64{0, 1, listed(), listed()}[rng.Intn(4)]
+		case 4:
+			betas[j] = []float64{0, 1, tieOnly(), tieOnly()}[rng.Intn(4)]
 		}
-		got := publishSharded(context.Background(), truth, betas, seed, 3)
-		if want := refPublish(truth, betas, seed); !got.Equal(want) {
-			t.Fatalf("%d×%d seed %d: kernel differs from the per-bit reference", m, n, seed)
+	}
+	if profile == 2 {
+		// Word w gets listedMax (even w) or listedMax+1 (odd w) listed
+		// columns at random places; the rest are tie-only, 0 or 1.
+		for w := 0; w*64 < n; w++ {
+			cols := rng.Perm(64)[:listedMax+w%2]
+			for k := w * 64; k < min(n, w*64+64); k++ {
+				betas[k] = []float64{0, 1, tieOnly()}[rng.Intn(3)]
+			}
+			for _, c := range cols {
+				if j := w*64 + c; j < n {
+					betas[j] = listed()
+				}
+			}
 		}
-		if !paddingClear(got) {
-			t.Fatalf("%d×%d seed %d: padding bits set", m, n, seed)
-		}
-	})
+	}
+	return betas
 }
 
-// BenchmarkPublish times Equation 2 alone at the trusted-cold benchmark
-// shape, with the β vector a Chernoff construction of that dataset
-// produces.
+// benchShape is one benchmark workload's dataset and the configuration its
+// construction runs (bench/pipeline.go): the trusted build at 4000 × 14 336
+// or the secure wide build at 512 × 32 768.
+type benchShape struct {
+	name string
+	data *workload.Dataset
+	cfg  Config
+}
+
+func benchShapes(b *testing.B) []benchShape {
+	b.Helper()
+	gen := func(m, n int) *workload.Dataset {
+		d, err := workload.GenerateZipf(workload.ZipfConfig{
+			Providers: m, Owners: n, Exponent: 1.0, MaxFrequency: m / 5,
+			EpsLow: 0.1, EpsHigh: 0.9, Seed: 1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	return []benchShape{
+		{"trusted-4000x14336", gen(4000, 14336),
+			Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1}},
+		{"secure-512x32768", gen(512, 32768), Config{
+			Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
+			Wide: true, Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+		}},
+	}
+}
+
+// BenchmarkPublish times Equation 2 alone at both benchmark shapes, each
+// with the β vector its own construction produces: the trusted profile
+// sends most columns down the tie-only walk, the secure one keeps every
+// word on the SWAR compare.
 func BenchmarkPublish(b *testing.B) {
-	const m, n = 4000, 14336
-	d, err := workload.GenerateZipf(workload.ZipfConfig{
-		Providers: m, Owners: n, Exponent: 1.0, MaxFrequency: m / 5,
-		EpsLow: 0.1, EpsHigh: 0.9, Seed: 1,
-	})
-	if err != nil {
-		b.Fatal(err)
+	for _, sh := range benchShapes(b) {
+		res, err := Construct(sh.data.Matrix, sh.data.Eps, sh.cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		truth := sh.data.Matrix
+		b.Run(sh.name, func(b *testing.B) {
+			workers := runtime.NumCPU()
+			for i := 0; i < b.N; i++ {
+				publishSharded(context.Background(), truth, res.Betas, int64(i), workers)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(truth.Rows()*truth.Cols()), "ns/cell")
+		})
 	}
-	res, err := Construct(d.Matrix, d.Eps, Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	workers := runtime.NumCPU()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		publishSharded(context.Background(), d.Matrix, res.Betas, int64(i), workers)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(m*n), "ns/cell")
 }

@@ -126,20 +126,66 @@ func Beta(policy Policy, p BetaParams) (float64, error) {
 	return clamp01(raw), nil
 }
 
-// BetaBasic computes Equation 3: β_b = [(σ⁻¹−1)(ε⁻¹−1)]⁻¹ (unclamped).
-func BetaBasic(sigma, epsilon float64) float64 {
-	switch {
-	case epsilon <= 0 || sigma <= 0:
-		return 0
-	case epsilon >= 1 || sigma >= 1:
-		return math.Inf(1)
-	}
-	return 1 / ((1/sigma - 1) * (1/epsilon - 1))
+// Each policy is written as a σ side, an ε side and a combine step, so a
+// caller that evaluates one policy at many (σ, ε) pairs — the threshold
+// search of a whole construction — can compute each side once and still run
+// exactly the expressions BetaBasic, BetaIncremented and BetaChernoff run.
+// The sides are plain float64 values whose last operation is never a
+// multiply, and the combine step's first product feeds a division, so no
+// fused multiply-add can span a side and its combine step: precomputed and
+// on-the-fly sides give bit-identical β on every GOARCH.
+
+// SigmaSide is the σ side of the policies at one frequency σ.
+type SigmaSide struct {
+	// Sigma is σ itself, for the edge branches.
+	Sigma float64
+	// Inv is σ⁻¹ − 1, Equation 3's σ factor.
+	Inv float64
+	// G is Theorem 3.1's G(σ); only CombineChernoff reads it.
+	G float64
 }
 
-// BetaIncremented computes Equation 4: β_d = β_b + Δ (unclamped).
-func BetaIncremented(sigma, epsilon, delta float64) float64 {
-	b := BetaBasic(sigma, epsilon)
+// EpsSide is the ε side of the policies at one privacy degree ε.
+type EpsSide struct {
+	// Epsilon is ε itself, for the edge branches.
+	Epsilon float64
+	// Inv is ε⁻¹ − 1, Equation 3's ε factor.
+	Inv float64
+}
+
+// BasicSigma is the σ side of the basic and incremented policies.
+func BasicSigma(sigma float64) SigmaSide {
+	return SigmaSide{Sigma: sigma, Inv: 1/sigma - 1}
+}
+
+// ChernoffSigma is the σ side of the Chernoff policy, for lnGamma =
+// ChernoffLog(γ).
+func ChernoffSigma(sigma float64, m int, lnGamma float64) SigmaSide {
+	s := BasicSigma(sigma)
+	s.G = chernoffG(sigma, m, lnGamma)
+	return s
+}
+
+// Eps is the ε side of every policy.
+func Eps(epsilon float64) EpsSide {
+	return EpsSide{Epsilon: epsilon, Inv: 1/epsilon - 1}
+}
+
+// CombineBasic is Equation 3 from its two sides (unclamped), edge branches
+// included.
+func CombineBasic(s SigmaSide, e EpsSide) float64 {
+	switch {
+	case e.Epsilon <= 0 || s.Sigma <= 0:
+		return 0
+	case e.Epsilon >= 1 || s.Sigma >= 1:
+		return math.Inf(1)
+	}
+	return 1 / (s.Inv * e.Inv)
+}
+
+// CombineIncremented is Equation 4 from its two sides (unclamped).
+func CombineIncremented(s SigmaSide, e EpsSide, delta float64) float64 {
+	b := CombineBasic(s, e)
 	if math.IsInf(b, 1) {
 		return b
 	}
@@ -150,6 +196,29 @@ func BetaIncremented(sigma, epsilon, delta float64) float64 {
 	return b + delta
 }
 
+// CombineChernoff is Equation 5 from its two sides (unclamped).
+func CombineChernoff(s SigmaSide, e EpsSide) float64 {
+	b := CombineBasic(s, e)
+	if math.IsInf(b, 1) {
+		return b
+	}
+	if b == 0 {
+		return 0
+	}
+	g := s.G
+	return b + g + math.Sqrt(g*g+2*b*g)
+}
+
+// BetaBasic computes Equation 3: β_b = [(σ⁻¹−1)(ε⁻¹−1)]⁻¹ (unclamped).
+func BetaBasic(sigma, epsilon float64) float64 {
+	return CombineBasic(BasicSigma(sigma), Eps(epsilon))
+}
+
+// BetaIncremented computes Equation 4: β_d = β_b + Δ (unclamped).
+func BetaIncremented(sigma, epsilon, delta float64) float64 {
+	return CombineIncremented(BasicSigma(sigma), Eps(epsilon), delta)
+}
+
 // BetaChernoff computes Equation 5:
 //
 //	G = ln(1/(1−γ)) / ((1−σ)·m)
@@ -157,25 +226,27 @@ func BetaIncremented(sigma, epsilon, delta float64) float64 {
 //
 // (unclamped). γ must be in (0.5, 1).
 func BetaChernoff(sigma, epsilon float64, m int, gamma float64) float64 {
-	b := BetaBasic(sigma, epsilon)
-	if math.IsInf(b, 1) {
-		return b
-	}
-	if b == 0 {
-		return 0
-	}
-	g := ChernoffG(sigma, m, gamma)
-	return b + g + math.Sqrt(g*g+2*b*g)
+	return CombineChernoff(ChernoffSigma(sigma, m, ChernoffLog(gamma)), Eps(epsilon))
 }
 
 // ChernoffG computes the G term of Theorem 3.1:
 // G = ln(1/(1−γ)) / ((1−σ)·m).
 func ChernoffG(sigma float64, m int, gamma float64) float64 {
+	return chernoffG(sigma, m, ChernoffLog(gamma))
+}
+
+// ChernoffLog is the numerator of G, ln(1/(1−γ)): constant for a
+// construction, so a caller evaluating G at many σ computes it once.
+func ChernoffLog(gamma float64) float64 {
+	return math.Log(1 / (1 - gamma))
+}
+
+func chernoffG(sigma float64, m int, lnGamma float64) float64 {
 	denom := (1 - sigma) * float64(m)
 	if denom <= 0 {
 		return math.Inf(1)
 	}
-	return math.Log(1/(1-gamma)) / denom
+	return lnGamma / denom
 }
 
 func rawBeta(policy Policy, p BetaParams) (float64, error) {
