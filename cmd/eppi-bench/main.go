@@ -21,10 +21,6 @@
 // heap profiles and a runtime/trace execution trace covering the whole
 // run, for `go tool pprof` / `go tool trace` analysis of the protocol
 // implementations at paper scale.
-//
-// -wide evaluates the secure-construction experiments with the bit-sliced
-// 64-wide GMW evaluator (identical published results, different protocol
-// cost).
 package main
 
 import (
@@ -62,7 +58,6 @@ func run(args []string, out io.Writer) error {
 	format := fs.String("format", "text", "output format: text|csv")
 	transportName := fs.String("transport", "inmem", "protocol transport for fig6a/fig6c: inmem|tcp")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); results are identical at any value")
-	wide := fs.Bool("wide", false, "run secure-construction experiments (fig6a/fig6c) with the bit-sliced 64-wide GMW evaluator")
 	withMetrics := fs.Bool("metrics", true, "append a JSON metrics snapshot to text output")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile to this file at exit")
@@ -113,7 +108,7 @@ func run(args []string, out io.Writer) error {
 	if *transportName != "inmem" && *transportName != "tcp" {
 		return fmt.Errorf("unknown transport %q", *transportName)
 	}
-	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers, Wide: *wide}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers}
 	var reg *metrics.Registry
 	if *withMetrics {
 		reg = metrics.NewRegistry()

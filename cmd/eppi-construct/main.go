@@ -27,9 +27,8 @@
 // achieved per-ε-decile false-positive protection of the published
 // matrix, re-derived from M vs M' rather than trusted from the β math.
 //
-// -secure runs the coordinator MPC on the bit-sliced evaluator: three GMW
-// executions over all owners, publishing the same matrix as the scalar
-// evaluator, and opening only the total common count.
+// -secure runs the coordinator MPC as three bit-sliced GMW executions
+// over all owners, opening only the total common count.
 //
 // -trace records a span tree of the whole construction — β-phase,
 // SecSumShare, the MPC executions with GMW/OT phases, mixing, publication —
@@ -127,7 +126,6 @@ func run(args []string, out io.Writer) error {
 	if *secure {
 		cfg.Mode = core.ModeSecure
 		cfg.C = *c
-		cfg.Wide = true
 		if *tcp {
 			cfg.NewNetwork = func(parties int) (transport.Network, error) {
 				return transport.NewTCP(parties)

@@ -41,9 +41,8 @@ func TestConstructSecure(t *testing.T) {
 	}
 }
 
-// -secure runs the bit-sliced evaluator; the index it exports must equal
-// the published matrix of the scalar evaluator on the same dataset and
-// seed.
+// The index -secure exports must equal the matrix core.Construct publishes
+// in secure mode on the same dataset and seed.
 func TestConstructSecureExportMatchesScalar(t *testing.T) {
 	const providers, owners, seed = 12, 70, 5
 	path := filepath.Join(t.TempDir(), "index.eppi")
@@ -67,14 +66,14 @@ func TestConstructSecureExportMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := core.Construct(d.Matrix, d.Eps, core.Config{
+	want, err := core.Construct(d.Matrix, d.Eps, core.Config{
 		Policy: mathx.PolicyChernoff, Delta: 0.02, Gamma: 0.9, Mode: core.ModeSecure, C: 3, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !srv.PublishedMatrix().Equal(scalar.Published) {
-		t.Fatal("-secure export differs from the scalar secure construction")
+	if !srv.PublishedMatrix().Equal(want.Published) {
+		t.Fatal("-secure export differs from the secure construction")
 	}
 }
 

@@ -203,8 +203,9 @@ func WithTCP() Option {
 	}
 }
 
-// WithBatchSize caps the identities per MPC circuit in secure mode; large
-// owner sets are processed in sequential batches to bound memory.
+// WithBatchSize sets how finely secure mode releases the common count: one
+// count per batch of size identities instead of the total alone. It does
+// not bound memory; every MPC execution spans all identities.
 func WithBatchSize(size int) Option {
 	return func(o *options) { o.cfg.BatchSize = size }
 }
@@ -214,15 +215,6 @@ func WithBatchSize(size int) Option {
 // rounds — the right trade on latency-bound (WAN) coordinator links.
 func WithPrefixArithmetic() Option {
 	return func(o *options) { o.cfg.Arithmetic = circuit.StylePrefix }
-}
-
-// WithWideMPC evaluates the secure mode's CountBelow/Reveal circuits with
-// the bit-sliced 64-wide GMW evaluator: identities are packed 64 per
-// machine word, so one AND-opening round serves 64 identities at once.
-// The constructed index is bit-identical to the scalar evaluator; only
-// protocol cost changes. Only meaningful with WithSecure.
-func WithWideMPC() Option {
-	return func(o *options) { o.cfg.Wide = true }
 }
 
 // WithOTPreprocessing replaces the secure mode's trusted triple dealer
@@ -239,7 +231,7 @@ func WithSeed(seed int64) Option {
 }
 
 // WithWorkers bounds the construction worker pool (β-threshold shards,
-// concurrent MPC identity batches, publication shards). The default is
+// triple dealing, publication shards). The default is
 // runtime.NumCPU(); 1 forces the sequential path. The constructed index
 // is bit-identical at any worker count for a given seed.
 func WithWorkers(workers int) Option {
@@ -247,7 +239,7 @@ func WithWorkers(workers int) Option {
 }
 
 // WithTracer records one span tree per ConstructPPI run into tr — the β
-// phase, SecSumShare, each MPC batch (OT preprocessing and GMW phases
+// phase, SecSumShare, each MPC stage (OT preprocessing and GMW phases
 // included), mixing and publication. Export the result with
 // trace.WriteChrome (Perfetto) or Tracer.WriteTrees.
 func WithTracer(tr *trace.Tracer) Option {

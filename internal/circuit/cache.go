@@ -5,20 +5,17 @@ import (
 	"sync"
 )
 
-// Compilation cache. The secure construction pipeline used to recompile an
-// identical CountBelow circuit for every identity batch — compilation (gate
-// emission, constant folding, round scheduling) is pure CPU waste when the
-// parameters repeat, and the wide path leans on exactly that reuse: its
-// CountBelowSlice/RevealSlice compiles are shared by every construction
-// with the same parameters. Compiled *Circuit values are immutable after Build (the
-// GMW evaluator already shares one circuit across all party goroutines),
-// so handing the same pointer to every caller is safe.
+// Compilation cache. Compilation (gate emission, constant folding, round
+// scheduling) is pure CPU waste when the parameters repeat, and the secure
+// pipeline's slice circuits repeat across every construction with the
+// same coordinator count, share width, coin precision, mixing threshold
+// and arithmetic style. Compiled *Circuit values are immutable after Build
+// (the GMW evaluator already shares one circuit across all party
+// goroutines), so handing the same pointer to every caller is safe.
 //
-// The cache is a bounded FIFO keyed by the full parameter set. Thresholds
-// participate in the key, so per-batch threshold vectors only hit when the
-// batch genuinely repeats (same policy, same batch bounds) — which is the
-// common case across construction reruns, worker counts, and experiment
-// sweeps within one process.
+// The cache is a bounded FIFO keyed by the full parameter set, which
+// covers construction reruns, worker counts and experiment sweeps within
+// one process.
 
 const cacheLimit = 128
 
@@ -39,10 +36,9 @@ func cachedCompile(key string, compile func() (*Circuit, error)) (*Circuit, erro
 	}
 	compileCache.Unlock()
 
-	// Compile outside the lock: slab circuits are cheap but per-batch
-	// scalar circuits are not, and a miss must not serialize every other
-	// caller behind it. A racing duplicate compile is harmless — last
-	// writer wins and both results are equivalent.
+	// Compile outside the lock: a miss must not serialize every other
+	// caller behind it. A racing duplicate compile is harmless — both
+	// results are equivalent.
 	c, err := compile()
 	if err != nil {
 		return nil, err
@@ -68,19 +64,6 @@ func cacheSize() int {
 	compileCache.Lock()
 	defer compileCache.Unlock()
 	return len(compileCache.circuits)
-}
-
-// CountBelowCached is CountBelow memoized by its full parameter set.
-func CountBelowCached(p CountBelowParams) (*Circuit, error) {
-	key := fmt.Sprintf("cb|%d|%d|%d|%d|%v", p.Parties, p.Identities, p.ShareBits, p.Arithmetic, p.Thresholds)
-	return cachedCompile(key, func() (*Circuit, error) { return CountBelow(p) })
-}
-
-// RevealCached is Reveal memoized by its full parameter set.
-func RevealCached(p RevealParams) (*Circuit, error) {
-	key := fmt.Sprintf("rv|%d|%d|%d|%d|%d|%d|%v",
-		p.Parties, p.Identities, p.ShareBits, p.CoinBits, p.MixThreshold, p.Arithmetic, p.Thresholds)
-	return cachedCompile(key, func() (*Circuit, error) { return Reveal(p) })
 }
 
 // CountBelowSliceCached is CountBelowSlice memoized by its parameters.

@@ -7,20 +7,13 @@ import (
 
 // This file compiles the CountBelow program (Algorithm 2 of the ε-PPI
 // paper) to a boolean circuit, playing the role of FairplayMP's SFDL
-// compiler. Two variants are provided:
-//
-//   - CountBelow: the ε-PPI (MPC-reduced) form. The parties are the c
-//     coordinators; party k supplies, per identity j, its k-bit share
-//     s(k, j) of the frequency. The circuit reconstructs each frequency
-//     as Σ_k s(k,j) mod 2^width and compares it against the identity's
-//     public threshold, then outputs only the count of identities at or
-//     above threshold (the common-identity count that Equation 7 needs).
-//
-//   - PureMPC: the baseline form without SecSumShare. The parties are all
-//     m providers; party i supplies its raw membership *bit* per identity,
-//     and the circuit both aggregates (popcount over m bits per identity)
-//     and thresholds. Its size grows with m, which is exactly the
-//     super-linear cost Figure 6 attributes to the pure-MPC approach.
+// compiler. CountBelow is the ε-PPI (MPC-reduced) form: the parties are
+// the c coordinators; party k supplies, per identity j, its k-bit share
+// s(k, j) of the frequency. The circuit reconstructs each frequency as
+// Σ_k s(k,j) mod 2^width and compares it against the identity's public
+// threshold, then outputs only the count of identities at or above
+// threshold (the common-identity count that Equation 7 needs). The
+// baseline without SecSumShare, whose size grows with m, is PureBeta.
 //
 // Note on naming: the paper's Algorithm 2 counts elements *below* the
 // threshold but its Algorithm 1 consumes Σ 1{σ ≥ σ'}; the two differ only
@@ -85,71 +78,6 @@ func CountBelow(p CountBelowParams) (*Circuit, error) {
 			return nil, err
 		}
 		ge, err := b.GreaterEq(freq, ConstVec(p.Thresholds[j], p.ShareBits))
-		if err != nil {
-			return nil, err
-		}
-		geq = append(geq, ge)
-	}
-	count, err := b.PopCount(geq)
-	if err != nil {
-		return nil, err
-	}
-	for _, w := range count {
-		if err := b.Output(w); err != nil {
-			return nil, err
-		}
-	}
-	return b.Build()
-}
-
-// PureMPCParams configures the pure-MPC baseline compilation.
-type PureMPCParams struct {
-	// Providers is m: every provider is an MPC party contributing raw bits.
-	Providers int
-	// Identities is the number of identities processed by the circuit.
-	Identities int
-	// Thresholds holds the public per-identity thresholds t_j.
-	Thresholds []uint64
-}
-
-// PureMPC compiles the baseline circuit that takes every provider's raw
-// membership bit as a private input.
-func PureMPC(p PureMPCParams) (*Circuit, error) {
-	if p.Providers < 2 || p.Identities < 1 {
-		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)
-	}
-	if len(p.Thresholds) != p.Identities {
-		return nil, fmt.Errorf("%w: %d thresholds for %d identities", ErrNoParams, len(p.Thresholds), p.Identities)
-	}
-	width := BitsNeeded(uint64(p.Providers))
-	for j, t := range p.Thresholds {
-		if t == 0 {
-			return nil, fmt.Errorf("%w: zero threshold (identity %d)", ErrNoParams, j)
-		}
-		if BitsNeeded(t) > width {
-			return nil, fmt.Errorf("%w: threshold %d (identity %d) exceeds %d bits", ErrNoParams, t, j, width)
-		}
-	}
-	b := NewBuilder()
-	bits := make([][]Wire, p.Identities) // [identity][provider]
-	for j := range bits {
-		bits[j] = make([]Wire, p.Providers)
-	}
-	// Input order: provider-major, matching how each party feeds its vector.
-	for i := 0; i < p.Providers; i++ {
-		for j := 0; j < p.Identities; j++ {
-			bits[j][i] = b.Input(i)
-		}
-	}
-	geq := make([]Wire, 0, p.Identities)
-	for j := 0; j < p.Identities; j++ {
-		freq, err := b.PopCount(bits[j])
-		if err != nil {
-			return nil, err
-		}
-		// Pad or trim the popcount to the comparator width.
-		freq = padTo(freq, width)
-		ge, err := b.GreaterEq(freq, ConstVec(p.Thresholds[j], width))
 		if err != nil {
 			return nil, err
 		}

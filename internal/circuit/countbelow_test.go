@@ -85,67 +85,11 @@ func TestCountBelowValidation(t *testing.T) {
 	}
 }
 
-func TestPureMPCMatchesPlaintext(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := PureMPCParams{
-		Providers:  9,
-		Identities: 6,
-		Thresholds: []uint64{1, 2, 3, 4, 5, 9},
-	}
-	c, err := PureMPC(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 30; trial++ {
-		bits := make([][]bool, p.Providers) // [provider][identity]
-		freqs := make([]uint64, p.Identities)
-		for i := range bits {
-			bits[i] = make([]bool, p.Identities)
-			for j := range bits[i] {
-				bits[i][j] = rng.Intn(2) == 1
-				if bits[i][j] {
-					freqs[j]++
-				}
-			}
-		}
-		want := uint64(0)
-		for j, f := range freqs {
-			if f >= p.Thresholds[j] {
-				want++
-			}
-		}
-		var in []bool
-		for i := 0; i < p.Providers; i++ {
-			in = append(in, bits[i]...)
-		}
-		out, err := c.Evaluate(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := UnpackBits(out); got != want {
-			t.Fatalf("trial %d: count = %d, want %d", trial, got, want)
-		}
-	}
-}
-
-func TestPureMPCValidation(t *testing.T) {
-	bad := []PureMPCParams{
-		{Providers: 1, Identities: 1, Thresholds: []uint64{1}},
-		{Providers: 3, Identities: 0, Thresholds: nil},
-		{Providers: 3, Identities: 1, Thresholds: []uint64{0}},
-		{Providers: 3, Identities: 1, Thresholds: []uint64{9}},
-		{Providers: 3, Identities: 2, Thresholds: []uint64{1}},
-	}
-	for i, p := range bad {
-		if _, err := PureMPC(p); err == nil {
-			t.Errorf("bad params %d accepted: %+v", i, p)
-		}
-	}
-}
-
 // The headline scalability claim of Fig. 6: the MPC-reduced circuit size is
 // independent of the provider count m, while the pure-MPC circuit grows
-// with m.
+// with m. The pure circuit (PureBeta) carries a fixed-point divider whose
+// size depends on m only through log m, so its growth is measured against
+// the reduced circuit's rather than as a ratio of sizes.
 func TestCircuitSizeScaling(t *testing.T) {
 	thresholdFor := func(m int) []uint64 { return []uint64{uint64(m / 2)} }
 	reducedSize := func(m int) int {
@@ -161,7 +105,10 @@ func TestCircuitSizeScaling(t *testing.T) {
 		return c.Stats().Size()
 	}
 	pureSize := func(m int) int {
-		c, err := PureMPC(PureMPCParams{Providers: m, Identities: 1, Thresholds: thresholdFor(m)})
+		c, err := PureBeta(PureBetaParams{
+			Providers: m, Identities: 1, EpsFixed: []uint64{EpsToFixed(0.5, 8)},
+			FracBits: 8, CoinBits: 8,
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,8 +116,8 @@ func TestCircuitSizeScaling(t *testing.T) {
 	}
 	r8, r64 := reducedSize(8), reducedSize(64)
 	p8, p64 := pureSize(8), pureSize(64)
-	if p64 <= p8*4 {
-		t.Errorf("pure MPC did not grow with m: size(8)=%d size(64)=%d", p8, p64)
+	if p64-p8 <= 4*(r64-r8) {
+		t.Errorf("pure MPC did not grow with m: size(8)=%d size(64)=%d (reduced %d → %d)", p8, p64, r8, r64)
 	}
 	// Reduced circuit grows only with log m (share width): tiny growth.
 	if r64 > r8*3 {

@@ -42,8 +42,8 @@ func EpsToFixed(eps float64, fracBits int) uint64 {
 }
 
 // PureBeta compiles the baseline circuit. Input order per provider i: for
-// each identity j, one membership bit then CoinBits coin wires (same
-// convention as PureReveal). Output order per identity: hidden bit, then
+// each identity j, one membership bit then CoinBits coin wires. Output
+// order per identity: hidden bit, then
 // width = BitsNeeded(m) + 2·FracBits masked β* bits.
 func PureBeta(p PureBetaParams) (*Circuit, error) {
 	if p.Providers < 2 || p.Identities < 1 || p.FracBits < 1 || p.CoinBits < 1 {

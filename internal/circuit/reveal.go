@@ -125,94 +125,3 @@ func Reveal(p RevealParams) (*Circuit, error) {
 	}
 	return b.Build()
 }
-
-// PureRevealParams configures the pure-MPC baseline reveal circuit: all m
-// providers are parties, each inputting its raw membership bit plus a coin
-// contribution per identity.
-type PureRevealParams struct {
-	// Providers is m.
-	Providers int
-	// Identities is the number of identities in this batch.
-	Identities int
-	// Thresholds holds the public per-identity common thresholds t_j >= 1.
-	Thresholds []uint64
-	// CoinBits is the precision of the mixing coin.
-	CoinBits int
-	// MixThreshold is the public λ·2^CoinBits cutoff (< 2^CoinBits).
-	MixThreshold uint64
-}
-
-// PureReveal compiles the baseline reveal circuit. Input order per provider
-// i: for each identity j, one membership bit, then CoinBits coin wires.
-// Output order matches Reveal with frequency width BitsNeeded(m).
-func PureReveal(p PureRevealParams) (*Circuit, error) {
-	if p.Providers < 2 || p.Identities < 1 || p.CoinBits < 1 {
-		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)
-	}
-	if len(p.Thresholds) != p.Identities {
-		return nil, fmt.Errorf("%w: %d thresholds for %d identities", ErrNoParams, len(p.Thresholds), p.Identities)
-	}
-	if p.MixThreshold >= uint64(1)<<uint(p.CoinBits) {
-		return nil, fmt.Errorf("%w: mix threshold %d needs more than %d coin bits", ErrNoParams, p.MixThreshold, p.CoinBits)
-	}
-	width := BitsNeeded(uint64(p.Providers))
-	for j, t := range p.Thresholds {
-		if t == 0 {
-			return nil, fmt.Errorf("%w: zero threshold (identity %d)", ErrNoParams, j)
-		}
-		if BitsNeeded(t) > width {
-			return nil, fmt.Errorf("%w: threshold %d (identity %d) exceeds %d bits", ErrNoParams, t, j, width)
-		}
-	}
-	b := NewBuilder()
-	bits := make([][]Wire, p.Identities)    // [identity][provider]
-	coins := make([][][]Wire, p.Identities) // [identity][provider][bit]
-	for j := range bits {
-		bits[j] = make([]Wire, p.Providers)
-		coins[j] = make([][]Wire, p.Providers)
-	}
-	for i := 0; i < p.Providers; i++ {
-		for j := 0; j < p.Identities; j++ {
-			bits[j][i] = b.Input(i)
-			coins[j][i] = b.InputVec(i, p.CoinBits)
-		}
-	}
-	for j := 0; j < p.Identities; j++ {
-		freq, err := b.PopCount(bits[j])
-		if err != nil {
-			return nil, err
-		}
-		freq = padTo(freq, width)
-		common, err := b.GreaterEq(freq, ConstVec(p.Thresholds[j], width))
-		if err != nil {
-			return nil, err
-		}
-		coin := coins[j][0]
-		for i := 1; i < p.Providers; i++ {
-			next := make([]Wire, p.CoinBits)
-			for bi := range next {
-				next[bi] = b.XOR(coin[bi], coins[j][i][bi])
-			}
-			coin = next
-		}
-		mix, err := b.LessThan(coin, ConstVec(p.MixThreshold, p.CoinBits))
-		if err != nil {
-			return nil, err
-		}
-		hidden := b.OR(common, mix)
-		if err := b.Output(hidden); err != nil {
-			return nil, err
-		}
-		notHidden := b.NOT(hidden)
-		for _, fw := range freq {
-			masked := b.AND(fw, notHidden)
-			if masked.IsConst() {
-				return nil, fmt.Errorf("%w: degenerate masked output", ErrNoParams)
-			}
-			if err := b.Output(masked); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return b.Build()
-}

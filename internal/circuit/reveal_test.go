@@ -142,87 +142,6 @@ func TestRevealValidation(t *testing.T) {
 	}
 }
 
-func TestPureRevealSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	p := PureRevealParams{
-		Providers:    7,
-		Identities:   4,
-		Thresholds:   []uint64{2, 5, 7, 1},
-		CoinBits:     6,
-		MixThreshold: 16, // λ = 0.25
-	}
-	c, err := PureReveal(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	width := BitsNeeded(uint64(p.Providers))
-	coinMod := uint64(1) << uint(p.CoinBits)
-	for trial := 0; trial < 20; trial++ {
-		bits := make([][]bool, p.Providers)
-		coins := make([][]uint64, p.Providers)
-		freqs := make([]uint64, p.Identities)
-		jointCoin := make([]uint64, p.Identities)
-		for i := range bits {
-			bits[i] = make([]bool, p.Identities)
-			coins[i] = make([]uint64, p.Identities)
-			for j := range bits[i] {
-				bits[i][j] = rng.Intn(2) == 1
-				if bits[i][j] {
-					freqs[j]++
-				}
-				coins[i][j] = rng.Uint64() % coinMod
-				jointCoin[j] ^= coins[i][j]
-			}
-		}
-		var in []bool
-		for i := 0; i < p.Providers; i++ {
-			for j := 0; j < p.Identities; j++ {
-				in = append(in, bits[i][j])
-				in = append(in, PackBits(coins[i][j], p.CoinBits)...)
-			}
-		}
-		out, err := c.Evaluate(in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		per := 1 + width
-		for j := 0; j < p.Identities; j++ {
-			hidden := out[j*per]
-			masked := UnpackBits(out[j*per+1 : (j+1)*per])
-			common := freqs[j] >= p.Thresholds[j]
-			mix := jointCoin[j] < p.MixThreshold
-			wantHidden := common || mix
-			wantMasked := freqs[j]
-			if wantHidden {
-				wantMasked = 0
-			}
-			if hidden != wantHidden || masked != wantMasked {
-				t.Fatalf("trial %d identity %d: hidden=%v/%v masked=%d/%d",
-					trial, j, hidden, wantHidden, masked, wantMasked)
-			}
-		}
-	}
-}
-
-func TestPureRevealValidation(t *testing.T) {
-	base := PureRevealParams{Providers: 4, Identities: 1, Thresholds: []uint64{2}, CoinBits: 4, MixThreshold: 3}
-	bad := []func(*PureRevealParams){
-		func(p *PureRevealParams) { p.Providers = 1 },
-		func(p *PureRevealParams) { p.Identities = 0 },
-		func(p *PureRevealParams) { p.Thresholds = []uint64{0} },
-		func(p *PureRevealParams) { p.Thresholds = []uint64{9} },
-		func(p *PureRevealParams) { p.CoinBits = 0 },
-		func(p *PureRevealParams) { p.MixThreshold = 16 },
-	}
-	for i, mutate := range bad {
-		p := base
-		mutate(&p)
-		if _, err := PureReveal(p); err == nil {
-			t.Errorf("bad pure-reveal params %d accepted: %+v", i, p)
-		}
-	}
-}
-
 // Reveal-circuit size must be independent of m for the reduced form and
 // growing for the pure form (same scalability story as CountBelow).
 func TestRevealSizeScaling(t *testing.T) {
@@ -237,9 +156,9 @@ func TestRevealSizeScaling(t *testing.T) {
 		return c.Stats().Size()
 	}
 	pure := func(m int) int {
-		c, err := PureReveal(PureRevealParams{
-			Providers: m, Identities: 2,
-			Thresholds: []uint64{uint64(m / 2), uint64(m / 2)}, CoinBits: 16, MixThreshold: 100,
+		c, err := PureBeta(PureBetaParams{
+			Providers: m, Identities: 2, EpsFixed: []uint64{EpsToFixed(0.5, 8), EpsToFixed(0.5, 8)},
+			FracBits: 8, CoinBits: 16, MixThreshold: 100,
 		})
 		if err != nil {
 			t.Fatal(err)

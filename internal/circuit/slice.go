@@ -3,15 +3,15 @@ package circuit
 import "fmt"
 
 // This file compiles the *slice* variants of CountBelow and Reveal: the
-// per-identity circuits the bit-sliced 64-wide GMW evaluator runs, one
-// independent identity per instance lane.
+// per-identity circuits the bit-sliced GMW evaluator runs, one independent
+// identity per instance lane.
 //
-// The scalar compilers bake each identity's public threshold t_j into the
-// comparator as a constant, so every batch needs its own circuit. The wide
-// evaluator runs 64 identities through ONE circuit, so the circuit must be
-// threshold-free. The trick is to compare in a group one bit wider than
-// the frequencies: with shares in Z_{2^W}, W ≥ BitsNeeded(m+1)+1, both
-// freq ≤ m and t_j fit in W−1 bits, so
+// CountBelow and Reveal bake each identity's public threshold t_j into the
+// comparator as a constant, so every identity set needs its own circuit.
+// The bit-sliced evaluator runs every identity through ONE circuit, so the
+// circuit must be threshold-free. The trick is to compare in a group one
+// bit wider than the frequencies: with shares in Z_{2^W},
+// W ≥ BitsNeeded(m+1)+1, both freq ≤ m and t_j fit in W−1 bits, so
 //
 //	diff = freq + (2^W − t_j)  mod 2^W  =  freq − t_j  mod 2^W
 //
@@ -22,11 +22,10 @@ import "fmt"
 // downstream (RevealSlice). One compile then serves every identity.
 //
 // CountBelowSlice deliberately has no opening step: revealing per-identity
-// ≥-bits would leak exactly the common set that ε-PPI hides. The wide run
-// keeps the output *shared*; SliceCount is the count opener that
-// XOR-reconstructs one batch's kept bits inside MPC, popcounts them, and
-// opens only the batch's count — the same count granularity the scalar
-// batch pipeline discloses. Run wide, each lane is one batch.
+// ≥-bits would leak exactly the common set that ε-PPI hides. The run keeps
+// the output *shared*; SliceCount is the count opener that XOR-reconstructs
+// one batch's kept bits inside MPC, popcounts them, and opens only the
+// batch's count. Run bit-sliced, each lane is one batch.
 
 // SliceParams configures CountBelowSlice and RevealSlice.
 type SliceParams struct {
@@ -48,7 +47,7 @@ type SliceParams struct {
 // CountBelowSlice compiles the threshold-free one-identity comparator.
 // Party k inputs its W-bit share; party 0's share must have the folded
 // offset (2^W − t) already added modulo 2^W. The single output wire is
-// the ≥-threshold bit and MUST be evaluated shares-kept (gmw.RunWideShared):
+// the ≥-threshold bit and MUST be evaluated shares-kept (gmw.KeepShared):
 // opening it would reveal whether this identity is common.
 func CountBelowSlice(p SliceParams) (*Circuit, error) {
 	if p.Parties < 2 || p.ShareBits < 2 {
@@ -84,7 +83,7 @@ type SliceCountParams struct {
 
 // SliceCount compiles the count opener: party k inputs its Slots XOR-share
 // bits of a batch's ≥-threshold bits (as produced shares-kept by
-// CountBelowSlice under the wide evaluator), the circuit reconstructs each
+// CountBelowSlice), the circuit reconstructs each
 // bit by XOR, popcounts, and opens only the count.
 func SliceCount(p SliceCountParams) (*Circuit, error) {
 	if p.Parties < 2 || p.Slots < 1 {
@@ -117,7 +116,7 @@ func SliceCount(p SliceCountParams) (*Circuit, error) {
 }
 
 // RevealSlice compiles the threshold-free one-identity reveal-or-mask
-// circuit (Equation 6 semantics, one identity per wide lane). Input order
+// circuit (Equation 6 semantics, one identity per lane). Input order
 // per party k: W share bits, then CoinBits coin bits; party 0 additionally
 // ends with the W-bit folded offset (2^W − t) as a private input — the raw
 // frequency must survive for the masked output, so the offset cannot be

@@ -9,7 +9,7 @@ import (
 
 // Batched and unbatched secure constructions must agree on everything the
 // protocol determines (commons count, thresholds, revealed β values); only
-// the mixing coins differ because circuits are seeded per batch.
+// the mixing coins differ because they are drawn per batch.
 func TestBatchedSecureMatchesUnbatched(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	truth := randomMatrix(rng, 9, 11, 0.35)
@@ -47,8 +47,8 @@ func TestBatchedSecureMatchesUnbatched(t *testing.T) {
 	if !parts.Published.Covers(truth) {
 		t.Fatal("batched construction lost recall")
 	}
-	// Batched runs use more (smaller) circuits: total gates comparable,
-	// more MPC messages overall.
+	// Both run the same three executions; only the count opener's depth
+	// follows the batch size.
 	if parts.Secure.MPC.Messages <= whole.Secure.MPC.Messages/2 {
 		t.Fatalf("batched messages %d suspiciously low vs %d", parts.Secure.MPC.Messages, whole.Secure.MPC.Messages)
 	}

@@ -72,7 +72,8 @@ const (
 	TripleDealer TripleSource = iota
 	// TripleOT generates triples with the pairwise oblivious-transfer
 	// protocol (gmw.GenTriplesOT) — no trusted party, at real
-	// public-key-operation cost.
+	// public-key-operation cost, paid only for lanes that carry an
+	// identity (or a batch).
 	TripleOT
 )
 
@@ -107,30 +108,25 @@ type Config struct {
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
 	// deriving it from the ε of common identities.
 	XiOverride float64
-	// BatchSize caps the number of identities compiled into a single MPC
-	// circuit in ModeSecure; larger identity sets are processed in
-	// independent batches (run concurrently up to Workers, each over its
-	// own transport session), bounding circuit size and memory. 0 means
-	// one batch for everything. The per-batch common counts are opened, so
-	// it is also the count release granularity — its only meaning under
-	// Wide, whose executions span every identity.
+	// BatchSize, in ModeSecure, sets how finely the common count is
+	// released: stage B opens one count per batch of BatchSize identities
+	// (0 means one batch, i.e. the total alone). Batch boundaries are public
+	// parameters; the mixing coins are drawn per batch, so the hidden set
+	// depends on it. Every secure execution spans all identities whatever
+	// the batch size.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold and mixing
-	// shards, concurrent MPC identity batches, and randomized publication
-	// shards all share it. 0 means runtime.NumCPU(); 1 forces
-	// the sequential path. Mixing shards draw from streams derived from Seed
-	// with mathx.DeriveSeed and publication coins are keyed per cell, so
-	// results are bit-identical at any worker count.
+	// shards, triple dealing, and randomized publication shards all share
+	// it. 0 means runtime.NumCPU(); 1 forces the sequential path. Mixing
+	// shards draw from streams derived from Seed with mathx.DeriveSeed and
+	// publication coins are keyed per cell, so results are bit-identical at
+	// any worker count.
 	Workers int
 	// Triples selects the MPC preprocessing source (dealer by default;
 	// TripleOT runs the real oblivious-transfer protocol).
 	Triples TripleSource
-	// Wide, in ModeSecure, evaluates the CountBelow/Reveal stages with the
-	// bit-sliced GMW evaluator: three protocol executions over all n
-	// identities (⌈n/64⌉ words per wire) instead of two per identity batch,
-	// so the round count does not grow with n. The published matrix is
-	// bit-identical to the scalar path at any worker count; only the
-	// protocol cost changes.
+	// Deprecated: Wide is ignored. Stages B and C always run bit-sliced
+	// over all identities; the field stays for callers that still set it.
 	Wide bool
 	// Arithmetic selects the circuit adder style: ripple (default) or
 	// log-depth parallel-prefix, which trades AND gates for fewer GMW
@@ -146,7 +142,7 @@ type Config struct {
 	// Tracer, when non-nil, records one trace per Construct call (unless
 	// the caller's context already carries a span, in which case the run
 	// nests under it): a root span with child spans for β-threshold
-	// calculation, SecSumShare, each MPC batch (OT preprocessing and GMW
+	// calculation, SecSumShare, each MPC stage (OT preprocessing and GMW
 	// phases included), identity mixing, and publication. Per-stage
 	// transport traffic is attributed to the stage spans.
 	Tracer *trace.Tracer
@@ -226,8 +222,8 @@ type SecureStats struct {
 	MPCRounds int
 	// MPCWall is the wall time of the CountBelow/Reveal construction
 	// stages (circuit compilation, preprocessing and protocol execution;
-	// SecSumShare and publication excluded) — the phase the wide evaluator
-	// accelerates, reported by bench/ as core.secure_mpc_share.
+	// SecSumShare and publication excluded), reported by bench/ as
+	// core.secure_mpc_share.
 	MPCWall time.Duration
 }
 

@@ -12,10 +12,10 @@ import (
 // faultySecureCfg returns a secure config whose network factory injects
 // plan into the net-th network the construction opens (1 = the m-party
 // SecSumShare network, 2 = the c-party coordinator network that carries
-// every concurrent MPC batch).
+// every MPC execution).
 func faultySecureCfg(seed int64, net int, plan transport.FaultPlan) Config {
 	cfg := secureCfg(seed)
-	cfg.BatchSize = 3 // several concurrent batches share the faulty net
+	cfg.BatchSize = 3 // several count batches share the faulty net
 	cfg.Workers = 4
 	call := 0
 	cfg.NewNetwork = func(parties int) (transport.Network, error) {

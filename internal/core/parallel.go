@@ -36,13 +36,11 @@ const (
 	seedStreamMix uint64 = iota + 1
 	seedStreamPublish
 	seedStreamCoins
+	// One stream per GMW execution of stages B and C, each of which runs
+	// once per construction over all identities (index 0).
 	seedStreamCountBelow
-	seedStreamReveal
-	// Wide-path streams: one per bit-sliced execution, which runs once per
-	// construction over all identities (index 0).
-	seedStreamWideCountBelow
 	seedStreamSliceCount
-	seedStreamWideReveal
+	seedStreamReveal
 )
 
 // listedMax is K, the most columns with a non-zero first threshold byte a

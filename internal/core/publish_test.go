@@ -366,7 +366,7 @@ func fuzzBetas(rng *rand.Rand, n int, profile uint8) []float64 {
 
 // benchShape is one benchmark workload's dataset and the configuration its
 // construction runs (bench/pipeline.go): the trusted build at 4000 × 14 336
-// or the secure wide build at 512 × 32 768.
+// or the secure build at 512 × 32 768.
 type benchShape struct {
 	name string
 	data *workload.Dataset
@@ -390,7 +390,7 @@ func benchShapes(b *testing.B) []benchShape {
 			Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1}},
 		{"secure-512x32768", gen(512, 32768), Config{
 			Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-			Wide: true, Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+			Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
 		}},
 	}
 }

@@ -1,0 +1,296 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+
+	"repro/internal/bitmat"
+	"repro/internal/circuit"
+	"repro/internal/gmw"
+	"repro/internal/mathx"
+	"repro/internal/parallel"
+	"repro/internal/trace"
+	"repro/internal/transport"
+)
+
+// Stages B and C run as three bit-sliced GMW executions over all n
+// identities at once. Every wire carries L = ⌈n/64⌉ words, identity j in
+// bit j mod 64 of word ⌊j/64⌋, so a construction takes as many rounds as
+// the three circuits are deep, whatever n is. Three invariants hold:
+//
+//   - Thresholds enter as data, not circuit structure. Shares live in
+//     Z_{2^W} with W = bits(m+1)+1; party 0 folds (2^W − t_j) into its
+//     share (CountBelowSlice) or feeds it as a trailing private input
+//     (RevealSlice, where the raw frequency must survive for the masked
+//     output). The comparator then reads the sign bit of freq − t, so one
+//     compiled circuit serves every identity.
+//
+//   - Nothing beyond the paper's releases is opened. CountBelowSlice runs
+//     shares-kept (the per-identity ≥-bits stay secret); one SliceCount
+//     execution whose lanes are the identity batches XORs the kept shares
+//     and opens only the per-batch counts (batch boundaries are public
+//     parameters). RevealSlice opens the hidden bit and the coin-masked
+//     frequency.
+//
+//   - Lanes past n carry public padding: zero shares and a folded t = 1
+//     (offset 2^W − 1), so they are never common and their outputs are
+//     discarded. Their wire values are therefore public, which is what
+//     lets OT preprocessing give them the all-zero triple (THEORY.md).
+//
+// Each execution draws its protocol seed from (Seed, stage stream) and runs
+// after the previous one, so the run is deterministic at any worker count.
+// Every party holds O(wires · ⌈n/64⌉) words per execution.
+type mpcStages struct {
+	ctx        context.Context
+	cfg        Config
+	mux        *transport.SessionMux
+	c          int
+	w          int // share width W = bits(m+1) + 1
+	m          int
+	n          int
+	words      int // words per wire, ⌈n/64⌉
+	workers    int
+	shares     [][]uint64 // coordinator share vectors over Z_{2^W}
+	thresholds []uint64
+}
+
+// mpcOut is the accounting record of stage B or stage C (count is unused
+// in stage C).
+type mpcOut struct {
+	circ   circuit.Stats
+	count  int
+	stats  transport.Stats
+	rounds int
+}
+
+// record adds one execution over `words` words per wire: circuit sizes in
+// word units (each gate count times words), traffic and rounds.
+func (o *mpcOut) record(circ *circuit.Circuit, words int, res *gmw.Result) {
+	s := circ.Stats()
+	for range words {
+		o.circ = addCircuitStats(o.circ, s)
+	}
+	o.stats.Messages += res.Stats.Messages
+	o.stats.Bytes += res.Stats.Bytes
+	o.rounds += res.Rounds
+}
+
+// packPlanes slices per-identity values into bit-plane words: bit i of
+// vals[j] lands in bit j mod 64 of word i·words + ⌊j/64⌋, one
+// bitmat.Transpose64 per 64 identities. Lanes past len(vals) carry pad.
+// Values must fit in planes bits.
+func packPlanes(vals []uint64, pad uint64, planes, words int) []uint64 {
+	out := make([]uint64, planes*words)
+	var tile [64]uint64
+	for l := 0; l < words; l++ {
+		for r := range tile {
+			tile[r] = pad
+			if j := 64*l + r; j < len(vals) {
+				tile[r] = vals[j]
+			}
+		}
+		bitmat.Transpose64(&tile)
+		for i := 0; i < planes; i++ {
+			out[i*words+l] = tile[i]
+		}
+	}
+	return out
+}
+
+// batchLanes regroups one party's kept ≥-bit shares (bit j mod 64 of word
+// ⌊j/64⌋ = identity j) so that lanes are batches: bit r of slot s's word l
+// is the share of identity (64·l + r)·batch + s. Identities past n get
+// zero shares, whose XOR is their true never-common bit. Each 64×64 tile
+// of (batch, slot) bits is cut from the vector at bit offset
+// batch·b + 64·block and turned by bitmat.Transpose64.
+func batchLanes(vec []uint64, n, batch, words int) []uint64 {
+	out := make([]uint64, batch*words)
+	var tile [64]uint64
+	for l := 0; l < words; l++ {
+		for s0 := 0; s0 < batch; s0 += 64 {
+			for r := range tile {
+				lo := (64*l+r)*batch + s0
+				tile[r] = 0
+				if valid := min(64, batch-s0, n-lo); valid > 0 {
+					w, sh := lo/64, uint(lo%64)
+					x := vec[w] >> sh
+					if sh != 0 && w+1 < len(vec) {
+						x |= vec[w+1] << (64 - sh)
+					}
+					tile[r] = x & (^uint64(0) >> uint(64-valid))
+				}
+			}
+			bitmat.Transpose64(&tile)
+			for i := 0; i < 64 && s0+i < batch; i++ {
+				out[(s0+i)*words+l] = tile[i]
+			}
+		}
+	}
+	return out
+}
+
+// run runs one execution over its own session and span, with
+// preprocessing per the configuration (sharded dealer, or OT over the same
+// session for the first `live` instances only), and tears the mux down on
+// failure. Stage B, the count opener and stage C use sessions 1, 2 and 3.
+func (st *mpcStages) run(stage string, sessID uint32, circ *circuit.Circuit, words, live int, inputs [][]uint64, seed int64, mode gmw.Mode) (*gmw.Result, error) {
+	sess, err := st.mux.Session(sessID)
+	if err != nil {
+		return nil, fmt.Errorf("coordinator session: %w", err)
+	}
+	_, sp := trace.StartChild(st.ctx, stage,
+		trace.Int("identities", st.n), trace.Int("words", words))
+	transport.AttachSpan(sess, sp)
+	defer sp.End()
+	var triples []gmw.Triples
+	if st.cfg.Triples == TripleOT {
+		triples, err = gmw.GenTriplesOT(sess, circ.Stats().AndGates, words, live, seed+7919)
+		if err != nil {
+			err = fmt.Errorf("OT preprocessing: %w", err)
+		}
+	} else {
+		triples, err = gmw.GenTriplesWideSharded(seed, st.c, circ.Stats().AndGates*words, st.workers)
+	}
+	var res *gmw.Result
+	if err == nil {
+		res, err = gmw.Run(sess, circ, words, inputs, triples, seed, mode)
+	}
+	sess.Close()
+	if err != nil {
+		st.mux.Close()
+		return nil, err
+	}
+	return res, nil
+}
+
+// countBelow is stage B. One shares-kept CountBelowSlice execution gives
+// every identity's ≥-threshold bit as XOR shares; one SliceCount execution
+// whose lanes are the nb identity batches then opens the per-batch counts.
+// The returned count is their sum.
+func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
+	var out mpcOut
+	cbCirc, err := circuit.CountBelowSliceCached(circuit.SliceParams{
+		Parties: st.c, ShareBits: st.w, Arithmetic: st.cfg.Arithmetic,
+	})
+	if err != nil {
+		return out, fmt.Errorf("compile CountBelowSlice: %w", err)
+	}
+	mod := uint64(1) << uint(st.w)
+	folded := make([]uint64, st.n)
+	for j := range folded {
+		folded[j] = (st.shares[0][j] + mod - st.thresholds[j]%mod) % mod
+	}
+	inputs := make([][]uint64, st.c)
+	// Padded lanes: zero shares with t = 1 folded ⟹ never ≥.
+	inputs[0] = packPlanes(folded, mod-1, st.w, st.words)
+	for k := 1; k < st.c; k++ {
+		inputs[k] = packPlanes(st.shares[k], 0, st.w, st.words)
+	}
+	cbRes, err := st.run("mpc.countbelow", 1, cbCirc, st.words, st.n, inputs,
+		mathx.DeriveSeed(st.cfg.Seed, seedStreamCountBelow, 0), gmw.KeepShared)
+	if err != nil {
+		return out, fmt.Errorf("CountBelowSlice MPC: %w", err)
+	}
+	out.record(cbCirc, st.words, cbRes)
+
+	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{
+		Parties: st.c, Slots: batch, Arithmetic: st.cfg.Arithmetic,
+	})
+	if err != nil {
+		return out, fmt.Errorf("compile SliceCount: %w", err)
+	}
+	scWords := (nb + 63) / 64
+	for k := range inputs {
+		inputs[k] = batchLanes(cbRes.OutputShares[k], st.n, batch, scWords)
+	}
+	scRes, err := st.run("mpc.slicecount", 2, scCirc, scWords, nb, inputs,
+		mathx.DeriveSeed(st.cfg.Seed, seedStreamSliceCount, 0), gmw.Open)
+	if err != nil {
+		return out, fmt.Errorf("SliceCount MPC: %w", err)
+	}
+	out.record(scCirc, scWords, scRes)
+	for b := 0; b < nb; b++ {
+		for i := range scCirc.Outputs() {
+			out.count += int(scRes.Outputs[i*scWords+b/64]>>uint(b%64)&1) << uint(i)
+		}
+	}
+	return out, nil
+}
+
+// reveal is stage C: one RevealSlice execution over all n identities.
+// Each coordinator draws its mixing coins per batch b from (Seed, coin
+// stream, b), party-major and identity-minor, so the hidden set depends on
+// the batch geometry but not on the worker count. Padded lanes carry zero
+// shares, zero coins and a folded t = 1; their outputs are discarded
+// undecoded.
+func (st *mpcStages) reveal(batch, coinBits int, coinMod, mixThreshold uint64, eps []float64, hidden []bool, betas []float64) (mpcOut, error) {
+	var out mpcOut
+	rvCirc, err := circuit.RevealSliceCached(circuit.SliceParams{
+		Parties: st.c, ShareBits: st.w, CoinBits: coinBits,
+		MixThreshold: mixThreshold, Arithmetic: st.cfg.Arithmetic,
+	})
+	if err != nil {
+		return out, fmt.Errorf("compile RevealSlice: %w", err)
+	}
+	coins := make([][]uint64, st.c)
+	for k := range coins {
+		coins[k] = make([]uint64, st.n)
+	}
+	for b, lo := 0, 0; lo < st.n; b, lo = b+1, lo+batch {
+		hi := min(lo+batch, st.n)
+		coinRng := rand.New(rand.NewSource(mathx.DeriveSeed(st.cfg.Seed, seedStreamCoins, uint64(b))))
+		for k := range coins {
+			for j := lo; j < hi; j++ {
+				coins[k][j] = coinRng.Uint64() % coinMod
+			}
+		}
+	}
+	mod := uint64(1) << uint(st.w)
+	offsets := make([]uint64, st.n)
+	for j := range offsets {
+		offsets[j] = (mod - st.thresholds[j]%mod) % mod
+	}
+	inputs := make([][]uint64, st.c)
+	for k := range inputs {
+		in := packPlanes(st.shares[k], 0, st.w, st.words)
+		in = append(in, packPlanes(coins[k], 0, coinBits, st.words)...)
+		if k == 0 {
+			in = append(in, packPlanes(offsets, mod-1, st.w, st.words)...)
+		}
+		inputs[k] = in
+	}
+	res, err := st.run("mpc.reveal", 3, rvCirc, st.words, st.n, inputs,
+		mathx.DeriveSeed(st.cfg.Seed, seedStreamReveal, 0), gmw.Open)
+	if err != nil {
+		return out, fmt.Errorf("RevealSlice MPC: %w", err)
+	}
+	if len(res.Outputs) != (1+st.w)*st.words {
+		return out, fmt.Errorf("core: reveal output words %d, want %d", len(res.Outputs), (1+st.w)*st.words)
+	}
+	out.record(rvCirc, st.words, res)
+	// Decode (hidden, masked frequency) per identity and derive β (Eq. 6).
+	err = parallel.Blocks(st.workers, st.n, colShard, func(_, lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			l, r := j/64, uint(j%64)
+			hidden[j] = res.Outputs[l]>>r&1 == 1
+			if hidden[j] {
+				betas[j] = 1
+				continue
+			}
+			var freq uint64
+			for i := 0; i < st.w; i++ {
+				freq |= (res.Outputs[(1+i)*st.words+l] >> r & 1) << uint(i)
+			}
+			bv, err := mathx.Beta(st.cfg.Policy, mathx.BetaParams{
+				Sigma: float64(freq) / float64(st.m), Epsilon: eps[j], M: st.m, Delta: st.cfg.Delta, Gamma: st.cfg.Gamma,
+			})
+			if err != nil {
+				return fmt.Errorf("β for identity %d: %w", j, err)
+			}
+			betas[j] = bv
+		}
+		return nil
+	})
+	return out, err
+}

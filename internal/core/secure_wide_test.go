@@ -12,12 +12,12 @@ import (
 	"repro/internal/workload"
 )
 
-// TestWideSecureConstructEndToEnd is the acceptance gate of the bit-sliced
-// path: for every demo policy and at 1 and 8 workers, the wide pipeline
-// must publish a matrix bit-identical to the scalar pipeline — same M',
-// same β vector, same hidden set, same count — on a geometry that forces
-// ragged slabs in every batch (BatchSize 40 < 64 lanes) plus a ragged
-// final batch (n = 100).
+// TestWideSecureConstructEndToEnd runs every demo policy at 1 and 8
+// workers on a geometry that forces ragged words in every batch (BatchSize
+// 40 < 64 lanes) plus a ragged final batch (n = 100): the two worker
+// counts must publish the same M′, β vector, hidden set and count, with
+// perfect recall. TestSecurePublishedGolden pins published values on its
+// own fixture.
 func TestWideSecureConstructEndToEnd(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m, n := 12, 100
@@ -29,50 +29,34 @@ func TestWideSecureConstructEndToEnd(t *testing.T) {
 	}
 
 	for _, policy := range []mathx.Policy{mathx.PolicyBasic, mathx.PolicyIncremented, mathx.PolicyChernoff} {
+		var ref *Result
 		for _, workers := range []int{1, 8} {
 			cfg := secureCfg(23)
 			cfg.Policy = policy
 			cfg.BatchSize = 40
 			cfg.Workers = workers
-
-			scalar, err := Construct(truth, eps, cfg)
+			res, err := Construct(truth, eps, cfg)
 			if err != nil {
-				t.Fatalf("%v workers=%d scalar: %v", policy, workers, err)
+				t.Fatalf("%v workers=%d: %v", policy, workers, err)
 			}
-			wcfg := cfg
-			wcfg.Wide = true
-			wide, err := Construct(truth, eps, wcfg)
-			if err != nil {
-				t.Fatalf("%v workers=%d wide: %v", policy, workers, err)
+			if !res.Published.Covers(truth) {
+				t.Fatalf("%v workers=%d: recall lost", policy, workers)
 			}
-
-			if wide.CommonCount != scalar.CommonCount {
-				t.Fatalf("%v workers=%d: wide count %d, scalar %d", policy, workers, wide.CommonCount, scalar.CommonCount)
+			if res.Secure == nil || res.Secure.MPCRounds == 0 {
+				t.Fatalf("%v workers=%d: recorded no MPC rounds", policy, workers)
 			}
-			if wide.Lambda != scalar.Lambda {
-				t.Fatalf("%v workers=%d: λ differs: %v vs %v", policy, workers, wide.Lambda, scalar.Lambda)
+			if ref == nil {
+				ref = res
+				continue
 			}
-			for j := 0; j < n; j++ {
-				if wide.Hidden[j] != scalar.Hidden[j] {
-					t.Fatalf("%v workers=%d: hidden[%d] differs", policy, workers, j)
-				}
-				if wide.Betas[j] != scalar.Betas[j] {
-					t.Fatalf("%v workers=%d: β[%d] = %v, scalar %v", policy, workers, j, wide.Betas[j], scalar.Betas[j])
-				}
-			}
-			if !wide.Published.Equal(scalar.Published) {
-				t.Fatalf("%v workers=%d: published matrix not bit-identical", policy, workers)
-			}
-			if wide.Secure == nil || wide.Secure.MPCRounds == 0 {
-				t.Fatalf("%v workers=%d: wide run recorded no MPC rounds", policy, workers)
-			}
+			resultsEqual(t, ref, res)
 		}
 	}
 }
 
-// The wide path must stay deterministic and self-consistent across repeat
-// runs and batch geometries (the count is an exact sum either way, so
-// BatchSize cannot change any published bit).
+// The secure path must stay deterministic and self-consistent across
+// batch geometries (the count is an exact sum either way, so BatchSize
+// cannot change any published bit of this fixture).
 func TestWideSecureDeterministicAcrossBatchSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	truth := randomMatrix(rng, 9, 70, 0.4)
@@ -81,7 +65,6 @@ func TestWideSecureDeterministicAcrossBatchSizes(t *testing.T) {
 		eps[j] = 0.5
 	}
 	base := secureCfg(55)
-	base.Wide = true
 	var ref *Result
 	for _, batch := range []int{0, 64, 33} {
 		cfg := base
@@ -95,42 +78,38 @@ func TestWideSecureDeterministicAcrossBatchSizes(t *testing.T) {
 			continue
 		}
 		if res.CommonCount != ref.CommonCount || !res.Published.Equal(ref.Published) {
-			t.Fatalf("batch=%d changes the wide publication", batch)
+			t.Fatalf("batch=%d changes the publication", batch)
 		}
 	}
 }
 
-// Wide construction over real TCP sessions and with OT preprocessing:
-// protocol-determined outcomes must match the scalar dealer pipeline.
+// Construction over real TCP sessions and with OT preprocessing: the
+// publication must match the in-memory dealer pipeline's.
 func TestWideSecureTransportsAndTriples(t *testing.T) {
 	truth := matrixWithFreqs(6, []int{6, 1, 2, 4, 1})
 	eps := []float64{0.4, 0.6, 0.8, 0.5, 0.7}
 	base := secureCfg(29)
 	base.Policy = mathx.PolicyBasic
-	scalar, err := Construct(truth, eps, base)
+	inmem, err := Construct(truth, eps, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("tcp", func(t *testing.T) {
 		cfg := base
-		cfg.Wide = true
 		cfg.NewNetwork = func(parties int) (transport.Network, error) { return transport.NewTCP(parties) }
 		res, err := Construct(truth, eps, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Published.Equal(scalar.Published) {
-			t.Fatal("wide-over-TCP publication differs from scalar")
+		if !res.Published.Equal(inmem.Published) {
+			t.Fatal("publication over TCP differs from the in-memory run")
 		}
 	})
 	t.Run("ot", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("wide OT preprocessing deals 64 per-lane base OTs per AND gate (~1 min)")
-		}
-		// Wide OT preprocessing deals 64 per-lane triples per AND gate at
-		// ~tens of ms per pairwise OT, so this subtest runs the smallest
-		// meaningful fixture: 2 coordinators, 2 identities, 3 coin bits.
+		// OT preprocessing pays public-key operations per live lane of
+		// every AND gate, so this subtest runs the smallest meaningful
+		// fixture: 2 coordinators, 2 identities, 3 coin bits.
 		otTruth := matrixWithFreqs(4, []int{4, 1})
 		otEps := []float64{0.5, 0.5}
 		cfg := secureCfg(37)
@@ -141,28 +120,26 @@ func TestWideSecureTransportsAndTriples(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg.Wide = true
 		cfg.Triples = TripleOT
 		res, err := Construct(otTruth, otEps, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.CommonCount != dealer.CommonCount {
-			t.Fatalf("wide-OT count %d, dealer %d", res.CommonCount, dealer.CommonCount)
+			t.Fatalf("OT count %d, dealer %d", res.CommonCount, dealer.CommonCount)
 		}
 		if !res.Published.Equal(dealer.Published) {
-			t.Fatal("wide-OT publication differs from scalar dealer run")
+			t.Fatal("OT publication differs from the dealer run")
 		}
 	})
 }
 
-// The slab-waste gauge must report the padded lanes of both wide passes.
+// The slab-waste gauge must report the padded lanes of both passes.
 func TestWideSlabWasteGauge(t *testing.T) {
 	truth := matrixWithFreqs(6, []int{6, 1, 2})
 	eps := []float64{0.4, 0.6, 0.8}
 	cfg := secureCfg(31)
 	cfg.Policy = mathx.PolicyBasic
-	cfg.Wide = true
 	reg := metrics.NewRegistry()
 	cfg.Metrics = reg
 	if _, err := Construct(truth, eps, cfg); err != nil {
@@ -174,7 +151,7 @@ func TestWideSlabWasteGauge(t *testing.T) {
 	}
 }
 
-// Rounds and messages of the wide path follow the circuits' depths, not
+// Rounds and messages of stages B and C follow the circuits' depths, not
 // the identity count: at m = 9 and BatchSize 40, 100 and 1 000 identities
 // take the same protocol rounds and messages. Every tenth identity is held
 // by all providers and the rest by one, so both sizes have the same
@@ -193,7 +170,6 @@ func TestWideRoundsIndependentOfN(t *testing.T) {
 		}
 		cfg := secureCfg(61)
 		cfg.Policy = mathx.PolicyBasic
-		cfg.Wide = true
 		cfg.BatchSize = 40
 		res, err := Construct(matrixWithFreqs(9, freqs), eps, cfg)
 		if err != nil {
@@ -216,7 +192,7 @@ func TestWideRoundsIndependentOfN(t *testing.T) {
 	}
 }
 
-// BenchmarkWideStages times stages B and C of one wide secure construction
+// BenchmarkWideStages times stages B and C of one secure construction
 // at the secure benchmark's shape: 512 providers × 32 768 identities,
 // c = 3, prefix arithmetic, 32 coin bits, batch 128. It reports the
 // protocol rounds and the stage wall time (SecureStats.MPCWall) per
@@ -232,7 +208,7 @@ func BenchmarkWideStages(b *testing.B) {
 	}
 	cfg := Config{
 		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-		Wide: true, Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+		Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
 	}
 	var wall time.Duration
 	var s *SecureStats
@@ -250,9 +226,9 @@ func BenchmarkWideStages(b *testing.B) {
 	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/float64(andWords), "ns/word-AND")
 }
 
-// TestWideSecureFaultInjection drives the wide pipeline over a faulty
-// coordinator network: crash, corruption and total loss must each abort
-// the run promptly, exactly like the scalar path.
+// TestWideSecureFaultInjection drives the pipeline over a faulty
+// coordinator network with several count batches: crash, corruption and
+// total loss must each abort the run promptly.
 func TestWideSecureFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	truth := randomMatrix(rng, 9, 70, 0.4)
@@ -271,8 +247,7 @@ func TestWideSecureFaultInjection(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := faultySecureCfg(11, 2, tc.plan)
-			cfg.Wide = true
-			cfg.BatchSize = 40 // several concurrent wide batches
+			cfg.BatchSize = 40
 			runConstructGuarded(t, truth, eps, cfg)
 		})
 	}

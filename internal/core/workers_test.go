@@ -60,7 +60,8 @@ func TestConstructDeterministicAcrossWorkers(t *testing.T) {
 	}
 
 	// Secure fixture: small parties but BatchSize 3 over 7 identities, so
-	// stage B/C run three MPC batches concurrently over separate sessions.
+	// stage B opens three batch counts and stage C draws three coin
+	// streams.
 	secTruth := randomMatrix(rng, 9, 7, 0.4)
 	secEps := make([]float64, 7)
 	for j := range secEps {

@@ -7,13 +7,13 @@ import (
 	"repro/internal/transport"
 )
 
-// BenchmarkScalarAndRounds pins the AND-round allocation behavior of the
-// scalar online phase: a long ripple-carry chain maximizes AND depth, so
-// per-layer scratch churn (the d/e batch, its packed words, the peer
-// unpack area) dominates allocs/op. The buffers are sized once per party
-// per run and reused across every layer; regressions show up directly in
-// this benchmark's allocs/op.
-func BenchmarkScalarAndRounds(b *testing.B) {
+// BenchmarkAndRounds pins the AND-round allocation behavior of the online
+// phase: a long ripple-carry chain maximizes AND depth, so per-layer
+// scratch churn (the d/e words and the opened buffer) would dominate
+// allocs/op. The buffers are taken from the transport word pool once per
+// party per run and reused across every layer; regressions show up
+// directly in this benchmark's allocs/op.
+func BenchmarkAndRounds(b *testing.B) {
 	const width = 64 // 64-deep AND chain under ripple arithmetic
 	bld := circuit.NewBuilder()
 	x := bld.InputVec(0, width)
@@ -33,8 +33,12 @@ func BenchmarkScalarAndRounds(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	inputs := [][]bool{circuit.PackBits(1234567890123, width), circuit.PackBits(987654321098, width)}
-	triples, err := GenTriplesSharded(31, 2, circ.Stats().AndGates, 4)
+	inputs := [][]uint64{make([]uint64, width), make([]uint64, width)}
+	for i := 0; i < width; i++ {
+		inputs[0][i] = 1234567890123 >> uint(i) & 1
+		inputs[1][i] = 987654321098 >> uint(i) & 1
+	}
+	triples, err := GenTriplesWideSharded(31, 2, circ.Stats().AndGates, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +49,7 @@ func BenchmarkScalarAndRounds(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunWithTriples(net, circ, inputs, triples, int64(i)); err != nil {
+		if _, err := Run(net, circ, 1, inputs, triples, int64(i), Open); err != nil {
 			b.Fatal(err)
 		}
 		net.Close()

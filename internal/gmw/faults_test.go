@@ -24,6 +24,9 @@ func andCircuit(t *testing.T) *circuit.Circuit {
 	return c
 }
 
+// allOnes sets every lane of andCircuit's three inputs.
+var allOnes = [][]uint64{{^uint64(0)}, {^uint64(0)}, {^uint64(0)}}
+
 func TestCrashedPartyFailsFast(t *testing.T) {
 	circ := andCircuit(t)
 	inner, err := transport.NewInMem(3)
@@ -34,7 +37,7 @@ func TestCrashedPartyFailsFast(t *testing.T) {
 	defer net.Close()
 	done := make(chan error, 1)
 	go func() {
-		_, e := Run(net, circ, [][]bool{{true}, {true}, {true}}, 1)
+		_, e := runDealer(net, circ, 1, allOnes, 1, Open)
 		done <- e
 	}()
 	select {
@@ -56,7 +59,7 @@ func TestDroppedMessagesAbortOnClose(t *testing.T) {
 	net := transport.NewFaulty(inner, transport.FaultPlan{DropRate: 1, Seed: 2})
 	done := make(chan error, 1)
 	go func() {
-		_, e := Run(net, circ, [][]bool{{true}, {true}, {true}}, 3)
+		_, e := runDealer(net, circ, 1, allOnes, 3, Open)
 		done <- e
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -83,7 +86,7 @@ func TestCorruptedTrafficDetected(t *testing.T) {
 			t.Fatal(err)
 		}
 		net := transport.NewFaulty(inner, transport.FaultPlan{CorruptRate: 0.5, Seed: int64(i)})
-		_, err = Run(net, circ, [][]bool{{true}, {true}, {true}}, int64(i))
+		_, err = runDealer(net, circ, 1, allOnes, int64(i), Open)
 		net.Close()
 		if err != nil {
 			detected++

@@ -1,15 +1,25 @@
 // Package gmw implements a semi-honest n-party GMW protocol over boolean
-// circuits, the generic-MPC substrate that evaluates the CountBelow circuit
-// among the c ε-PPI coordinators (standing in for FairplayMP).
+// circuits, the generic-MPC substrate that evaluates the CountBelow and
+// Reveal circuits among the c ε-PPI coordinators (standing in for
+// FairplayMP).
 //
 // Wire values are XOR-shared among the parties. XOR and NOT gates are local;
 // each AND gate consumes one Beaver multiplication triple and the AND gates
 // of equal depth are opened in a single batched communication round, so the
 // online round count is 2 + AND-depth (input sharing, AND rounds, output
-// reconstruction).
+// reconstruction), one fewer when the outputs stay shared.
 //
-// Triples are produced by an offline trusted dealer (GenTriples). A dealer
-// is the standard MPC preprocessing abstraction; the online protocol is
+// Evaluation is bit-sliced (SIMD within a register): one execution runs
+// 64·L independent instances of the same circuit. A wire's share is L
+// uint64 words, and bit k of word l belongs to instance 64·l + k. XOR and
+// the AND combination are word loops, a NOT is a word complement at party
+// 0, and one Beaver word-triple per (AND gate, word) serves 64 instances.
+// Each AND layer broadcasts its d/e words in one message per peer, so a
+// run takes the circuit's AND depth plus two rounds whatever L is.
+//
+// Word-triples come from an offline trusted dealer (GenTriplesWideSharded)
+// or from pairwise oblivious transfer (GenTriplesOT). A dealer is the
+// standard MPC preprocessing abstraction; the online protocol is
 // information-theoretically secure against any proper subset of colluding
 // semi-honest parties given correct triples. The paper's FairplayMP plays
 // the same role with garbled gates; the online communication structure —
@@ -38,77 +48,72 @@ var (
 	ErrProtocol = errors.New("gmw: protocol violation")
 )
 
-// PartyTriples holds one party's XOR shares of the Beaver triples, indexed
-// by AND-gate ordinal. Bytes hold 0/1.
-type PartyTriples struct {
-	A, B, C []byte
+// Lanes is the number of circuit instances one word of a wire carries.
+const Lanes = 64
+
+// Triples holds one party's XOR shares of bit-sliced Beaver triples: every
+// word is a 64-lane triple whose bits satisfy
+// (⊕ᵢ Aᵢ[t]) ∧ (⊕ᵢ Bᵢ[t]) = ⊕ᵢ Cᵢ[t] bit-wise. A run over L words per wire
+// uses word t·L + l for AND-gate ordinal t, word l.
+type Triples struct {
+	A, B, C []uint64
 }
 
-// GenTriples generates Beaver triples for `parties` parties and `count` AND
-// gates from rng (the trusted dealer). For every ordinal t the shares
-// satisfy (⊕ᵢ Aᵢ[t]) ∧ (⊕ᵢ Bᵢ[t]) = ⊕ᵢ Cᵢ[t].
-func GenTriples(rng *rand.Rand, parties, count int) ([]PartyTriples, error) {
-	if parties < 2 || count < 0 {
-		return nil, fmt.Errorf("gmw: bad dealer request parties=%d count=%d", parties, count)
-	}
-	out := make([]PartyTriples, parties)
+// newTriples allocates `parties` zeroed triple sets of count words each.
+func newTriples(parties, count int) []Triples {
+	out := make([]Triples, parties)
 	for p := range out {
-		out[p] = PartyTriples{
-			A: make([]byte, count),
-			B: make([]byte, count),
-			C: make([]byte, count),
+		out[p] = Triples{
+			A: make([]uint64, count),
+			B: make([]uint64, count),
+			C: make([]uint64, count),
 		}
 	}
-	for t := 0; t < count; t++ {
-		a := byte(rng.Intn(2))
-		b := byte(rng.Intn(2))
-		c := a & b
-		shareInto(rng, a, out, t, func(pt *PartyTriples) []byte { return pt.A })
-		shareInto(rng, b, out, t, func(pt *PartyTriples) []byte { return pt.B })
-		shareInto(rng, c, out, t, func(pt *PartyTriples) []byte { return pt.C })
-	}
-	return out, nil
+	return out
 }
 
-func shareInto(rng *rand.Rand, v byte, out []PartyTriples, t int, sel func(*PartyTriples) []byte) {
-	var acc byte
-	for p := 0; p < len(out)-1; p++ {
-		s := byte(rng.Intn(2))
-		sel(&out[p])[t] = s
-		acc ^= s
-	}
-	sel(&out[len(out)-1])[t] = v ^ acc
-}
+// Mode says what a run does with the circuit's output wires.
+type Mode int
 
-// Result carries the reconstructed outputs and execution accounting.
+const (
+	// Open reconstructs the outputs in a final round; every party learns
+	// them.
+	Open Mode = iota
+	// KeepShared skips that round: each party keeps its share words. The
+	// secure pipeline uses it when opening would leak (per-identity
+	// threshold bits must stay hidden and only a downstream aggregate is
+	// ever opened).
+	KeepShared
+)
+
+// Result carries a run's outputs and execution accounting. Output wire i of
+// a run over L words per wire occupies words [i·L, (i+1)·L), and bit k of
+// word l is instance 64·l + k's value.
 type Result struct {
-	// Outputs are the circuit's output bits, identical at every party.
-	Outputs []bool
+	// Outputs holds the opened output words; nil under KeepShared.
+	Outputs []uint64
+	// OutputShares[p] holds party p's XOR-share words of the output wires
+	// under KeepShared; nil otherwise. Opening a wire means XOR-ing the
+	// parties' words.
+	OutputShares [][]uint64
 	// Rounds is the number of sequential communication rounds used.
 	Rounds int
 	// Stats is the transport traffic consumed by the run.
 	Stats transport.Stats
 }
 
-// Run evaluates circ securely over net with dealer-generated triples.
-// inputs[p] lists party p's private bits in the order p's wires appear in
-// circ.Inputs(). The dealer seed derives the preprocessing; per-party
-// online randomness derives from it deterministically so runs are
-// reproducible. Use RunWithTriples to supply OT-generated (or otherwise
-// external) preprocessing.
-func Run(net transport.Network, circ *circuit.Circuit, inputs [][]bool, seed int64) (*Result, error) {
-	andCount := circ.Stats().AndGates
-	dealerRng := rand.New(rand.NewSource(seed))
-	triples, err := GenTriples(dealerRng, net.Size(), andCount)
-	if err != nil {
-		return nil, err
-	}
-	return runCommon(net, circ, inputs, triples, seed)
-}
-
-// runCommon is the shared online phase behind Run and RunWithTriples.
-func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, triples []PartyTriples, seed int64) (*Result, error) {
+// Run evaluates 64·words independent instances of circ securely over net
+// with caller-provided word-triples (GenTriplesWideSharded, GenTriplesOT),
+// words of them per AND gate. inputs[p] holds `words` words per input wire
+// owned by party p, wire by wire in the order p's wires appear in
+// circ.Inputs(); bit k of a wire's word l is instance 64·l + k's private
+// bit. Per-party online randomness derives from seed, so runs are
+// reproducible.
+func Run(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, triples []Triples, seed int64, mode Mode) (*Result, error) {
 	n := net.Size()
+	if words < 1 {
+		return nil, fmt.Errorf("%w: %d words per wire", ErrInputShape, words)
+	}
 	if len(inputs) != n {
 		return nil, fmt.Errorf("%w: %d input sets for %d parties", ErrInputShape, len(inputs), n)
 	}
@@ -120,19 +125,20 @@ func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, tr
 		owned[in.Party] = append(owned[in.Party], idx)
 	}
 	for p := 0; p < n; p++ {
-		if len(inputs[p]) != len(owned[p]) {
-			return nil, fmt.Errorf("%w: party %d supplies %d bits, owns %d wires",
-				ErrInputShape, p, len(inputs[p]), len(owned[p]))
+		if len(inputs[p]) != len(owned[p])*words {
+			return nil, fmt.Errorf("%w: party %d supplies %d words, owns %d wires of %d words",
+				ErrInputShape, p, len(inputs[p]), len(owned[p]), words)
 		}
 	}
 	andCount := circ.Stats().AndGates
 	if len(triples) != n {
 		return nil, fmt.Errorf("%w: %d triple sets for %d parties", ErrTripleShape, len(triples), n)
 	}
-	for p, pt := range triples {
-		if len(pt.A) < andCount || len(pt.B) < andCount || len(pt.C) < andCount {
-			return nil, fmt.Errorf("%w: party %d holds %d triples, circuit needs %d",
-				ErrTripleShape, p, len(pt.A), andCount)
+	need := andCount * words
+	for p, wt := range triples {
+		if len(wt.A) < need || len(wt.B) < need || len(wt.C) < need {
+			return nil, fmt.Errorf("%w: party %d holds %d word-triples, circuit needs %d (%d AND gates × %d words)",
+				ErrTripleShape, p, min(len(wt.A), len(wt.B), len(wt.C)), need, andCount, words)
 		}
 	}
 
@@ -142,14 +148,20 @@ func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, tr
 	// party 0 recording them as the representative party.
 	tm := newTimers(transport.RegistryOf(net))
 	tm.runs.Inc()
+	rounds := 1 + len(circ.AndRounds())
+	if mode == Open {
+		rounds++
+	}
 	runSpan := transport.SpanOf(net)
 	runSpan.SetAttrs(
 		trace.Int("parties", n),
+		trace.Int("words", words),
+		trace.Int("instances", Lanes*words),
 		trace.Int("and_gates", andCount),
 		trace.Int("and_layers", len(circ.AndRounds())),
-		trace.Int("rounds", 2+len(circ.AndRounds())))
+		trace.Int("rounds", rounds))
 	before := net.Stats()
-	results := make([][]bool, n)
+	results := make([][]uint64, n)
 	errs := make([]error, n)
 	// First failure closes the network so peers blocked on a message that
 	// will never arrive fail fast instead of deadlocking.
@@ -164,7 +176,7 @@ func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, tr
 				sp = runSpan
 			}
 			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*104729))
-			out, err := runParty(net.Node(p), circ, owned, inputs[p], triples[p], rng, tm, sp)
+			out, err := runParty(net.Node(p), circ, owned, words, inputs[p], triples[p], rng, tm, sp, mode)
 			if err != nil {
 				errs[p] = fmt.Errorf("party %d: %w", p, err)
 				failOnce.Do(func() { net.Close() })
@@ -186,26 +198,29 @@ func runCommon(net transport.Network, circ *circuit.Circuit, inputs [][]bool, tr
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	// All parties must reconstruct identical outputs.
-	for p := 1; p < n; p++ {
-		for i := range results[0] {
-			if results[p][i] != results[0][i] {
-				return nil, fmt.Errorf("%w: parties 0 and %d disagree on output %d", ErrProtocol, p, i)
+	res := &Result{Rounds: rounds}
+	if mode == KeepShared {
+		res.OutputShares = results
+	} else {
+		// All parties must reconstruct identical output words.
+		for p := 1; p < n; p++ {
+			for i := range results[0] {
+				if results[p][i] != results[0][i] {
+					return nil, fmt.Errorf("%w: parties 0 and %d disagree on output %d", ErrProtocol, p, i)
+				}
 			}
 		}
+		res.Outputs = results[0]
 	}
 	after := net.Stats()
-	tm.rounds.Add(uint64(2 + len(circ.AndRounds())))
+	tm.rounds.Add(uint64(rounds))
 	tm.andLayers.Add(uint64(countAndLayers(circ)))
-	tm.triples.Add(uint64(andCount))
-	return &Result{
-		Outputs: results[0],
-		Rounds:  2 + len(circ.AndRounds()),
-		Stats: transport.Stats{
-			Messages: after.Messages - before.Messages,
-			Bytes:    after.Bytes - before.Bytes,
-		},
-	}, nil
+	tm.triples.Add(uint64(need) * Lanes)
+	res.Stats = transport.Stats{
+		Messages: after.Messages - before.Messages,
+		Bytes:    after.Bytes - before.Bytes,
+	}
+	return res, nil
 }
 
 // timers groups the per-phase instruments of one Run. All-nil (no registry
@@ -227,7 +242,7 @@ func newTimers(reg *metrics.Registry) *timers {
 		runs:      reg.Counter("eppi_gmw_runs_total", "GMW protocol executions."),
 		rounds:    reg.Counter("eppi_gmw_rounds_total", "Sequential communication rounds across all GMW runs."),
 		andLayers: reg.Counter("eppi_gmw_and_rounds_total", "Batched AND-opening rounds across all GMW runs (non-empty AND layers)."),
-		triples:   reg.Counter("eppi_gmw_triples_used_total", "Beaver triple instances consumed across all GMW runs (wide runs count 64 per word-triple)."),
+		triples:   reg.Counter("eppi_gmw_triples_used_total", "Beaver triple instances consumed across all GMW runs (64 per word-triple)."),
 		inputs:    reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "input_share")),
 		andRounds: reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "and_rounds")),
 		outputs:   reg.Histogram(name, help, metrics.DefDurationBuckets, metrics.L("phase", "output")),
@@ -246,51 +261,45 @@ func countAndLayers(circ *circuit.Circuit) int {
 	return layers
 }
 
-// runParty executes one party's role and returns the reconstructed
-// outputs. sp, when non-nil (party 0), parents per-phase child spans.
-func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInputs []bool, triples PartyTriples, rng *rand.Rand, tm *timers, sp *trace.Span) ([]bool, error) {
+// runParty executes one party's role across all 64·words lanes and
+// returns either the opened output words or (KeepShared) this party's
+// share words. Wire w's share occupies words [w·words, (w+1)·words).
+func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, words int, myInputs []uint64, triples Triples, rng *rand.Rand, tm *timers, sp *trace.Span, mode Mode) ([]uint64, error) {
 	n := node.Size()
 	id := node.ID()
 	coll := transport.NewCollector(node)
-	shares := make([]byte, circ.NumWires())
+	shares := make([]uint64, circ.NumWires()*words)
+	wire := func(w circuit.Wire) []uint64 { return shares[int(w)*words : int(w+1)*words] }
 	circInputs := circ.Inputs()
 	gates := circ.Gates()
 
 	phaseStart := time.Now()
 	phaseSpan := sp.Child("gmw.input_share")
 	// --- Round 1: input sharing -------------------------------------------
-	// For each owned wire, sample one share per party; keep ours, send the
-	// rest. Message to party q: packed bits of q's shares of our wires (in
-	// owned-order).
+	// For each owned wire word, sample one share word per party; keep ours,
+	// send the rest. The payload to party q is q's share words of our wires
+	// in owned-order.
 	if len(myInputs) > 0 {
-		perParty := make([][]byte, n)
-		for q := range perParty {
-			perParty[q] = make([]byte, len(myInputs))
-		}
-		for i, v := range myInputs {
-			var acc byte
-			for q := 0; q < n-1; q++ {
-				s := byte(rng.Intn(2))
-				perParty[q][i] = s
-				acc ^= s
-			}
-			var bit byte
-			if v {
-				bit = 1
-			}
-			perParty[n-1][i] = bit ^ acc
-		}
 		for q := 0; q < n; q++ {
 			if q == id {
-				for i, wireIdx := range owned[id] {
-					shares[circInputs[wireIdx].Wire] = perParty[q][i]
-				}
 				continue
 			}
-			msg := transport.Message{Kind: transport.KindGMWShare, Data: packBits(perParty[q])}
+			buf := transport.GetWords(len(myInputs))
+			for i := range buf {
+				buf[i] = rng.Uint64()
+			}
+			// Accumulate what we sent so our own share closes the XOR.
+			for i, wireIdx := range owned[id] {
+				xorWords(wire(circInputs[wireIdx].Wire), buf[i*words:])
+			}
+			msg := transport.Message{Kind: transport.KindGMWShare, Data: buf}
 			if err := node.Send(q, msg); err != nil {
 				return nil, fmt.Errorf("send input shares: %w", err)
 			}
+			transport.PutWords(buf)
+		}
+		for i, wireIdx := range owned[id] {
+			xorWords(wire(circInputs[wireIdx].Wire), myInputs[i*words:])
 		}
 	}
 	for p := 0; p < n; p++ {
@@ -301,13 +310,14 @@ func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInput
 		if err != nil {
 			return nil, fmt.Errorf("recv input shares: %w", err)
 		}
-		bits := unpackBits(msg.Data, len(owned[msg.From]))
-		if bits == nil {
-			return nil, fmt.Errorf("%w: short input-share message from %d", ErrProtocol, msg.From)
+		if len(msg.Data) != len(owned[msg.From])*words {
+			return nil, fmt.Errorf("%w: input-share message from %d has %d words, want %d",
+				ErrProtocol, msg.From, len(msg.Data), len(owned[msg.From])*words)
 		}
 		for i, wireIdx := range owned[msg.From] {
-			shares[circInputs[wireIdx].Wire] = bits[i]
+			copy(wire(circInputs[wireIdx].Wire), msg.Data[i*words:])
 		}
+		transport.PutWords(msg.Data)
 	}
 
 	tm.inputs.ObserveSince(phaseStart)
@@ -318,37 +328,37 @@ func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInput
 	// --- Rounds 2..: layered evaluation ------------------------------------
 	evalLocal := func(gi int) {
 		g := gates[gi]
+		out, a := wire(g.Out), wire(g.A)
 		switch g.Op {
 		case circuit.OpXOR:
-			shares[g.Out] = shares[g.A] ^ shares[g.B]
+			b := wire(g.B)
+			for l := range out {
+				out[l] = a[l] ^ b[l]
+			}
 		case circuit.OpNOT:
 			if id == 0 {
-				shares[g.Out] = shares[g.A] ^ 1
+				for l := range out {
+					out[l] = ^a[l] // flips every lane
+				}
 			} else {
-				shares[g.Out] = shares[g.A]
+				copy(out, a)
 			}
 		}
 	}
 	localRounds := circ.LocalByRound()
 	andRounds := circ.AndRounds()
-	// Scratch buffers shared across AND layers: the d/e batch, its packed
-	// words, the opened values and a peer-unpacking area are sized once for
-	// the widest layer instead of reallocated per round. Sent word buffers
-	// are safe to reuse after Send returns on every transport (the in-memory
-	// network copies payloads, the TCP sender encodes synchronously).
 	maxBatch := 0
 	for _, batch := range andRounds {
 		if len(batch) > maxBatch {
 			maxBatch = len(batch)
 		}
 	}
-	var deBuf, openedBuf, peerBuf []byte
-	var packedBuf []uint64
+	var deBuf, openedBuf []uint64
 	if maxBatch > 0 {
-		deBuf = make([]byte, 2*maxBatch)
-		openedBuf = make([]byte, 2*maxBatch)
-		peerBuf = make([]byte, 2*maxBatch)
-		packedBuf = make([]uint64, (2*maxBatch+63)/64)
+		deBuf = transport.GetWords(2 * maxBatch * words)
+		openedBuf = transport.GetWords(2 * maxBatch * words)
+		defer transport.PutWords(deBuf)
+		defer transport.PutWords(openedBuf)
 	}
 	for r := 0; r < len(andRounds); r++ {
 		for _, gi := range localRounds[r] {
@@ -358,20 +368,26 @@ func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInput
 		if len(batch) == 0 {
 			continue
 		}
-		// d = x ⊕ a, e = y ⊕ b: broadcast our shares of d,e for the batch.
-		de := deBuf[:2*len(batch)]
+		// d = x ⊕ a, e = y ⊕ b per lane: gate bi's d words sit at
+		// [2·bi·L, (2·bi+1)·L) and its e words right after. One message
+		// per peer opens the layer for every lane.
+		de := deBuf[:2*len(batch)*words]
 		for bi, gi := range batch {
 			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			de[2*bi] = shares[g.A] ^ triples.A[t]
-			de[2*bi+1] = shares[g.B] ^ triples.B[t]
+			t := circ.AndOrdinal(gi) * words
+			ta, tb := triples.A[t:t+words], triples.B[t:t+words]
+			x, y := wire(g.A), wire(g.B)
+			d, e := de[2*bi*words:(2*bi+1)*words], de[(2*bi+1)*words:(2*bi+2)*words]
+			for l := range d {
+				d[l] = x[l] ^ ta[l]
+				e[l] = y[l] ^ tb[l]
+			}
 		}
-		packed := packBitsInto(de, packedBuf)
 		for q := 0; q < n; q++ {
 			if q == id {
 				continue
 			}
-			msg := transport.Message{Kind: transport.KindGMWAnd, Seq: uint32(r + 1), Data: packed}
+			msg := transport.Message{Kind: transport.KindGMWAnd, Seq: uint32(r + 1), Data: de}
 			if err := node.Send(q, msg); err != nil {
 				return nil, fmt.Errorf("send AND round %d: %w", r, err)
 			}
@@ -383,116 +399,79 @@ func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, myInput
 			return nil, fmt.Errorf("gather AND round %d: %w", r, err)
 		}
 		for _, msg := range got {
-			bits := unpackBitsInto(msg.Data, peerBuf[:len(de)])
-			if bits == nil {
-				return nil, fmt.Errorf("%w: short AND message from %d", ErrProtocol, msg.From)
+			if len(msg.Data) != len(de) {
+				return nil, fmt.Errorf("%w: AND message from %d has %d words, want %d",
+					ErrProtocol, msg.From, len(msg.Data), len(de))
 			}
-			for i := range opened {
-				opened[i] ^= bits[i]
-			}
-			transport.PutWords(msg.Data) // received payloads are exclusively ours
+			xorWords(opened, msg.Data)
+			transport.PutWords(msg.Data)
 		}
 		for bi, gi := range batch {
 			g := gates[gi]
-			t := circ.AndOrdinal(gi)
-			d, e := opened[2*bi], opened[2*bi+1]
-			z := d&triples.B[t] ^ e&triples.A[t] ^ triples.C[t]
-			if id == 0 {
-				z ^= d & e
+			t := circ.AndOrdinal(gi) * words
+			ta, tb, tc := triples.A[t:t+words], triples.B[t:t+words], triples.C[t:t+words]
+			d, e := opened[2*bi*words:(2*bi+1)*words], opened[(2*bi+1)*words:(2*bi+2)*words]
+			z := wire(g.Out)
+			for l := range z {
+				z[l] = d[l]&tb[l] ^ e[l]&ta[l] ^ tc[l]
 			}
-			shares[g.Out] = z
+			if id == 0 {
+				for l := range z {
+					z[l] ^= d[l] & e[l]
+				}
+			}
 		}
 	}
-	// Trailing local gates (depth == AND-depth).
 	for _, gi := range localRounds[len(andRounds)] {
 		evalLocal(gi)
 	}
 	tm.andRounds.ObserveSince(phaseStart)
 	phaseSpan.SetInt("layers", len(andRounds))
 	phaseSpan.End()
+
+	outWires := circ.Outputs()
+	outShares := make([]uint64, len(outWires)*words)
+	for i, w := range outWires {
+		copy(outShares[i*words:], wire(w))
+	}
+	if mode == KeepShared {
+		return outShares, nil
+	}
 	phaseStart = time.Now()
 	defer tm.outputs.ObserveSince(phaseStart)
 	phaseSpan = sp.Child("gmw.output")
 	defer phaseSpan.End()
 
 	// --- Final round: output reconstruction --------------------------------
-	outWires := circ.Outputs()
-	outShares := make([]byte, len(outWires))
-	for i, w := range outWires {
-		outShares[i] = shares[w]
-	}
-	packed := packBits(outShares)
 	for q := 0; q < n; q++ {
 		if q == id {
 			continue
 		}
-		msg := transport.Message{Kind: transport.KindGMWOutput, Data: packed}
+		msg := transport.Message{Kind: transport.KindGMWOutput, Data: outShares}
 		if err := node.Send(q, msg); err != nil {
 			return nil, fmt.Errorf("send outputs: %w", err)
 		}
 	}
-	final := make([]byte, len(outShares))
-	copy(final, outShares)
 	got, err := coll.GatherKind(transport.KindGMWOutput, 0, n-1)
 	if err != nil {
 		return nil, fmt.Errorf("gather outputs: %w", err)
 	}
+	final := outShares
 	for _, msg := range got {
-		bits := unpackBits(msg.Data, len(outShares))
-		if bits == nil {
-			return nil, fmt.Errorf("%w: short output message from %d", ErrProtocol, msg.From)
+		if len(msg.Data) != len(final) {
+			return nil, fmt.Errorf("%w: output message from %d has %d words, want %d",
+				ErrProtocol, msg.From, len(msg.Data), len(final))
 		}
-		for i := range final {
-			final[i] ^= bits[i]
-		}
+		xorWords(final, msg.Data)
+		transport.PutWords(msg.Data)
 	}
-	out := make([]bool, len(final))
-	for i, b := range final {
-		out[i] = b == 1
-	}
-	return out, nil
+	return final, nil
 }
 
-// packBits packs 0/1 bytes into uint64 words, 64 bits per word.
-func packBits(bits []byte) []uint64 {
-	return packBitsInto(bits, make([]uint64, (len(bits)+63)/64))
-}
-
-// packBitsInto packs 0/1 bytes into the scratch word slice (grown if too
-// small) and returns the exact-length prefix used.
-func packBitsInto(bits []byte, scratch []uint64) []uint64 {
-	n := (len(bits) + 63) / 64
-	if cap(scratch) < n {
-		scratch = make([]uint64, n)
+// xorWords XORs src into dst word by word over dst's length.
+func xorWords(dst, src []uint64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] ^= src[i]
 	}
-	words := scratch[:n]
-	for i := range words {
-		words[i] = 0
-	}
-	for i, b := range bits {
-		if b&1 == 1 {
-			words[i/64] |= 1 << uint(i%64)
-		}
-	}
-	return words
-}
-
-// unpackBits expands words back into n 0/1 bytes; nil if words is too short.
-func unpackBits(words []uint64, n int) []byte {
-	if len(words) < (n+63)/64 {
-		return nil
-	}
-	return unpackBitsInto(words, make([]byte, n))
-}
-
-// unpackBitsInto expands words into the supplied byte slice (whose length
-// selects the bit count); nil if words is too short.
-func unpackBitsInto(words []uint64, bits []byte) []byte {
-	if len(words) < (len(bits)+63)/64 {
-		return nil
-	}
-	for i := range bits {
-		bits[i] = byte(words[i/64] >> uint(i%64) & 1)
-	}
-	return bits
 }

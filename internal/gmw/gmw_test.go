@@ -1,7 +1,9 @@
 package gmw
 
 import (
+	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -9,24 +11,78 @@ import (
 	"repro/internal/transport"
 )
 
-func runInMem(t testing.TB, parties int, circ *circuit.Circuit, inputs [][]bool, seed int64) *Result {
+// runInMem evaluates circ over `words` words per wire on a fresh in-memory
+// network with dealer triples and opened outputs.
+func runInMem(t testing.TB, parties int, circ *circuit.Circuit, words int, inputs [][]uint64, seed int64) *Result {
 	t.Helper()
 	net, err := transport.NewInMem(parties)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	res, err := Run(net, circ, inputs, seed)
+	res, err := runDealer(net, circ, words, inputs, seed, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
 }
 
+// runDealer deals word-triples for circ from seed and runs it over net.
+func runDealer(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, seed int64, mode Mode) (*Result, error) {
+	triples, err := GenTriplesWideSharded(seed, net.Size(), circ.Stats().AndGates*words, 2)
+	if err != nil {
+		return nil, err
+	}
+	return Run(net, circ, words, inputs, triples, seed, mode)
+}
+
+// randomInputs draws `words` random words per input wire for every party.
+func randomInputs(rng *rand.Rand, circ *circuit.Circuit, parties, words int) [][]uint64 {
+	inputs := make([][]uint64, parties)
+	for _, in := range circ.Inputs() {
+		for l := 0; l < words; l++ {
+			inputs[in.Party] = append(inputs[in.Party], rng.Uint64())
+		}
+	}
+	return inputs
+}
+
+// instanceInputs extracts instance i's private bits from word-shaped
+// inputs, flattened in circ.Inputs() order (the order circ.Evaluate takes).
+func instanceInputs(circ *circuit.Circuit, words int, inputs [][]uint64, i int) []bool {
+	cursor := make([]int, len(inputs))
+	flat := make([]bool, 0, len(circ.Inputs()))
+	for _, in := range circ.Inputs() {
+		w := inputs[in.Party][cursor[in.Party]*words+i/Lanes]
+		cursor[in.Party]++
+		flat = append(flat, w>>uint(i%Lanes)&1 == 1)
+	}
+	return flat
+}
+
+// checkInstances compares the first `instances` instances of opened output
+// words against plaintext evaluation.
+func checkInstances(t testing.TB, circ *circuit.Circuit, words int, inputs [][]uint64, outputs []uint64, instances int) {
+	t.Helper()
+	if len(outputs) != len(circ.Outputs())*words {
+		t.Fatalf("%d output words, want %d", len(outputs), len(circ.Outputs())*words)
+	}
+	for i := 0; i < instances; i++ {
+		want, err := circ.Evaluate(instanceInputs(circ, words, inputs, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, w := range want {
+			if got := outputs[o*words+i/Lanes]>>uint(i%Lanes)&1 == 1; got != w {
+				t.Fatalf("instance %d output %d: secure=%v plain=%v", i, o, got, w)
+			}
+		}
+	}
+}
+
 func TestGenTriplesInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	for _, parties := range []int{2, 3, 7} {
-		triples, err := GenTriples(rng, parties, 100)
+		triples, err := GenTriplesWideSharded(int64(parties), parties, 100, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -34,30 +90,30 @@ func TestGenTriplesInvariant(t *testing.T) {
 			t.Fatalf("got %d party slices", len(triples))
 		}
 		for tt := 0; tt < 100; tt++ {
-			var a, b, c byte
+			var a, b, c uint64
 			for p := 0; p < parties; p++ {
 				a ^= triples[p].A[tt]
 				b ^= triples[p].B[tt]
 				c ^= triples[p].C[tt]
 			}
 			if a&b != c {
-				t.Fatalf("parties=%d triple %d: a=%d b=%d c=%d", parties, tt, a, b, c)
+				t.Fatalf("parties=%d word-triple %d: a&b != c", parties, tt)
 			}
 		}
 	}
 }
 
 func TestGenTriplesValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	if _, err := GenTriples(rng, 1, 5); err == nil {
+	if _, err := GenTriplesWideSharded(2, 1, 5, 2); err == nil {
 		t.Error("parties=1 accepted")
 	}
-	if _, err := GenTriples(rng, 3, -1); err == nil {
+	if _, err := GenTriplesWideSharded(2, 3, -1, 2); err == nil {
 		t.Error("negative count accepted")
 	}
 }
 
-// Two-party AND truth table, the smallest secure computation.
+// Two-party AND truth table, the smallest secure computation: the four
+// rows are lanes 0–3 of one execution.
 func TestTwoPartyAND(t *testing.T) {
 	b := circuit.NewBuilder()
 	x := b.Input(0)
@@ -69,153 +125,56 @@ func TestTwoPartyAND(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct{ x, y, want bool }{
-		{false, false, false}, {false, true, false}, {true, false, false}, {true, true, true},
-	} {
-		res := runInMem(t, 2, circ, [][]bool{{tc.x}, {tc.y}}, 3)
-		if res.Outputs[0] != tc.want {
-			t.Fatalf("AND(%v,%v) = %v", tc.x, tc.y, res.Outputs[0])
-		}
+	res := runInMem(t, 2, circ, 1, [][]uint64{{0b1100}, {0b1010}}, 3)
+	if got := res.Outputs[0] & 0b1111; got != 0b1000 {
+		t.Fatalf("AND truth table = %04b, want 1000", got)
 	}
 }
 
-// Secure evaluation must equal plaintext evaluation on a deep mixed circuit.
+// Secure evaluation must equal plaintext evaluation on a deep mixed
+// circuit, instance by instance, over several words per wire.
 func TestSecureMatchesPlaintext(t *testing.T) {
-	const width = 6
-	b := circuit.NewBuilder()
-	x := b.InputVec(0, width)
-	y := b.InputVec(1, width)
-	z := b.InputVec(2, width)
-	sum, err := b.Add(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum, err = b.Add(sum, z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ge, err := b.GreaterEq(sum, circuit.ConstVec(17, width))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eq, err := b.Equal(x, z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Output(ge); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Output(eq); err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range sum {
-		if err := b.Output(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	circ := wideTestCircuit(t)
+	const words = 3
 	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		vx := rng.Uint64() % 64
-		vy := rng.Uint64() % 64
-		vz := rng.Uint64() % 64
-		inputs := [][]bool{
-			circuit.PackBits(vx, width),
-			circuit.PackBits(vy, width),
-			circuit.PackBits(vz, width),
-		}
-		var flat []bool
-		for _, in := range inputs {
-			flat = append(flat, in...)
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := runInMem(t, 3, circ, inputs, int64(trial))
-		for i := range want {
-			if res.Outputs[i] != want[i] {
-				t.Fatalf("trial %d output %d: secure=%v plain=%v (x=%d y=%d z=%d)",
-					trial, i, res.Outputs[i], want[i], vx, vy, vz)
-			}
-		}
+	for trial := 0; trial < 3; trial++ {
+		inputs := randomInputs(rng, circ, 3, words)
+		res := runInMem(t, 3, circ, words, inputs, int64(trial))
+		checkInstances(t, circ, words, inputs, res.Outputs, Lanes*words)
 		if res.Rounds != 2+len(circ.AndRounds()) {
 			t.Fatalf("Rounds = %d, want %d", res.Rounds, 2+len(circ.AndRounds()))
 		}
 	}
 }
 
-// Property: random circuits over random inputs — secure == plaintext.
+// Property: random circuits over random inputs — secure == plaintext in
+// every lane.
 func TestSecureMatchesPlaintextQuick(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		parties := 2 + rng.Intn(3)
-		b := circuit.NewBuilder()
-		// Random DAG of gates over a pool of wires.
-		pool := make([]circuit.Wire, 0, 40)
-		for p := 0; p < parties; p++ {
-			pool = append(pool, b.InputVec(p, 2+rng.Intn(3))...)
+		parties, circ, ok := randomCircuit(rng)
+		if !ok {
+			return true
 		}
-		nIn := len(pool)
-		for g := 0; g < 25; g++ {
-			a := pool[rng.Intn(len(pool))]
-			c := pool[rng.Intn(len(pool))]
-			var w circuit.Wire
-			switch rng.Intn(4) {
-			case 0:
-				w = b.XOR(a, c)
-			case 1:
-				w = b.AND(a, c)
-			case 2:
-				w = b.NOT(a)
-			default:
-				w = b.OR(a, c)
-			}
-			if !w.IsConst() {
-				pool = append(pool, w)
-			}
-		}
-		outs := 0
-		for i := len(pool) - 1; i >= 0 && outs < 5; i-- {
-			if err := b.Output(pool[i]); err == nil {
-				outs++
-			}
-		}
-		circ, err := b.Build()
-		if err != nil {
-			return false
-		}
-		inputs := make([][]bool, parties)
-		var flat []bool
-		for idx, in := range circ.Inputs() {
-			v := rng.Intn(2) == 1
-			inputs[in.Party] = append(inputs[in.Party], v)
-			_ = idx
-			flat = append(flat, v)
-		}
-		if len(flat) != nIn {
-			return false
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			return false
-		}
+		inputs := randomInputs(rng, circ, parties, 1)
 		net, err := transport.NewInMem(parties)
 		if err != nil {
 			return false
 		}
 		defer net.Close()
-		res, err := Run(net, circ, inputs, seed)
+		res, err := runDealer(net, circ, 1, inputs, seed, Open)
 		if err != nil {
 			return false
 		}
-		for i := range want {
-			if res.Outputs[i] != want[i] {
+		for i := 0; i < Lanes; i++ {
+			want, err := circ.Evaluate(instanceInputs(circ, 1, inputs, i))
+			if err != nil {
 				return false
+			}
+			for o, w := range want {
+				if res.Outputs[o]>>uint(i)&1 == 1 != w {
+					return false
+				}
 			}
 		}
 		return true
@@ -225,7 +184,8 @@ func TestSecureMatchesPlaintextQuick(t *testing.T) {
 	}
 }
 
-// End-to-end: CountBelow circuit evaluated securely by 3 coordinators.
+// End-to-end: CountBelow circuit evaluated securely by 3 coordinators,
+// each lane an independent frequency vector.
 func TestSecureCountBelow(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := circuit.CountBelowParams{
@@ -239,57 +199,68 @@ func TestSecureCountBelow(t *testing.T) {
 		t.Fatal(err)
 	}
 	mod := uint64(1) << uint(p.ShareBits)
-	freqs := make([]uint64, p.Identities)
-	shares := make([][]uint64, p.Parties)
-	for k := range shares {
-		shares[k] = make([]uint64, p.Identities)
+	// inputs[k] holds party k's share bit planes: identity j, bit i is
+	// wire j·ShareBits + i, and lane k of its word is instance k's bit.
+	inputs := make([][]uint64, p.Parties)
+	for k := range inputs {
+		inputs[k] = make([]uint64, p.Identities*p.ShareBits)
 	}
-	want := uint64(0)
-	for j := range freqs {
-		freqs[j] = uint64(rng.Intn(100))
-		if freqs[j] >= p.Thresholds[j] {
-			want++
-		}
-		var sum uint64
-		for k := 0; k < p.Parties-1; k++ {
-			shares[k][j] = rng.Uint64() % mod
-			sum = (sum + shares[k][j]) % mod
-		}
-		shares[p.Parties-1][j] = (freqs[j] + mod - sum) % mod
-	}
-	inputs := make([][]bool, p.Parties)
-	for k := 0; k < p.Parties; k++ {
+	var want [Lanes]uint64
+	for lane := 0; lane < Lanes; lane++ {
 		for j := 0; j < p.Identities; j++ {
-			inputs[k] = append(inputs[k], circuit.PackBits(shares[k][j], p.ShareBits)...)
+			freq := uint64(rng.Intn(100))
+			if freq >= p.Thresholds[j] {
+				want[lane]++
+			}
+			var sum uint64
+			for k := 0; k < p.Parties; k++ {
+				share := rng.Uint64() % mod
+				if k == p.Parties-1 {
+					share = (freq + mod - sum) % mod
+				}
+				sum = (sum + share) % mod
+				for i := 0; i < p.ShareBits; i++ {
+					inputs[k][j*p.ShareBits+i] |= (share >> uint(i) & 1) << uint(lane)
+				}
+			}
 		}
 	}
-	res := runInMem(t, 3, circ, inputs, 6)
-	if got := circuit.UnpackBits(res.Outputs); got != want {
-		t.Fatalf("secure CountBelow = %d, want %d", got, want)
+	res := runInMem(t, 3, circ, 1, inputs, 6)
+	for lane := 0; lane < Lanes; lane++ {
+		var got uint64
+		for i, w := range res.Outputs {
+			got |= (w >> uint(lane) & 1) << uint(i)
+		}
+		if got != want[lane] {
+			t.Fatalf("lane %d: secure CountBelow = %d, want %d", lane, got, want[lane])
+		}
 	}
 }
 
+// Input-shape validation: party count, words per wire, per-party word
+// count and input owners outside the network.
 func TestRunValidation(t *testing.T) {
-	b := circuit.NewBuilder()
-	x := b.Input(0)
-	y := b.Input(1)
-	if err := b.Output(b.AND(x, y)); err != nil {
-		t.Fatal(err)
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	circ := andGate(t)
 	net, err := transport.NewInMem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	if _, err := Run(net, circ, [][]bool{{true}}, 1); err == nil {
+	triples, err := GenTriplesWideSharded(1, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(net, circ, 1, [][]uint64{{1}}, triples, 1, Open); err == nil {
 		t.Error("wrong party count accepted")
 	}
-	if _, err := Run(net, circ, [][]bool{{true, false}, {true}}, 1); err == nil {
-		t.Error("wrong per-party bit count accepted")
+	if _, err := Run(net, circ, 1, [][]uint64{{1, 2}, {3}}, triples, 1, Open); err == nil {
+		t.Error("wrong per-party word count accepted")
+	}
+	if _, err := Run(net, circ, 0, [][]uint64{nil, nil}, triples, 1, Open); err == nil {
+		t.Error("zero words per wire accepted")
+	}
+	if _, err := Run(net, circ, 2, [][]uint64{{1}, {2}}, triples, 1, Open); err == nil {
+		t.Error("one word per wire accepted for a two-word run")
 	}
 	// Circuit owned by party 2 in a 2-party network.
 	b2 := circuit.NewBuilder()
@@ -301,9 +272,25 @@ func TestRunValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(net, circ2, [][]bool{nil, nil}, 1); err == nil {
+	if _, err := Run(net, circ2, 1, [][]uint64{nil, nil}, triples, 1, Open); err == nil {
 		t.Error("out-of-range input owner accepted")
 	}
+}
+
+// andGate is the two-party one-AND circuit x ∧ y.
+func andGate(t *testing.T) *circuit.Circuit {
+	t.Helper()
+	b := circuit.NewBuilder()
+	x := b.Input(0)
+	y := b.Input(1)
+	if err := b.Output(b.AND(x, y)); err != nil {
+		t.Fatal(err)
+	}
+	circ, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return circ
 }
 
 // A wide network: 15 parties evaluating a shared comparison. Exercises the
@@ -332,19 +319,15 @@ func TestFifteenParties(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 5; trial++ {
-		inputs := make([][]bool, parties)
+	inputs := randomInputs(rng, circ, parties, 1)
+	res := runInMem(t, parties, circ, 1, inputs, 22)
+	for lane := 0; lane < Lanes; lane++ {
 		ones := 0
 		for p := range inputs {
-			v := rng.Intn(2) == 1
-			inputs[p] = []bool{v}
-			if v {
-				ones++
-			}
+			ones += int(inputs[p][0] >> uint(lane) & 1)
 		}
-		res := runInMem(t, parties, circ, inputs, int64(trial))
-		if res.Outputs[0] != (ones >= 8) {
-			t.Fatalf("trial %d: majority-ish vote wrong (ones=%d)", trial, ones)
+		if got := res.Outputs[0]>>uint(lane)&1 == 1; got != (ones >= 8) {
+			t.Fatalf("lane %d: majority-ish vote wrong (ones=%d)", lane, ones)
 		}
 	}
 }
@@ -361,13 +344,15 @@ func TestPartyWithoutInputs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := runInMem(t, 3, circ, [][]bool{{true, true}, nil, nil}, 7)
-	if !res.Outputs[0] {
-		t.Fatal("AND(true,true) = false")
+	const x0, y0 = 0xF0F0_F0F0_F0F0_F0F0, 0xFF00_FF00_FF00_FF00
+	res := runInMem(t, 3, circ, 1, [][]uint64{{x0, y0}, nil, nil}, 7)
+	if res.Outputs[0] != x0&y0 {
+		t.Fatalf("AND = %#x, want %#x", res.Outputs[0], uint64(x0&y0))
 	}
 }
 
-// The protocol must run identically over TCP.
+// Shares kept over TCP: no output round, and the three parties' share
+// words XOR to the sum in every lane.
 func TestSecureOverTCP(t *testing.T) {
 	const width = 4
 	b := circuit.NewBuilder()
@@ -386,73 +371,118 @@ func TestSecureOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := transport.NewTCP(2)
+	net, err := transport.NewTCP(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	res, err := Run(net, circ, [][]bool{circuit.PackBits(9, width), circuit.PackBits(5, width)}, 8)
+	rng := rand.New(rand.NewSource(8))
+	inputs := randomInputs(rng, circ, 3, 1)
+	res, err := runDealer(net, circ, 1, inputs, 8, KeepShared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := circuit.UnpackBits(res.Outputs); got != 14 {
-		t.Fatalf("9+5 = %d over TCP", got)
+	if res.Rounds != 1+len(circ.AndRounds()) {
+		t.Fatalf("Rounds = %d, want %d", res.Rounds, 1+len(circ.AndRounds()))
 	}
+	opened := make([]uint64, width)
+	for _, sh := range res.OutputShares {
+		xorWords(opened, sh)
+	}
+	checkInstances(t, circ, 1, inputs, opened, Lanes)
 }
 
-func TestPackUnpackBits(t *testing.T) {
-	bits := make([]byte, 130)
-	rng := rand.New(rand.NewSource(9))
-	for i := range bits {
-		bits[i] = byte(rng.Intn(2))
+// Several independent GMW evaluations must be able to share one physical
+// network concurrently via SessionMux without interleaving messages: this
+// is what lets the secure pipeline run its stages over sessions of one
+// coordinator network. Each execution compares against a different sum
+// threshold, so a cross-session message would corrupt outputs, not just
+// stall.
+func TestConcurrentGMWBatchesOverSessions(t *testing.T) {
+	const parties = 3
+	const batches = 4
+	inner, err := transport.NewInMem(parties)
+	if err != nil {
+		t.Fatal(err)
 	}
-	words := packBits(bits)
-	if len(words) != 3 {
-		t.Fatalf("words = %d", len(words))
-	}
-	got := unpackBits(words, len(bits))
-	for i := range bits {
-		if got[i] != bits[i] {
-			t.Fatalf("bit %d mismatch", i)
-		}
-	}
-	if unpackBits(words[:1], 130) != nil {
-		t.Fatal("short words accepted")
-	}
-	if got := unpackBits(nil, 0); len(got) != 0 {
-		t.Fatal("empty unpack")
-	}
-}
+	mux := transport.NewSessionMux(inner)
+	defer mux.Close()
 
-func BenchmarkSecureAdd32(b *testing.B) {
-	const width = 32
-	bld := circuit.NewBuilder()
-	x := bld.InputVec(0, width)
-	y := bld.InputVec(1, width)
-	sum, err := bld.Add(x, y)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, w := range sum {
-		if err := bld.Output(w); err != nil {
-			b.Fatal(err)
-		}
-	}
-	circ, err := bld.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	inputs := [][]bool{circuit.PackBits(123456, width), circuit.PackBits(654321, width)}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		net, err := transport.NewInMem(2)
+	build := func(threshold uint64) *circuit.Circuit {
+		b := circuit.NewBuilder()
+		const width = 5
+		x := b.InputVec(0, width)
+		y := b.InputVec(1, width)
+		z := b.InputVec(2, width)
+		sum, err := b.Add(x, y)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		if _, err := Run(net, circ, inputs, int64(i)); err != nil {
-			b.Fatal(err)
+		sum, err = b.Add(sum, z)
+		if err != nil {
+			t.Fatal(err)
 		}
-		net.Close()
+		ge, err := b.GreaterEq(sum, circuit.ConstVec(threshold, len(sum)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Output(ge); err != nil {
+			t.Fatal(err)
+		}
+		circ, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return circ
+	}
+	// Lane 0 sums 5+6+7 = 18; every other lane sums 0.
+	word := func(v uint64) []uint64 {
+		out := make([]uint64, 5)
+		for i := range out {
+			out[i] = v >> uint(i) & 1
+		}
+		return out
+	}
+	inputs := [][]uint64{word(5), word(6), word(7)}
+
+	var wg sync.WaitGroup
+	errs := make([]error, batches)
+	outs := make([]uint64, batches)
+	for i := 0; i < batches; i++ {
+		circ := build(uint64(10 + i*3)) // thresholds 10,13,16,19 over sum 18
+		wg.Add(1)
+		go func(i int, circ *circuit.Circuit) {
+			defer wg.Done()
+			sess, err := mux.Session(uint32(i + 1))
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			defer sess.Close()
+			res, err := runDealer(sess, circ, 1, inputs, int64(100+i), Open)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			outs[i] = res.Outputs[0]
+			if res.Stats.Messages == 0 {
+				errs[i] = fmt.Errorf("batch %d reported zero per-session traffic", i)
+			}
+		}(i, circ)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	for i, got := range outs {
+		var want uint64
+		if 18 >= 10+i*3 {
+			want = 1
+		}
+		if got != want {
+			t.Fatalf("batch %d: 18>=%d computed as %#x, want %#x", i, 10+i*3, got, want)
+		}
 	}
 }

@@ -10,66 +10,75 @@ import (
 	"repro/internal/transport"
 )
 
+// Dealt word-triples hold the invariant in every lane, and the lanes are
+// independent coins: a dealer that broadcast one bit across a word would
+// pass the invariant yet give all 64 instances of an AND gate the same
+// mask.
 func TestGenTriplesWideInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, parties := range []int{2, 3, 7} {
-		triples, err := GenTriplesWide(rng, parties, 50)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for tt := 0; tt < 50; tt++ {
-			var a, b, c uint64
-			for p := 0; p < parties; p++ {
-				a ^= triples[p].A[tt]
-				b ^= triples[p].B[tt]
-				c ^= triples[p].C[tt]
-			}
-			if a&b != c {
-				t.Fatalf("parties=%d word-triple %d: a&b != c", parties, tt)
-			}
-		}
-	}
-	if _, err := GenTriplesWide(rng, 1, 5); err == nil {
-		t.Error("parties=1 accepted")
-	}
-	if _, err := GenTriplesWide(rng, 3, -1); err == nil {
-		t.Error("negative count accepted")
-	}
-}
-
-// The sharded wide dealer must be bit-identical at any worker count and
-// still satisfy the triple invariant.
-func TestGenTriplesWideShardedDeterministic(t *testing.T) {
-	const parties, count = 3, 9000 // spans multiple 4096-word shards
-	one, err := GenTriplesWideSharded(77, parties, count, 1)
+	const parties, count = 3, 2*tripleShard + 5
+	triples, err := GenTriplesWideSharded(5, parties, count, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eight, err := GenTriplesWideSharded(77, parties, count, 8)
+	broadcast := 0
+	for tt := 0; tt < count; tt++ {
+		var a, b, c uint64
+		for p := 0; p < parties; p++ {
+			a ^= triples[p].A[tt]
+			b ^= triples[p].B[tt]
+			c ^= triples[p].C[tt]
+		}
+		if a&b != c {
+			t.Fatalf("word-triple %d: a&b != c", tt)
+		}
+		for _, w := range []uint64{a, b, triples[0].A[tt], triples[0].C[tt]} {
+			if w == 0 || w == ^uint64(0) {
+				broadcast++
+			}
+		}
+	}
+	if broadcast > 0 {
+		t.Fatalf("%d words carry one bit in all 64 lanes", broadcast)
+	}
+}
+
+// The sharded dealer is a function of (seed, shard): dealing fewer
+// ordinals gives a prefix of the longer deal, and another seed another
+// deal.
+func TestGenTriplesWideShardedDeterministic(t *testing.T) {
+	const parties, count = 3, 9000 // spans multiple 4096-word shards
+	long, err := GenTriplesWideSharded(77, parties, count, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, err := GenTriplesWideSharded(77, parties, tripleShard+10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for p := 0; p < parties; p++ {
-		for tt := 0; tt < count; tt++ {
-			if one[p].A[tt] != eight[p].A[tt] || one[p].B[tt] != eight[p].B[tt] || one[p].C[tt] != eight[p].C[tt] {
-				t.Fatalf("party %d ordinal %d differs between 1 and 8 workers", p, tt)
+		for tt := range short[p].A {
+			if short[p].A[tt] != long[p].A[tt] || short[p].B[tt] != long[p].B[tt] || short[p].C[tt] != long[p].C[tt] {
+				t.Fatalf("party %d ordinal %d: a shorter deal is not a prefix", p, tt)
 			}
 		}
 	}
+	other, err := GenTriplesWideSharded(78, parties, count, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same := 0
 	for tt := 0; tt < count; tt++ {
-		var a, b, c uint64
-		for p := 0; p < parties; p++ {
-			a ^= one[p].A[tt]
-			b ^= one[p].B[tt]
-			c ^= one[p].C[tt]
+		if other[0].A[tt] == long[0].A[tt] {
+			same++
 		}
-		if a&b != c {
-			t.Fatalf("sharded word-triple %d invalid", tt)
-		}
+	}
+	if same > 0 {
+		t.Fatalf("seeds 77 and 78 deal %d equal words", same)
 	}
 }
 
-// OT-backed wide triples: 64 scalar OT triples per word, packed lane-wise.
+// OT-backed triples with all 64 lanes live (the benchmark's per-word
+// preprocessing cost).
 func TestGenTriplesWideOT(t *testing.T) {
 	if testing.Short() {
 		t.Skip("public-key OT preprocessing is slow")
@@ -93,11 +102,14 @@ func TestGenTriplesWideOT(t *testing.T) {
 		if a&b != c {
 			t.Fatalf("OT word-triple %d invalid", tt)
 		}
+		if a == 0 || b == 0 {
+			t.Fatalf("OT word-triple %d has a dead lane word", tt)
+		}
 	}
 }
 
-// wideTestCircuit builds the same deep mixed circuit the scalar
-// equivalence test uses: adders, a comparison, an equality, word outputs.
+// wideTestCircuit builds a deep mixed three-party circuit: adders, a
+// comparison, an equality, word outputs.
 func wideTestCircuit(t testing.TB) *circuit.Circuit {
 	t.Helper()
 	const width = 6
@@ -139,97 +151,16 @@ func wideTestCircuit(t testing.TB) *circuit.Circuit {
 	return circ
 }
 
-// laneInputs extracts lane k of word-shaped inputs as per-party bools.
-func laneInputs(inputs [][]uint64, k int) [][]bool {
-	out := make([][]bool, len(inputs))
-	for p, words := range inputs {
-		out[p] = make([]bool, len(words))
-		for i, w := range words {
-			out[p][i] = w>>uint(k)&1 == 1
-		}
-	}
-	return out
-}
-
-// One wide run must equal 64 plaintext evaluations, lane for lane.
+// One run must equal 64 plaintext evaluations, lane for lane.
 func TestWideMatchesPlaintextLanes(t *testing.T) {
 	circ := wideTestCircuit(t)
 	rng := rand.New(rand.NewSource(12))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	net, err := transport.NewInMem(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	res, err := RunWide(net, circ, inputs, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inputs := randomInputs(rng, circ, 3, 1)
+	res := runInMem(t, 3, circ, 1, inputs, 13)
 	if res.Rounds != 2+len(circ.AndRounds()) {
 		t.Fatalf("Rounds = %d, want %d", res.Rounds, 2+len(circ.AndRounds()))
 	}
-	for k := 0; k < WideLanes; k++ {
-		lane := laneInputs(inputs, k)
-		var flat []bool
-		for _, in := range circ.Inputs() {
-			flat = append(flat, lane[in.Party][0])
-			lane[in.Party] = lane[in.Party][1:]
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if got := res.Outputs[i]>>uint(k)&1 == 1; got != w {
-				t.Fatalf("lane %d output %d: wide=%v plain=%v", k, i, got, w)
-			}
-		}
-	}
-}
-
-// One sampled lane must also agree with a full scalar GMW execution — the
-// two protocol paths, not just the two evaluation semantics, coincide.
-func TestWideMatchesScalarProtocol(t *testing.T) {
-	circ := wideTestCircuit(t)
-	rng := rand.New(rand.NewSource(14))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	net, err := transport.NewInMem(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	wide, err := RunWide(net, circ, inputs, 15)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range []int{0, 17, 63} {
-		scalar := runInMem(t, 3, circ, laneInputs(inputs, k), 16+int64(k))
-		for i := range scalar.Outputs {
-			if got := wide.Outputs[i]>>uint(k)&1 == 1; got != scalar.Outputs[i] {
-				t.Fatalf("lane %d output %d: wide=%v scalar=%v", k, i, got, scalar.Outputs[i])
-			}
-		}
-	}
+	checkInstances(t, circ, 1, inputs, res.Outputs, Lanes)
 }
 
 // Shares-kept mode: no output round, and the parties' share words XOR to
@@ -237,27 +168,13 @@ func TestWideMatchesScalarProtocol(t *testing.T) {
 func TestWideSharedReconstructs(t *testing.T) {
 	circ := wideTestCircuit(t)
 	rng := rand.New(rand.NewSource(18))
-	inputs := make([][]uint64, 3)
-	nOwned := make([]int, 3)
-	for _, in := range circ.Inputs() {
-		nOwned[in.Party]++
-	}
-	for p := range inputs {
-		inputs[p] = make([]uint64, nOwned[p])
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	triples, err := GenTriplesWideSharded(19, 3, circ.Stats().AndGates, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inputs := randomInputs(rng, circ, 3, 1)
 	net, err := transport.NewInMem(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	res, err := RunWideShared(net, circ, 1, inputs, triples, 20)
+	res, err := runDealer(net, circ, 1, inputs, 19, KeepShared)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,63 +189,41 @@ func TestWideSharedReconstructs(t *testing.T) {
 		if len(partyShares) != len(opened) {
 			t.Fatalf("party holds %d output words, want %d", len(partyShares), len(opened))
 		}
-		for i, w := range partyShares {
-			opened[i] ^= w
-		}
+		xorWords(opened, partyShares)
 	}
-	for k := 0; k < WideLanes; k++ {
-		lane := laneInputs(inputs, k)
-		var flat []bool
-		for _, in := range circ.Inputs() {
-			flat = append(flat, lane[in.Party][0])
-			lane[in.Party] = lane[in.Party][1:]
-		}
-		want, err := circ.Evaluate(flat)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, w := range want {
-			if got := opened[i]>>uint(k)&1 == 1; got != w {
-				t.Fatalf("lane %d output %d: reconstructed=%v plain=%v", k, i, got, w)
-			}
-		}
-	}
+	checkInstances(t, circ, 1, inputs, opened, Lanes)
 }
 
+// Triple-shape validation: a missing party's set, and sets shorter than
+// AND gates × words.
 func TestRunWideValidation(t *testing.T) {
-	b := circuit.NewBuilder()
-	x := b.Input(0)
-	y := b.Input(1)
-	if err := b.Output(b.AND(x, y)); err != nil {
-		t.Fatal(err)
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	circ := andGate(t)
 	net, err := transport.NewInMem(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer net.Close()
-	if _, err := RunWide(net, circ, [][]uint64{{1}}, 1); err == nil {
-		t.Error("wrong party count accepted")
+	inputs := [][]uint64{{1, 2}, {3, 4}}
+	if _, err := Run(net, circ, 2, inputs, []Triples{{}}, 1, Open); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("one triple set for two parties: %v, want ErrTripleShape", err)
 	}
-	if _, err := RunWide(net, circ, [][]uint64{{1, 2}, {3}}, 1); err == nil {
-		t.Error("wrong per-party word count accepted")
+	if _, err := Run(net, circ, 2, inputs, []Triples{{}, {}}, 1, Open); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("empty triple sets: %v, want ErrTripleShape", err)
 	}
-	short := []WideTriples{{}, {}}
-	if _, err := RunWideWithTriples(net, circ, 1, [][]uint64{{1}, {2}}, short, 1); err == nil {
-		t.Error("short triples accepted")
+	oneWord, err := GenTriplesWideSharded(1, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(net, circ, 2, inputs, oneWord, 1, Open); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("one word-triple for a two-word run: %v, want ErrTripleShape", err)
 	}
 }
 
-// fuzzCircuit builds a random 2–4 party circuit of 25 XOR/AND/NOT/OR gates
-// over 2–4 input bits per party, with up to 5 outputs, drawing everything
-// from rng. Degenerate draws skip the fuzz case.
-func fuzzCircuit(t *testing.T, rng *rand.Rand) (int, *circuit.Circuit) {
-	t.Helper()
-	parties := 2 + rng.Intn(3)
+// randomCircuit builds a random 2–4 party circuit of 25 XOR/AND/NOT/OR
+// gates over 2–4 input bits per party, with up to 5 outputs, drawing
+// everything from rng. ok is false for a degenerate draw.
+func randomCircuit(rng *rand.Rand) (parties int, circ *circuit.Circuit, ok bool) {
+	parties = 2 + rng.Intn(3)
 	b := circuit.NewBuilder()
 	pool := make([]circuit.Wire, 0, 40)
 	for p := 0; p < parties; p++ {
@@ -359,11 +254,22 @@ func fuzzCircuit(t *testing.T, rng *rand.Rand) (int, *circuit.Circuit) {
 		}
 	}
 	if outs == 0 {
-		t.Skip("degenerate circuit with no outputs")
+		return 0, nil, false
 	}
 	circ, err := b.Build()
 	if err != nil {
-		t.Skip("unbuildable circuit")
+		return 0, nil, false
+	}
+	return parties, circ, true
+}
+
+// fuzzCircuit is randomCircuit for fuzz targets: a degenerate draw skips
+// the case.
+func fuzzCircuit(t *testing.T, rng *rand.Rand) (int, *circuit.Circuit) {
+	t.Helper()
+	parties, circ, ok := randomCircuit(rng)
+	if !ok {
+		t.Skip("degenerate circuit")
 	}
 	return parties, circ
 }
@@ -396,26 +302,15 @@ func FuzzWideWordsEquivalence(f *testing.F) {
 		words := int(l%9) + 1
 		rng := rand.New(rand.NewSource(seed))
 		parties, circ := fuzzCircuit(t, rng)
-		inputs := make([][]uint64, parties)
-		for _, in := range circ.Inputs() {
-			inputs[in.Party] = append(inputs[in.Party], make([]uint64, words)...)
-		}
-		for p := range inputs {
-			for i := range inputs[p] {
-				inputs[p][i] = rng.Uint64()
-			}
-		}
+		inputs := randomInputs(rng, circ, parties, words)
 		andWords := circ.Stats().AndGates * words
 		triples, err := GenTriplesWideSharded(seed, parties, andWords, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		run := func(net transport.Network, keepShared bool, triples []WideTriples) (*WideResult, error) {
+		run := func(net transport.Network, mode Mode, triples []Triples) (*Result, error) {
 			defer net.Close()
-			if keepShared {
-				return RunWideShared(net, circ, words, inputs, triples, seed)
-			}
-			return RunWideWithTriples(net, circ, words, inputs, triples, seed)
+			return Run(net, circ, words, inputs, triples, seed, mode)
 		}
 		newNet := func() transport.Network {
 			net, err := transport.NewInMem(parties)
@@ -424,11 +319,11 @@ func FuzzWideWordsEquivalence(f *testing.F) {
 			}
 			return net
 		}
-		opened, err := run(newNet(), false, triples)
+		opened, err := run(newNet(), Open, triples)
 		if err != nil {
 			t.Fatal(err)
 		}
-		kept, err := run(newNet(), true, triples)
+		kept, err := run(newNet(), KeepShared, triples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -440,12 +335,7 @@ func FuzzWideWordsEquivalence(f *testing.F) {
 					one[p] = append(one[p], inputs[p][i*words+l])
 				}
 			}
-			net := newNet()
-			ref, err := RunWide(net, circ, one, seed+int64(l)+1)
-			net.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
+			ref := runInMem(t, parties, circ, 1, one, seed+int64(l)+1)
 			for i := 0; i < outs; i++ {
 				if got := opened.Outputs[i*words+l]; got != ref.Outputs[i] {
 					t.Fatalf("L=%d output %d word %d: %#x, one-word run %#x", words, i, l, got, ref.Outputs[i])
@@ -460,13 +350,13 @@ func FuzzWideWordsEquivalence(f *testing.F) {
 			}
 		}
 
-		if _, err := run(shortAndNet{newNet()}, false, triples); !errors.Is(err, ErrProtocol) {
+		if _, err := run(shortAndNet{newNet()}, Open, triples); !errors.Is(err, ErrProtocol) {
 			t.Fatalf("L=%d: message one word short gave %v, want ErrProtocol", words, err)
 		}
 		if andWords > 0 {
-			short := append([]WideTriples(nil), triples...)
+			short := append([]Triples(nil), triples...)
 			short[parties-1].C = short[parties-1].C[:andWords-1]
-			if _, err := run(newNet(), false, short); !errors.Is(err, ErrTripleShape) {
+			if _, err := run(newNet(), Open, short); !errors.Is(err, ErrTripleShape) {
 				t.Fatalf("L=%d: triple set one word short gave %v, want ErrTripleShape", words, err)
 			}
 		}
@@ -474,81 +364,43 @@ func FuzzWideWordsEquivalence(f *testing.F) {
 }
 
 // FuzzGMWWideEquivalence drives random circuits and random lane words —
-// including ragged slabs where only the low `active` lanes carry data —
-// through the wide evaluator and cross-checks every active lane against
-// plaintext evaluation, plus one lane against the scalar protocol.
+// including ragged words where only the low `active` lanes carry data —
+// through the evaluator and cross-checks every active lane against
+// plaintext evaluation.
 func FuzzGMWWideEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(64))
 	f.Add(int64(7), uint8(1))
 	f.Add(int64(42), uint8(37))
 	f.Fuzz(func(t *testing.T, seed int64, active uint8) {
-		lanes := int(active%64) + 1 // 1..64 active lanes (ragged slab model)
+		lanes := int(active%64) + 1 // 1..64 active lanes (ragged word model)
 		rng := rand.New(rand.NewSource(seed))
 		parties, circ := fuzzCircuit(t, rng)
 		mask := ^uint64(0) >> uint(64-lanes)
-		inputs := make([][]uint64, parties)
-		nOwned := make([]int, parties)
-		for _, in := range circ.Inputs() {
-			nOwned[in.Party]++
-		}
+		inputs := randomInputs(rng, circ, parties, 1)
 		for p := range inputs {
-			inputs[p] = make([]uint64, nOwned[p])
 			for i := range inputs[p] {
-				inputs[p][i] = rng.Uint64() & mask // padded lanes carry zeros
+				inputs[p][i] &= mask // padded lanes carry zeros
 			}
 		}
-		net, err := transport.NewInMem(parties)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer net.Close()
-		wide, err := RunWide(net, circ, inputs, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for k := 0; k < lanes; k++ {
-			lane := laneInputs(inputs, k)
-			cursor := make([]int, parties)
-			var flat []bool
-			for _, in := range circ.Inputs() {
-				flat = append(flat, lane[in.Party][cursor[in.Party]])
-				cursor[in.Party]++
-			}
-			want, err := circ.Evaluate(flat)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, w := range want {
-				if got := wide.Outputs[i]>>uint(k)&1 == 1; got != w {
-					t.Fatalf("lane %d/%d output %d: wide=%v plain=%v", k, lanes, i, got, w)
-				}
-			}
-		}
-		// Scalar protocol cross-check on one active lane.
-		k := rng.Intn(lanes)
-		snet, err := transport.NewInMem(parties)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer snet.Close()
-		scalar, err := Run(snet, circ, laneInputs(inputs, k), seed+1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range scalar.Outputs {
-			if got := wide.Outputs[i]>>uint(k)&1 == 1; got != scalar.Outputs[i] {
-				t.Fatalf("lane %d output %d: wide=%v scalar=%v", k, i, got, scalar.Outputs[i])
-			}
-		}
+		res := runInMem(t, parties, circ, 1, inputs, seed)
+		checkInstances(t, circ, 1, inputs, res.Outputs, lanes)
 	})
 }
 
-// Fault injection on the wide path: crash, total loss, corruption. The
-// run must fail loudly (or detect the corruption), never hang or return
-// silently wrong openings.
+// Fault injection over a multi-word run: crash, total loss, corruption.
+// The run must fail loudly (or detect the corruption), never hang or
+// return silently wrong openings.
 func TestWideFaultInjection(t *testing.T) {
 	circ := andCircuit(t)
-	inputs := [][]uint64{{^uint64(0)}, {^uint64(0)}, {^uint64(0)}}
+	const words = 4
+	inputs := make([][]uint64, 3)
+	for p := range inputs {
+		inputs[p] = []uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+	}
+	run := func(net transport.Network, seed int64) error {
+		_, err := runDealer(net, circ, words, inputs, seed, Open)
+		return err
+	}
 
 	t.Run("crashed party", func(t *testing.T) {
 		inner, err := transport.NewInMem(3)
@@ -558,17 +410,14 @@ func TestWideFaultInjection(t *testing.T) {
 		net := transport.NewFaulty(inner, transport.FaultPlan{FailSendFrom: map[int]bool{1: true}})
 		defer net.Close()
 		done := make(chan error, 1)
-		go func() {
-			_, e := RunWide(net, circ, inputs, 1)
-			done <- e
-		}()
+		go func() { done <- run(net, 1) }()
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Fatal("wide MPC succeeded despite crashed party")
+				t.Fatal("MPC succeeded despite crashed party")
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("wide MPC hung with crashed party")
+			t.Fatal("MPC hung with crashed party")
 		}
 	})
 
@@ -579,19 +428,16 @@ func TestWideFaultInjection(t *testing.T) {
 		}
 		net := transport.NewFaulty(inner, transport.FaultPlan{DropRate: 1, Seed: 2})
 		done := make(chan error, 1)
-		go func() {
-			_, e := RunWide(net, circ, inputs, 3)
-			done <- e
-		}()
+		go func() { done <- run(net, 3) }()
 		time.Sleep(50 * time.Millisecond)
 		net.Close()
 		select {
 		case err := <-done:
 			if err == nil {
-				t.Fatal("wide MPC succeeded with every message dropped")
+				t.Fatal("MPC succeeded with every message dropped")
 			}
 		case <-time.After(30 * time.Second):
-			t.Fatal("wide MPC hung after network close")
+			t.Fatal("MPC hung after network close")
 		}
 	})
 
@@ -604,19 +450,19 @@ func TestWideFaultInjection(t *testing.T) {
 				t.Fatal(err)
 			}
 			net := transport.NewFaulty(inner, transport.FaultPlan{CorruptRate: 0.5, Seed: int64(i)})
-			_, err = RunWide(net, circ, inputs, int64(i))
+			err = run(net, int64(i))
 			net.Close()
 			if err != nil {
 				detected++
 			}
 		}
 		if detected == 0 {
-			t.Fatal("no corrupted wide run was detected across output reconstruction")
+			t.Fatal("no corrupted run was detected across output reconstruction")
 		}
 	})
 }
 
-// The wide path must run identically over TCP.
+// Opened outputs over TCP: a 4-bit adder in every lane.
 func TestWideOverTCP(t *testing.T) {
 	const width = 4
 	b := circuit.NewBuilder()
@@ -641,17 +487,12 @@ func TestWideOverTCP(t *testing.T) {
 	}
 	defer net.Close()
 	rng := rand.New(rand.NewSource(23))
-	inputs := [][]uint64{make([]uint64, width), make([]uint64, width)}
-	for p := range inputs {
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
-	res, err := RunWide(net, circ, inputs, 24)
+	inputs := randomInputs(rng, circ, 2, 1)
+	res, err := runDealer(net, circ, 1, inputs, 24, Open)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < WideLanes; k++ {
+	for k := 0; k < Lanes; k++ {
 		var vx, vy uint64
 		for i := 0; i < width; i++ {
 			vx |= inputs[0][i] >> uint(k) & 1 << uint(i)
@@ -667,9 +508,8 @@ func TestWideOverTCP(t *testing.T) {
 	}
 }
 
-// BenchmarkWideAdd32 is BenchmarkSecureAdd32's wide twin: the same 32-bit
-// adder, but 64 instances per execution. Comparing ns/op across the two
-// (÷64 for the wide per-instance cost) shows the SIMD win directly.
+// BenchmarkWideAdd32 times a 32-bit adder over one word per wire: 64
+// instances per execution (÷64 for the per-instance cost).
 func BenchmarkWideAdd32(b *testing.B) {
 	const width = 32
 	bld := circuit.NewBuilder()
@@ -689,12 +529,7 @@ func BenchmarkWideAdd32(b *testing.B) {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(25))
-	inputs := [][]uint64{make([]uint64, width), make([]uint64, width)}
-	for p := range inputs {
-		for i := range inputs[p] {
-			inputs[p][i] = rng.Uint64()
-		}
-	}
+	inputs := randomInputs(rng, circ, 2, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -702,7 +537,7 @@ func BenchmarkWideAdd32(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := RunWide(net, circ, inputs, int64(i)); err != nil {
+		if _, err := runDealer(net, circ, 1, inputs, int64(i), Open); err != nil {
 			b.Fatal(err)
 		}
 		net.Close()

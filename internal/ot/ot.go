@@ -28,7 +28,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"runtime"
 
+	"repro/internal/parallel"
 	"repro/internal/transport"
 )
 
@@ -101,28 +103,38 @@ func SendBatch(g Group, coll *transport.Collector, peer int, pairs [][2][]byte, 
 	if err != nil || len(pk0s) != len(pairs) {
 		return fmt.Errorf("%w: bad PK0 batch (%d keys for %d pairs)", ErrProtocol, len(pk0s), len(pairs))
 	}
-	// Step 3: encrypt both messages per transfer.
+	// Step 3: encrypt both messages per transfer. The exponents are drawn
+	// in transfer order first, so the transcript does not depend on how
+	// the exponentiations are then spread over the CPUs.
 	cInv := new(big.Int).ModInverse(c, g.P)
 	if cInv == nil {
 		return fmt.Errorf("%w: non-invertible C", ErrProtocol)
 	}
-	out := make([]*big.Int, 0, 4*len(pairs))
-	for t, pk0 := range pk0s {
+	rs := make([]*big.Int, 2*len(pairs))
+	for i := range rs {
+		if rs[i], err = randomScalar(g, entropy); err != nil {
+			return err
+		}
+	}
+	out := make([]*big.Int, 4*len(pairs))
+	err = parallel.For(runtime.GOMAXPROCS(0), len(pk0s), func(t int) error {
+		pk0 := pk0s[t]
 		if pk0.Sign() <= 0 || pk0.Cmp(g.P) >= 0 {
 			return fmt.Errorf("%w: PK0[%d] out of range", ErrProtocol, t)
 		}
 		pk1 := new(big.Int).Mul(c, new(big.Int).ModInverse(pk0, g.P))
 		pk1.Mod(pk1, g.P)
 		for i, pk := range []*big.Int{pk0, pk1} {
-			r, err := randomScalar(g, entropy)
-			if err != nil {
-				return err
-			}
+			r := rs[2*t+i]
 			gr := new(big.Int).Exp(g.G, r, g.P)
 			key := new(big.Int).Exp(pk, r, g.P)
-			ct := xorMask(pairs[t][i], key)
-			out = append(out, gr, new(big.Int).SetBytes(ct))
+			out[4*t+2*i] = gr
+			out[4*t+2*i+1] = new(big.Int).SetBytes(xorMask(pairs[t][i], key))
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	if err := coll.Send(peer, transport.Message{
 		Kind: transport.KindOT, Seq: seq, Data: packBigs(out),
@@ -151,20 +163,21 @@ func ReceiveBatch(g Group, coll *transport.Collector, peer int, choices []byte, 
 	if c.Sign() <= 0 || c.Cmp(g.P) >= 0 {
 		return nil, fmt.Errorf("%w: C out of range", ErrProtocol)
 	}
-	// Step 2: send PK0 per transfer.
+	// Step 2: send PK0 per transfer (secrets drawn in transfer order, the
+	// exponentiations spread over the CPUs).
 	ks := make([]*big.Int, len(choices))
-	pk0s := make([]*big.Int, len(choices))
 	for t, sigma := range choices {
 		if sigma > 1 {
 			return nil, fmt.Errorf("%w: choice %d is not a bit", ErrBadBatch, t)
 		}
-		k, err := randomScalar(g, entropy)
-		if err != nil {
+		if ks[t], err = randomScalar(g, entropy); err != nil {
 			return nil, err
 		}
-		ks[t] = k
-		pkSigma := new(big.Int).Exp(g.G, k, g.P)
-		if sigma == 0 {
+	}
+	pk0s := make([]*big.Int, len(choices))
+	parallel.For(runtime.GOMAXPROCS(0), len(choices), func(t int) error {
+		pkSigma := new(big.Int).Exp(g.G, ks[t], g.P)
+		if choices[t] == 0 {
 			pk0s[t] = pkSigma
 		} else {
 			inv := new(big.Int).ModInverse(pkSigma, g.P)
@@ -172,7 +185,8 @@ func ReceiveBatch(g Group, coll *transport.Collector, peer int, choices []byte, 
 			pk0.Mod(pk0, g.P)
 			pk0s[t] = pk0
 		}
-	}
+		return nil
+	})
 	if err := coll.Send(peer, transport.Message{
 		Kind: transport.KindOT, Seq: seq, Data: packBigs(pk0s),
 	}); err != nil {
@@ -188,15 +202,17 @@ func ReceiveBatch(g Group, coll *transport.Collector, peer int, choices []byte, 
 		return nil, fmt.Errorf("%w: bad ciphertext batch", ErrProtocol)
 	}
 	out := make([][]byte, len(choices))
-	for t, sigma := range choices {
-		gr := vals[4*t+2*int(sigma)]
-		ct := vals[4*t+2*int(sigma)+1]
+	parallel.For(runtime.GOMAXPROCS(0), len(choices), func(t int) error {
+		sigma := int(choices[t])
+		gr := vals[4*t+2*sigma]
+		ct := vals[4*t+2*sigma+1]
 		key := new(big.Int).Exp(gr, ks[t], g.P)
 		ctBytes := ct.Bytes()
 		padded := make([]byte, MessageSize)
 		copy(padded[MessageSize-len(ctBytes):], ctBytes)
 		out[t] = xorMask(padded, key)
-	}
+		return nil
+	})
 	return out, nil
 }
 

@@ -9,9 +9,9 @@ import (
 )
 
 // SessionMux multiplexes one physical Network into independent logical
-// session networks, so several protocol instances (e.g. concurrent GMW
-// identity batches during parallel ε-PPI construction) can share the same
-// set of parties without interleaving each other's messages.
+// session networks, so several protocol instances (e.g. the GMW executions
+// of one secure ε-PPI construction) can share the same set of parties
+// without interleaving each other's messages.
 //
 // Every message sent through a session is stamped with that session's id;
 // one pump goroutine per physical node demultiplexes incoming traffic into
@@ -21,7 +21,7 @@ import (
 // session are dropped.
 //
 // Each session is a full Network: it has its own traffic counters (so
-// per-batch protocol Stats stay exact under concurrency) and its own trace
+// per-instance protocol Stats stay exact under concurrency) and its own trace
 // span attachment, while Instrument forwards to the physical network so
 // registry totals are counted exactly once. Closing a session unblocks its
 // receivers without disturbing sibling sessions; closing the mux closes
@@ -208,7 +208,7 @@ func (s *sessionNet) Instrument(reg *metrics.Registry) { Instrument(s.mux.inner,
 func (s *sessionNet) Metrics() *metrics.Registry { return RegistryOf(s.mux.inner) }
 
 // SetTraceSpan attributes this session's traffic (only) to sp, so
-// concurrent batches each report exact per-batch traffic on their own
+// concurrent protocol instances each report exact traffic on their own
 // spans.
 func (s *sessionNet) SetTraceSpan(sp *trace.Span) { s.stats.setSpan(sp) }
 
