@@ -115,17 +115,7 @@ func TestGenTriplesValidation(t *testing.T) {
 // Two-party AND truth table, the smallest secure computation: the four
 // rows are lanes 0–3 of one execution.
 func TestTwoPartyAND(t *testing.T) {
-	b := circuit.NewBuilder()
-	x := b.Input(0)
-	y := b.Input(1)
-	if err := b.Output(b.AND(x, y)); err != nil {
-		t.Fatal(err)
-	}
-	circ, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runInMem(t, 2, circ, 1, [][]uint64{{0b1100}, {0b1010}}, 3)
+	res := runInMem(t, 2, andGate(t), 1, [][]uint64{{0b1100}, {0b1010}}, 3)
 	if got := res.Outputs[0] & 0b1111; got != 0b1000 {
 		t.Fatalf("AND truth table = %04b, want 1000", got)
 	}
