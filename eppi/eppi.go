@@ -219,8 +219,8 @@ func WithPrefixArithmetic() Option {
 
 // WithOTPreprocessing replaces the secure mode's trusted triple dealer
 // with the pairwise oblivious-transfer protocol — no trusted party at all,
-// at the cost of public-key operations per AND gate. Only meaningful with
-// WithSecure.
+// at the cost of public-key operations per AND gate and identity. Only
+// meaningful with WithSecure.
 func WithOTPreprocessing() Option {
 	return func(o *options) { o.cfg.Triples = core.TripleOT }
 }
