@@ -44,6 +44,10 @@ type cache struct {
 	ttl   time.Duration // 0: entries never expire by age
 	ll    *list.List    // front = most recent; values are *cacheEntry
 	items map[string]*list.Element
+	// floor is the epoch of the last purge. A put of an older epoch's
+	// answer is dropped: a lookup that left for upstream before the swap
+	// and returns after it must not re-plant an entry the purge removed.
+	floor uint64
 }
 
 // cacheEntry is kept to exactly 64 bytes — key header 16 + val 40 +
@@ -94,6 +98,9 @@ func (c *cache) put(key string, val lookupResult) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if val.epoch < c.floor {
+		return
+	}
 	if el, ok := c.items[key]; ok {
 		ent := el.Value.(*cacheEntry)
 		ent.val = val
@@ -165,7 +172,7 @@ type cachePut struct {
 }
 
 // putBatch inserts every entry under one lock acquisition; semantics per
-// entry match put.
+// entry match put, the epoch floor included.
 func (c *cache) putBatch(puts []cachePut) {
 	if c == nil || len(puts) == 0 {
 		return
@@ -177,6 +184,9 @@ func (c *cache) putBatch(puts []cachePut) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range puts {
+		if p.val.epoch < c.floor {
+			continue
+		}
 		if el, ok := c.items[p.key]; ok {
 			ent := el.Value.(*cacheEntry)
 			ent.val = p.val
@@ -197,7 +207,8 @@ func (c *cache) putBatch(puts []cachePut) {
 // gateway learns the fleet advanced: the orphaned entries would never be
 // read again (the key prefix moved on), so evicting them immediately frees
 // their LRU slots for current-epoch answers instead of letting stale
-// ballast age out one eviction at a time.
+// ballast age out one eviction at a time. Answers of epochs before e that
+// arrive later are refused by put and putBatch.
 func (c *cache) purgeOtherEpochs(e uint64) {
 	if c == nil {
 		return
@@ -205,6 +216,7 @@ func (c *cache) purgeOtherEpochs(e uint64) {
 	prefix := strconv.FormatUint(e, 10) + "\x00"
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.floor = max(c.floor, e)
 	var next *list.Element
 	for el := c.ll.Front(); el != nil; el = next {
 		next = el.Next()

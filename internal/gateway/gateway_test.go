@@ -96,6 +96,35 @@ func TestCachePurgeOtherEpochs(t *testing.T) {
 	}
 }
 
+// An upstream answer of an older epoch that lands after the purge — the
+// lookup left before the swap and returned after it — stays out of the
+// cache, through both put paths.
+func TestCachePutAfterPurgeRefusesOlderEpoch(t *testing.T) {
+	c := newCache(8, 0)
+	c.purgeOtherEpochs(2)
+	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1})
+	c.putBatch([]cachePut{
+		{key: cacheKey(1, "bob"), val: lookupResult{epoch: 1, notFound: true}},
+		{key: cacheKey(2, "bob"), val: lookupResult{epoch: 2}},
+	})
+	c.put(cacheKey(3, "carol"), lookupResult{epoch: 3})
+	if c.len() != 2 {
+		t.Fatalf("len = %d, want 2 (epoch-1 puts refused)", c.len())
+	}
+	if _, ok := c.get(cacheKey(1, "alice")); ok {
+		t.Fatal("epoch-1 put landed after the epoch-2 purge")
+	}
+	if _, ok := c.get(cacheKey(1, "bob")); ok {
+		t.Fatal("epoch-1 batch put landed after the epoch-2 purge")
+	}
+	if _, ok := c.get(cacheKey(2, "bob")); !ok {
+		t.Fatal("current-epoch batch put refused")
+	}
+	if _, ok := c.get(cacheKey(3, "carol")); !ok {
+		t.Fatal("newer-epoch put refused")
+	}
+}
+
 func TestCacheKeyScopesByEpoch(t *testing.T) {
 	// Same owner, different epochs: distinct entries. An owner name that
 	// starts with digits must not collide with another epoch's key space.

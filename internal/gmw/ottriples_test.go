@@ -1,6 +1,7 @@
 package gmw
 
 import (
+	"errors"
 	"math/bits"
 	"testing"
 
@@ -165,6 +166,24 @@ func TestRunWithOTTriples(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkInstances(t, circ, 1, inputs, res.Outputs, len(cases))
+}
+
+// Triple-shape validation: a missing party's set, and sets shorter than
+// the circuit's AND count.
+func TestRunWithTriplesValidation(t *testing.T) {
+	circ := andGate(t)
+	net, err := transport.NewInMem(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	inputs := [][]uint64{{1}, {1}}
+	if _, err := Run(net, circ, 1, inputs, []Triples{{}}, 1, Open); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("one triple set for two parties: %v, want ErrTripleShape", err)
+	}
+	if _, err := Run(net, circ, 1, inputs, []Triples{{}, {}}, 1, Open); !errors.Is(err, ErrTripleShape) {
+		t.Errorf("empty triple sets: %v, want ErrTripleShape", err)
+	}
 }
 
 // OT-generated preprocessing must be as uniform as dealer output: a single

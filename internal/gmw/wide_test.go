@@ -194,8 +194,8 @@ func TestWideSharedReconstructs(t *testing.T) {
 	checkInstances(t, circ, 1, inputs, opened, Lanes)
 }
 
-// Triple-shape validation: a missing party's set, and sets shorter than
-// AND gates × words.
+// Triple-shape validation of a multi-word run: sets that cover the AND
+// gates for one word but not for AND gates × words.
 func TestRunWideValidation(t *testing.T) {
 	circ := andGate(t)
 	net, err := transport.NewInMem(2)
@@ -204,12 +204,6 @@ func TestRunWideValidation(t *testing.T) {
 	}
 	defer net.Close()
 	inputs := [][]uint64{{1, 2}, {3, 4}}
-	if _, err := Run(net, circ, 2, inputs, []Triples{{}}, 1, Open); !errors.Is(err, ErrTripleShape) {
-		t.Errorf("one triple set for two parties: %v, want ErrTripleShape", err)
-	}
-	if _, err := Run(net, circ, 2, inputs, []Triples{{}, {}}, 1, Open); !errors.Is(err, ErrTripleShape) {
-		t.Errorf("empty triple sets: %v, want ErrTripleShape", err)
-	}
 	oneWord, err := GenTriplesWideSharded(1, 2, 1, 1)
 	if err != nil {
 		t.Fatal(err)
