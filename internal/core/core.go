@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"runtime"
 	"time"
 
@@ -30,6 +29,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/parallel"
+	"repro/internal/prf"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -103,7 +103,8 @@ type Config struct {
 	C int
 	// CoinBits is the mixing-coin precision (DefaultCoinBits when 0).
 	CoinBits int
-	// Seed drives all randomness of the run (deterministic experiments).
+	// Seed drives all randomness of the run (deterministic experiments):
+	// every draw is keyed by it through internal/prf.
 	Seed int64
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
 	// deriving it from the ε of common identities.
@@ -111,16 +112,13 @@ type Config struct {
 	// BatchSize, in ModeSecure, sets how finely the common count is
 	// released: stage B opens one count per batch of BatchSize identities
 	// (0 means one batch, i.e. the total alone). Batch boundaries are public
-	// parameters; the mixing coins are drawn per batch, so the hidden set
-	// depends on it. Every secure execution spans all identities whatever
-	// the batch size.
+	// parameters. Every secure execution spans all identities whatever the
+	// batch size, and no other output depends on it.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold and mixing
 	// shards, triple dealing, and randomized publication shards all share
-	// it. 0 means runtime.NumCPU(); 1 forces the sequential path. Mixing
-	// shards draw from streams derived from Seed with mathx.DeriveSeed and
-	// publication coins are keyed per cell, so results are bit-identical at
-	// any worker count.
+	// it. 0 means runtime.NumCPU(); 1 forces the sequential path. Results
+	// are bit-identical at any worker count.
 	Workers int
 	// Triples selects the MPC preprocessing source (dealer by default;
 	// TripleOT runs the real oblivious-transfer protocol).
@@ -411,10 +409,9 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 }
 
 // constructTrusted runs the simulation path: frequencies in the clear.
-// Mixing and publication are sharded across the worker pool; a mixing
-// shard derives its randomness from (cfg.Seed, stage stream, shard index)
-// and publication from per-cell keyed coins, so the result is bit-identical
-// at any worker count.
+// Mixing and publication are sharded across the worker pool; every coin
+// they read is keyed per owner or per cell (internal/prf), so the result is
+// bit-identical at any worker count.
 func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, thresholds []uint64, cfg Config) (*Result, error) {
 	m, n := truth.Rows(), truth.Cols()
 	workers := cfg.workers()
@@ -444,18 +441,21 @@ func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, 
 		return nil, err
 	}
 
-	// Identity mixing + per-identity β (Equations 6 and 7). Each shard
-	// draws its mixing coins from its own derived stream.
+	// Identity mixing + per-identity β (Equations 6 and 7). Owner j's coin
+	// is word j of the Mix keystream, drawn for every owner, so the hidden
+	// set is monotone in λ and no owner's coin depends on another's.
 	mixCtx, mixSpan := trace.StartChild(ctx, "core.mixing")
 	hidden := make([]bool, n)
 	betas := make([]float64, n)
-	err = parallel.Blocks(workers, n, colShard, func(b, lo, hi int) error {
+	coins := make([]uint64, n)
+	prf.New(prf.Key(cfg.Seed, prf.Mix, 0)).Words(coins)
+	cut := mixCut(lambda)
+	err = parallel.Blocks(workers, n, colShard, func(_, lo, hi int) error {
 		_, sp := trace.StartChild(mixCtx, "core.mixing.shard",
 			trace.Int("lo", lo), trace.Int("hi", hi))
 		defer sp.End()
-		rng := rand.New(rand.NewSource(mathx.DeriveSeed(cfg.Seed, seedStreamMix, uint64(b))))
 		for j := lo; j < hi; j++ {
-			if freqs[j] >= thresholds[j] || mathx.Bernoulli(rng, lambda) {
+			if freqs[j] >= thresholds[j] || lambda >= 1 || coins[j] < cut {
 				hidden[j] = true
 				betas[j] = 1
 				continue
@@ -486,4 +486,15 @@ func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, 
 		Lambda:      lambda,
 		Xi:          xi,
 	}, nil
+}
+
+// mixCut is ⌊λ · 2⁶⁴⌋, the trusted-mode mixing cutoff: an owner whose coin
+// is below it is mixed in. λ ≤ 0 gives 0 (no one); λ ≥ 1 hides every owner
+// and is tested before the cutoff is. Scaling by a power of two is exact,
+// and λ ≤ 1 − 2⁻⁵³ keeps the product below 2⁶⁴.
+func mixCut(lambda float64) uint64 {
+	if lambda <= 0 || lambda >= 1 {
+		return 0
+	}
+	return uint64(math.Ldexp(lambda, 64))
 }

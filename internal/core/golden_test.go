@@ -13,22 +13,26 @@ import (
 // last row shard and the last 64×64 tile are all partial) with exactly one
 // true common identity (column 0, held by 190 of 197 providers).
 //
-// The values must never change without a stated reason: the mixing streams
-// and column-shard boundaries of the trusted pipeline and every publication
-// coin feed them. They are also the oracle a future removal of an evaluator
-// or a layout change is checked against. The lambda values (and the
-// CommonCount assertion) date from before aggregation moved to
-// bitmat.ColCounts. The three hashes were re-pinned once, deliberately, when
-// Equation 2's per-tile math/rand stream was replaced by the keyed per-cell
-// coin (publishSharded): that changes the noise bits of M′ for every seed
-// and nothing else — β, the hidden set, λ and CommonCount are as before.
+// The values must never change without a stated reason: the mixing coins
+// and every publication coin feed them. They are also the oracle a future
+// removal of an evaluator or a layout change is checked against. The lambda
+// values (and the CommonCount assertion) date from before aggregation moved
+// to bitmat.ColCounts. The hashes were re-pinned twice, deliberately and
+// each time for one cause, with λ and CommonCount unchanged:
+//   - when Equation 2's per-tile math/rand stream was replaced by the keyed
+//     per-cell coin (publishSharded), which changes the noise bits of M′
+//     and nothing else;
+//   - when the per-shard mixing streams were replaced by the keyed per-owner
+//     mixing coin (prf.Mix), which changes which non-common owners are
+//     mixed in; every column hidden under neither coin was checked
+//     bit-identical.
 var goldenPublished = map[string]struct {
 	sha    string
 	lambda float64
 }{
-	"basic":    {"040583f0f1cd6db641b9428eaf61fd78452939da356d9b0553211d9229b161aa", 0.01717171717171717},
-	"inc-exp":  {"1b54e368caaa7e53be5e42a35e08d08fa3d0d44d7732362f045133551ee078b4", 0.01717171717171717},
-	"chernoff": {"defe350e715e048fba159f7be14c6738a7e73f70ab8448c0378e480a615a8a5f", 0.01717171717171717},
+	"basic":    {"fe6b8901fd9d771a99bfd21137a40255323f15cd06e67c1febf4fab92883aecb", 0.01717171717171717},
+	"inc-exp":  {"32020bbd90b003be220b38d65b4203ba241b64a0a6de087d3d825c1794dc577a", 0.01717171717171717},
+	"chernoff": {"909ea449e0b3c86ac999d31728b91f6330b85b64b9e0029bddb3897a71533ec7", 0.01717171717171717},
 }
 
 func TestPublishedGolden(t *testing.T) {

@@ -3,44 +3,26 @@ package core
 import (
 	"bytes"
 	"context"
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"math"
 	"math/bits"
 
 	"repro/internal/bitmat"
-	"repro/internal/mathx"
 	"repro/internal/parallel"
+	"repro/internal/prf"
 	"repro/internal/trace"
 )
 
-// Sharding geometry of the parallel construction pipeline.
+// Sharding geometry of the parallel construction pipeline: scheduling
+// granularity only. Every coin is keyed per (purpose, slot) through
+// internal/prf, so neither constant shapes any output. Tuned once, not
+// per run.
 const (
-	// colShard is the column block size for β thresholds and mixing. It is
-	// part of the deterministic-output contract: a mixing shard draws from
-	// the stream (Config.Seed, seedStreamMix, shard index), so changing it
-	// changes which stream a column draws from and therefore the hidden set
-	// for a given seed. Tuned once, not per-run.
+	// colShard is the column block size for β thresholds, mixing and
+	// stage C's decode.
 	colShard = 64
-	// rowShard is scheduling granularity only: the rows one publication task
-	// handles. Publication coins are keyed per cell, so no output depends on
-	// it.
+	// rowShard is the rows one publication task handles.
 	rowShard = 128
-)
-
-// DeriveSeed stream labels, one per randomized construction stage. Each
-// stage draws from its own family of child seeds so no two stages — and no
-// two shards within a stage — ever share an RNG stream.
-const (
-	seedStreamMix uint64 = iota + 1
-	seedStreamPublish
-	seedStreamCoins
-	// One stream per GMW execution of stages B and C, each of which runs
-	// once per construction over all identities (index 0).
-	seedStreamCountBelow
-	seedStreamSliceCount
-	seedStreamReveal
 )
 
 // listedMax is K, the most columns with a non-zero first threshold byte a
@@ -68,13 +50,14 @@ type listedCol struct {
 // iff its coin u(i, j) < β_j.
 //
 // The coin is a fixed point per cell, not a draw from a stream. u(i, j) is
-// a 64-bit binary fraction under provider i's key k_i (coinKey): its first
-// byte is byte j of the AES-CTR keystream (IV 0, so one block serves 16
-// adjacent cells) and its other 56 bits (coinTail) are read only when that
-// byte ties with the first byte of T_j = ⌊β_j · 2⁶⁴⌋ — the full 64-bit
-// comparison, evaluated lazily. M′(i, j) is therefore a function of
-// (seed, i, j, β_j, M(i, j)) alone — not of the worker count, the shard
-// geometry or any other cell — and monotone in β_j: a cell published at β
+// a 64-bit binary fraction under provider i's key k_i = prf.Key(seed,
+// prf.Publish, i): its first byte is byte j of the AES-CTR keystream (IV 0,
+// so one block serves 16 adjacent cells) and its other 56 bits (coinTail)
+// are read only when that byte ties with the first byte of
+// T_j = ⌊β_j · 2⁶⁴⌋ — the full 64-bit comparison, evaluated lazily.
+// M′(i, j) is therefore a function of (seed, i, j, β_j, M(i, j)) alone —
+// not of the worker count, the shard geometry or any other cell — and
+// monotone in β_j: a cell published at β
 // stays published at every β′ ≥ β (DESIGN.md §7, "Publication coin").
 //
 // Work is sharded by rows (publication is provider-local). Per row the
@@ -137,7 +120,6 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 	pubSpan.SetInt("tie_only", tieOnlyCols)
 	pubSpan.SetInt("listed", len(listed))
 	pubSpan.SetInt("swar_words", len(swar))
-	zeros := make([]byte, len(t8))
 
 	parallel.Blocks(workers, m, rowShard, func(_, lo, hi int) error {
 		_, sp := trace.StartChild(pubCtx, "core.publish.shard",
@@ -145,14 +127,9 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 		defer sp.End()
 		ks := make([]byte, len(t8))
 		row := make([]uint64, words)
-		var iv, scratch [aes.BlockSize]byte
 		for i := lo; i < hi; i++ {
-			key := coinKey(seed, i)
-			block, err := aes.NewCipher(key[:])
-			if err != nil {
-				panic(err) // a 16-byte key is always valid
-			}
-			cipher.NewCTR(block, iv[:]).XORKeyStream(ks, zeros)
+			coins := prf.New(prf.Key(seed, prf.Publish, uint64(i)))
+			coins.Read(ks)
 			copy(row, ones)
 			for _, w := range swar {
 				var lt, eq uint64
@@ -164,14 +141,14 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 				}
 				for ties := eq & above[w]; ties != 0; ties &= ties - 1 {
 					j := w*64 + bits.TrailingZeros64(ties)
-					if coinTail(block, &scratch, j) < tail[j] {
+					if coinTail(coins, j) < tail[j] {
 						lt |= 1 << (j % 64)
 					}
 				}
 				row[w] |= lt & above[w]
 			}
 			for _, c := range listed {
-				if kb := ks[c.j]; kb < c.t8 || kb == c.t8 && coinTail(block, &scratch, c.j) < c.tail {
+				if kb := ks[c.j]; kb < c.t8 || kb == c.t8 && coinTail(coins, c.j) < c.tail {
 					row[c.j/64] |= 1 << (c.j % 64)
 				}
 			}
@@ -182,7 +159,7 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 						break
 					}
 					j += k
-					if tieOnly[j/64]&(1<<(j%64)) != 0 && coinTail(block, &scratch, j) < tail[j] {
+					if tieOnly[j/64]&(1<<(j%64)) != 0 && coinTail(coins, j) < tail[j] {
 						row[j/64] |= 1 << (j % 64)
 					}
 				}
@@ -194,25 +171,10 @@ func publishSharded(ctx context.Context, truth *bitmat.Matrix, betas []float64, 
 	return published
 }
 
-// coinKey derives provider i's publication key k_i from the run seed, so a
-// given seed reproduces M′ exactly. It is the one place the keys come from:
-// with a 64-bit seed behind them the coins are sticky and cheap, not
-// unpredictable.
-func coinKey(seed int64, i int) (key [16]byte) {
-	binary.LittleEndian.PutUint64(key[:8], uint64(mathx.DeriveSeed(seed, seedStreamPublish, uint64(2*i))))
-	binary.LittleEndian.PutUint64(key[8:], uint64(mathx.DeriveSeed(seed, seedStreamPublish, uint64(2*i+1))))
-	return key
-}
-
 // coinTail returns the low 56 bits of u(i, j): the first seven bytes of
-// AES_{k_i}(1 ‖ j). The leading 1 byte keeps these blocks out of the CTR
-// stream's counter range (which starts at 0 and never reaches 2¹²⁰). buf is
-// the caller's scratch block, so a tie does not allocate.
-func coinTail(block cipher.Block, buf *[aes.BlockSize]byte, j int) uint64 {
-	*buf = [aes.BlockSize]byte{0: 1}
-	binary.BigEndian.PutUint64(buf[8:], uint64(j))
-	block.Encrypt(buf[:], buf[:])
-	return binary.BigEndian.Uint64(buf[:8]) >> 8
+// slot j's word under k_i (prf.Stream.Slot, AES_{k_i}(1 ‖ j)).
+func coinTail(coins *prf.Stream, j int) uint64 {
+	return coins.Slot(uint64(j)) >> 8
 }
 
 // lessBytes compares the eight bytes of x with the eight bytes of y as

@@ -14,6 +14,7 @@ import (
 	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/mathx"
+	"repro/internal/prf"
 	"repro/internal/workload"
 )
 
@@ -45,7 +46,7 @@ func refThreshold(beta float64) uint64 {
 }
 
 func refBlock(seed int64, i int) cipher.Block {
-	key := coinKey(seed, i)
+	key := prf.Key(seed, prf.Publish, uint64(i))
 	block, err := aes.NewCipher(key[:])
 	if err != nil {
 		panic(err)

@@ -44,9 +44,10 @@ func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
 //
 // Stages B and C are three bit-sliced GMW executions over all n
 // identities at once (secure_mpc.go), each over its own logical session of
-// one coordinator network (transport.SessionMux). Protocol seeds derive
-// from (Seed, stage stream) and the mixing coins from (Seed, coin stream,
-// batch index), so the run is bit-identical at any worker count.
+// one coordinator network (transport.SessionMux). Protocol randomness and
+// the mixing coins are keyed through internal/prf, per execution and per
+// (coordinator, identity), so the run is bit-identical at any worker count
+// and batch size.
 //
 // ξ is taken over identities that *can* be common (public thresholds
 // t_j <= m); the trusted path uses the paper's exact max-over-true-commons,
@@ -125,8 +126,7 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 
 	// --- Stage B: CountBelow among the c coordinators ----------------------
 	// The per-batch common counts (Config.BatchSize) are opened and summed
-	// into the global count; batch boundaries are public parameters. The
-	// batch size also picks the mixing-coin streams of stage C.
+	// into the global count; batch boundaries are public parameters.
 	batch := cfg.BatchSize
 	if batch <= 0 || batch > n {
 		batch = n
@@ -151,22 +151,15 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		}
 	}
 	lambda, err := mathx.Lambda(xi, commonCount, n)
+	mixSpan.End()
 	if err != nil {
-		mixSpan.End()
 		return nil, err
 	}
-	coinBits := cfg.coinBits()
-	coinMod := uint64(1) << uint(coinBits)
-	mixThreshold := uint64(lambda * float64(coinMod))
-	if mixThreshold >= coinMod {
-		mixThreshold = coinMod - 1 // λ ≈ 1 clamped to the coin resolution
-	}
-	mixSpan.End()
 
 	// --- Stage C: Reveal among the c coordinators --------------------------
 	hidden := make([]bool, n)
 	betas := make([]float64, n)
-	rv, err := st.reveal(batch, coinBits, coinMod, mixThreshold, eps, hidden, betas)
+	rv, err := st.reveal(cfg.coinBits(), lambda, eps, hidden, betas)
 	if err != nil {
 		return nil, fmt.Errorf("Reveal: %w", err)
 	}

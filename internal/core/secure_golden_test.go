@@ -13,50 +13,29 @@ import (
 
 // goldenSecure pins the secure pipeline's output: SHA-256 of
 // Result.Published's binary encoding, CommonCount and λ, per β policy, on a
-// ragged 40 × 130 shape (three identity batches of 48, the last partial)
-// with exactly one true common identity (column 0, held by 39 of 40
-// providers). Every row — Config.Wide false and true, 1 and 8 workers, and
-// the TCP row — must agree with the policy's entry. (Config.Wide chose
-// between a byte-per-wire and the bit-sliced evaluator while both existed;
-// the rows of both settings stay so that the one evaluator left is held to
-// the values the other recorded.)
+// ragged 40 × 130 shape with exactly one true common identity (column 0,
+// held by 39 of 40 providers). Every row must agree with its policy's
+// entry: BatchSize 48 (three batches, the last partial), 0 (the whole set),
+// 64 (one word) and 33 (dividing neither 64 nor 130), ripple and prefix
+// arithmetic, 1 and 8 workers, and the TCP row. Batch size is a public
+// release granularity and shapes no other output; opened values do not
+// depend on the arithmetic style, the worker count or the transport.
 //
-// The values were recorded by running this test against the build whose
-// SecSumShare still split every input bit with math/rand and shipped whole
-// share vectors. Frequencies are exact sums whatever the shares are, and the
-// seeds of stages B and C and the publication coins do not depend on them, so
-// a change to how SecSumShare shares or packs must leave every value here
+// The values were re-pinned once, when the per-batch mixing-coin streams
+// were replaced by the keyed per-coordinator, per-identity coin (prf.Coins),
+// which collapsed the twelve per-(policy, BatchSize) entries into one per
+// policy. λ and CommonCount were unchanged, and every column hidden under
+// neither coin was checked bit-identical to the earlier build's M′ at every
+// batch size. Frequencies are exact sums whatever the shares are, so a
+// change to how SecSumShare shares or packs must leave every value here
 // untouched.
 var goldenSecure = map[string]struct {
 	sha    string
 	lambda float64
 }{
-	"basic":    {"3d621c30181795d43c440e2283469c90f3045a7fca2acdce091e26f637049a20", 0.04392764857881137},
-	"inc-exp":  {"e962e5e977678d79828f2e396a7c5fc0f9e3f1664f9c1781c35b1d0c55793124", 0.04392764857881137},
-	"chernoff": {"643d866e02f76f00d06abad2d94ad73318541a515d984e097ac4adc26c7595cc", 0.04392764857881137},
-}
-
-// goldenSecureBatch extends goldenSecure to other batchings of the same
-// fixture, keyed by policy and BatchSize: the whole set (0), one full word
-// of identities (64) and a width that divides neither 64 nor 130 (33). The
-// mixing coins are drawn per batch, so each batching publishes its own M′.
-// The arithmetic style changes no opened value, so ripple and prefix rows
-// share an entry. The values were recorded from the byte-per-wire scalar
-// evaluator, and the bit-sliced evaluator was checked against them on the
-// same build.
-var goldenSecureBatch = map[string]struct {
-	sha    string
-	lambda float64
-}{
-	"basic/batch=0":     {"da3aa4efc03f13c089bdc35b9b613378c33f991a215398f3c1b295a93ed26ede", 0.04392764857881137},
-	"basic/batch=64":    {"d3f8f178e7a6096ba8c435125a97c1eb8af4dfc6c5f417bcd1c92d53c08cc7c4", 0.04392764857881137},
-	"basic/batch=33":    {"cbaebd51660ee81745fce4135a2ce8217ff54fe32a2648643b40fe44d6dcf627", 0.04392764857881137},
-	"inc-exp/batch=0":   {"811eff17d782b0e100bb5ff56edcaa94a3c5ad181cc5e49e13360a4bbd9eb54c", 0.04392764857881137},
-	"inc-exp/batch=64":  {"2fc8d182834fac0dabfb83d1b7d1ae9bab9c252fa88cde7a4bc7e324c030f152", 0.04392764857881137},
-	"inc-exp/batch=33":  {"607b3b6e45de728f5c917f03d5cf4b7aeb240969e75518c0a9822ae437672bbf", 0.04392764857881137},
-	"chernoff/batch=0":  {"2bfe1c12df817d72ba0bf8ff5bbbbf48bcd25a9a159eeabcd7d95535037b7605", 0.04392764857881137},
-	"chernoff/batch=64": {"5d462c5f60d0230ff99415511f43c81655aaf545c9089b5ec582d81dd14239f2", 0.04392764857881137},
-	"chernoff/batch=33": {"e748f608256947829939b3fdeb070c3769c9d4ab9bf4fbab702f5a0399e71122", 0.04392764857881137},
+	"basic":    {"1ee0fdaae10054c2d7302a4d2104577d06c3a25ec3d7e5d5725305bf61717f05", 0.04392764857881137},
+	"inc-exp":  {"760bf2f6e180e6961ba3d8d0c89b9c3f1582814a537c255a1e6f532a822d96d0", 0.04392764857881137},
+	"chernoff": {"ca8575a6678eabafac552681712b735a6ae2394b838b96fb8421937ebb0ded9c", 0.04392764857881137},
 }
 
 func TestSecurePublishedGolden(t *testing.T) {
@@ -72,7 +51,7 @@ func TestSecurePublishedGolden(t *testing.T) {
 	}
 	eps[0] = 0.85
 
-	check := func(name, key string, cfg Config) {
+	check := func(name, policy string, cfg Config) {
 		t.Helper()
 		res, err := Construct(truth, eps, cfg)
 		if err != nil {
@@ -83,10 +62,7 @@ func TestSecurePublishedGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := sha256.Sum256(raw)
-		want, ok := goldenSecure[key]
-		if !ok {
-			want = goldenSecureBatch[key]
-		}
+		want := goldenSecure[policy]
 		if got := hex.EncodeToString(sum[:]); got != want.sha {
 			t.Errorf("%s: sha256(M′) = %s, want %s", name, got, want.sha)
 		}
@@ -99,32 +75,24 @@ func TestSecurePublishedGolden(t *testing.T) {
 	}
 	base := Config{Mode: ModeSecure, C: 3, Seed: 777, BatchSize: 48}
 	for _, pol := range workerPolicies {
-		for _, wide := range []bool{false, true} {
-			for _, workers := range []int{1, 8} {
+		for _, workers := range []int{1, 8} {
+			cfg := base
+			pol.set(&cfg)
+			cfg.Workers = workers
+			check(fmt.Sprintf("%s/workers=%d", pol.name, workers), pol.name, cfg)
+		}
+		for _, batch := range []int{0, 64, 33} {
+			for _, arith := range []circuit.Style{circuit.StyleRipple, circuit.StylePrefix} {
 				cfg := base
 				pol.set(&cfg)
-				cfg.Wide, cfg.Workers = wide, workers
-				check(fmt.Sprintf("%s/wide=%v/workers=%d", pol.name, wide, workers), pol.name, cfg)
+				cfg.BatchSize, cfg.Arithmetic = batch, arith
+				check(fmt.Sprintf("%s/batch=%d/%v", pol.name, batch, arith), pol.name, cfg)
 			}
 		}
 	}
 	cfg := base
 	workerPolicies[2].set(&cfg)
-	cfg.Wide, cfg.Workers = true, 2
+	cfg.Workers = 2
 	cfg.NewNetwork = func(parties int) (transport.Network, error) { return transport.NewTCP(parties) }
-	check("chernoff/wide/tcp", workerPolicies[2].name, cfg)
-
-	for _, pol := range workerPolicies {
-		for _, batch := range []int{0, 64, 33} {
-			key := fmt.Sprintf("%s/batch=%d", pol.name, batch)
-			for _, arith := range []circuit.Style{circuit.StyleRipple, circuit.StylePrefix} {
-				for _, wide := range []bool{false, true} {
-					cfg := base
-					pol.set(&cfg)
-					cfg.BatchSize, cfg.Arithmetic, cfg.Wide = batch, arith, wide
-					check(fmt.Sprintf("%s/%v/wide=%v", key, arith, wide), key, cfg)
-				}
-			}
-		}
-	}
+	check("chernoff/tcp", workerPolicies[2].name, cfg)
 }

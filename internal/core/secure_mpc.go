@@ -3,13 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
-	"math/rand"
+	"math"
 
 	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/gmw"
 	"repro/internal/mathx"
 	"repro/internal/parallel"
+	"repro/internal/prf"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -38,9 +39,13 @@ import (
 //     discarded. Their wire values are therefore public, which is what
 //     lets OT preprocessing give them the all-zero triple (THEORY.md).
 //
-// Each execution draws its protocol seed from (Seed, stage stream) and runs
-// after the previous one, so the run is deterministic at any worker count.
-// Every party holds O(wires · ⌈n/64⌉) words per execution.
+// The execution on session s runs under prf.Seed(Seed, prf.Exec, s), from
+// which gmw keys its triples, input sharing and OT entropy, and coordinator
+// k's mixing coins are keyed per identity (prf.Coins). Opened outputs do
+// not depend on any protocol randomness, so the hidden set and the opened
+// frequencies are a function of (Seed, inputs) alone: the same at any
+// worker count and batch size. Every party holds O(wires · ⌈n/64⌉) words
+// per execution.
 type mpcStages struct {
 	ctx        context.Context
 	cfg        Config
@@ -134,7 +139,7 @@ func batchLanes(vec []uint64, n, batch, words int) []uint64 {
 // preprocessing per the configuration (sharded dealer, or OT over the same
 // session for the first `live` instances only), and tears the mux down on
 // failure. Stage B, the count opener and stage C use sessions 1, 2 and 3.
-func (st *mpcStages) run(stage string, sessID uint32, circ *circuit.Circuit, words, live int, inputs [][]uint64, seed int64, mode gmw.Mode) (*gmw.Result, error) {
+func (st *mpcStages) run(stage string, sessID uint32, circ *circuit.Circuit, words, live int, inputs [][]uint64, mode gmw.Mode) (*gmw.Result, error) {
 	sess, err := st.mux.Session(sessID)
 	if err != nil {
 		return nil, fmt.Errorf("coordinator session: %w", err)
@@ -143,9 +148,10 @@ func (st *mpcStages) run(stage string, sessID uint32, circ *circuit.Circuit, wor
 		trace.Int("identities", st.n), trace.Int("words", words))
 	transport.AttachSpan(sess, sp)
 	defer sp.End()
+	seed := prf.Seed(st.cfg.Seed, prf.Exec, uint64(sessID))
 	var triples []gmw.Triples
 	if st.cfg.Triples == TripleOT {
-		triples, err = gmw.GenTriplesOT(sess, circ.Stats().AndGates, words, live, seed+7919)
+		triples, err = gmw.GenTriplesOT(sess, circ.Stats().AndGates, words, live, seed)
 		if err != nil {
 			err = fmt.Errorf("OT preprocessing: %w", err)
 		}
@@ -187,8 +193,7 @@ func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 	for k := 1; k < st.c; k++ {
 		inputs[k] = packPlanes(st.shares[k], 0, st.w, st.words)
 	}
-	cbRes, err := st.run("mpc.countbelow", 1, cbCirc, st.words, st.n, inputs,
-		mathx.DeriveSeed(st.cfg.Seed, seedStreamCountBelow, 0), gmw.KeepShared)
+	cbRes, err := st.run("mpc.countbelow", 1, cbCirc, st.words, st.n, inputs, gmw.KeepShared)
 	if err != nil {
 		return out, fmt.Errorf("CountBelowSlice MPC: %w", err)
 	}
@@ -204,8 +209,7 @@ func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 	for k := range inputs {
 		inputs[k] = batchLanes(cbRes.OutputShares[k], st.n, batch, scWords)
 	}
-	scRes, err := st.run("mpc.slicecount", 2, scCirc, scWords, nb, inputs,
-		mathx.DeriveSeed(st.cfg.Seed, seedStreamSliceCount, 0), gmw.Open)
+	scRes, err := st.run("mpc.slicecount", 2, scCirc, scWords, nb, inputs, gmw.Open)
 	if err != nil {
 		return out, fmt.Errorf("SliceCount MPC: %w", err)
 	}
@@ -219,13 +223,21 @@ func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 }
 
 // reveal is stage C: one RevealSlice execution over all n identities.
-// Each coordinator draws its mixing coins per batch b from (Seed, coin
-// stream, b), party-major and identity-minor, so the hidden set depends on
-// the batch geometry but not on the worker count. Padded lanes carry zero
-// shares, zero coins and a folded t = 1; their outputs are discarded
-// undecoded.
-func (st *mpcStages) reveal(batch, coinBits int, coinMod, mixThreshold uint64, eps []float64, hidden []bool, betas []float64) (mpcOut, error) {
+// Identity j is hidden iff it is common or its joint coin, the XOR of the
+// c coordinators' coins, is below ⌊λ · 2^coinBits⌋ (exact, and below
+// 2^coinBits for λ < 1). Coordinator k's coin is word j of its prf.Coins
+// keystream mod 2^coinBits, so each joint coin is fixed by the seed and
+// the hidden set is monotone in λ. At λ ≥ 1 every identity must hide: the
+// coordinators input zero coins against the cutoff 2^coinBits − 1, so no
+// frequency opens. Padded lanes carry zero shares, zero coins and a folded
+// t = 1; their outputs are discarded undecoded.
+func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden []bool, betas []float64) (mpcOut, error) {
 	var out mpcOut
+	coinMask := uint64(1)<<uint(coinBits) - 1
+	mixThreshold := coinMask
+	if lambda < 1 {
+		mixThreshold = uint64(math.Ldexp(lambda, coinBits))
+	}
 	rvCirc, err := circuit.RevealSliceCached(circuit.SliceParams{
 		Parties: st.c, ShareBits: st.w, CoinBits: coinBits,
 		MixThreshold: mixThreshold, Arithmetic: st.cfg.Arithmetic,
@@ -236,14 +248,12 @@ func (st *mpcStages) reveal(batch, coinBits int, coinMod, mixThreshold uint64, e
 	coins := make([][]uint64, st.c)
 	for k := range coins {
 		coins[k] = make([]uint64, st.n)
-	}
-	for b, lo := 0, 0; lo < st.n; b, lo = b+1, lo+batch {
-		hi := min(lo+batch, st.n)
-		coinRng := rand.New(rand.NewSource(mathx.DeriveSeed(st.cfg.Seed, seedStreamCoins, uint64(b))))
-		for k := range coins {
-			for j := lo; j < hi; j++ {
-				coins[k][j] = coinRng.Uint64() % coinMod
-			}
+		if lambda >= 1 {
+			continue
+		}
+		prf.New(prf.Key(st.cfg.Seed, prf.Coins, uint64(k))).Words(coins[k])
+		for j := range coins[k] {
+			coins[k][j] &= coinMask
 		}
 	}
 	mod := uint64(1) << uint(st.w)
@@ -260,8 +270,7 @@ func (st *mpcStages) reveal(batch, coinBits int, coinMod, mixThreshold uint64, e
 		}
 		inputs[k] = in
 	}
-	res, err := st.run("mpc.reveal", 3, rvCirc, st.words, st.n, inputs,
-		mathx.DeriveSeed(st.cfg.Seed, seedStreamReveal, 0), gmw.Open)
+	res, err := st.run("mpc.reveal", 3, rvCirc, st.words, st.n, inputs, gmw.Open)
 	if err != nil {
 		return out, fmt.Errorf("RevealSlice MPC: %w", err)
 	}

@@ -10,7 +10,6 @@ package field
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 )
 
 // DefaultModulus is a 61-bit Mersenne prime (2^61 - 1). It is large enough
@@ -126,18 +125,6 @@ func (f Field) Inv(a uint64) (uint64, error) {
 		return 0, errors.New("field: zero has no inverse")
 	}
 	return f.Pow(a, f.q-2), nil
-}
-
-// Rand returns a uniformly random canonical element drawn from rng.
-func (f Field) Rand(rng *rand.Rand) uint64 {
-	// Uint64N-style rejection sampling for uniformity.
-	max := ^uint64(0) - (^uint64(0) % f.q)
-	for {
-		v := rng.Uint64()
-		if v < max {
-			return v % f.q
-		}
-	}
 }
 
 // Sum returns the canonical sum of xs mod q.

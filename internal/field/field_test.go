@@ -124,26 +124,6 @@ func TestPowInv(t *testing.T) {
 	}
 }
 
-func TestRandUniformCoverage(t *testing.T) {
-	f := MustNew(31)
-	rng := rand.New(rand.NewSource(1))
-	counts := make([]int, 31)
-	const draws = 31 * 1000
-	for i := 0; i < draws; i++ {
-		v := f.Rand(rng)
-		if !f.Valid(v) {
-			t.Fatalf("Rand produced non-canonical %d", v)
-		}
-		counts[v]++
-	}
-	// Chi-square-ish sanity: each bucket within 3x of expectation.
-	for v, c := range counts {
-		if c < 1000/3 || c > 3000 {
-			t.Fatalf("Rand skewed at %d: count=%d", v, c)
-		}
-	}
-}
-
 func TestSum(t *testing.T) {
 	f := MustNew(13)
 	xs := []uint64{12, 12, 12, 5, 100}
@@ -183,7 +163,7 @@ func TestNextPrime(t *testing.T) {
 func TestFieldAxiomsQuick(t *testing.T) {
 	f := Default()
 	rng := rand.New(rand.NewSource(7))
-	gen := func() uint64 { return f.Rand(rng) }
+	gen := func() uint64 { return f.Reduce(rng.Uint64()) }
 
 	commut := func(seed int64) bool {
 		a, b := gen(), gen()

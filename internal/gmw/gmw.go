@@ -29,12 +29,12 @@ package gmw
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/metrics"
+	"repro/internal/prf"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -107,8 +107,8 @@ type Result struct {
 // words of them per AND gate. inputs[p] holds `words` words per input wire
 // owned by party p, wire by wire in the order p's wires appear in
 // circ.Inputs(); bit k of a wire's word l is instance 64·l + k's private
-// bit. Per-party online randomness derives from seed, so runs are
-// reproducible.
+// bit. Party p shares its inputs from the keystream prf.Key(seed,
+// prf.Input, p), so runs are reproducible.
 func Run(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uint64, triples []Triples, seed int64, mode Mode) (*Result, error) {
 	n := net.Size()
 	if words < 1 {
@@ -175,8 +175,8 @@ func Run(net transport.Network, circ *circuit.Circuit, words int, inputs [][]uin
 			if p == 0 {
 				sp = runSpan
 			}
-			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*104729))
-			out, err := runParty(net.Node(p), circ, owned, words, inputs[p], triples[p], rng, tm, sp, mode)
+			rnd := prf.New(prf.Key(seed, prf.Input, uint64(p)))
+			out, err := runParty(net.Node(p), circ, owned, words, inputs[p], triples[p], rnd, tm, sp, mode)
 			if err != nil {
 				errs[p] = fmt.Errorf("party %d: %w", p, err)
 				failOnce.Do(func() { net.Close() })
@@ -264,7 +264,7 @@ func countAndLayers(circ *circuit.Circuit) int {
 // runParty executes one party's role across all 64·words lanes and
 // returns either the opened output words or (KeepShared) this party's
 // share words. Wire w's share occupies words [w·words, (w+1)·words).
-func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, words int, myInputs []uint64, triples Triples, rng *rand.Rand, tm *timers, sp *trace.Span, mode Mode) ([]uint64, error) {
+func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, words int, myInputs []uint64, triples Triples, rnd *prf.Stream, tm *timers, sp *trace.Span, mode Mode) ([]uint64, error) {
 	n := node.Size()
 	id := node.ID()
 	coll := transport.NewCollector(node)
@@ -285,9 +285,7 @@ func runParty(node transport.Node, circ *circuit.Circuit, owned [][]int, words i
 				continue
 			}
 			buf := transport.GetWords(len(myInputs))
-			for i := range buf {
-				buf[i] = rng.Uint64()
-			}
+			rnd.Words(buf)
 			// Accumulate what we sent so our own share closes the XOR.
 			for i, wireIdx := range owned[id] {
 				xorWords(wire(circInputs[wireIdx].Wire), buf[i*words:])

@@ -3,10 +3,10 @@ package gmw
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"sync"
 
 	"repro/internal/ot"
+	"repro/internal/prf"
 	"repro/internal/trace"
 	"repro/internal/transport"
 )
@@ -37,8 +37,8 @@ import (
 // l), with a Beaver triple in lane k of word l when 64·l + k < lanes and
 // zero in every other lane. A zero triple is sound only where the wire
 // values are public, since the opened d and e there are the wire values
-// themselves. seed derives each party's local randomness deterministically
-// (use distinct seeds per run).
+// themselves. Party p draws its bits, masks and OT entropy from the
+// keystream prf.Key(seed, prf.OT, p) (use distinct seeds per run).
 func GenTriplesOT(net transport.Network, ands, words, lanes int, seed int64) ([]Triples, error) {
 	n := net.Size()
 	if n < 2 {
@@ -61,8 +61,8 @@ func GenTriplesOT(net transport.Network, ands, words, lanes int, seed int64) ([]
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed ^ int64(p+1)*6700417))
-			triples, err := otPartyRun(group, net.Node(p), ands, words, lanes, rng)
+			rnd := prf.New(prf.Key(seed, prf.OT, uint64(p)))
+			triples, err := otPartyRun(group, net.Node(p), ands, words, lanes, rnd)
 			if err != nil {
 				errs[p] = fmt.Errorf("party %d: %w", p, err)
 				failOnce.Do(func() { net.Close() })
@@ -102,14 +102,16 @@ func liveMask(l, lanes int) uint64 {
 // a session walk the live lanes in the same order — word-triple index
 // ascending, lane ascending — so the t-th transfer of a session is the
 // same lane at both ends.
-func otPartyRun(group ot.Group, node transport.Node, ands, words, lanes int, rng *rand.Rand) (Triples, error) {
+func otPartyRun(group ot.Group, node transport.Node, ands, words, lanes int, rnd *prf.Stream) (Triples, error) {
 	n := node.Size()
 	id := node.ID()
 	tr := newTriples(1, ands*words)[0]
+	rnd.Words(tr.A)
+	rnd.Words(tr.B)
 	for i := range tr.A {
 		live := liveMask(i%words, lanes)
-		tr.A[i] = rng.Uint64() & live
-		tr.B[i] = rng.Uint64() & live
+		tr.A[i] &= live
+		tr.B[i] &= live
 		tr.C[i] = tr.A[i] & tr.B[i]
 	}
 	count := ands * lanes
@@ -130,14 +132,16 @@ func otPartyRun(group ot.Group, node transport.Node, ands, words, lanes int, rng
 	// sendSession: we are the sender of session (id → peer), offering
 	// (x, x ⊕ a) per live lane; our C share absorbs the masks.
 	sendSession := func(peer int) error {
+		masks := make([]uint64, len(tr.A))
+		rnd.Words(masks)
 		pairs := make([][2][]byte, 0, count)
 		forLive(func(i int, k uint) {
-			x := byte(rng.Intn(2))
+			x := byte(masks[i] >> k & 1)
 			pairs = append(pairs, [2][]byte{{x}, {x ^ byte(tr.A[i]>>k&1)}})
 			tr.C[i] ^= uint64(x) << k
 		})
 		seq := uint32(id*n + peer)
-		if err := ot.SendBatch(group, coll, peer, pairs, rng, seq); err != nil {
+		if err := ot.SendBatch(group, coll, peer, pairs, rnd, seq); err != nil {
 			return fmt.Errorf("OT send to %d: %w", peer, err)
 		}
 		return nil
@@ -148,7 +152,7 @@ func otPartyRun(group ot.Group, node transport.Node, ands, words, lanes int, rng
 		choices := make([]byte, 0, count)
 		forLive(func(i int, k uint) { choices = append(choices, byte(tr.B[i]>>k&1)) })
 		seq := uint32(peer*n + id)
-		got, err := ot.ReceiveBatch(group, coll, peer, choices, rng, seq)
+		got, err := ot.ReceiveBatch(group, coll, peer, choices, rnd, seq)
 		if err != nil {
 			return fmt.Errorf("OT recv from %d: %w", peer, err)
 		}

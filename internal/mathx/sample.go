@@ -1,63 +1,6 @@
 package mathx
 
-import (
-	"math"
-	"math/rand"
-)
-
-// Bernoulli draws a single biased coin flip with success probability p.
-func Bernoulli(rng *rand.Rand, p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	if p >= 1 {
-		return true
-	}
-	return rng.Float64() < p
-}
-
-// Binomial draws X ~ Binomial(n, p). For small n it flips n coins; for
-// large n it uses a normal approximation with continuity correction, which
-// is accurate enough for the statistical experiments (n up to ~25,000
-// providers) and keeps index construction O(1) per identity when only the
-// count of flips is needed.
-func Binomial(rng *rand.Rand, n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	if n <= 64 {
-		k := 0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	mean := float64(n) * p
-	sd := math.Sqrt(float64(n) * p * (1 - p))
-	if sd < 4 {
-		// Skewed or tiny-variance regime: exact flips remain cheap enough.
-		k := 0
-		for i := 0; i < n; i++ {
-			if rng.Float64() < p {
-				k++
-			}
-		}
-		return k
-	}
-	k := int(math.Round(rng.NormFloat64()*sd + mean))
-	if k < 0 {
-		k = 0
-	}
-	if k > n {
-		k = n
-	}
-	return k
-}
+import "math"
 
 // Zipf returns n weights following a Zipf distribution with exponent s,
 // normalised to sum to 1. Rank 0 is the most frequent.

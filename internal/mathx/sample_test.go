@@ -2,90 +2,8 @@ package mathx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
-
-func TestBernoulliExtremes(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 100; i++ {
-		if Bernoulli(rng, 0) {
-			t.Fatal("Bernoulli(0) returned true")
-		}
-		if !Bernoulli(rng, 1) {
-			t.Fatal("Bernoulli(1) returned false")
-		}
-	}
-}
-
-func TestBernoulliRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	const trials = 100000
-	hits := 0
-	for i := 0; i < trials; i++ {
-		if Bernoulli(rng, 0.3) {
-			hits++
-		}
-	}
-	rate := float64(hits) / trials
-	if math.Abs(rate-0.3) > 0.01 {
-		t.Fatalf("Bernoulli(0.3) rate = %v", rate)
-	}
-}
-
-func TestBinomialBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{0, 1, 10, 100, 1000, 10000} {
-		for _, p := range []float64{0, 0.01, 0.5, 0.99, 1} {
-			k := Binomial(rng, n, p)
-			if k < 0 || k > n {
-				t.Fatalf("Binomial(%d,%v) = %d out of range", n, p, k)
-			}
-			if p == 0 && k != 0 {
-				t.Fatalf("Binomial(%d,0) = %d", n, k)
-			}
-			if p == 1 && k != n {
-				t.Fatalf("Binomial(%d,1) = %d", n, k)
-			}
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	n, p := 5000, 0.2
-	const trials = 3000
-	var sum, sumSq float64
-	for i := 0; i < trials; i++ {
-		k := float64(Binomial(rng, n, p))
-		sum += k
-		sumSq += k * k
-	}
-	mean := sum / trials
-	variance := sumSq/trials - mean*mean
-	wantMean := float64(n) * p
-	wantVar := float64(n) * p * (1 - p)
-	if math.Abs(mean-wantMean)/wantMean > 0.02 {
-		t.Fatalf("mean %v, want ≈%v", mean, wantMean)
-	}
-	if math.Abs(variance-wantVar)/wantVar > 0.15 {
-		t.Fatalf("variance %v, want ≈%v", variance, wantVar)
-	}
-}
-
-func TestBinomialSmallNExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	// n <= 64 path: distribution over many draws should match mean n*p.
-	const trials = 50000
-	var sum int
-	for i := 0; i < trials; i++ {
-		sum += Binomial(rng, 20, 0.25)
-	}
-	mean := float64(sum) / trials
-	if math.Abs(mean-5) > 0.1 {
-		t.Fatalf("small-n mean %v, want ≈5", mean)
-	}
-}
 
 func TestZipf(t *testing.T) {
 	w := Zipf(100, 1.0)

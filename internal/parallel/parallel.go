@@ -3,9 +3,9 @@
 // batches, randomized publication) across goroutines.
 //
 // The contract that keeps parallel construction deterministic lives here:
-// task bodies must derive every effect — including randomness — from the
-// task index alone (see mathx.DeriveSeed), never from which worker ran the
-// task or in what order tasks completed. Under that contract For and
+// task bodies must derive every effect — including randomness, which comes
+// keyed per purpose and slot from internal/prf — from the task index alone,
+// never from which worker ran the task or in what order tasks completed. Under that contract For and
 // Blocks produce byte-identical results at any worker count.
 package parallel
 

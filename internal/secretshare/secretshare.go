@@ -8,12 +8,13 @@
 // homomorphic: summing the k-th shares of many secrets yields the k-th share
 // of the sum, which is exactly what lets SecSumShare aggregate identity
 // frequencies without ever reconstructing an individual provider's bit.
+// SecSumShare draws the random shares itself, as keyed expansions
+// (internal/secsum); a Scheme fixes Z_q and c and reconstructs.
 package secretshare
 
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"repro/internal/field"
 )
@@ -55,21 +56,6 @@ func (s Scheme) Field() field.Field { return s.f }
 
 // Shares returns c.
 func (s Scheme) Shares() int { return s.c }
-
-// Split decomposes secret v into c shares summing to v mod q. The first c−1
-// shares are drawn uniformly from Z_q using rng; the last is the balancing
-// term.
-func (s Scheme) Split(rng *rand.Rand, v uint64) []uint64 {
-	v = s.f.Reduce(v)
-	shares := make([]uint64, s.c)
-	var sum uint64
-	for k := 0; k < s.c-1; k++ {
-		shares[k] = s.f.Rand(rng)
-		sum = s.f.Add(sum, shares[k])
-	}
-	shares[s.c-1] = s.f.Sub(v, sum)
-	return shares
-}
 
 // Combine reconstructs the secret from exactly the full share set.
 func (s Scheme) Combine(shares []uint64) (uint64, error) {

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/prf"
 	"repro/internal/transport"
 )
 
@@ -179,7 +180,7 @@ func FuzzSuperShareKernel(f *testing.F) {
 // The expansion is a function of the key alone: chunk boundaries never
 // shift an element, in either the masked or the rejection-sampled path.
 func TestExpansionChunkingInvariant(t *testing.T) {
-	key := newShareKey(3, 1, 2)
+	key := shareKeyOf(prf.Key(3, prf.Share, 1<<31|2))
 	for _, fld := range fuzzFields {
 		r, err := newRing(fld)
 		if err != nil {

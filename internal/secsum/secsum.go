@@ -28,8 +28,6 @@
 package secsum
 
 import (
-	"crypto/aes"
-	"crypto/cipher"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -38,8 +36,8 @@ import (
 	"time"
 
 	"repro/internal/field"
-	"repro/internal/mathx"
 	"repro/internal/metrics"
+	"repro/internal/prf"
 	"repro/internal/secretshare"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -56,10 +54,6 @@ var (
 	// or a sender the protocol did not assign.
 	ErrMalformedShare = errors.New("secsum: malformed share message")
 )
-
-// keyStream is the mathx.DeriveSeed stream label of the share keys (ASCII
-// "secsum"), apart from every stream label of the construction pipeline.
-const keyStream uint64 = 0x73656373756d
 
 // Result carries the protocol output and execution accounting.
 type Result struct {
@@ -279,7 +273,7 @@ func runProvider(node transport.Node, r *ring, c, numIDs int, load loader, seed 
 	phaseSpan := sp.Child("secsum.distribute")
 	own := make([]shareKey, c-1)
 	for k := 1; k < c; k++ {
-		own[k-1] = newShareKey(seed, id, k)
+		own[k-1] = shareKeyOf(prf.Key(seed, prf.Share, uint64(id)<<31|uint64(k)))
 		msg := transport.Message{Kind: transport.KindShare, Seq: uint32(k), Data: own[k-1][:]}
 		if err := node.Send((id+k)%m, msg); err != nil {
 			return nil, fmt.Errorf("send share %d: %w", k, err)
@@ -360,19 +354,14 @@ func runProvider(node transport.Node, r *ring, c, numIDs int, load loader, seed 
 }
 
 // shareKey is a 16-byte AES key as the two little-endian words of its
-// KindShare message.
+// KindShare message. Provider i's key for its k-th successor is
+// k_{i,k} = prf.Key(seed, prf.Share, i<<31 | k): a given seed reproduces
+// every share, and the keys are no harder to predict than the 64-bit seed
+// behind them.
 type shareKey [2]uint64
 
-// newShareKey derives k_{i,k}, the key of the share provider i sends its
-// k-th successor, from the run seed — the same seam as the publication
-// coin keys (core.coinKey): a given seed reproduces every share, and the
-// keys are no harder to predict than the 64-bit seed behind them.
-func newShareKey(seed int64, i, k int) shareKey {
-	idx := uint64(i)<<32 | uint64(k)<<1
-	return shareKey{
-		uint64(mathx.DeriveSeed(seed, keyStream, idx)),
-		uint64(mathx.DeriveSeed(seed, keyStream, idx|1)),
-	}
+func shareKeyOf(key [16]byte) shareKey {
+	return shareKey{binary.LittleEndian.Uint64(key[:8]), binary.LittleEndian.Uint64(key[8:])}
 }
 
 // ring is the arithmetic and wire geometry of Z_q.
@@ -452,8 +441,8 @@ func subw(x, y, h uint64) uint64 { return ((x | h) - (y &^ h)) ^ ((x ^ ^y) & h) 
 // receiver and ExpandShare share, and its output does not depend on how
 // the caller chunks the identities.
 type expander struct {
-	r   *ring
-	ctr cipher.Stream
+	r  *ring
+	ks *prf.Stream
 	// cur holds the left fields of the last keystream word drawn that no
 	// element has taken yet, lowest first (q = 2^w, next only).
 	cur  uint64
@@ -464,18 +453,12 @@ func (r *ring) expander(key shareKey) *expander {
 	var raw [16]byte
 	binary.LittleEndian.PutUint64(raw[:8], key[0])
 	binary.LittleEndian.PutUint64(raw[8:], key[1])
-	block, err := aes.NewCipher(raw[:])
-	if err != nil {
-		panic(err) // a 16-byte key is always valid
-	}
-	var iv [aes.BlockSize]byte
-	return &expander{r: r, ctr: cipher.NewCTR(block, iv[:])}
+	return &expander{r: r, ks: prf.New(raw)}
 }
 
 // stream fills b with the next len(b) keystream bytes and returns it.
 func (e *expander) stream(b []byte) []byte {
-	clear(b)
-	e.ctr.XORKeyStream(b, b)
+	e.ks.Read(b)
 	return b
 }
 
