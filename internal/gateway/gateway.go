@@ -37,6 +37,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -368,7 +369,7 @@ func (g *Gateway) fetch(ctx context.Context, owner string) (lookupResult, error)
 		g.inst.failovers.Inc()
 	}
 	sp.SetInt("winner_replica", winner)
-	sp.Set("hedged", fmt.Sprintf("%v", hedged))
+	sp.Set("hedged", strconv.FormatBool(hedged))
 	return res, nil
 }
 
@@ -649,7 +650,7 @@ func (g *Gateway) fetchBatch(ctx context.Context, k int, owners []string) ([]htt
 		g.inst.failovers.Inc()
 	}
 	sp.SetInt("winner_replica", winner)
-	sp.Set("hedged", fmt.Sprintf("%v", hedged))
+	sp.Set("hedged", strconv.FormatBool(hedged))
 	return out.rows, out.epoch, nil
 }
 

@@ -111,54 +111,82 @@ func WriteFrame(w io.Writer, kind FrameKind, payload []byte) (int64, error) {
 	return int64(n) + int64(m), err
 }
 
-// ReadFrame reads one framed payload, verifying magic, version, kind and
-// checksum. Truncated input yields ErrTruncated; a checksum mismatch
-// yields ErrChecksum. want == 0 accepts any kind; the actual kind is
-// returned either way.
-func ReadFrame(r io.Reader, want FrameKind) (FrameKind, []byte, error) {
-	var hdr [frameHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
+// parseHeader checks the frame header at the front of b — magic,
+// completeness, version, kind and declared length — and returns the kind
+// and the payload length it declares. want == 0 accepts any kind.
+func parseHeader(b []byte, want FrameKind) (FrameKind, uint64, error) {
 	// Magic first, so a short non-ε-PPI file reads as foreign, not truncated.
-	if n >= len(frameMagic) && !bytes.Equal(hdr[0:4], frameMagic[:]) {
-		return 0, nil, ErrBadMagic
+	if len(b) >= len(frameMagic) && !bytes.Equal(b[0:4], frameMagic[:]) {
+		return 0, 0, ErrBadMagic
 	}
-	if err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("%w: %d-byte header incomplete", ErrTruncated, frameHeaderLen)
-		}
-		return 0, nil, err
+	if len(b) < frameHeaderLen {
+		return 0, 0, fmt.Errorf("%w: %d-byte header incomplete", ErrTruncated, frameHeaderLen)
 	}
-	if v := binary.BigEndian.Uint16(hdr[4:6]); v != FrameVersion {
-		return 0, nil, fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, v, FrameVersion)
+	if v := binary.BigEndian.Uint16(b[4:6]); v != FrameVersion {
+		return 0, 0, fmt.Errorf("%w: file has v%d, this build reads v%d", ErrVersion, v, FrameVersion)
 	}
-	kind := FrameKind(hdr[6])
+	kind := FrameKind(b[6])
 	if want != 0 && kind != want {
-		return kind, nil, fmt.Errorf("%w: have %v, want %v", ErrKind, kind, want)
+		return kind, 0, fmt.Errorf("%w: have %v, want %v", ErrKind, kind, want)
 	}
-	length := binary.BigEndian.Uint64(hdr[7:15])
+	length := binary.BigEndian.Uint64(b[7:15])
 	if length > maxFramePayload {
-		return kind, nil, fmt.Errorf("%w: header declares absurd payload length %d", ErrChecksum, length)
+		return kind, 0, fmt.Errorf("%w: header declares absurd payload length %d", ErrChecksum, length)
 	}
-	// The declared length is untrusted: allocate it up front only when
-	// the reader can show that many bytes remain (one allocation, no copy);
-	// otherwise the buffer grows with the bytes actually read.
-	var buf bytes.Buffer
-	if rem, ok := remaining(r); ok && length <= uint64(rem) {
-		// MinRead of slack keeps Buffer.ReadFrom from regrowing at EOF.
-		buf.Grow(int(length) + bytes.MinRead)
-	}
-	if _, err := io.CopyN(&buf, r, int64(length)); err != nil {
-		if err == io.EOF {
-			return kind, nil, fmt.Errorf("%w: payload shorter than declared %d bytes", ErrTruncated, length)
-		}
+	return kind, length, nil
+}
+
+// parseFrame is the frame checker: it verifies the frame at the front of
+// b — header, then the payload's presence and checksum — and returns the
+// payload as a sub-slice of b, without copying it. Bytes after the frame
+// are ignored, as ReadFrame leaves them unread.
+func parseFrame(b []byte, want FrameKind) (FrameKind, []byte, error) {
+	kind, length, err := parseHeader(b, want)
+	if err != nil {
 		return kind, nil, err
 	}
-	payload := buf.Bytes()
-	wantSum := binary.BigEndian.Uint32(hdr[15:19])
+	if length > uint64(len(b)-frameHeaderLen) {
+		return kind, nil, fmt.Errorf("%w: payload shorter than declared %d bytes", ErrTruncated, length)
+	}
+	payload := b[frameHeaderLen : frameHeaderLen+int(length)]
+	wantSum := binary.BigEndian.Uint32(b[15:19])
 	if got := crc32.ChecksumIEEE(payload); got != wantSum {
 		return kind, nil, fmt.Errorf("%w: crc32 %08x, header says %08x", ErrChecksum, got, wantSum)
 	}
 	return kind, payload, nil
+}
+
+// ReadFrame reads one framed payload, verifying magic, version, kind and
+// checksum. Truncated input yields ErrTruncated; a checksum mismatch
+// yields ErrChecksum. want == 0 accepts any kind; the actual kind is
+// returned either way. It reads exactly one frame from r into a buffer
+// and hands that buffer to the same checker an in-memory frame goes
+// through.
+func ReadFrame(r io.Reader, want FrameKind) (FrameKind, []byte, error) {
+	var hdr [frameHeaderLen]byte
+	n, err := io.ReadFull(r, hdr[:])
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		return 0, nil, err
+	}
+	kind, length, err := parseHeader(hdr[:n], want)
+	if err != nil {
+		return kind, nil, err
+	}
+	// The declared length is untrusted: when the reader can show how many
+	// bytes remain, allocate those (at most the declared length) up front;
+	// otherwise the buffer grows with the bytes actually read. MinRead of
+	// slack keeps Buffer.ReadFrom from regrowing at the end.
+	var size uint64
+	if rem, ok := remaining(r); ok {
+		size = min(length, uint64(rem))
+	}
+	var buf bytes.Buffer
+	buf.Grow(frameHeaderLen + int(size) + bytes.MinRead)
+	buf.Write(hdr[:])
+	if _, err := io.CopyN(&buf, r, int64(length)); err != nil && err != io.EOF {
+		return kind, nil, err
+	}
+	return parseFrame(buf.Bytes(), want)
 }
 
 // remaining reports how many unread bytes r holds, for the readers that
@@ -247,6 +275,22 @@ func Read(r io.Reader) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(payload)
+}
+
+// ReadBytes is Read over a frame already in memory: the frame is checked
+// and decoded in place, without copying its payload. The returned server
+// does not retain frame — gob copies everything it decodes.
+func ReadBytes(frame []byte) (*Server, error) {
+	_, payload, err := parseFrame(frame, FrameSnapshot)
+	if err != nil {
+		return nil, err
+	}
+	return decodeSnapshot(payload)
+}
+
+// decodeSnapshot builds a server from a checked snapshot payload.
+func decodeSnapshot(payload []byte) (*Server, error) {
 	var snap Snapshot
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("index: decode snapshot: %w", err)

@@ -370,7 +370,7 @@ func (m *Mirror) download(ctx context.Context, parent *trace.Span, url, path, et
 	// Already complete from a previous attempt? Verify and skip.
 	if spec.known {
 		if info, err := os.Stat(path); err == nil && info.Size() == spec.size {
-			if raw, err := os.ReadFile(path); err == nil && crc32.ChecksumIEEE(raw) == spec.crc {
+			if sum, err := checksumFile(path); err == nil && sum.matches(spec) {
 				return nil
 			}
 			// Wrong content at the right size: re-download from scratch.
@@ -442,7 +442,7 @@ func (m *Mirror) downloadOnce(ctx context.Context, parent *trace.Span, url, path
 		return fmt.Errorf("replica: %w", err)
 	}
 	defer resp.Body.Close()
-	flags := os.O_WRONLY | os.O_CREATE
+	flags := os.O_RDWR | os.O_CREATE
 	switch resp.StatusCode {
 	case http.StatusPartialContent:
 		flags |= os.O_APPEND
@@ -463,8 +463,13 @@ func (m *Mirror) downloadOnce(ctx context.Context, parent *trace.Span, url, path
 	if err != nil {
 		return fmt.Errorf("replica: %w", err)
 	}
-	body := m.throttled(ctx, resp.Body)
-	n, err := io.Copy(f, body)
+	// The file's size and CRC are taken on the way through: a resumed
+	// transfer streams its on-disk prefix first, then the appended bytes.
+	var sum checksum
+	var n int64
+	if _, err = io.Copy(&sum, io.NewSectionReader(f, 0, offset)); err == nil {
+		n, err = io.Copy(io.MultiWriter(f, &sum), m.throttled(ctx, resp.Body))
+	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -479,20 +484,44 @@ func (m *Mirror) downloadOnce(ctx context.Context, parent *trace.Span, url, path
 		// Keep the partial: whatever arrived extends the resume point.
 		return fmt.Errorf("replica: %s: %w", url, err)
 	}
-	if spec.known {
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("replica: %w", err)
-		}
-		if int64(len(raw)) != spec.size || crc32.ChecksumIEEE(raw) != spec.crc {
-			// Tampered or torn content can't be resumed from — delete so
-			// the next attempt starts clean.
-			_ = os.Remove(path)
-			return fmt.Errorf("replica: %s: downloaded %d bytes crc %08x, manifest says %d bytes crc %08x",
-				url, len(raw), crc32.ChecksumIEEE(raw), spec.size, spec.crc)
-		}
+	if spec.known && !sum.matches(spec) {
+		// Tampered or torn content can't be resumed from — delete so
+		// the next attempt starts clean.
+		_ = os.Remove(path)
+		return fmt.Errorf("replica: %s: downloaded %d bytes crc %08x, manifest says %d bytes crc %08x",
+			url, sum.size, sum.crc, spec.size, spec.crc)
 	}
 	return nil
+}
+
+// checksum is an io.Writer that keeps the length and IEEE CRC-32 of the
+// bytes written to it.
+type checksum struct {
+	size int64
+	crc  uint32
+}
+
+func (c *checksum) Write(p []byte) (int, error) {
+	c.size += int64(len(p))
+	c.crc = crc32.Update(c.crc, crc32.IEEETable, p)
+	return len(p), nil
+}
+
+// matches reports whether the checksummed bytes are the file spec names.
+func (c *checksum) matches(spec fileSpec) bool {
+	return c.size == spec.size && c.crc == spec.crc
+}
+
+// checksumFile streams the file at path through a checksum.
+func checksumFile(path string) (checksum, error) {
+	var sum checksum
+	f, err := os.Open(path)
+	if err != nil {
+		return sum, err
+	}
+	defer f.Close()
+	_, err = io.Copy(&sum, f)
+	return sum, err
 }
 
 // fetchCurrent asks the origin for its current epoch, retrying transient

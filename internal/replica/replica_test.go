@@ -397,6 +397,104 @@ func TestMirrorRejectsBitFlip(t *testing.T) {
 	}
 }
 
+// TestMirrorRejectsTamperedResumePrefix: a partial download whose
+// on-disk prefix was altered at the same length is caught by the CRC the
+// ranged transfer streams over that prefix, deleted, and re-fetched
+// whole; a full-length altered file is caught before any request.
+func TestMirrorRejectsTamperedResumePrefix(t *testing.T) {
+	root := t.TempDir()
+	publishEpoch(t, root, 15, 12, 1, 1)
+	full, err := os.ReadFile(filepath.Join(epoch.Dir(root, 1), shard.FileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Record the Range header of every shard-file request; while refuse
+	// is set, whole-file requests fail, so the rejection is what the
+	// first Sync ends on.
+	var mu sync.Mutex
+	var ranges []string
+	refuse := true
+	origin := NewOrigin(root)
+	rec := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.Contains(r.URL.Path, "/files/"+shard.FileName(0)) {
+			mu.Lock()
+			ranges = append(ranges, r.Header.Get("Range"))
+			fail := refuse && r.Header.Get("Range") == ""
+			mu.Unlock()
+			if fail {
+				http.Error(w, "unavailable", http.StatusServiceUnavailable)
+				return
+			}
+		}
+		origin.ServeHTTP(w, r)
+	})
+	srv := httptest.NewServer(rec)
+	defer srv.Close()
+
+	m, local, reg := mirrorTo(t, srv.URL)
+	half := len(full) / 2
+	prefix := append([]byte(nil), full[:half]...)
+	prefix[half/2] ^= 0x01
+	tmp := m.tempDir(1)
+	partial := filepath.Join(tmp, shard.FileName(0))
+	if err := os.MkdirAll(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(partial, prefix, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := m.Sync(context.Background()); err == nil {
+		t.Fatal("epoch with a tampered resume prefix synced")
+	}
+	mu.Lock()
+	if len(ranges) == 0 || ranges[0] != "bytes="+strconv.Itoa(half)+"-" {
+		t.Fatalf("shard requests %v, want a resume from %d first", ranges, half)
+	}
+	for _, r := range ranges[1:] {
+		if r != "" {
+			t.Fatalf("shard requests %v: a retry resumed from the rejected prefix", ranges)
+		}
+	}
+	refuse, ranges = false, nil
+	mu.Unlock()
+	if _, err := os.Stat(partial); !os.IsNotExist(err) {
+		t.Fatalf("rejected partial survived: %v", err)
+	}
+	if counterValue(reg, "eppi_replica_failures_total", "") == 0 {
+		t.Error("rejected sync not counted as failure")
+	}
+	if _, err := epoch.Current(local); !errors.Is(err, epoch.ErrNoCurrent) {
+		t.Fatalf("local CURRENT after rejected sync: %v", err)
+	}
+
+	// Same length as the real file, one bit off: not trusted as complete.
+	flipped := append([]byte(nil), full...)
+	flipped[len(flipped)-1] ^= 0x01
+	if err := os.WriteFile(partial, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := m.Sync(context.Background()); err != nil || n != 1 {
+		t.Fatalf("healing Sync = %d, %v", n, err)
+	}
+	mu.Lock()
+	if len(ranges) != 1 || ranges[0] != "" {
+		t.Fatalf("healing shard requests %v, want one whole-file GET", ranges)
+	}
+	mu.Unlock()
+	got, err := os.ReadFile(filepath.Join(epoch.Dir(local, 1), shard.FileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(full) {
+		t.Fatal("healed shard differs from the origin's")
+	}
+	if _, _, err := epoch.Load(local, 0, 1); err != nil {
+		t.Fatalf("healed store unreadable: %v", err)
+	}
+}
+
 func TestMirrorRefusesRegressedOrigin(t *testing.T) {
 	originRoot := t.TempDir()
 	publishEpoch(t, originRoot, 15, 12, 1, 1)

@@ -151,20 +151,41 @@ const verifyBufSize = 256 << 10
 // are streamed through one fixed buffer, so verifying a set costs a
 // buffer, not the set's size in memory.
 func (m *Manifest) Verify(dir string) error {
+	return m.VerifyExcept(dir, -1)
+}
+
+// VerifyExcept is Verify skipping member k: the check a loader makes
+// before LoadShard(dir, k), which checks member k itself as it reads it.
+// Together the two reject a torn or tampered set whole, with the errors
+// Verify gives, while member k's bytes are read once.
+func (m *Manifest) VerifyExcept(dir string, k int) error {
 	buf := make([]byte, verifyBufSize)
-	for k, sf := range m.Files {
+	for i, sf := range m.Files {
+		if i == k {
+			continue
+		}
 		size, sum, err := checksumFile(filepath.Join(dir, sf.Name), buf)
 		if err != nil {
-			return fmt.Errorf("shard %d: %w", k, err)
+			return fmt.Errorf("shard %d: %w", i, err)
 		}
-		if size != sf.Size {
-			return fmt.Errorf("shard %d (%s): %d bytes, manifest says %d: %w",
-				k, sf.Name, size, sf.Size, index.ErrTruncated)
+		if err := m.checkMember(i, size, sum); err != nil {
+			return err
 		}
-		if sum != sf.CRC32 {
-			return fmt.Errorf("shard %d (%s): crc32 %08x, manifest says %08x: %w",
-				k, sf.Name, sum, sf.CRC32, index.ErrChecksum)
-		}
+	}
+	return nil
+}
+
+// checkMember compares member k's measured length and CRC-32 with the
+// manifest. It is the one per-member check, for Verify and LoadShard.
+func (m *Manifest) checkMember(k int, size int64, sum uint32) error {
+	sf := m.Files[k]
+	if size != sf.Size {
+		return fmt.Errorf("shard %d (%s): %d bytes, manifest says %d: %w",
+			k, sf.Name, size, sf.Size, index.ErrTruncated)
+	}
+	if sum != sf.CRC32 {
+		return fmt.Errorf("shard %d (%s): crc32 %08x, manifest says %08x: %w",
+			k, sf.Name, sum, sf.CRC32, index.ErrChecksum)
 	}
 	return nil
 }
@@ -192,9 +213,10 @@ func checksumFile(path string, buf []byte) (int64, uint32, error) {
 	}
 }
 
-// LoadShard opens, verifies and loads member k of the set in dir,
-// checking that the snapshot's embedded shard identity matches the
-// manifest slot.
+// LoadShard opens, verifies and loads member k of the set in dir: the
+// file is read once, checked against the manifest as Verify checks it,
+// and its snapshot frame is parsed in place. The snapshot's embedded
+// shard identity and epoch must match the manifest slot.
 func (m *Manifest) LoadShard(dir string, k int) (*index.Server, error) {
 	if k < 0 || k >= m.Shards {
 		return nil, fmt.Errorf("shard: id %d out of range 0..%d", k, m.Shards-1)
@@ -204,11 +226,10 @@ func (m *Manifest) LoadShard(dir string, k int) (*index.Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", k, err)
 	}
-	if got := crc32.ChecksumIEEE(raw); got != sf.CRC32 {
-		return nil, fmt.Errorf("shard %d (%s): crc32 %08x, manifest says %08x: %w",
-			k, sf.Name, got, sf.CRC32, index.ErrChecksum)
+	if err := m.checkMember(k, int64(len(raw)), crc32.ChecksumIEEE(raw)); err != nil {
+		return nil, err
 	}
-	srv, err := index.Read(bytes.NewReader(raw))
+	srv, err := index.ReadBytes(raw)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d: %w", k, err)
 	}

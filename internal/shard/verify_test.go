@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -45,5 +47,39 @@ func TestVerifyAllocBound(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
 		t.Fatalf("Verify allocated %d bytes for a %d-byte set", got, total)
+	}
+}
+
+// TestLoadShardChecksMemberAsVerify: LoadShard's check of the member it
+// loads is Verify's, error for error, so a loader may let it stand for
+// that member.
+func TestLoadShardChecksMemberAsVerify(t *testing.T) {
+	published, names := buildIndex(t, 10, 12)
+	dir := t.TempDir()
+	man, err := WriteSet(dir, published, names, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, man.Files[1].Name)
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), intact...)
+	flipped[len(flipped)/2] ^= 0x01
+	for _, bad := range [][]byte{flipped, intact[:len(intact)-1], append(append([]byte(nil), intact...), 0)} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		verr := man.Verify(dir)
+		if verr == nil {
+			t.Fatal("Verify accepted a damaged member")
+		}
+		if err := man.VerifyExcept(dir, 1); err != nil {
+			t.Fatalf("VerifyExcept skipping the damaged member: %v", err)
+		}
+		if _, lerr := man.LoadShard(dir, 1); lerr == nil || lerr.Error() != verr.Error() {
+			t.Fatalf("LoadShard = %v, Verify = %v", lerr, verr)
+		}
 	}
 }
