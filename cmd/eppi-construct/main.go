@@ -8,24 +8,19 @@
 //	eppi-construct -providers 100 -owners 50 [-policy chernoff] [-gamma 0.9]
 //	eppi-construct -providers 12 -owners 8 -secure -c 3 [-tcp]
 //	eppi-construct -providers 12 -owners 8 -secure -trace run.json
-//	eppi-construct -providers 100 -owners 50 -out index.eppi
-//	eppi-construct -providers 100 -owners 50 -shards 4 -out shards/
 //	eppi-construct -providers 100 -owners 50 -shards 4 -epoch-dir store/
 //
-// -out exports the constructed index as a checksummed snapshot that
-// eppi-serve -index loads. With -shards N the index is column-partitioned
-// N ways instead and -out names a directory receiving one snapshot per
-// shard plus a checksummed manifest; eppi-serve -index dir -shard k/N
-// serves one shard of it, fronted by eppi-gateway.
-//
-// -epoch-dir publishes the index into an epoch store instead: the shard
-// set is written under epochs/<n>/ and the store's CURRENT pointer is
-// atomically flipped to the new epoch, so eppi-serve -epoch-dir nodes
-// hot-swap to it without restarting. Re-running the command against the
-// same store publishes the next epoch. Each epoch carries its ε-audit
-// privacy report (epochs/<n>/privacy.json, internal/privacy): the
-// achieved per-ε-decile false-positive protection of the published
-// matrix, re-derived from M vs M' rather than trusted from the β math.
+// -epoch-dir publishes the index into an epoch store, the one artefact
+// eppi-serve boots from: the index is column-partitioned -shards ways
+// (default 1), the shard set is written under epochs/<n>/ with a
+// checksummed manifest, and the store's CURRENT pointer is atomically
+// flipped to the new epoch, so eppi-serve -epoch-dir nodes hot-swap to it
+// without restarting. Re-running the command against the same store
+// publishes the next epoch. Without -epoch-dir the command only prints
+// its statistics. Each epoch carries its ε-audit privacy report
+// (epochs/<n>/privacy.json, internal/privacy): the achieved per-ε-decile
+// false-positive protection of the published matrix, re-derived from M vs
+// M' rather than trusted from the β math.
 //
 // -secure runs the coordinator MPC as three bit-sliced GMW executions
 // over all owners, opening only the total common count.
@@ -43,15 +38,12 @@ import (
 	"log/slog"
 	"os"
 
-	"repro/internal/bitmat"
 	"repro/internal/core"
 	"repro/internal/epoch"
-	"repro/internal/index"
 	"repro/internal/logx"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/privacy"
-	"repro/internal/shard"
 	"repro/internal/trace"
 	"repro/internal/transport"
 	"repro/internal/workload"
@@ -77,8 +69,7 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); output is identical at any value")
 	zipf := fs.Float64("zipf", 1.1, "Zipf exponent of identity frequencies")
-	outPath := fs.String("out", "", "export the index: a snapshot file, or a shard-set directory with -shards")
-	shards := fs.Int("shards", 0, "with -out or -epoch-dir: column-partition the index into this many shards + manifest")
+	shards := fs.Int("shards", 0, "with -epoch-dir: column-partition the index into this many shards + manifest (0 = 1)")
 	epochDir := fs.String("epoch-dir", "", "publish the index as the next epoch of this epoch store (atomic CURRENT flip)")
 	epochKeep := fs.Int("epoch-keep", 0, "with -epoch-dir: keep only the newest N epochs after publishing (0 = keep all; the epoch named by CURRENT is never pruned)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the construction to this file")
@@ -91,6 +82,9 @@ func run(args []string, out io.Writer) error {
 	logger, err := logx.New(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
 		return err
+	}
+	if *shards > 0 && *epochDir == "" {
+		return fmt.Errorf("-shards %d needs -epoch-dir naming the epoch store", *shards)
 	}
 
 	var policy mathx.Policy
@@ -159,7 +153,7 @@ func run(args []string, out io.Writer) error {
 		}
 		logger.Info("trace written", slog.String("path", *tracePath))
 	}
-	// Audit what was actually constructed before anything is exported:
+	// Audit what was actually constructed before anything is published:
 	// the report re-derives the achieved FP protection from M vs M'
 	// (internal/privacy) and travels with every epoch publication. The
 	// operator-only detail (identity ε deciles, full violation records)
@@ -175,9 +169,6 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("privacy audit: %w", err)
 	}
 	if *epochDir != "" {
-		if *outPath != "" {
-			return fmt.Errorf("-epoch-dir and -out are mutually exclusive")
-		}
 		n := *shards
 		if n <= 0 {
 			n = 1
@@ -191,12 +182,6 @@ func run(args []string, out io.Writer) error {
 			slog.Uint64("epoch", e), slog.Int("shards", n),
 			slog.Float64("success_ratio", rep.SuccessRatio),
 			slog.Int("privacy_violations", rep.ViolationCount))
-	} else if *outPath != "" {
-		if err := export(*outPath, *shards, res.Published, d.Names, logger); err != nil {
-			return err
-		}
-	} else if *shards > 0 {
-		return fmt.Errorf("-shards %d needs -out naming the shard-set directory", *shards)
 	}
 	if *metricsOut != "" {
 		if err := writeMetrics(*metricsOut, reg); err != nil {
@@ -235,42 +220,6 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "  %-34s freq=%-5d ε=%.2f β=%.4f hidden=%v\n",
 			d.Names[j], d.Frequency(j), d.Eps[j], res.Betas[j], res.Hidden[j])
 	}
-	return nil
-}
-
-// export writes the constructed index to disk: a single checksummed
-// snapshot file, or (shards > 0) a directory of per-shard snapshots plus
-// a checksummed manifest that eppi-serve -shard and eppi-gateway consume.
-func export(path string, shards int, published *bitmat.Matrix, names []string, logger *slog.Logger) error {
-	if shards > 0 {
-		if err := os.MkdirAll(path, 0o755); err != nil {
-			return fmt.Errorf("export: %w", err)
-		}
-		man, err := shard.WriteSet(path, published, names, shards)
-		if err != nil {
-			return fmt.Errorf("export shard set: %w", err)
-		}
-		logger.Info("shard set written", slog.String("dir", path),
-			slog.Int("shards", man.Shards), slog.Int("owners", man.Owners))
-		return nil
-	}
-	srv, err := index.NewServer(published, names)
-	if err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	if _, err := srv.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("export: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("export: %w", err)
-	}
-	logger.Info("index written", slog.String("path", path),
-		slog.Int("owners", srv.Owners()))
 	return nil
 }
 

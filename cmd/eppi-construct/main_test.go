@@ -9,7 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/index"
+	"repro/internal/epoch"
 	"repro/internal/mathx"
 	"repro/internal/shard"
 	"repro/internal/workload"
@@ -41,23 +41,18 @@ func TestConstructSecure(t *testing.T) {
 	}
 }
 
-// The index -secure exports must equal the matrix core.Construct publishes
-// in secure mode on the same dataset and seed.
+// The index -secure publishes must equal the matrix core.Construct
+// publishes in secure mode on the same dataset and seed.
 func TestConstructSecureExportMatchesScalar(t *testing.T) {
 	const providers, owners, seed = 12, 70, 5
-	path := filepath.Join(t.TempDir(), "index.eppi")
+	store := t.TempDir()
 	var out bytes.Buffer
 	err := run([]string{"-providers", "12", "-owners", "70", "-seed", "5", "-secure", "-c", "3",
-		"-out", path, "-log-level", "error"}, &out)
+		"-epoch-dir", store, "-log-level", "error"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	srv, err := index.Read(f)
+	srv, err := epoch.LoadAt(store, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,31 +126,33 @@ func TestConstructBadLogConfig(t *testing.T) {
 }
 
 func TestConstructExportIndex(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "index.eppi")
+	store := t.TempDir()
 	var out bytes.Buffer
-	if err := run([]string{"-providers", "10", "-owners", "6", "-out", path}, &out); err != nil {
+	if err := run([]string{"-providers", "10", "-owners", "6", "-epoch-dir", store, "-log-level", "error"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(path)
+	srv, n, err := epoch.Load(store, 0, 1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("published index unreadable: %v", err)
 	}
-	defer f.Close()
-	srv, err := index.Read(f)
-	if err != nil {
-		t.Fatalf("exported index unreadable: %v", err)
+	if n != 1 {
+		t.Fatalf("first publication is epoch %d, want 1", n)
 	}
 	if srv.Providers() != 10 || srv.Owners() != 6 {
-		t.Fatalf("exported dims %dx%d", srv.Providers(), srv.Owners())
+		t.Fatalf("published dims %dx%d", srv.Providers(), srv.Owners())
+	}
+	if _, err := epoch.LoadReportAt(store, n); err != nil {
+		t.Fatalf("published epoch carries no privacy report: %v", err)
 	}
 }
 
 func TestConstructExportShardSet(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "shards")
+	store := t.TempDir()
 	var out bytes.Buffer
-	if err := run([]string{"-providers", "10", "-owners", "6", "-shards", "2", "-out", dir}, &out); err != nil {
+	if err := run([]string{"-providers", "10", "-owners", "6", "-shards", "2", "-epoch-dir", store, "-log-level", "error"}, &out); err != nil {
 		t.Fatal(err)
 	}
+	dir := epoch.Dir(store, 1)
 	man, err := shard.ReadManifest(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +166,11 @@ func TestConstructExportShardSet(t *testing.T) {
 	if _, err := man.LoadShard(dir, 1); err != nil {
 		t.Fatal(err)
 	}
-	// -shards without -out is rejected.
+	// -shards without -epoch-dir is rejected, and -out is gone.
 	if err := run([]string{"-providers", "10", "-owners", "6", "-shards", "2"}, &out); err == nil {
-		t.Error("-shards without -out accepted")
+		t.Error("-shards without -epoch-dir accepted")
+	}
+	if err := run([]string{"-providers", "10", "-owners", "6", "-out", filepath.Join(store, "index.eppi")}, &out); err == nil {
+		t.Error("-out accepted")
 	}
 }

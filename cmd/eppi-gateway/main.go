@@ -1,9 +1,10 @@
 // Command eppi-gateway is the routing tier of the distributed ε-PPI
 // locator service: a stateless front door over a fleet of column-shard
 // eppi-serve nodes. Lookups are routed to the shard owning the identity
-// (stable hash, no coordination), searches fan out to every shard, and
-// the gateway layers response caching, hedged requests, health-probed
-// replica failover and load shedding on top (internal/gateway).
+// (stable hash, no coordination), a batch splits into one sub-batch per
+// owning shard, and the gateway layers response caching, hedged requests,
+// health-probed replica failover and load shedding on top
+// (internal/gateway).
 //
 // Usage:
 //
@@ -14,10 +15,10 @@
 // one shard, semicolons separate shards. The example above routes over
 // two shards — shard 0 with two replicas, shard 1 with one.
 //
-// Endpoints mirror a shard node: GET /v1/query?owner=…, GET
-// /v1/search?q=…, GET /v1/stats (aggregated over shards), GET
-// /v1/healthz (per-replica probe verdicts), GET /v1/metrics, GET
-// /v1/traces.
+// Endpoints mirror a shard node: GET /v1/query?owner=…, POST
+// /v1/query/batch, GET /v1/stats (aggregated over shards), GET
+// /v1/privacy (fleet view), GET /v1/healthz (per-replica probe
+// verdicts), GET /v1/metrics, GET /v1/traces.
 package main
 
 import (

@@ -26,21 +26,24 @@ func TestParseShards(t *testing.T) {
 }
 
 // TestHostBinaryIsConstructionFree pins the paper's trust boundary: the
-// gateway runs on the untrusted host that only ever sees M′, so it must
-// not link the providers' construction engine or its MPC substrate.
+// node, the gateway and the origin run on the untrusted host that only
+// ever sees M′, so none of them may link the providers' construction
+// engine, its MPC substrate or its keyed randomness.
 func TestHostBinaryIsConstructionFree(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
 		t.Skip("go tool not on PATH")
 	}
-	out, err := exec.Command(goTool, "list", "-deps", ".").Output()
-	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
-	}
-	deps := strings.Fields(string(out))
-	for _, pkg := range []string{"core", "secsum", "gmw", "ot", "circuit", "transport", "secretshare", "workload"} {
-		if slices.Contains(deps, "repro/internal/"+pkg) {
-			t.Errorf("eppi-gateway links repro/internal/%s", pkg)
+	for _, bin := range []string{"eppi-serve", "eppi-gateway", "eppi-origin"} {
+		out, err := exec.Command(goTool, "list", "-deps", "repro/cmd/"+bin).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", bin, err)
+		}
+		deps := strings.Fields(string(out))
+		for _, pkg := range []string{"core", "secsum", "gmw", "ot", "circuit", "transport", "secretshare", "workload", "prf", "mathx", "field"} {
+			if slices.Contains(deps, "repro/internal/"+pkg) {
+				t.Errorf("%s links repro/internal/%s", bin, pkg)
+			}
 		}
 	}
 }

@@ -1,27 +1,24 @@
-// Command eppi-serve runs the third-party locator service: it loads a
-// previously exported index (or constructs one over a synthetic network
-// when -index is omitted) and serves the HTTP query API.
+// Command eppi-serve runs the third-party locator service: it serves the
+// HTTP query API over one shard of an epoch store written by
+// eppi-construct -epoch-dir (internal/epoch). The store is the one
+// artefact between construction and serving, so the binary holds only
+// M′ and links none of the construction engine.
 //
 // Usage:
 //
-//	eppi-serve -addr 127.0.0.1:8080 -index index.bin
-//	eppi-serve -addr 127.0.0.1:8080 -providers 50 -owners 20   # demo index
-//	eppi-serve -addr 127.0.0.1:8081 -shard 0/2                 # demo shard node
-//	eppi-serve -addr 127.0.0.1:8081 -index shards/ -shard 0/2  # shard from manifest
-//	eppi-serve -addr 127.0.0.1:8081 -epoch-dir store/ -shard 0/2  # hot-reloading node
+//	eppi-serve -addr 127.0.0.1:8081 -epoch-dir store/               # 1-shard store
+//	eppi-serve -addr 127.0.0.1:8081 -epoch-dir store/ -shard 0/2    # shard node
 //	eppi-serve -addr 127.0.0.1:8081 -epoch-dir cache/ -shard 0/2 \
-//	           -epoch-origin http://origin:9000                  # mirrored node
+//	           -epoch-origin http://origin:9000                      # mirrored node
 //
-// With -epoch-dir the node serves out of an epoch store written by
-// eppi-construct -epoch-dir (internal/epoch): it loads the shard named by
-// the store's CURRENT pointer and then polls (-epoch-poll) for newly
-// published epochs, hot-swapping the served snapshot RCU-style — in-flight
-// queries finish on the old index version, new queries see the new one, no
-// restart. The active epoch is surfaced in /v1/healthz, /v1/metrics
-// (eppi_epoch, eppi_epoch_swaps_total), the X-Eppi-Epoch response header,
-// and epoch.reload spans. A corrupted CURRENT pointer or half-written
-// epoch directory is rejected and the node keeps serving its current
-// epoch.
+// The node loads the shard named by the store's CURRENT pointer and then
+// polls (-epoch-poll) for newly published epochs, hot-swapping the served
+// snapshot RCU-style — in-flight queries finish on the old index version,
+// new queries see the new one, no restart. The active epoch is surfaced in
+// /v1/healthz, /v1/metrics (eppi_epoch, eppi_epoch_swaps_total), the
+// X-Eppi-Epoch response header, and epoch.reload spans. A corrupted
+// CURRENT pointer or half-written epoch directory is rejected and the
+// node keeps serving its current epoch.
 //
 // With -epoch-origin the node needs no shared storage at all: -epoch-dir
 // becomes a local cache that a replication mirror (internal/replica)
@@ -34,25 +31,20 @@
 // eppi_replica_failures_total and the eppi_replica_lag_epochs gauge,
 // plus replica.sync/replica.fetch spans.
 //
-// With -shard k/of the process serves only column shard k of an
-// of-way-partitioned index: identities are assigned to shards by a stable
-// hash of the owner name (internal/shard), so any party can compute the
-// owning shard with no coordination. -index may then name either a shard
-// snapshot file or a directory holding a manifest written by
-// eppi-construct -shards; without -index the demo index is built and
-// partitioned in-process (deterministic under -seed, so independent
-// processes agree on the shard contents). The shard identity is surfaced
-// in /v1/healthz, /v1/metrics (eppi_shard_id / eppi_shard_count) and span
-// attributes.
+// With -shard k/of the process serves only column shard k of a store
+// published with -shards of: identities are assigned to shards by a
+// stable hash of the owner name (internal/shard), so any party can
+// compute the owning shard with no coordination. Without -shard the store
+// must hold one shard. The shard identity is surfaced in /v1/healthz,
+// /v1/metrics (eppi_shard_id / eppi_shard_count) and span attributes.
 //
 // Privacy telemetry: the node serves its epoch's ε-audit report at
 // GET /v1/privacy (published as epochs/<n>/privacy.json by the
-// constructing side; the demo index audits itself in-process), and
-// -audit-dir enables the checksummed JSONL query audit log
-// (internal/audit) recording per-query owner, shard, epoch, trace id
-// and result cardinality.
+// constructing side), and -audit-dir enables the checksummed JSONL query
+// audit log (internal/audit) recording per-query owner, shard, epoch,
+// trace id and result cardinality.
 //
-// Endpoints: GET /v1/query?owner=…, GET /v1/search?q=…, GET /v1/stats,
+// Endpoints: GET /v1/query?owner=…, POST /v1/query/batch, GET /v1/stats,
 // GET /v1/privacy, GET /v1/healthz, (unless -metrics=false) GET /v1/metrics in Prometheus
 // text format, (unless -trace=0) GET /v1/traces serving recent request
 // traces as Chrome trace-event JSON (load it in Perfetto; ?format=text
@@ -81,23 +73,21 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"sync"
 	"syscall"
 	"time"
 
 	"repro/internal/audit"
-	"repro/internal/core"
 	"repro/internal/epoch"
 	"repro/internal/httpapi"
 	"repro/internal/index"
 	"repro/internal/logx"
-	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/replica"
-	"repro/internal/shard"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // drainTimeout bounds how long graceful shutdown waits for in-flight
@@ -116,17 +106,13 @@ func main() {
 func run(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("eppi-serve", flag.ContinueOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address")
-	indexPath := fs.String("index", "", "path to an exported index file, or a shard-set directory with -shard (empty: build a demo index)")
-	epochDir := fs.String("epoch-dir", "", "serve from an epoch store written by eppi-construct -epoch-dir, hot-swapping when a new epoch is published")
+	epochDir := fs.String("epoch-dir", "", "serve from this epoch store written by eppi-construct -epoch-dir, hot-swapping when a new epoch is published (required)")
 	epochPoll := fs.Duration("epoch-poll", epoch.DefaultPollPeriod, "how often to poll the epoch store's CURRENT pointer (±10% jitter per tick)")
 	epochOrigin := fs.String("epoch-origin", "", "mirror epochs from this eppi-origin URL into -epoch-dir (the local cache) instead of relying on shared storage")
 	epochSync := fs.Duration("epoch-sync", epoch.DefaultPollPeriod, "with -epoch-origin: how often to poll the origin for new epochs (±10% jitter per tick)")
 	epochBandwidth := fs.Int64("epoch-bandwidth", 0, "with -epoch-origin: cap epoch downloads to this many bytes/second (0 = unlimited)")
 	epochKeep := fs.Int("epoch-keep", 0, "with -epoch-origin: keep only the newest N epochs in the local cache (0 = keep all)")
 	shardSpec := fs.String("shard", "", "serve one column shard, as \"k/of\" (e.g. 0/2)")
-	providers := fs.Int("providers", 50, "demo index: number of providers")
-	owners := fs.Int("owners", 20, "demo index: number of owners")
-	seed := fs.Int64("seed", 1, "demo index: random seed")
 	withMetrics := fs.Bool("metrics", true, "expose GET /v1/metrics and instrument the index")
 	traceCap := fs.Int("trace", trace.DefaultCapacity, "recent-trace ring capacity for GET /v1/traces (0 disables tracing)")
 	withPprof := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -135,6 +121,16 @@ func run(ctx context.Context, args []string) error {
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *epochDir == "" {
+		return fmt.Errorf("-epoch-dir is required: publish a store with eppi-construct -epoch-dir")
+	}
+	shardID, shardOf := 0, 1
+	if *shardSpec != "" {
+		var err error
+		if shardID, shardOf, err = parseShardSpec(*shardSpec); err != nil {
+			return err
+		}
 	}
 	logger, err := logx.New(os.Stderr, *logLevel, *logFormat)
 	if err != nil {
@@ -157,48 +153,29 @@ func run(ctx context.Context, args []string) error {
 		opts = append(opts, httpapi.WithTracer(tracer))
 	}
 
-	var srv *index.Server
-	var rep *privacy.Report
-	var servedEpoch uint64
 	var mirror *replica.Mirror
-	shardID, shardOf := 0, 1
-	if *epochOrigin != "" && *epochDir == "" {
-		return fmt.Errorf("-epoch-origin needs -epoch-dir naming the local mirror cache")
+	if *epochOrigin != "" {
+		// Pull-based replication: the mirror fills the local store from
+		// the origin; everything below (Load, Watcher, RCU swap) then
+		// works off local, verified files exactly as with shared
+		// storage. Boot blocks until the cache holds its first epoch.
+		mirror = &replica.Mirror{
+			Origin:   *epochOrigin,
+			Root:     *epochDir,
+			Period:   *epochSync,
+			Limit:    *epochBandwidth,
+			Keep:     *epochKeep,
+			Registry: reg,
+			Tracer:   tracer,
+			Logger:   logger,
+		}
+		if _, err := mirror.WaitReady(ctx); err != nil {
+			return fmt.Errorf("mirror of %q: %w", *epochOrigin, err)
+		}
 	}
-	if *epochDir != "" {
-		if *indexPath != "" {
-			return fmt.Errorf("-epoch-dir and -index are mutually exclusive")
-		}
-		if *shardSpec != "" {
-			if shardID, shardOf, err = parseShardSpec(*shardSpec); err != nil {
-				return err
-			}
-		}
-		if *epochOrigin != "" {
-			// Pull-based replication: the mirror fills the local store from
-			// the origin; everything below (Load, Watcher, RCU swap) then
-			// works off local, verified files exactly as with shared
-			// storage. Boot blocks until the cache holds its first epoch.
-			mirror = &replica.Mirror{
-				Origin:   *epochOrigin,
-				Root:     *epochDir,
-				Period:   *epochSync,
-				Limit:    *epochBandwidth,
-				Keep:     *epochKeep,
-				Registry: reg,
-				Tracer:   tracer,
-				Logger:   logger,
-			}
-			if _, err := mirror.WaitReady(ctx); err != nil {
-				return fmt.Errorf("mirror of %q: %w", *epochOrigin, err)
-			}
-		}
-		if srv, servedEpoch, err = epoch.Load(*epochDir, shardID, shardOf); err != nil {
-			return fmt.Errorf("epoch store %q: %w", *epochDir, err)
-		}
-		rep = loadEpochReport(logger, *epochDir, servedEpoch)
-	} else if srv, rep, err = loadOrBuild(*indexPath, *shardSpec, *providers, *owners, *seed); err != nil {
-		return err
+	srv, servedEpoch, err := epoch.Load(*epochDir, shardID, shardOf)
+	if err != nil {
+		return fmt.Errorf("epoch store %q: %w", *epochDir, err)
 	}
 	if *auditDir != "" {
 		sink, err := audit.Open(*auditDir, audit.Options{Registry: reg, Logger: logger})
@@ -212,7 +189,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	handler.SetReport(rep)
+	handler.SetReport(loadEpochReport(logger, *epochDir, servedEpoch))
 	var watcherWG sync.WaitGroup
 	if mirror != nil {
 		// Keep pulling new epochs for as long as we serve; the Watcher
@@ -224,34 +201,32 @@ func run(ctx context.Context, args []string) error {
 			mirror.Run(ctx)
 		}()
 	}
-	if *epochDir != "" {
-		// Hot re-publication: poll the store and swap the served snapshot
-		// RCU-style when CURRENT moves. In-flight requests finish on the
-		// old epoch; a bad new epoch is rejected and the node stays put.
-		w := &epoch.Watcher{
-			Root:   *epochDir,
-			Shard:  shardID,
-			Of:     shardOf,
-			Period: *epochPoll,
-			Logger: logger,
-			Tracer: tracer,
-			OnSwap: func(next *index.Server, n uint64) error {
-				if err := handler.Swap(next); err != nil {
-					return err
-				}
-				// The report is advisory: a report-less epoch swaps in fine,
-				// it just answers /v1/privacy with 404 until one appears.
-				handler.SetReport(loadEpochReport(logger, *epochDir, n))
-				return nil
-			},
-		}
-		watcherWG.Add(1)
-		go func() {
-			defer watcherWG.Done()
-			w.Run(ctx, servedEpoch)
-		}()
-		defer watcherWG.Wait()
+	// Hot re-publication: poll the store and swap the served snapshot
+	// RCU-style when CURRENT moves. In-flight requests finish on the
+	// old epoch; a bad new epoch is rejected and the node stays put.
+	w := &epoch.Watcher{
+		Root:   *epochDir,
+		Shard:  shardID,
+		Of:     shardOf,
+		Period: *epochPoll,
+		Logger: logger,
+		Tracer: tracer,
+		OnSwap: func(next *index.Server, n uint64) error {
+			if err := handler.Swap(next); err != nil {
+				return err
+			}
+			// The report is advisory: a report-less epoch swaps in fine,
+			// it just answers /v1/privacy with 404 until one appears.
+			handler.SetReport(loadEpochReport(logger, *epochDir, n))
+			return nil
+		},
 	}
+	watcherWG.Add(1)
+	go func() {
+		defer watcherWG.Done()
+		w.Run(ctx, servedEpoch)
+	}()
+	defer watcherWG.Wait()
 	mux := http.NewServeMux()
 	mux.Handle("/", handler)
 	if *withPprof {
@@ -276,9 +251,7 @@ func run(ctx context.Context, args []string) error {
 	if id, of, sharded := srv.ShardInfo(); sharded {
 		up = append(up, slog.String("shard", fmt.Sprintf("%d/%d", id, of)))
 	}
-	if *epochDir != "" {
-		up = append(up, slog.Uint64("epoch", servedEpoch), slog.String("epoch_dir", *epochDir))
-	}
+	up = append(up, slog.Uint64("epoch", servedEpoch), slog.String("epoch_dir", *epochDir))
 	if *epochOrigin != "" {
 		up = append(up, slog.String("epoch_origin", *epochOrigin))
 	}
@@ -338,9 +311,13 @@ func logFinalSnapshot(logger *slog.Logger, reg *metrics.Registry) {
 	logger.Debug("final metrics exposition", slog.String("text", buf.String()))
 }
 
-// parseShardSpec parses "k/of" into a shard assignment.
+// parseShardSpec parses "k/of" into a shard assignment. The whole spec
+// must parse: trailing input ("1/2/3", "0/2x") is an error, not ignored.
 func parseShardSpec(spec string) (k, of int, err error) {
-	if n, _ := fmt.Sscanf(spec, "%d/%d", &k, &of); n != 2 || k < 0 || of < 1 || k >= of {
+	ks, ofs, found := strings.Cut(spec, "/")
+	k, errK := strconv.Atoi(ks)
+	of, errOf := strconv.Atoi(ofs)
+	if !found || errK != nil || errOf != nil || k < 0 || of < 1 || k >= of {
 		return 0, 0, fmt.Errorf("bad -shard %q: want \"k/of\" with 0 <= k < of", spec)
 	}
 	return k, of, nil
@@ -362,108 +339,4 @@ func loadEpochReport(logger *slog.Logger, root string, n uint64) *privacy.Report
 		logger.Warn("privacy report rejected", slog.Uint64("epoch", n), slog.Any("error", err))
 	}
 	return nil
-}
-
-func loadOrBuild(path, shardSpec string, providers, owners int, seed int64) (*index.Server, *privacy.Report, error) {
-	var shardID, shardOf int
-	sharded := shardSpec != ""
-	if sharded {
-		var err error
-		if shardID, shardOf, err = parseShardSpec(shardSpec); err != nil {
-			return nil, nil, err
-		}
-	}
-	if path != "" {
-		info, err := os.Stat(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("open index: %w", err)
-		}
-		if info.IsDir() {
-			srv, err := loadFromManifest(path, shardSpec, sharded, shardID, shardOf)
-			return srv, nil, err
-		}
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("open index: %w", err)
-		}
-		defer f.Close()
-		srv, err := index.Read(f)
-		if err != nil {
-			return nil, nil, fmt.Errorf("load index %q: %w", path, err)
-		}
-		if sharded {
-			id, of, ok := srv.ShardInfo()
-			if !ok {
-				return nil, nil, fmt.Errorf("index %q is unsharded but -shard %s was given", path, shardSpec)
-			}
-			if id != shardID || of != shardOf {
-				return nil, nil, fmt.Errorf("index %q holds shard %d/%d, not the requested %s", path, id, of, shardSpec)
-			}
-		}
-		// Exported index files carry only public state — no truth matrix,
-		// so no report to audit against.
-		return srv, nil, nil
-	}
-	d, err := workload.GenerateZipf(workload.ZipfConfig{
-		Providers: providers, Owners: owners, Exponent: 1.1, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := core.Construct(d.Matrix, d.Eps, core.Config{
-		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Seed: seed,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	// The demo build has the truth matrix in hand, so it can audit
-	// itself like a real publisher would; Sealed gives the in-memory
-	// report the checksum clients verify on fetch. The operator detail
-	// is discarded: a serving node must hold nothing it cannot serve.
-	rep, _, err := privacy.Compute(privacy.Input{
-		Truth: d.Matrix, Published: res.Published, Names: d.Names, Eps: d.Eps,
-		Thresholds: res.Thresholds, Hidden: res.Hidden,
-		Policy: mathx.PolicyChernoff.String(), Gamma: 0.9,
-		Lambda: res.Lambda, Xi: res.Xi,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	if rep, err = privacy.Sealed(rep, 0); err != nil {
-		return nil, nil, err
-	}
-	if !sharded {
-		srv, err := index.NewServer(res.Published, d.Names)
-		return srv, rep, err
-	}
-	// Construction is deterministic under seed (PR 3), so independent
-	// eppi-serve processes with the same demo parameters agree on the
-	// partition — no shared files needed to stand up a demo fleet. Every
-	// shard serves the same full-index report, like epoch stores do.
-	parts, err := shard.Partition(res.Published, d.Names, shardOf)
-	if err != nil {
-		return nil, nil, err
-	}
-	return parts[shardID], rep, nil
-}
-
-// loadFromManifest serves shard k/of out of a shard-set directory written
-// by eppi-construct -shards (or shard.WriteSet): the manifest is read and
-// checksum-verified, then the one requested shard file is loaded.
-func loadFromManifest(dir, shardSpec string, sharded bool, shardID, shardOf int) (*index.Server, error) {
-	if !sharded {
-		return nil, fmt.Errorf("index %q is a directory: pick a shard with -shard k/of", dir)
-	}
-	man, err := shard.ReadManifest(dir)
-	if err != nil {
-		return nil, fmt.Errorf("read manifest in %q: %w", dir, err)
-	}
-	if man.Shards != shardOf {
-		return nil, fmt.Errorf("manifest in %q has %d shards, -shard asked for %s", dir, man.Shards, shardSpec)
-	}
-	srv, err := man.LoadShard(dir, shardID)
-	if err != nil {
-		return nil, fmt.Errorf("load shard %d from %q: %w", shardID, dir, err)
-	}
-	return srv, nil
 }

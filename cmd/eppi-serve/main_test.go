@@ -3,77 +3,203 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
+	"flag"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/epoch"
 	"repro/internal/httpapi"
 	"repro/internal/index"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
-	"repro/internal/shard"
+	"repro/internal/privacy"
 	"repro/internal/workload"
 )
 
-func TestLoadOrBuildDemo(t *testing.T) {
-	srv, rep, err := loadOrBuild("", "", 20, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.Providers() != 20 || srv.Owners() != 8 {
-		t.Fatalf("dims %dx%d", srv.Providers(), srv.Owners())
-	}
-	// The demo index audits itself, and the in-memory report must be
-	// sealed (checksummed) so /v1/privacy clients can verify it.
-	if rep == nil {
-		t.Fatal("demo build has no privacy report")
-	}
-	if rep.Checksum == "" {
-		t.Error("demo privacy report is not sealed")
-	}
-	if rep.Identities != 8 || rep.Providers != 20 {
-		t.Errorf("report dims %dx%d", rep.Providers, rep.Identities)
-	}
-}
-
-func TestLoadOrBuildFromFile(t *testing.T) {
-	// Build an index, export it, load through the serve path.
-	d, err := workload.GenerateZipf(workload.ZipfConfig{Providers: 10, Owners: 5, Exponent: 1.1, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := core.Construct(d.Matrix, d.Eps, core.Config{
-		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Seed: 3,
+// publishStore constructs an index over a synthetic network and publishes
+// it, with its sealed privacy report, as the next epoch of a store at
+// root — what eppi-construct -epoch-dir does. It returns the unsharded
+// index, the answer a single full node would give.
+func publishStore(t *testing.T, root string, providers, owners, shards int, seed int64) *index.Server {
+	t.Helper()
+	d, err := workload.GenerateZipf(workload.ZipfConfig{
+		Providers: providers, Owners: owners, Exponent: 1.1, Seed: seed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := index.NewServer(res.Published, d.Names)
+	res, err := core.Construct(d.Matrix, d.Eps, core.Config{
+		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Seed: seed,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := srv.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "index.bin")
-	if err := os.WriteFile(path, buf.Bytes(), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	loaded, _, err := loadOrBuild(path, "", 0, 0, 0)
+	rep, _, err := privacy.Compute(privacy.Input{
+		Truth: d.Matrix, Published: res.Published, Names: d.Names, Eps: d.Eps,
+		Thresholds: res.Thresholds, Hidden: res.Hidden,
+		Policy: mathx.PolicyChernoff.String(), Gamma: 0.9,
+		Lambda: res.Lambda, Xi: res.Xi,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Providers() != 10 || loaded.Owners() != 5 {
-		t.Fatalf("loaded dims %dx%d", loaded.Providers(), loaded.Owners())
+	pub := epoch.Publisher{Root: root}
+	if _, err := pub.PublishWithReport(res.Published, d.Names, shards, rep, nil); err != nil {
+		t.Fatal(err)
+	}
+	full, err := index.NewServer(res.Published, d.Names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return full
+}
+
+func TestLoadEpochReport(t *testing.T) {
+	root := t.TempDir()
+	publishStore(t, root, 20, 8, 1, 1)
+	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+	// The node serves the publisher's report, sealed (checksummed) so
+	// /v1/privacy clients can verify it.
+	rep := loadEpochReport(logger, root, 1)
+	if rep == nil {
+		t.Fatal("published epoch serves no privacy report")
+	}
+	if rep.Checksum == "" {
+		t.Error("served privacy report is not sealed")
+	}
+	if rep.Identities != 8 || rep.Providers != 20 || rep.Epoch != 1 {
+		t.Errorf("report dims %dx%d epoch %d", rep.Providers, rep.Identities, rep.Epoch)
+	}
+	// A report-less epoch serves fine, with no report.
+	pub := epoch.Publisher{Root: root}
+	full, err := epoch.LoadAt(root, 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pub.Publish(full.PublishedMatrix(), full.Names(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if rep := loadEpochReport(logger, root, 2); rep != nil {
+		t.Errorf("report-less epoch 2 served report %+v", rep)
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on right now.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := l.Addr().String()
+	l.Close()
+	return addr
+}
+
+// TestRunServesStoreShard boots the binary's run path from a 2-shard
+// store: the node reports its shard and epoch, answers every owner of its
+// shard exactly as the full index does, and shuts down cleanly.
+func TestRunServesStoreShard(t *testing.T) {
+	root := t.TempDir()
+	full := publishStore(t, root, 20, 8, 2, 1)
+	addr := freeAddr(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- run(ctx, []string{"-addr", addr, "-epoch-dir", root, "-shard", "1/2", "-log-level", "error"})
+	}()
+	client := httpapi.NewClient("http://"+addr, nil)
+	var hz httpapi.HealthzResponse
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		var err error
+		if hz, err = client.Healthz(ctx); err == nil {
+			break
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("run exited before serving: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("node never came up: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if hz.Shard == nil || hz.Shard.ID != 1 || hz.Shard.Of != 2 || hz.Epoch != 1 {
+		t.Fatalf("healthz = %+v, want shard 1/2 at epoch 1", hz)
+	}
+	shard, err := epoch.LoadAt(root, 1, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shard.Owners() == 0 || shard.Owners() >= full.Owners() {
+		t.Fatalf("shard 1/2 holds %d of %d owners", shard.Owners(), full.Owners())
+	}
+	for _, name := range shard.Names() {
+		want, err := full.Query(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := client.Query(ctx, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("node answer for %q = %v, full index says %v", name, got, want)
+		}
+	}
+	cancel()
+	waitServe(t, done)
+}
+
+// TestRunBootErrors pins that the node boots only from a loadable store
+// holding the requested shard, and that the retired boot flags are gone.
+func TestRunBootErrors(t *testing.T) {
+	// Cancelled up front: a run that wrongly boots shuts down at once and
+	// returns nil instead of serving forever.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	store := t.TempDir()
+	publishStore(t, store, 12, 6, 2, 3)
+	garbage := t.TempDir()
+	if err := os.WriteFile(filepath.Join(garbage, epoch.CurrentName), []byte("garbage"), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"no -epoch-dir", nil},
+		{"missing store", []string{"-epoch-dir", filepath.Join(t.TempDir(), "missing")}},
+		{"garbage store", []string{"-epoch-dir", garbage}},
+		{"wrong shard count", []string{"-epoch-dir", store, "-shard", "0/3"}},
+		{"2-shard store without -shard", []string{"-epoch-dir", store}},
+		{"bad -shard", []string{"-epoch-dir", store, "-shard", "1/2/3"}},
+	} {
+		if err := run(ctx, append(tc.args, "-addr", "127.0.0.1:0", "-log-level", "error")); err == nil {
+			t.Errorf("%s: run booted", tc.name)
+		}
+	}
+	if err := run(ctx, nil); err == nil || !strings.Contains(err.Error(), "-epoch-dir is required") {
+		t.Errorf("no -epoch-dir: err = %v, want the required-flag error", err)
+	}
+	for _, retired := range []string{"-index", "-providers", "-owners", "-seed"} {
+		err := run(ctx, []string{"-epoch-dir", store, retired, "1"})
+		if err == nil || errors.Is(err, flag.ErrHelp) || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err = %v, want an undefined flag", retired, err)
+		}
 	}
 }
 
@@ -104,7 +230,9 @@ func waitServe(t *testing.T, done chan error) {
 }
 
 func TestServeEndToEnd(t *testing.T) {
-	srv, _, err := loadOrBuild("", "", 10, 4, 5)
+	root := t.TempDir()
+	publishStore(t, root, 10, 4, 1, 5)
+	srv, _, err := epoch.Load(root, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +259,9 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	// The wiring eppi-serve sets up with -metrics (the default): a registry
 	// through WithMetrics instruments both the middleware and the index, and
 	// /v1/metrics serves the exposition.
-	srv, _, err := loadOrBuild("", "", 10, 4, 5)
+	root := t.TempDir()
+	publishStore(t, root, 10, 4, 1, 5)
+	srv, _, err := epoch.Load(root, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,76 +340,11 @@ func TestServeDrainsInflightRequests(t *testing.T) {
 	waitServe(t, done)
 }
 
-func TestLoadOrBuildDemoShard(t *testing.T) {
-	// Two independent loads of the same demo shard agree (deterministic
-	// construction), and the shards partition the full demo index.
-	full, _, err := loadOrBuild("", "", 20, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for k := 0; k < 2; k++ {
-		spec := []string{"0/2", "1/2"}[k]
-		srv, _, err := loadOrBuild("", spec, 20, 8, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id, of, sharded := srv.ShardInfo()
-		if !sharded || id != k || of != 2 {
-			t.Fatalf("shard %s: ShardInfo = %d/%d (%v)", spec, id, of, sharded)
-		}
-		for _, name := range srv.Names() {
-			want, err := full.Query(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := srv.Query(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("shard answer for %q differs from full index", name)
-			}
-		}
-		total += srv.Owners()
-	}
-	if total != full.Owners() {
-		t.Fatalf("shards cover %d owners, full index has %d", total, full.Owners())
-	}
-}
-
-func TestLoadOrBuildFromManifestDir(t *testing.T) {
-	// Export a shard set the way eppi-construct -shards does, then load
-	// one shard through the serve path.
-	full, _, err := loadOrBuild("", "", 12, 6, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := shard.WriteSet(dir, full.PublishedMatrix(), full.Names(), 2); err != nil {
-		t.Fatal(err)
-	}
-	srv, _, err := loadOrBuild(dir, "1/2", 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if id, of, sharded := srv.ShardInfo(); !sharded || id != 1 || of != 2 {
-		t.Fatalf("ShardInfo = %d/%d (%v)", id, of, sharded)
-	}
-	// Wrong shard count and missing -shard are rejected.
-	if _, _, err := loadOrBuild(dir, "0/3", 0, 0, 0); err == nil {
-		t.Error("manifest with 2 shards served -shard 0/3")
-	}
-	if _, _, err := loadOrBuild(dir, "", 0, 0, 0); err == nil {
-		t.Error("directory index loaded without -shard")
-	}
-}
-
 func TestParseShardSpec(t *testing.T) {
 	if k, of, err := parseShardSpec("1/3"); err != nil || k != 1 || of != 3 {
 		t.Fatalf("parseShardSpec(1/3) = %d, %d, %v", k, of, err)
 	}
-	for _, bad := range []string{"", "x", "3/3", "-1/2", "1-2", "2"} {
+	for _, bad := range []string{"", "x", "3/3", "-1/2", "1-2", "2", "1/2/3", "0/2x", "0/", "/2", " 0/2"} {
 		if _, _, err := parseShardSpec(bad); err == nil {
 			t.Errorf("parseShardSpec(%q) accepted", bad)
 		}
@@ -354,17 +419,4 @@ func (b *syncBuffer) String() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.buf.String()
-}
-
-func TestLoadOrBuildErrors(t *testing.T) {
-	if _, _, err := loadOrBuild(filepath.Join(t.TempDir(), "missing.bin"), "", 0, 0, 0); err == nil {
-		t.Error("missing index file accepted")
-	}
-	bad := filepath.Join(t.TempDir(), "bad.bin")
-	if err := os.WriteFile(bad, []byte("garbage"), 0o600); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := loadOrBuild(bad, "", 0, 0, 0); err == nil {
-		t.Error("garbage index file accepted")
-	}
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/httpapi"
 	"repro/internal/index"
-	"repro/internal/shard"
 )
 
 // This file implements the deployment split of the paper's system model:
@@ -28,32 +27,13 @@ func (n *Network) WriteIndex(w io.Writer) (int64, error) {
 	return srv.WriteTo(w)
 }
 
-// WriteShardSet exports the constructed index as a column-sharded set for
-// distributed hosting: dir receives one snapshot per shard plus a
-// checksummed manifest (internal/shard). Identities are assigned to
-// shards by a stable hash of the owner name, so any party — the gateway,
-// a client, another provider — computes the owning shard without
-// coordination. Each shard file carries only public state, exactly like
-// WriteIndex. It fails before ConstructPPI.
-func (n *Network) WriteShardSet(dir string, shards int) (*shard.Manifest, error) {
-	published, names, err := n.publishedHandle()
-	if err != nil {
-		return nil, err
-	}
-	man, err := shard.WriteSet(dir, published, names, shards)
-	if err != nil {
-		return nil, fmt.Errorf("eppi: write shard set: %w", err)
-	}
-	return man, nil
-}
-
 // PublishEpoch exports the constructed index as the next epoch of the
 // epoch store rooted at root (internal/epoch): the shard set lands under
 // epochs/<n>/ and the store's CURRENT pointer is flipped atomically, so
 // serving nodes watching the store hot-swap to the new version without a
 // restart. The construction's ε-audit report travels with the shard set
 // as epochs/<n>/privacy.json. Returns the epoch number published. Like
-// WriteShardSet, only public state leaves the provider network: the
+// WriteIndex, only public state leaves the provider network: the
 // report carries aggregates and a name+ε violation sample, never
 // per-identity frequencies or the identity→ε-decile map — those stay
 // inside the network behind PrivacyDetail. It fails before

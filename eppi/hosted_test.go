@@ -6,6 +6,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 func TestWriteIndexBeforeConstruct(t *testing.T) {
@@ -105,31 +107,32 @@ func TestReadHostedServiceGarbage(t *testing.T) {
 	}
 }
 
-func TestWriteShardSet(t *testing.T) {
+func TestPublishEpoch(t *testing.T) {
 	net := buildHospitalNetwork(t)
-	dir := t.TempDir()
-	if _, err := net.WriteShardSet(dir, 2); !errors.Is(err, ErrNotConstructed) {
+	root := t.TempDir()
+	if _, err := net.PublishEpoch(root, 2); !errors.Is(err, ErrNotConstructed) {
 		t.Fatalf("pre-construction error = %v", err)
 	}
 	if _, err := net.ConstructPPI(WithSeed(21)); err != nil {
 		t.Fatal(err)
 	}
-	man, err := net.WriteShardSet(dir, 2)
+	n, err := net.PublishEpoch(root, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if man.Shards != 2 || man.Owners != 3 {
-		t.Fatalf("manifest = %+v", man)
+	if n != 1 {
+		t.Fatalf("first publication is epoch %d, want 1", n)
 	}
-	if err := man.Verify(dir); err != nil {
-		t.Fatalf("fresh shard set fails verification: %v", err)
-	}
-	// Every owner answers identically from its shard.
+	// Every owner answers identically from its shard of the store; each
+	// load verifies the whole set against its manifest first.
 	owners := 0
-	for k := 0; k < man.Shards; k++ {
-		srv, err := man.LoadShard(dir, k)
+	for k := 0; k < 2; k++ {
+		srv, e, err := epoch.Load(root, k, 2)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if e != n {
+			t.Fatalf("shard %d loaded epoch %d, want %d", k, e, n)
 		}
 		for _, name := range srv.Names() {
 			want, err := net.Query(name)

@@ -43,7 +43,9 @@ type Entry struct {
 	// Time is the query's arrival, unix nanoseconds. Record stamps it
 	// when left zero.
 	Time int64 `json:"t"`
-	// Route names the operation: "query", "search".
+	// Route names the operation: "query" or "batch". Logs written
+	// before the substring search route was removed may also hold
+	// "search"; eppi-audit counts those like any other route.
 	Route string `json:"route"`
 	// Owner is the queried identity (the privacy-relevant datum).
 	Owner string `json:"owner,omitempty"`

@@ -27,7 +27,9 @@ import (
 //     full-index answer;
 //  2. one replica of every shard is killed mid-test and every owner still
 //     answers, identically, from the surviving replicas;
-//  3. warm cache: a re-query sweep still matches and is served from cache;
+//  3. warm cache: a re-query sweep still matches and is served from cache,
+//     and a batch through a second, cold gateway still reaches every
+//     owner past the dead replicas;
 //  4. the hedge/shed/cache counters are visible in GET /v1/metrics and the
 //     gateway spans are visible in GET /v1/traces.
 func TestGatewayEndToEnd(t *testing.T) {
@@ -117,24 +119,31 @@ func TestGatewayEndToEnd(t *testing.T) {
 		t.Fatalf("warm sweep: %d cache hits, want >= %d", hits, len(names))
 	}
 
-	// Phase 4: force fresh upstream traffic past the cache with a fan-out
-	// search, exercising failover over live replicas only.
-	sresp, err := http.Get(gw.URL + "/v1/search?q=")
+	// Phase 4: force fresh upstream traffic past the cache. A second
+	// gateway over the same fleet starts with an empty cache, so one batch
+	// of every owner must reach the live replicas through failover.
+	coldReg := metrics.NewRegistry()
+	cold, err := New(Config{Shards: bases, Client: fastClient(), Registry: coldReg, ProbePeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sbody, _ := io.ReadAll(sresp.Body)
-	sresp.Body.Close()
-	if sresp.StatusCode != http.StatusOK {
-		t.Fatalf("search with dead replicas = %d: %s", sresp.StatusCode, sbody)
+	defer cold.Close()
+	coldGW := httptest.NewServer(cold)
+	defer coldGW.Close()
+	rows, err := httpapi.NewClient(coldGW.URL, nil).QueryBatch(context.Background(), names)
+	if err != nil {
+		t.Fatalf("batch over degraded fleet: %v", err)
 	}
-	var sr httpapi.SearchResponse
-	if err := json.Unmarshal(sbody, &sr); err != nil {
-		t.Fatal(err)
+	if len(rows) != len(names) {
+		t.Fatalf("batch over degraded fleet returned %d rows, want %d", len(rows), len(names))
 	}
-	if len(sr.Results) != len(names) {
-		t.Fatalf("fan-out search over degraded fleet returned %d owners, want %d",
-			len(sr.Results), len(names))
+	for i, row := range rows {
+		if !row.Found || row.Error != "" || fmt.Sprint(row.Providers) != fmt.Sprint(truth[names[i]]) {
+			t.Fatalf("batch row %d over degraded fleet = %+v, single-node index says %v", i, row, truth[names[i]])
+		}
+	}
+	if misses := coldReg.Counter("eppi_gateway_cache_misses_total", "").Value(); misses != uint64(len(names)) {
+		t.Fatalf("cold batch: %d cache misses, want %d", misses, len(names))
 	}
 
 	// Phase 5: healthz reflects the degraded-but-serving fleet.

@@ -3,9 +3,9 @@
 // column-shard index nodes (internal/shard served by eppi-serve -shard).
 //
 // A Lookup(owner) is routed to the one shard owning the identity under
-// the stable hash (shard.For); a Search fans out to every shard and
-// merges. On top of plain routing the gateway layers the techniques a
-// locator service needs to face heavy traffic:
+// the stable hash (shard.For); a batch splits into one sub-batch per
+// owning shard. On top of plain routing the gateway layers the techniques
+// a locator service needs to face heavy traffic:
 //
 //   - response caching: an LRU over lookup results, safe because M' is
 //     public by construction — the Eq. 2 noise is fixed at publication
@@ -36,7 +36,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -44,7 +43,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/httpapi"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/shard"
@@ -140,7 +138,6 @@ type Gateway struct {
 // no-op when nil (no registry).
 type instruments struct {
 	lookups     *metrics.Counter
-	searches    *metrics.Counter
 	batchSize   *metrics.Histogram
 	batchSubreq *metrics.Counter
 	cacheHits   *metrics.Counter
@@ -153,7 +150,6 @@ type instruments struct {
 	inflightG   *metrics.Gauge
 	cacheSizeG  *metrics.Gauge
 	epochG      *metrics.Gauge // highest upstream-reported epoch
-	skewG       *metrics.Gauge // epoch spread across shards, last fan-out
 }
 
 // New builds a gateway over cfg.Shards and starts its health prober.
@@ -196,7 +192,6 @@ func New(cfg Config) (*Gateway, error) {
 	if g.reg != nil {
 		g.inst = instruments{
 			lookups:     g.reg.Counter("eppi_gateway_lookups_total", "Lookups admitted by the gateway."),
-			searches:    g.reg.Counter("eppi_gateway_searches_total", "Fan-out searches admitted by the gateway."),
 			batchSize:   g.reg.Histogram("eppi_batch_size", "Owners per batched lookup request.", httpapi.BatchSizeBuckets),
 			batchSubreq: g.reg.Counter("eppi_gateway_batch_subrequests_total", "Per-shard sub-batch requests fired by batched lookups (hedges and failover attempts included)."),
 			cacheHits:   g.reg.Counter("eppi_gateway_cache_hits_total", "Lookups answered from the response cache."),
@@ -209,7 +204,6 @@ func New(cfg Config) (*Gateway, error) {
 			inflightG:   g.reg.Gauge("eppi_gateway_inflight", "Requests currently admitted."),
 			cacheSizeG:  g.reg.Gauge("eppi_gateway_cache_entries", "Live response-cache entries."),
 			epochG:      g.reg.Gauge("eppi_gateway_epoch", "Highest publication epoch reported by any upstream shard."),
-			skewG:       g.reg.Gauge("eppi_gateway_epoch_skew", "Epoch spread (max-min) across shards in the last fan-out search; 0 when the fleet agrees."),
 		}
 		g.reg.OnCollect(func() { g.inst.cacheSizeG.Set(float64(g.cache.len())) })
 		g.reg.Gauge("eppi_gateway_shards", "Shard count the gateway routes over.").Set(float64(len(cfg.Shards)))
@@ -652,79 +646,6 @@ func (g *Gateway) fetchBatch(ctx context.Context, k int, owners []string) ([]htt
 	sp.SetInt("winner_replica", winner)
 	sp.Set("hedged", strconv.FormatBool(hedged))
 	return out.rows, out.epoch, nil
-}
-
-// SearchAll fans a substring search out to every shard (one healthy
-// replica each, with failover) and merges the results in owner order.
-func (g *Gateway) SearchAll(ctx context.Context, q string, limit int) ([]index.Match, error) {
-	matches, _, err := g.searchAll(ctx, q, limit)
-	return matches, err
-}
-
-// searchAll implements SearchAll and additionally reports the highest
-// epoch the answering shards served from. A fleet mid-swap answers a
-// fan-out from two different matrices at once; rather than silently
-// merging them, the gateway surfaces the skew (eppi_gateway_epoch_skew,
-// a warning log, and span attributes) so the operator — and the epoch
-// header on the response — can tell the merge was mixed.
-func (g *Gateway) searchAll(ctx context.Context, q string, limit int) ([]index.Match, uint64, error) {
-	g.inst.searches.Inc()
-	ctx, sp := trace.StartChild(ctx, "gateway.search_fanout")
-	defer sp.End()
-	type shardOut struct {
-		matches []index.Match
-		epoch   uint64
-		err     error
-	}
-	outs := make([]shardOut, len(g.shards))
-	var wg sync.WaitGroup
-	for k, st := range g.shards {
-		wg.Add(1)
-		go func(k int, st *shardState) {
-			defer wg.Done()
-			var lastErr error
-			for _, r := range st.candidates() {
-				matches, epoch, err := r.client.SearchEpoch(ctx, q, limit)
-				if err == nil {
-					outs[k] = shardOut{matches: matches, epoch: epoch}
-					return
-				}
-				lastErr = err
-			}
-			outs[k] = shardOut{err: fmt.Errorf("shard %d: %w", k, lastErr)}
-		}(k, st)
-	}
-	wg.Wait()
-	var merged []index.Match
-	minEpoch, maxEpoch := ^uint64(0), uint64(0)
-	for _, out := range outs {
-		if out.err != nil {
-			sp.Set("error", out.err.Error())
-			return nil, 0, out.err
-		}
-		merged = append(merged, out.matches...)
-		if out.epoch < minEpoch {
-			minEpoch = out.epoch
-		}
-		if out.epoch > maxEpoch {
-			maxEpoch = out.epoch
-		}
-	}
-	g.observeEpoch(maxEpoch)
-	skew := maxEpoch - minEpoch
-	g.inst.skewG.Set(float64(skew))
-	sp.SetUint("epoch", maxEpoch)
-	if skew > 0 {
-		sp.SetUint("epoch_skew", skew)
-		g.logger.Warn("mixed-epoch fan-out: shards answered from different index versions",
-			slog.Uint64("min_epoch", minEpoch), slog.Uint64("max_epoch", maxEpoch))
-	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i].Owner < merged[j].Owner })
-	if limit > 0 && len(merged) > limit {
-		merged = merged[:limit]
-	}
-	sp.SetInt("matches", len(merged))
-	return merged, maxEpoch, nil
 }
 
 // PrivacyAggregate is the gateway's fleet-wide /v1/privacy payload.

@@ -467,35 +467,19 @@ func TestGatewayHedgeFiresOnSlowPrimary(t *testing.T) {
 	}
 }
 
-func TestGatewaySearchMergesAllShards(t *testing.T) {
-	full, _, bases, _ := buildShardedFixture(t, 15, 20, 3, 1)
+// TestGatewaySearchRouteGone pins that the gateway, like the nodes
+// behind it, answers only QueryPPI: there is no substring fan-out.
+func TestGatewaySearchRouteGone(t *testing.T) {
+	_, _, bases, _ := buildShardedFixture(t, 15, 20, 2, 1)
 	g, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	got, err := g.SearchAll(context.Background(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := full.Search(context.Background(), "", 0)
-	if len(got) != len(want) {
-		t.Fatalf("search returned %d owners, full index has %d", len(got), len(want))
-	}
-	seen := map[string]bool{}
-	for _, m := range got {
-		seen[m.Owner] = true
-	}
-	for _, m := range want {
-		if !seen[m.Owner] {
-			t.Fatalf("owner %q missing from fan-out search", m.Owner)
-		}
-	}
-	// Merged results are owner-sorted.
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Owner > got[i].Owner {
-			t.Fatal("merged search results not sorted")
-		}
+	rec := httptest.NewRecorder()
+	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search?q=", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /v1/search = %d, want 404", rec.Code)
 	}
 }
 

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/httpapi"
-	"repro/internal/index"
 	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/trace"
@@ -73,14 +72,13 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildMux wires the gateway routes. Admission control covers the query
-// paths (/v1/query, /v1/search); the observability endpoints stay
+// paths (/v1/query, /v1/query/batch); the observability endpoints stay
 // reachable under overload — an operator debugging a shedding gateway
 // needs /v1/metrics most exactly then.
 func (g *Gateway) buildMux() {
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("GET /v1/query", g.wrap("query", true, g.handleQuery))
 	g.mux.HandleFunc("POST /v1/query/batch", g.wrap("batch", true, g.handleBatch))
-	g.mux.HandleFunc("GET /v1/search", g.wrap("search", true, g.handleSearch))
 	g.mux.HandleFunc("GET /v1/stats", g.wrap("stats", false, g.handleStats))
 	g.mux.HandleFunc("GET /v1/privacy", g.wrap("privacy", false, g.handlePrivacy))
 	g.mux.HandleFunc("GET /v1/healthz", g.wrap("healthz", false, g.handleHealthz))
@@ -290,37 +288,6 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		return row
 	})
-}
-
-func (g *Gateway) handleSearch(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query().Get("q")
-	limit := 0
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad limit parameter"})
-			return
-		}
-		limit = n
-	}
-	matches, epoch, err := g.searchAll(r.Context(), q, limit)
-	if err != nil {
-		if g.sink != nil {
-			// The search pattern goes in the Owner slot: substring probing
-			// is the same exposure pattern as direct queries.
-			g.auditRecord(r, "search", q, -1, 0, -1, http.StatusBadGateway)
-		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
-		return
-	}
-	w.Header().Set(httpapi.EpochHeader, strconv.FormatUint(epoch, 10))
-	if matches == nil {
-		matches = []index.Match{}
-	}
-	if g.sink != nil {
-		g.auditRecord(r, "search", q, -1, epoch, len(matches), http.StatusOK)
-	}
-	writeJSON(w, http.StatusOK, httpapi.SearchResponse{Results: matches})
 }
 
 // handlePrivacy serves the fleet-wide privacy view: the newest verified

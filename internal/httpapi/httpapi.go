@@ -5,7 +5,6 @@
 //
 //	GET /v1/query?owner=<identity>   → {"owner": ..., "providers": [ids]}
 //	POST /v1/query/batch             → {"results": [{"owner": ..., "found": ..., "providers": [ids]}]}
-//	GET /v1/search?q=<substr>        → {"results": [{"owner": ..., "providers": [ids]}]}
 //	GET /v1/stats                    → {"queries": n, "avgFanout": f}
 //	GET /v1/healthz                  → {"status": "ok", "providers": m, "owners": n}
 //	GET /v1/metrics                  → Prometheus text exposition (when enabled)
@@ -114,8 +113,8 @@ func WithTracer(tr *trace.Tracer) Option {
 	return func(h *Handler) { h.tracer = tr }
 }
 
-// WithAudit records every query and search into sink — who asked about
-// whom, against which shard and epoch — via the async audit log
+// WithAudit records every single and batched query into sink — who asked
+// about whom, against which shard and epoch — via the async audit log
 // (internal/audit). A nil sink disables auditing; the query path then
 // pays a single nil check and allocates nothing extra.
 func WithAudit(sink *audit.Sink) Option {
@@ -152,7 +151,6 @@ func NewHandler(srv *index.Server, opts ...Option) (*Handler, error) {
 	}
 	h.mux.HandleFunc("GET /v1/query", h.wrap("query", h.handleQuery))
 	h.mux.HandleFunc("POST /v1/query/batch", h.wrap("batch", h.handleQueryBatch))
-	h.mux.HandleFunc("GET /v1/search", h.wrap("search", h.handleSearch))
 	h.mux.HandleFunc("GET /v1/stats", h.wrap("stats", h.handleStats))
 	h.mux.HandleFunc("GET /v1/healthz", h.wrap("healthz", h.handleHealthz))
 	h.mux.HandleFunc("GET /v1/privacy", h.wrap("privacy", h.handlePrivacy))
@@ -344,11 +342,6 @@ type BatchQueryResponse struct {
 	Results []BatchRow `json:"results"`
 }
 
-// SearchResponse is the /v1/search payload.
-type SearchResponse struct {
-	Results []index.Match `json:"results"`
-}
-
 // StatsResponse is the /v1/stats payload.
 type StatsResponse struct {
 	Queries   uint64  `json:"queries"`
@@ -385,7 +378,7 @@ func setEpochHeader(w http.ResponseWriter, srv *index.Server) {
 	w.Header().Set(EpochHeader, strconv.FormatUint(srv.Epoch(), 10))
 }
 
-// auditRecord logs one query/search outcome to the audit sink. The
+// auditRecord logs one query outcome to the audit sink. The
 // h.sink == nil check at every call site keeps the disabled path free
 // of even the Entry construction.
 func (h *Handler) auditRecord(r *http.Request, srv *index.Server, route, owner string, results, status int) {
@@ -479,37 +472,6 @@ func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
 	setEpochHeader(w, srv)
 	st := srv.Stats()
 	writeJSON(w, http.StatusOK, StatsResponse{Queries: st.Queries, AvgFanout: st.AvgFanout})
-}
-
-// maxSearchResults caps one /v1/search response: the endpoint exists for
-// gateway fan-out and exploration, not bulk export.
-const maxSearchResults = 1000
-
-func (h *Handler) handleSearch(w http.ResponseWriter, r *http.Request) {
-	srv := h.srv()
-	setEpochHeader(w, srv)
-	q := r.URL.Query().Get("q")
-	limit := maxSearchResults
-	if raw := r.URL.Query().Get("limit"); raw != "" {
-		n, err := strconv.Atoi(raw)
-		if err != nil || n < 1 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "bad limit parameter"})
-			return
-		}
-		if n < limit {
-			limit = n
-		}
-	}
-	results := srv.Search(r.Context(), q, limit)
-	if h.sink != nil {
-		// Searches audit the query string in the owner field: a scan
-		// via substring probing is the same exposure pattern.
-		h.auditRecord(r, srv, "search", q, len(results), http.StatusOK)
-	}
-	if results == nil {
-		results = []index.Match{}
-	}
-	writeJSON(w, http.StatusOK, SearchResponse{Results: results})
 }
 
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -868,37 +830,6 @@ func (c *Client) QueryBatchEpoch(ctx context.Context, owners []string) ([]BatchR
 		return nil, epoch, fmt.Errorf("httpapi: decode batch response: %w", err)
 	}
 	return rows, epoch, nil
-}
-
-// Search runs a remote substring search over the owner labels. limit <= 0
-// leaves the cap to the server.
-func (c *Client) Search(ctx context.Context, q string, limit int) ([]index.Match, error) {
-	results, _, err := c.SearchEpoch(ctx, q, limit)
-	return results, err
-}
-
-// SearchEpoch is Search plus the publication epoch of the index that
-// answered, so a fan-out caller can tell when its shards disagree on the
-// index version (a fleet mid-swap).
-func (c *Client) SearchEpoch(ctx context.Context, q string, limit int) ([]index.Match, uint64, error) {
-	path := "/v1/search?q=" + url.QueryEscape(q)
-	if limit > 0 {
-		path += "&limit=" + strconv.Itoa(limit)
-	}
-	resp, err := c.get(ctx, path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("httpapi: search: %w", err)
-	}
-	defer resp.Body.Close()
-	epoch := epochOf(resp)
-	if resp.StatusCode != http.StatusOK {
-		return nil, epoch, fmt.Errorf("httpapi: search status %d: %s", resp.StatusCode, errorText(resp))
-	}
-	var sr SearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return nil, epoch, fmt.Errorf("httpapi: decode search response: %w", err)
-	}
-	return sr.Results, epoch, nil
 }
 
 // ErrNoPrivacyReport reports a node serving an epoch that carries no

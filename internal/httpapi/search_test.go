@@ -11,53 +11,19 @@ import (
 	"repro/internal/index"
 )
 
-func TestSearchEndpoint(t *testing.T) {
-	_, client := testService(t)
-	all, err := client.Search(context.Background(), "", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 || all[0].Owner != "alice" || all[1].Owner != "bob owner" {
-		t.Fatalf("Search(\"\") = %+v", all)
-	}
-	if len(all[0].Providers) != 2 {
-		t.Fatalf("alice providers = %v", all[0].Providers)
-	}
-
-	bob, err := client.Search(context.Background(), "bob", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bob) != 1 || bob[0].Owner != "bob owner" {
-		t.Fatalf("Search(bob) = %+v", bob)
-	}
-
-	limited, err := client.Search(context.Background(), "", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(limited) != 1 {
-		t.Fatalf("Search limit 1 = %+v", limited)
-	}
-
-	none, err := client.Search(context.Background(), "zzz", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(none) != 0 {
-		t.Fatalf("Search(zzz) = %+v", none)
-	}
-}
-
-func TestSearchBadLimit(t *testing.T) {
+// TestSearchRouteGone pins that the node answers only QueryPPI: no
+// substring search, and so no bulk feed of every owner's providers.
+func TestSearchRouteGone(t *testing.T) {
 	ts, _ := testService(t)
-	resp, err := http.Get(ts.URL + "/v1/search?limit=banana")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad limit status %d", resp.StatusCode)
+	for _, q := range []string{"/v1/search?q=", "/v1/search?q=bob"} {
+		resp, err := http.Get(ts.URL + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", q, resp.StatusCode)
+		}
 	}
 }
 

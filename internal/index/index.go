@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 
 	"repro/internal/bitmat"
@@ -263,40 +262,6 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 	}
 	sp.SetInt("batch_size", len(owners))
 	sp.SetInt("found", found)
-	sp.End()
-	return out
-}
-
-// Match is one owner surfaced by a substring search.
-type Match struct {
-	// Owner is the identity label.
-	Owner string `json:"owner"`
-	// Providers is the QueryPPI result for the owner, noise included.
-	Providers []int `json:"providers"`
-}
-
-// Search returns up to limit owners whose label contains substr (all
-// owners for substr == ""), each with its QueryPPI provider list, in
-// column order. limit <= 0 means no limit. Like Query, this exposes only
-// published state: labels and M' columns. When ctx carries a trace span
-// an "index.search" child span records the match count.
-func (s *Server) Search(ctx context.Context, substr string, limit int) []Match {
-	_, sp := trace.StartChild(ctx, "index.search")
-	var out []Match
-	for j, name := range s.names {
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-		if substr != "" && !strings.Contains(name, substr) {
-			continue
-		}
-		providers := s.QueryColumn(j)
-		if providers == nil {
-			providers = []int{}
-		}
-		out = append(out, Match{Owner: name, Providers: providers})
-	}
-	sp.SetInt("matches", len(out))
 	sp.End()
 	return out
 }

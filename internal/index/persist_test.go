@@ -2,7 +2,6 @@ package index
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
@@ -192,22 +191,5 @@ func TestPersistShardInfo(t *testing.T) {
 	id, of, sharded := back.ShardInfo()
 	if !sharded || id != 1 || of != 3 {
 		t.Fatalf("shard info = (%d, %d, %v), want (1, 3, true)", id, of, sharded)
-	}
-}
-
-func TestSearch(t *testing.T) {
-	s := sampleServer(t)
-	all := s.Search(context.Background(), "", 0)
-	if len(all) != 3 || all[0].Owner != "alice" || len(all[0].Providers) != 2 {
-		t.Fatalf("Search(\"\") = %+v", all)
-	}
-	if got := s.Search(context.Background(), "bob", 0); len(got) != 1 || got[0].Owner != "bob" {
-		t.Fatalf("Search(bob) = %+v", got)
-	}
-	if got := s.Search(context.Background(), "", 2); len(got) != 2 {
-		t.Fatalf("Search limit 2 = %+v", got)
-	}
-	if got := s.Search(context.Background(), "zzz", 0); len(got) != 0 {
-		t.Fatalf("Search(zzz) = %+v", got)
 	}
 }

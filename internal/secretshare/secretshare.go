@@ -24,8 +24,6 @@ var (
 	ErrBadShareCount = errors.New("secretshare: share count c must be >= 2")
 	// ErrEmpty reports an empty share set passed to Combine.
 	ErrEmpty = errors.New("secretshare: no shares to combine")
-	// ErrLengthMismatch reports vectors of unequal length.
-	ErrLengthMismatch = errors.New("secretshare: share vector length mismatch")
 )
 
 // Scheme is a (c, c) additive sharing scheme over a prime field.
@@ -66,37 +64,4 @@ func (s Scheme) Combine(shares []uint64) (uint64, error) {
 		return 0, fmt.Errorf("secretshare: got %d shares, need %d", len(shares), s.c)
 	}
 	return s.f.Sum(shares), nil
-}
-
-// AddVectors returns the element-wise modular sum of two share vectors;
-// the additive-homomorphism primitive used when coordinators aggregate
-// super-shares.
-func (s Scheme) AddVectors(a, b []uint64) ([]uint64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("%w: %d vs %d", ErrLengthMismatch, len(a), len(b))
-	}
-	out := make([]uint64, len(a))
-	for i := range a {
-		out[i] = s.f.Add(s.f.Reduce(a[i]), s.f.Reduce(b[i]))
-	}
-	return out, nil
-}
-
-// SumVectors folds AddVectors over a set of share vectors (at least one).
-func (s Scheme) SumVectors(vectors [][]uint64) ([]uint64, error) {
-	if len(vectors) == 0 {
-		return nil, ErrEmpty
-	}
-	acc := make([]uint64, len(vectors[0]))
-	for i, v := range vectors[0] {
-		acc[i] = s.f.Reduce(v)
-	}
-	for _, vec := range vectors[1:] {
-		var err error
-		acc, err = s.AddVectors(acc, vec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
 }

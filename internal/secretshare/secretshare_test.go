@@ -162,16 +162,15 @@ func TestHomomorphismQuick(t *testing.T) {
 				perParty[k][i] = sh[k]
 			}
 		}
-		summed, err := s.SumVectors(perParty)
-		if err != nil {
-			return false
-		}
-		// SumVectors folded across parties? No: fold share-wise sums then
-		// combine. Each element of `summed` is Σ_k share_k of secret i?
-		// perParty rows are per-share-index vectors over secrets; summing the
-		// rows gives, per secret, the sum of all its shares = the secret.
+		// perParty rows are per-share-index vectors over secrets; summing
+		// the rows element-wise gives, per secret, the sum of all its
+		// shares = the secret.
 		for i, v := range secrets {
-			if summed[i] != v {
+			var summed uint64
+			for k := range perParty {
+				summed = f.Add(summed, perParty[k][i])
+			}
+			if summed != v {
 				return false
 			}
 		}
@@ -179,34 +178,6 @@ func TestHomomorphismQuick(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddVectors(t *testing.T) {
-	f := field.MustNew(7)
-	s := MustNew(f, 2)
-	got, err := s.AddVectors([]uint64{6, 3, 0}, []uint64{5, 4, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint64{4, 0, 0}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("AddVectors[%d] = %d, want %d", i, got[i], want[i])
-		}
-	}
-	if _, err := s.AddVectors([]uint64{1}, []uint64{1, 2}); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
-func TestSumVectorsErrors(t *testing.T) {
-	s := MustNew(field.Default(), 2)
-	if _, err := s.SumVectors(nil); err == nil {
-		t.Error("empty vector set accepted")
-	}
-	if _, err := s.SumVectors([][]uint64{{1, 2}, {1}}); err == nil {
-		t.Error("ragged vectors accepted")
 	}
 }
 

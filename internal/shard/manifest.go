@@ -52,16 +52,10 @@ type ShardFile struct {
 // FileName returns the canonical snapshot name for shard k.
 func FileName(k int) string { return fmt.Sprintf("shard-%03d.idx", k) }
 
-// WriteSet partitions a published index into `of` shards and writes the
+// WriteSetAt partitions a published index into `of` shards and writes the
 // whole set under dir: shard-000.idx … shard-NNN.idx plus ManifestName.
-// It returns the manifest it wrote. The set carries epoch 0; re-published
-// sets are written through WriteSetAt (or epoch.Publisher).
-func WriteSet(dir string, published *bitmat.Matrix, names []string, of int) (*Manifest, error) {
-	return WriteSetAt(dir, published, names, of, 0)
-}
-
-// WriteSetAt is WriteSet with an explicit publication epoch: every member
-// snapshot and the manifest are stamped with it, so a serving node (and
+// It returns the manifest it wrote. Every member snapshot and the
+// manifest are stamped with the publication epoch, so a serving node (and
 // the gateway behind it) can tell which index version the set is. The
 // shards are encoded and written concurrently, each as one sized frame
 // written once and checksummed once; the manifest follows them.

@@ -155,7 +155,7 @@ func TestEmptyShardServes(t *testing.T) {
 	published, names := buildIndex(t, 70, 3)
 	const of = 16
 	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, of)
+	man, err := WriteSetAt(dir, published, names, of, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestEmptyShardServes(t *testing.T) {
 		if items := srv.QueryBatch(context.Background(), names); len(items) != len(names) || items[0].Found {
 			t.Fatalf("empty shard %d: batch = %+v", k, items)
 		}
-		if srv.SearchCost() != 0 || len(srv.Search(context.Background(), "", 0)) != 0 {
+		if srv.SearchCost() != 0 || len(srv.Names()) != 0 {
 			t.Fatalf("empty shard %d holds data", k)
 		}
 	}
@@ -215,7 +215,7 @@ func TestWriteSetRoundTrip(t *testing.T) {
 	published, names := buildIndex(t, 20, 25)
 	dir := t.TempDir()
 	const of = 3
-	man, err := WriteSet(dir, published, names, of)
+	man, err := WriteSetAt(dir, published, names, of, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestWriteSetRoundTrip(t *testing.T) {
 func TestManifestDetectsCorruptedShard(t *testing.T) {
 	published, names := buildIndex(t, 10, 12)
 	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, 2)
+	man, err := WriteSetAt(dir, published, names, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestManifestDetectsCorruptedShard(t *testing.T) {
 func TestManifestDetectsTruncatedShard(t *testing.T) {
 	published, names := buildIndex(t, 10, 12)
 	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, 2)
+	man, err := WriteSetAt(dir, published, names, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func TestLoadShardRejectsEpochMismatch(t *testing.T) {
 func TestReadManifestRejectsCorruption(t *testing.T) {
 	published, names := buildIndex(t, 10, 12)
 	dir := t.TempDir()
-	if _, err := WriteSet(dir, published, names, 2); err != nil {
+	if _, err := WriteSetAt(dir, published, names, 2, 0); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, ManifestName)

@@ -27,7 +27,7 @@ func TestVerifyAllocBound(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, 2)
+	man, err := WriteSetAt(dir, published, names, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestVerifyAllocBound(t *testing.T) {
 func TestLoadShardChecksMemberAsVerify(t *testing.T) {
 	published, names := buildIndex(t, 10, 12)
 	dir := t.TempDir()
-	man, err := WriteSet(dir, published, names, 2)
+	man, err := WriteSetAt(dir, published, names, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

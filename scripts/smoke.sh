@@ -1,18 +1,23 @@
 #!/usr/bin/env sh
-# Smoke test: boot eppi-serve on a demo index, run one query, and assert
-# the observability surface works end to end — /v1/healthz answers,
-# /v1/query returns providers, /v1/metrics exposes the runtime gauges,
-# and /v1/traces serves a non-empty Chrome trace whose root span is the
-# query request. Then boot the distributed layer — two eppi-serve shard
-# nodes plus eppi-gateway — and assert a routed lookup answers through
-# the gateway. Finally exercise the epoch lifecycle: publish an epoch
-# store, boot a hot-reloading fleet from it, publish a second epoch
-# mid-run, and assert the fleet swaps, the gateway's answer changes, and
-# /v1/privacy serves each published epoch's verified privacy report on
-# the node and aggregated through the gateway. Last, the replication
-# path: boot eppi-origin over the store, boot a node with an empty local
-# cache and -epoch-origin, and assert it converges to the origin's
-# epoch and answers queries from the mirrored index.
+# Smoke test: every node boots from an epoch store published by
+# eppi-construct -epoch-dir, the one artefact between construction and
+# serving. First publish a 1-shard store, boot eppi-serve on it, run one
+# query, and assert the observability surface works end to end —
+# /v1/healthz answers, /v1/query returns providers, /v1/metrics exposes
+# the runtime gauges, /v1/privacy serves the published audit, and
+# /v1/traces serves a non-empty Chrome trace whose root span is the
+# query request. Then publish a 2-shard store with the same -seed (shard
+# geometry does not shape M′), boot two eppi-serve shard nodes plus
+# eppi-gateway on it, and assert a routed lookup answers through the
+# gateway exactly as the single node did. Then exercise the epoch
+# lifecycle: publish an epoch store, boot a hot-reloading fleet from it,
+# publish a second epoch mid-run, and assert the fleet swaps, the
+# gateway's answer changes, and /v1/privacy serves each published epoch's
+# verified privacy report on the node and aggregated through the
+# gateway. Last, the replication path: boot eppi-origin over the store,
+# boot a node with an empty local cache and -epoch-origin, and assert it
+# converges to the origin's epoch and answers queries from the mirrored
+# index.
 # Used by CI; runnable locally via `make smoke`.
 #
 # Set SMOKE_ARTIFACT_DIR to persist debugging artifacts (final metrics
@@ -40,6 +45,8 @@ go build -o "$GW_BIN" ./cmd/eppi-gateway
 go build -o "$CON_BIN" ./cmd/eppi-construct
 go build -o "$ORIGIN_BIN" ./cmd/eppi-origin
 
+ONE_STORE=$(mktemp -d)
+SHARD_STORE=$(mktemp -d)
 STORE=$(mktemp -d)
 AUDIT=$(mktemp -d)
 MIRROR_CACHE=$(mktemp -d)
@@ -55,16 +62,23 @@ collect_artifacts() {
     curl -sf --max-time 2 "http://$a/v1/privacy" >"$ART/privacy-$a.json" 2>/dev/null || rm -f "$ART/privacy-$a.json"
   done
   cp "$AUDIT"/audit-*.jsonl "$ART/" 2>/dev/null || true
+  for f in "$ONE_STORE"/epochs/*/privacy.json; do
+    [ -f "$f" ] || continue
+    cp "$f" "$ART/privacy-single-epoch-$(basename "$(dirname "$f")").json"
+  done
   for f in "$STORE"/epochs/*/privacy.json; do
     [ -f "$f" ] || continue
     cp "$f" "$ART/privacy-epoch-$(basename "$(dirname "$f")").json"
   done
 }
 
-"$BIN" -addr "$ADDR" -providers 20 -owners 8 -log-format json &
-SERVER_PID=$!
-PIDS="$SERVER_PID"
-trap 'collect_artifacts; for p in $PIDS; do kill "$p" 2>/dev/null || true; done; rm -f "$BIN" "$GW_BIN" "$CON_BIN" "$ORIGIN_BIN"; rm -rf "$STORE" "$AUDIT" "$MIRROR_CACHE"' EXIT
+PIDS=""
+trap 'collect_artifacts; for p in $PIDS; do kill "$p" 2>/dev/null || true; done; rm -f "$BIN" "$GW_BIN" "$CON_BIN" "$ORIGIN_BIN"; rm -rf "$ONE_STORE" "$SHARD_STORE" "$STORE" "$AUDIT" "$MIRROR_CACHE"' EXIT
+
+# A 1-shard store: the single node serves the whole index.
+"$CON_BIN" -providers 20 -owners 8 -seed 1 -epoch-dir "$ONE_STORE" >/dev/null
+"$BIN" -addr "$ADDR" -epoch-dir "$ONE_STORE" -log-format json &
+PIDS="$!"
 
 # Wait for the server to come up (up to ~5s).
 i=0
@@ -95,15 +109,16 @@ echo "$METRICS_OUT" | grep -q '^eppi_go_goroutines' || {
 }
 echo "smoke: metrics ok"
 
-# The demo construction audits itself: /v1/privacy serves a checksummed
-# report with no Eq. 1 violations (Chernoff policy must audit clean).
+# The publisher audits the construction: /v1/privacy serves the store's
+# checksummed report with no Eq. 1 violations (Chernoff policy must audit
+# clean).
 PRIV_OUT=$(curl -sf "$BASE/v1/privacy")
 echo "$PRIV_OUT" | grep -q '"checksum"' || {
   echo "smoke: /v1/privacy report missing checksum: $PRIV_OUT" >&2
   exit 1
 }
 echo "$PRIV_OUT" | grep -q '"violation_count":0' || {
-  echo "smoke: demo construction violates Eq. 1: $PRIV_OUT" >&2
+  echo "smoke: published construction violates Eq. 1: $PRIV_OUT" >&2
   exit 1
 }
 # The served report must be aggregates-only: the identity→ε-decile map
@@ -130,12 +145,13 @@ echo "$TRACES_OUT" | grep -q '"http.query"' || {
 echo "smoke: traces ok"
 
 # --- Distributed layer: 2 shard nodes + gateway -------------------------
-# Construction is deterministic under -seed, so two independent processes
-# serving -shard 0/2 and -shard 1/2 of the same demo parameters hold
-# complementary slices of the same index.
-"$BIN" -addr "$SHARD0_ADDR" -providers 20 -owners 8 -shard 0/2 -log-format json &
+# Construction is deterministic under -seed and shard geometry does not
+# shape M′, so a 2-shard store of the same parameters holds complementary
+# slices of the very index the single node serves.
+"$CON_BIN" -providers 20 -owners 8 -seed 1 -shards 2 -epoch-dir "$SHARD_STORE" >/dev/null
+"$BIN" -addr "$SHARD0_ADDR" -epoch-dir "$SHARD_STORE" -shard 0/2 -log-format json &
 PIDS="$PIDS $!"
-"$BIN" -addr "$SHARD1_ADDR" -providers 20 -owners 8 -shard 1/2 -log-format json &
+"$BIN" -addr "$SHARD1_ADDR" -epoch-dir "$SHARD_STORE" -shard 1/2 -log-format json &
 PIDS="$PIDS $!"
 
 for a in "$SHARD0_ADDR" "$SHARD1_ADDR"; do
