@@ -136,9 +136,9 @@ func analyze(logs, epochDir string, top, highBucket int) (*Analysis, error) {
 	st, err := audit.ScanDir(logs, func(e audit.Entry) error {
 		a.Routes[e.Route]++
 		epochs[e.Epoch]++
-		if e.Route != "query" || e.Owner == "" {
-			// Search patterns are exposure too, but they are substrings,
-			// not identities — they cannot join against a report.
+		// A batched lookup is k single lookups travelling together: its
+		// rows weigh exactly like GET /v1/query records.
+		if (e.Route != "query" && e.Route != "batch") || e.Owner == "" {
 			return nil
 		}
 		o := owners[e.Owner]

@@ -131,6 +131,43 @@ func TestAnalyzeJoinsLogsWithReports(t *testing.T) {
 	}
 }
 
+// TestAnalyzeCountsBatchLookups: owners resolved through POST
+// /v1/query/batch (audited as route "batch" by node and gateway) are
+// looked up exactly like single queries and must weigh the same in the
+// owner profile.
+func TestAnalyzeCountsBatchLookups(t *testing.T) {
+	store := buildStore(t)
+	dir := t.TempDir()
+	s, err := audit.Open(dir, audit.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		s.Record(audit.Entry{Route: "batch", Owner: "c", Shard: 0, Epoch: 2, Results: 4, Status: 200})
+	}
+	s.Record(audit.Entry{Route: "batch", Owner: "owner://ghost", Epoch: 2, Results: -1, Status: 404})
+	s.Record(audit.Entry{Route: "query", Owner: "a", Shard: 0, Epoch: 2, Results: 2, Status: 200})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	a, err := analyze(dir, store, 10, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.TopOwners) != 3 {
+		t.Fatalf("top owners = %+v, want c, a and the ghost", a.TopOwners)
+	}
+	if c := a.TopOwners[0]; c.Owner != "c" || c.Queries != 3 || !c.HighPrivacy {
+		t.Errorf("top owner = %+v, want c with 3 batched lookups", c)
+	}
+	if ghost := a.TopOwners[2]; ghost.Owner != "owner://ghost" || ghost.NotFound != 1 {
+		t.Errorf("ghost owner = %+v", ghost)
+	}
+	if len(a.HighPrivacyHot) != 1 || a.HighPrivacyHot[0].Owner != "c" {
+		t.Errorf("high-privacy hot = %+v", a.HighPrivacyHot)
+	}
+}
+
 func TestAnalyzeWithoutStore(t *testing.T) {
 	logs := buildLogs(t)
 	a, err := analyze(logs, "", 2, 7)

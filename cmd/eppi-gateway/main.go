@@ -16,9 +16,8 @@
 // two shards — shard 0 with two replicas, shard 1 with one.
 //
 // Endpoints mirror a shard node: GET /v1/query?owner=…, POST
-// /v1/query/batch, GET /v1/stats (aggregated over shards), GET
-// /v1/privacy (fleet view), GET /v1/healthz (per-replica probe
-// verdicts), GET /v1/metrics, GET /v1/traces.
+// /v1/query/batch, GET /v1/privacy (fleet view), GET /v1/healthz
+// (per-replica probe verdicts), GET /v1/metrics, GET /v1/traces.
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
@@ -36,12 +34,11 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/gateway"
+	"repro/internal/httpapi"
 	"repro/internal/logx"
 	"repro/internal/metrics"
 	"repro/internal/trace"
 )
-
-const drainTimeout = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -128,7 +125,7 @@ func run(ctx context.Context, args []string) error {
 		slog.Int("replicas", replicas),
 		slog.Int("cache", *cacheSize),
 		slog.Int("max_inflight", *maxInFlight))
-	return serve(ctx, listener, g, logger)
+	return httpapi.Serve(ctx, listener, g, logger)
 }
 
 // parseShards splits "r1,r2;r3" into per-shard replica URL lists.
@@ -155,31 +152,4 @@ func parseShards(spec string) ([][]string, error) {
 		shards = append(shards, replicas)
 	}
 	return shards, nil
-}
-
-// serve runs the gateway HTTP server until ctx is cancelled, then drains
-// in-flight requests for up to drainTimeout.
-func serve(ctx context.Context, listener net.Listener, handler http.Handler, logger *slog.Logger) error {
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		logger.Info("shutting down", slog.Duration("drain_timeout", drainTimeout))
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		shutdownErr <- httpSrv.Shutdown(drainCtx)
-	}()
-	if err := httpSrv.Serve(listener); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	if ctx.Err() != nil {
-		if err := <-shutdownErr; err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-	}
-	return nil
 }

@@ -37,17 +37,13 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/httpapi"
 	"repro/internal/logx"
 	"repro/internal/metrics"
 	"repro/internal/replica"
 )
-
-// drainTimeout bounds how long graceful shutdown waits for in-flight
-// transfers after a signal.
-const drainTimeout = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -91,11 +87,7 @@ func run(ctx context.Context, args []string) error {
 	mux := http.NewServeMux()
 	mux.Handle("/", origin)
 	if reg != nil {
-		mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			w.WriteHeader(http.StatusOK)
-			_, _ = reg.WriteTo(w)
-		})
+		mux.Handle("GET /v1/metrics", reg)
 	}
 	listener, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -111,32 +103,5 @@ func run(ctx context.Context, args []string) error {
 		slog.String("addr", "http://"+listener.Addr().String()),
 		slog.String("store", *store), slog.Uint64("epoch", cur),
 		slog.Bool("metrics", reg != nil))
-	return serve(ctx, listener, mux, logger)
-}
-
-// serve runs the HTTP server until ctx is cancelled, then drains
-// in-flight transfers for up to drainTimeout.
-func serve(ctx context.Context, listener net.Listener, handler http.Handler, logger *slog.Logger) error {
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		logger.Info("shutting down", slog.Duration("drain_timeout", drainTimeout))
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		shutdownErr <- httpSrv.Shutdown(drainCtx)
-	}()
-	if err := httpSrv.Serve(listener); err != nil && err != http.ErrServerClosed {
-		return err
-	}
-	if ctx.Err() != nil {
-		if err := <-shutdownErr; err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-	}
-	return nil
+	return httpapi.Serve(ctx, listener, mux, logger)
 }

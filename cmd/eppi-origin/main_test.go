@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/epoch"
+	"repro/internal/httpapi"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/replica"
@@ -59,10 +60,7 @@ func TestOriginServeEndToEnd(t *testing.T) {
 	origin := replica.NewOrigin(store, replica.WithOriginMetrics(reg))
 	mux := http.NewServeMux()
 	mux.Handle("/", origin)
-	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		_, _ = reg.WriteTo(w)
-	})
+	mux.Handle("GET /v1/metrics", reg)
 
 	listener, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -72,7 +70,7 @@ func TestOriginServeEndToEnd(t *testing.T) {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- serve(ctx, listener, mux, slog.New(slog.NewTextHandler(io.Discard, nil)))
+		done <- httpapi.Serve(ctx, listener, mux, slog.New(slog.NewTextHandler(io.Discard, nil)))
 	}()
 	base := "http://" + listener.Addr().String()
 

@@ -44,7 +44,7 @@
 // audit log (internal/audit) recording per-query owner, shard, epoch,
 // trace id and result cardinality.
 //
-// Endpoints: GET /v1/query?owner=…, POST /v1/query/batch, GET /v1/stats,
+// Endpoints: GET /v1/query?owner=…, POST /v1/query/batch,
 // GET /v1/privacy, GET /v1/healthz, (unless -metrics=false) GET /v1/metrics in Prometheus
 // text format, (unless -trace=0) GET /v1/traces serving recent request
 // traces as Chrome trace-event JSON (load it in Perfetto; ?format=text
@@ -77,7 +77,6 @@ import (
 	"strings"
 	"sync"
 	"syscall"
-	"time"
 
 	"repro/internal/audit"
 	"repro/internal/epoch"
@@ -89,10 +88,6 @@ import (
 	"repro/internal/replica"
 	"repro/internal/trace"
 )
-
-// drainTimeout bounds how long graceful shutdown waits for in-flight
-// requests after a signal.
-const drainTimeout = 5 * time.Second
 
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -259,56 +254,24 @@ func run(ctx context.Context, args []string) error {
 	return serve(ctx, listener, mux, logger, reg)
 }
 
-// serve runs the HTTP server until the listener closes or ctx is
-// cancelled (SIGINT/SIGTERM in main). On cancellation the server drains
-// in-flight requests for up to drainTimeout before forcing connections
-// closed. The final metrics snapshot is taken strictly AFTER the drain
-// completes: scraping while requests were still finishing used to race
-// the counters being incremented, so the "final" numbers could miss the
-// last requests' worth of traffic.
+// serve runs the shared drain loop (httpapi.Serve) and, after a signal,
+// logs the final metrics snapshot strictly AFTER the drain completes:
+// scraping while requests were still finishing used to race the counters
+// being incremented, so the "final" numbers could miss the last requests'
+// worth of traffic. The summary goes out at info, the full exposition at
+// debug.
 func serve(ctx context.Context, listener net.Listener, handler http.Handler, logger *slog.Logger, reg *metrics.Registry) error {
-	httpSrv := &http.Server{
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-		ErrorLog:          slog.NewLogLogger(logger.Handler(), slog.LevelWarn),
-	}
-	shutdownErr := make(chan error, 1)
-	go func() {
-		<-ctx.Done()
-		logger.Info("shutting down", slog.Duration("drain_timeout", drainTimeout))
-		drainCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		shutdownErr <- httpSrv.Shutdown(drainCtx)
-	}()
-	if err := httpSrv.Serve(listener); err != nil && err != http.ErrServerClosed {
+	if err := httpapi.Serve(ctx, listener, handler, logger); err != nil || ctx.Err() == nil || reg == nil {
 		return err
-	}
-	if ctx.Err() != nil {
-		// Shutdown path: surface a drain failure (timeout) if any.
-		if err := <-shutdownErr; err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-		// Drain is complete: no request can touch the registry anymore,
-		// so this snapshot is consistent.
-		logFinalSnapshot(logger, reg)
-	}
-	return nil
-}
-
-// logFinalSnapshot writes the post-drain metrics exposition to the log:
-// a one-line summary at info, the full exposition at debug.
-func logFinalSnapshot(logger *slog.Logger, reg *metrics.Registry) {
-	if reg == nil {
-		return
 	}
 	var buf bytes.Buffer
 	if _, err := reg.WriteTo(&buf); err != nil {
 		logger.Warn("final metrics snapshot failed", slog.Any("error", err))
-		return
+		return nil
 	}
-	logger.Info("final metrics snapshot (post-drain)",
-		slog.Int("exposition_bytes", buf.Len()))
+	logger.Info("final metrics snapshot (post-drain)", slog.Int("exposition_bytes", buf.Len()))
 	logger.Debug("final metrics exposition", slog.String("text", buf.String()))
+	return nil
 }
 
 // parseShardSpec parses "k/of" into a shard assignment. The whole spec

@@ -83,11 +83,9 @@ func (h *HostedService) Providers() int { return h.server.Providers() }
 // Owners returns the number of indexed identities.
 func (h *HostedService) Owners() int { return h.server.Owners() }
 
-// Stats returns query-load statistics for the hosted service.
-func (h *HostedService) Stats() index.Stats { return h.server.Stats() }
-
-// Handler returns the HTTP locator API (GET /v1/query, /v1/stats,
-// /v1/healthz) over this hosted index, ready for http.Serve.
+// Handler returns the HTTP locator API (GET /v1/query, POST
+// /v1/query/batch, GET /v1/healthz, GET /v1/privacy) over this hosted
+// index, ready for http.Serve.
 func (h *HostedService) Handler() (http.Handler, error) {
 	return httpapi.NewHandler(h.server)
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/epoch"
+	"repro/internal/metrics"
 )
 
 func TestWriteIndexBeforeConstruct(t *testing.T) {
@@ -41,6 +42,8 @@ func TestHostedServiceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := metrics.NewRegistry()
+	host.server.Instrument(reg)
 	if host.Providers() != net.Providers() || host.Owners() != 3 {
 		t.Fatalf("host dims %d/%d", host.Providers(), host.Owners())
 	}
@@ -56,8 +59,8 @@ func TestHostedServiceRoundTrip(t *testing.T) {
 			t.Fatalf("hosted query %v, want %v", got, want)
 		}
 	}
-	if st := host.Stats(); st.Queries != 1 {
-		t.Fatalf("host stats %+v", st)
+	if got := reg.Counter("eppi_index_queries_total", "").Value(); got != 1 {
+		t.Fatalf("host counted %d queries, want 1", got)
 	}
 	if _, err := host.Query("nobody"); err == nil {
 		t.Fatal("unknown owner accepted by host")

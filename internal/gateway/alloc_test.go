@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/metrics"
+	"repro/internal/trace"
 )
 
 // sortedPercentile is the reference quantile: copy the samples, sort,
@@ -54,20 +56,30 @@ func TestHedgeDelayAllocFree(t *testing.T) {
 // through the whole gateway handler, request construction and recorder
 // included. With encoding/json on the query routes these were 25 for a
 // single lookup and 108 for a 64-owner batch (go1.24, linux/amd64); the
-// batch's floor is its 64 owner strings.
+// batch's floor is its 64 owner strings. The instrumented rows run the
+// benchmark's configuration (registry and tracer on), where the
+// per-route middleware and the root span add their share.
 func TestServeHTTPCachedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
 	}
 	_, names, bases, _ := buildShardedFixture(t, 20, 128, 3, 1)
-	g, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1})
+	plain, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(g.Close)
-	for _, owner := range names {
-		if _, err := g.Lookup(context.Background(), owner); err != nil {
-			t.Fatal(err)
+	t.Cleanup(plain.Close)
+	instrumented, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1,
+		Registry: metrics.NewRegistry(), Tracer: trace.New(trace.DefaultCapacity)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(instrumented.Close)
+	for _, g := range []*Gateway{plain, instrumented} {
+		for _, owner := range names {
+			if _, err := g.Lookup(context.Background(), owner); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	single := "/v1/query?owner=" + url.QueryEscape(names[3])
@@ -75,19 +87,24 @@ func TestServeHTTPCachedAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	singleReq := func() *http.Request { return httptest.NewRequest(http.MethodGet, single, nil) }
+	batchReq := func() *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(body))
+	}
 	for _, tc := range []struct {
 		name   string
+		g      *Gateway
 		budget float64
 		req    func() *http.Request
 	}{
-		{"single", 24, func() *http.Request { return httptest.NewRequest(http.MethodGet, single, nil) }},
-		{"batch64", 100, func() *http.Request {
-			return httptest.NewRequest(http.MethodPost, "/v1/query/batch", bytes.NewReader(body))
-		}},
+		{"single", plain, 24, singleReq},
+		{"batch64", plain, 100, batchReq},
+		{"single/instrumented", instrumented, 36, singleReq},
+		{"batch64/instrumented", instrumented, 111, batchReq},
 	} {
 		n := testing.AllocsPerRun(50, func() {
 			rec := httptest.NewRecorder()
-			g.ServeHTTP(rec, tc.req())
+			tc.g.ServeHTTP(rec, tc.req())
 			if rec.Code != http.StatusOK {
 				t.Fatalf("%s: status %d: %s", tc.name, rec.Code, rec.Body)
 			}

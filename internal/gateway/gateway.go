@@ -97,9 +97,10 @@ type Config struct {
 	Tracer *trace.Tracer
 	// Logger receives health-transition and shed logs; nil discards.
 	Logger *slog.Logger
-	// Audit, when non-nil, records every routed query and search into
-	// the audit log (internal/audit). The gateway is the natural audit
-	// point: it sees the whole query stream, cache hits included.
+	// Audit, when non-nil, records every routed single and batched
+	// lookup into the audit log (internal/audit), one entry per owner.
+	// The gateway is the natural audit point: it sees the whole query
+	// stream, cache hits included.
 	Audit *audit.Sink
 	// HotWindow and HotThreshold arm the hot-owner tracker: an owner
 	// queried HotThreshold times within a halving-decay window is
@@ -118,9 +119,8 @@ type Gateway struct {
 	gate    *gate
 	lat     *latencyWindow
 	hedge   time.Duration // fixed trigger; 0 = adaptive, -1 = disabled
-	tracer  *trace.Tracer
-	reg     *metrics.Registry
 	logger  *slog.Logger
+	mw      httpapi.Middleware
 	mux     *http.ServeMux
 	inst    instruments
 	sink    *audit.Sink
@@ -182,31 +182,30 @@ func New(cfg Config) (*Gateway, error) {
 		flight: newFlight(),
 		lat:    &latencyWindow{},
 		hedge:  hedge,
-		tracer: cfg.Tracer,
-		reg:    cfg.Registry,
 		logger: logger,
+		mw:     httpapi.Middleware{Tier: "Gateway", Registry: cfg.Registry, Tracer: cfg.Tracer},
 		sink:   cfg.Audit,
 		hot:    audit.NewHotTracker(cfg.HotWindow, cfg.HotThreshold, cfg.Registry, logger),
 	}
 	g.gate = newGate(maxInFlight, queueWait)
-	if g.reg != nil {
+	if reg := cfg.Registry; reg != nil {
 		g.inst = instruments{
-			lookups:     g.reg.Counter("eppi_gateway_lookups_total", "Lookups admitted by the gateway."),
-			batchSize:   g.reg.Histogram("eppi_batch_size", "Owners per batched lookup request.", httpapi.BatchSizeBuckets),
-			batchSubreq: g.reg.Counter("eppi_gateway_batch_subrequests_total", "Per-shard sub-batch requests fired by batched lookups (hedges and failover attempts included)."),
-			cacheHits:   g.reg.Counter("eppi_gateway_cache_hits_total", "Lookups answered from the response cache."),
-			cacheMiss:   g.reg.Counter("eppi_gateway_cache_misses_total", "Lookups that went upstream."),
-			hedges:      g.reg.Counter("eppi_gateway_hedges_total", "Hedged (duplicate) upstream requests fired."),
-			hedgeWins:   g.reg.Counter("eppi_gateway_hedge_wins_total", "Lookups answered by the hedge, not the primary."),
-			sheds:       g.reg.Counter("eppi_gateway_shed_total", "Requests shed by the admission gate (503)."),
-			failovers:   g.reg.Counter("eppi_gateway_failovers_total", "Lookups that fell over to a non-primary replica after a failure."),
-			upstream:    g.reg.Histogram("eppi_gateway_upstream_seconds", "Upstream shard request latency.", metrics.DefDurationBuckets),
-			inflightG:   g.reg.Gauge("eppi_gateway_inflight", "Requests currently admitted."),
-			cacheSizeG:  g.reg.Gauge("eppi_gateway_cache_entries", "Live response-cache entries."),
-			epochG:      g.reg.Gauge("eppi_gateway_epoch", "Highest publication epoch reported by any upstream shard."),
+			lookups:     reg.Counter("eppi_gateway_lookups_total", "Lookups admitted by the gateway."),
+			batchSize:   reg.Histogram("eppi_batch_size", "Owners per batched lookup request.", httpapi.BatchSizeBuckets),
+			batchSubreq: reg.Counter("eppi_gateway_batch_subrequests_total", "Per-shard sub-batch requests fired by batched lookups (hedges and failover attempts included)."),
+			cacheHits:   reg.Counter("eppi_gateway_cache_hits_total", "Lookups answered from the response cache."),
+			cacheMiss:   reg.Counter("eppi_gateway_cache_misses_total", "Lookups that went upstream."),
+			hedges:      reg.Counter("eppi_gateway_hedges_total", "Hedged (duplicate) upstream requests fired."),
+			hedgeWins:   reg.Counter("eppi_gateway_hedge_wins_total", "Lookups answered by the hedge, not the primary."),
+			sheds:       reg.Counter("eppi_gateway_shed_total", "Requests shed by the admission gate (503)."),
+			failovers:   reg.Counter("eppi_gateway_failovers_total", "Lookups that fell over to a non-primary replica after a failure."),
+			upstream:    reg.Histogram("eppi_gateway_upstream_seconds", "Upstream shard request latency.", metrics.DefDurationBuckets),
+			inflightG:   reg.Gauge("eppi_gateway_inflight", "Requests currently admitted."),
+			cacheSizeG:  reg.Gauge("eppi_gateway_cache_entries", "Live response-cache entries."),
+			epochG:      reg.Gauge("eppi_gateway_epoch", "Highest publication epoch reported by any upstream shard."),
 		}
-		g.reg.OnCollect(func() { g.inst.cacheSizeG.Set(float64(g.cache.len())) })
-		g.reg.Gauge("eppi_gateway_shards", "Shard count the gateway routes over.").Set(float64(len(cfg.Shards)))
+		reg.OnCollect(func() { g.inst.cacheSizeG.Set(float64(g.cache.len())) })
+		reg.Gauge("eppi_gateway_shards", "Shard count the gateway routes over.").Set(float64(len(cfg.Shards)))
 	}
 	for k, bases := range cfg.Shards {
 		if len(bases) == 0 {
@@ -216,7 +215,7 @@ func New(cfg Config) (*Gateway, error) {
 		for i, base := range bases {
 			r := &replica{base: base, client: httpapi.NewClient(base, cfg.Client)}
 			r.up.Store(true) // trusted until a probe or a lookup says otherwise
-			r.upG = g.reg.Gauge("eppi_gateway_replica_up",
+			r.upG = cfg.Registry.Gauge("eppi_gateway_replica_up",
 				"1 when the replica answered its last health probe.",
 				metrics.L("shard", replicaLabel(k)), metrics.L("replica", replicaLabel(i)))
 			st.replicas = append(st.replicas, r)
@@ -721,29 +720,4 @@ func (g *Gateway) AggregatePrivacy(ctx context.Context) PrivacyAggregate {
 	out.HotOwners = g.hot.HotOwners()
 	sp.Set("status", out.Status)
 	return out
-}
-
-// AggregateStats sums the per-shard load counters (first healthy replica
-// of each shard). Shards that cannot be reached are skipped; reached
-// reports how many answered.
-func (g *Gateway) AggregateStats(ctx context.Context) (httpapi.StatsResponse, int) {
-	var total httpapi.StatsResponse
-	var fanoutWeighted float64
-	reached := 0
-	for _, st := range g.shards {
-		for _, r := range st.candidates() {
-			sr, err := r.client.Stats(ctx)
-			if err != nil {
-				continue
-			}
-			total.Queries += sr.Queries
-			fanoutWeighted += sr.AvgFanout * float64(sr.Queries)
-			reached++
-			break
-		}
-	}
-	if total.Queries > 0 {
-		total.AvgFanout = fanoutWeighted / float64(total.Queries)
-	}
-	return total, reached
 }

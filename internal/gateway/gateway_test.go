@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -468,7 +469,8 @@ func TestGatewayHedgeFiresOnSlowPrimary(t *testing.T) {
 }
 
 // TestGatewaySearchRouteGone pins that the gateway, like the nodes
-// behind it, answers only QueryPPI: there is no substring fan-out.
+// behind it, answers only QueryPPI: there is no substring fan-out, and no
+// /v1/stats aggregation over the shards.
 func TestGatewaySearchRouteGone(t *testing.T) {
 	_, _, bases, _ := buildShardedFixture(t, 15, 20, 2, 1)
 	g, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1})
@@ -476,10 +478,54 @@ func TestGatewaySearchRouteGone(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	rec := httptest.NewRecorder()
-	g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/search?q=", nil))
-	if rec.Code != http.StatusNotFound {
-		t.Fatalf("GET /v1/search = %d, want 404", rec.Code)
+	for _, target := range []string{"/v1/search?q=", "/v1/stats"} {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, target, nil))
+		if rec.Code != http.StatusNotFound {
+			t.Fatalf("GET %s = %d, want 404", target, rec.Code)
+		}
+	}
+}
+
+// TestGatewayRouteMetrics pins the gateway's per-route families: one
+// latency sample per request under eppi_gateway_request_seconds{route},
+// and each response counted once under its status class.
+func TestGatewayRouteMetrics(t *testing.T) {
+	_, names, bases, _ := buildShardedFixture(t, 10, 12, 2, 1)
+	reg := metrics.NewRegistry()
+	g, err := New(Config{Shards: bases, Client: fastClient(), ProbePeriod: -1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	serve := func(method, target, body string) {
+		rec := httptest.NewRecorder()
+		g.ServeHTTP(rec, httptest.NewRequest(method, target, strings.NewReader(body)))
+	}
+	serve(http.MethodGet, "/v1/query?owner="+url.QueryEscape(names[0]), "")
+	serve(http.MethodGet, "/v1/query?owner="+url.QueryEscape(names[1]), "")
+	serve(http.MethodGet, "/v1/query", "")
+	serve(http.MethodPost, "/v1/query/batch", `{"owners":["`+names[0]+`"]}`)
+	serve(http.MethodGet, "/v1/healthz", "")
+	for _, tc := range []struct {
+		route   string
+		samples uint64
+		classes map[string]uint64
+	}{
+		{"query", 3, map[string]uint64{"2xx": 2, "4xx": 1}},
+		{"batch", 1, map[string]uint64{"2xx": 1}},
+		{"healthz", 1, map[string]uint64{"2xx": 1}},
+	} {
+		route := metrics.L("route", tc.route)
+		if got := reg.Histogram("eppi_gateway_request_seconds", "", nil, route).Count(); got != tc.samples {
+			t.Errorf("%s latency samples = %d, want %d", tc.route, got, tc.samples)
+		}
+		for _, class := range []string{"1xx", "2xx", "3xx", "4xx", "5xx"} {
+			got := reg.Counter("eppi_gateway_requests_total", "", route, metrics.L("class", class)).Value()
+			if got != tc.classes[class] {
+				t.Errorf("%s %s = %d, want %d", tc.route, class, got, tc.classes[class])
+			}
+		}
 	}
 }
 
@@ -493,9 +539,11 @@ func TestGatewayShedsUnderOverload(t *testing.T) {
 	}))
 	defer slow.Close()
 	reg := metrics.NewRegistry()
+	tracer := trace.New(8)
 	g, err := New(Config{
 		Shards: [][]string{{slow.URL}}, Client: fastClient(), ProbePeriod: -1,
 		CacheSize: -1, MaxInFlight: 1, QueueWait: 20 * time.Millisecond, Registry: reg,
+		Tracer: tracer,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -526,6 +574,19 @@ func TestGatewayShedsUnderOverload(t *testing.T) {
 	}
 	if reg.Counter("eppi_gateway_shed_total", "").Value() == 0 {
 		t.Fatal("shed not counted")
+	}
+	// The shed sits inside the per-route accounting but outside the span:
+	// it reads as a 5xx of its route and leaves no trace behind (the
+	// admitted request is still blocked upstream, so the ring is empty).
+	query := metrics.L("route", "query")
+	if got := reg.Counter("eppi_gateway_requests_total", "", query, metrics.L("class", "5xx")).Value(); got != 1 {
+		t.Fatalf("query 5xx = %d, want 1 (the shed request)", got)
+	}
+	if got := reg.Histogram("eppi_gateway_request_seconds", "", nil, query).Count(); got != 1 {
+		t.Fatalf("query latency samples = %d, want 1 (the shed request)", got)
+	}
+	if n := tracer.Len(); n != 0 {
+		t.Fatalf("%d traces recorded, want none: a shed request opens no span", n)
 	}
 	// Observability stays reachable under overload.
 	mresp, err := http.Get(gw.URL + "/v1/metrics")
@@ -640,6 +701,37 @@ func TestGatewayTraceRecordsFetchAndUpstreamSpans(t *testing.T) {
 	}
 	if !sawFetch || !sawUpstream {
 		t.Fatalf("gateway trace missing fetch/upstream spans: %+v", tr.Spans)
+	}
+
+	// A caller carrying the propagation headers gets its trace joined:
+	// the gateway.query root keeps the caller's trace id and hangs under
+	// the caller's span.
+	const callerTrace, callerSpan = trace.TraceID(0x1234abcd5678ef90), trace.SpanID(0x42)
+	req, err := http.NewRequest(http.MethodGet, gw.URL+"/v1/query?owner="+url.QueryEscape(names[1]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(httpapi.TraceIDHeader, callerTrace.String())
+	req.Header.Set(httpapi.ParentSpanHeader, callerSpan.String())
+	resp, err = http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("joined query status = %d", resp.StatusCode)
+	}
+	var joined *trace.Trace
+	for _, tr := range gwTracer.Recent() {
+		if tr.ID == callerTrace {
+			joined = tr
+		}
+	}
+	if joined == nil {
+		t.Fatalf("no gateway trace carries the caller's id %s", callerTrace)
+	}
+	if root := joined.Root(); root.Name != "gateway.query" || root.Parent != callerSpan {
+		t.Fatalf("joined root = %q under %s, want gateway.query under %s", root.Name, root.Parent, callerSpan)
 	}
 }
 

@@ -2,7 +2,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/audit"
 	"repro/internal/httpapi"
-	"repro/internal/metrics"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
@@ -79,26 +77,22 @@ func (g *Gateway) buildMux() {
 	g.mux = http.NewServeMux()
 	g.mux.HandleFunc("GET /v1/query", g.wrap("query", true, g.handleQuery))
 	g.mux.HandleFunc("POST /v1/query/batch", g.wrap("batch", true, g.handleBatch))
-	g.mux.HandleFunc("GET /v1/stats", g.wrap("stats", false, g.handleStats))
 	g.mux.HandleFunc("GET /v1/privacy", g.wrap("privacy", false, g.handlePrivacy))
 	g.mux.HandleFunc("GET /v1/healthz", g.wrap("healthz", false, g.handleHealthz))
-	if g.reg != nil {
-		g.mux.HandleFunc("GET /v1/metrics", g.instrument("metrics", g.handleMetrics))
-	}
-	if g.tracer != nil {
-		g.mux.HandleFunc("GET /v1/traces", g.instrument("traces", g.handleTraces))
-	}
+	g.mw.MountObservability(g.mux)
 }
 
-// wrap layers admission control (when gated), tracing and metrics around
-// a route handler, mirroring the shard-node middleware stack so gateway
-// and shard expositions read alike.
+// wrap layers the shared request middleware (httpapi.Middleware, the one
+// shard nodes run) around a route handler, with admission control (when
+// gated) between its two layers: the latency a route records includes
+// the admission wait, the span does not, and a shed request counts as a
+// 5xx of its route without opening a span.
 func (g *Gateway) wrap(route string, gated bool, fn http.HandlerFunc) http.HandlerFunc {
-	h := g.traced(route, fn)
+	h := g.mw.Trace(route, nil, fn)
 	if gated {
 		h = g.admitted(h)
 	}
-	return g.instrument(route, h)
+	return g.mw.Instrument(route, h)
 }
 
 // admitted applies the load-shedding gate.
@@ -108,11 +102,9 @@ func (g *Gateway) admitted(fn http.HandlerFunc) http.HandlerFunc {
 			if errors.Is(err, errShed) {
 				g.inst.sheds.Inc()
 				w.Header().Set("Retry-After", "1")
-				writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
-				return
 			}
-			// Client went away while queued.
-			writeJSON(w, http.StatusServiceUnavailable, errorResponse{Error: err.Error()})
+			// A shed, or the client went away while queued.
+			httpapi.WriteError(w, http.StatusServiceUnavailable, err.Error())
 			return
 		}
 		g.inst.inflightG.Set(float64(g.gate.inFlight()))
@@ -122,74 +114,6 @@ func (g *Gateway) admitted(fn http.HandlerFunc) http.HandlerFunc {
 		}()
 		fn(w, r)
 	}
-}
-
-// traced opens the per-request root span (joining a caller's trace when
-// the propagation headers are present) and threads it through the
-// request context, so the fetch/upstream child spans hang underneath and
-// upstream shard calls carry the same trace id.
-func (g *Gateway) traced(route string, fn http.HandlerFunc) http.HandlerFunc {
-	if g.tracer == nil {
-		return fn
-	}
-	name := "gateway." + route
-	return func(w http.ResponseWriter, r *http.Request) {
-		var ctx context.Context
-		var sp *trace.Span
-		if tid, ok := trace.ParseID(r.Header.Get(httpapi.TraceIDHeader)); ok && tid != 0 {
-			parent, _ := trace.ParseID(r.Header.Get(httpapi.ParentSpanHeader))
-			ctx, sp = g.tracer.StartRemote(r.Context(), name, trace.TraceID(tid), trace.SpanID(parent))
-		} else {
-			ctx, sp = g.tracer.StartRoot(r.Context(), name)
-		}
-		sp.Set("route", route)
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r.WithContext(ctx))
-		sp.SetInt("status", sw.code)
-		sp.End()
-	}
-}
-
-// statusClasses mirror the httpapi middleware labels.
-var statusClasses = [6]string{"", "1xx", "2xx", "3xx", "4xx", "5xx"}
-
-// instrument records per-route latency and status classes, exactly like
-// the shard-node middleware.
-func (g *Gateway) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
-	if g.reg == nil {
-		return fn
-	}
-	routeLabel := metrics.L("route", route)
-	latency := g.reg.Histogram("eppi_gateway_request_seconds",
-		"Gateway request latency by route.", metrics.DefDurationBuckets, routeLabel)
-	classes := make(map[string]*metrics.Counter, 4)
-	for _, class := range statusClasses[1:] {
-		classes[class] = g.reg.Counter("eppi_gateway_requests_total",
-			"Gateway requests by route and status class.", routeLabel, metrics.L("class", class))
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		fn(sw, r)
-		latency.ObserveSince(start)
-		if cls := sw.code / 100; cls >= 1 && cls <= 5 {
-			classes[statusClasses[cls]].Inc()
-		}
-	}
-}
-
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // auditRecord emits one audit entry for a front-door request. The
@@ -214,7 +138,7 @@ func (g *Gateway) auditRecord(r *http.Request, route, owner string, shardID int,
 func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	owner := r.URL.Query().Get("owner")
 	if owner == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing owner parameter"})
+		httpapi.WriteError(w, http.StatusBadRequest, "missing owner parameter")
 		return
 	}
 	// Observe before the cache decision: a scanner probing hot identities
@@ -229,7 +153,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if g.sink != nil {
 			g.auditRecord(r, "query", owner, ownerShard, 0, -1, http.StatusBadGateway)
 		}
-		writeJSON(w, http.StatusBadGateway, errorResponse{Error: err.Error()})
+		httpapi.WriteError(w, http.StatusBadGateway, err.Error())
 		return
 	}
 	// Stamp the epoch of the answer itself (a cache hit reports the epoch
@@ -239,7 +163,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if g.sink != nil {
 			g.auditRecord(r, "query", owner, ownerShard, res.epoch, -1, http.StatusNotFound)
 		}
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "owner not found: " + owner})
+		httpapi.WriteError(w, http.StatusNotFound, "owner not found: "+owner)
 		return
 	}
 	if g.sink != nil {
@@ -257,7 +181,7 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	owners, status, err := httpapi.ReadBatchRequest(w, r)
 	if err != nil {
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		httpapi.WriteError(w, status, err.Error())
 		return
 	}
 	// A scanner batching its probes must trip the hot-owner tracker and
@@ -297,15 +221,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 func (g *Gateway) handlePrivacy(w http.ResponseWriter, r *http.Request) {
 	agg := g.AggregatePrivacy(r.Context())
 	if agg.Report == nil && len(agg.HotOwners) == 0 {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no privacy report published on any shard"})
+		httpapi.WriteError(w, http.StatusNotFound, "no privacy report published on any shard")
 		return
 	}
-	writeJSON(w, http.StatusOK, agg)
-}
-
-func (g *Gateway) handleStats(w http.ResponseWriter, r *http.Request) {
-	stats, _ := g.AggregateStats(r.Context())
-	writeJSON(w, http.StatusOK, stats)
+	httpapi.WriteJSON(w, http.StatusOK, agg)
 }
 
 func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -326,29 +245,5 @@ func (g *Gateway) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			resp.Status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (g *Gateway) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = g.reg.WriteTo(w)
-}
-
-func (g *Gateway) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_ = g.tracer.WriteTrees(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	_ = trace.WriteChrome(w, g.tracer.Recent())
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	httpapi.WriteJSON(w, http.StatusOK, resp)
 }

@@ -5,7 +5,6 @@
 //
 //	GET /v1/query?owner=<identity>   → {"owner": ..., "providers": [ids]}
 //	POST /v1/query/batch             → {"results": [{"owner": ..., "found": ..., "providers": [ids]}]}
-//	GET /v1/stats                    → {"queries": n, "avgFanout": f}
 //	GET /v1/healthz                  → {"status": "ok", "providers": m, "owners": n}
 //	GET /v1/metrics                  → Prometheus text exposition (when enabled)
 //	GET /v1/privacy                  → the served epoch's ε-audit report (privacy.json)
@@ -18,10 +17,11 @@
 // AuthSearch is intentionally absent: the second search phase happens at
 // the providers, never at the untrusted host.
 //
-// With WithMetrics, every route is wrapped in middleware that records
+// With WithMetrics, every route is wrapped in the shared request
+// middleware (Middleware, which the gateway mounts too) that records
 // per-route latency histograms and status-class counters, and the wrapped
 // index server reports query counters and the fan-out histogram into the
-// same registry.
+// same registry — the only load counters the node keeps.
 package httpapi
 
 import (
@@ -71,8 +71,7 @@ const (
 type Handler struct {
 	server atomic.Pointer[index.Server]
 	mux    *http.ServeMux
-	reg    *metrics.Registry
-	tracer *trace.Tracer
+	mw     Middleware
 	sink   *audit.Sink
 
 	// batchSize is the eppi_batch_size histogram (nil without metrics):
@@ -100,7 +99,7 @@ type Option func(*Handler)
 // counters), exposes GET /v1/metrics, and wires the index server's query
 // counters into the same registry. A nil registry disables all of it.
 func WithMetrics(reg *metrics.Registry) Option {
-	return func(h *Handler) { h.reg = reg }
+	return func(h *Handler) { h.mw.Registry = reg }
 }
 
 // WithTracer records one span tree per request into tr (root span per
@@ -110,7 +109,7 @@ func WithMetrics(reg *metrics.Registry) Option {
 // TraceIDHeader join the caller's trace instead of opening a new one.
 // A nil tracer disables all of it.
 func WithTracer(tr *trace.Tracer) Option {
-	return func(h *Handler) { h.tracer = tr }
+	return func(h *Handler) { h.mw.Tracer = tr }
 }
 
 // WithAudit records every single and batched query into sink — who asked
@@ -126,32 +125,26 @@ func NewHandler(srv *index.Server, opts ...Option) (*Handler, error) {
 	if srv == nil {
 		return nil, errors.New("httpapi: nil index server")
 	}
-	h := &Handler{mux: http.NewServeMux()}
+	h := &Handler{mux: http.NewServeMux(), mw: Middleware{Tier: "HTTP"}}
 	h.server.Store(srv)
 	for _, opt := range opts {
 		opt(h)
 	}
-	if h.reg != nil {
-		srv.Instrument(h.reg)
-		h.mux.HandleFunc("GET /v1/metrics", h.instrument("metrics", h.handleMetrics))
+	if reg := h.mw.Registry; reg != nil {
+		srv.Instrument(reg)
 		if id, of, sharded := srv.ShardInfo(); sharded {
-			h.reg.Gauge("eppi_shard_id", "Column shard id this node serves.").Set(float64(id))
-			h.reg.Gauge("eppi_shard_count", "Total shards in the index partition.").Set(float64(of))
+			reg.Gauge("eppi_shard_id", "Column shard id this node serves.").Set(float64(id))
+			reg.Gauge("eppi_shard_count", "Total shards in the index partition.").Set(float64(of))
 		}
-		h.epochG = h.reg.Gauge("eppi_epoch", "Publication epoch of the index being served.")
+		h.epochG = reg.Gauge("eppi_epoch", "Publication epoch of the index being served.")
 		h.epochG.Set(float64(srv.Epoch()))
-		h.swaps = h.reg.Counter("eppi_epoch_swaps_total", "Hot snapshot swaps to a newly published epoch.")
-		h.batchSize = h.reg.Histogram("eppi_batch_size",
+		h.swaps = reg.Counter("eppi_epoch_swaps_total", "Hot snapshot swaps to a newly published epoch.")
+		h.batchSize = reg.Histogram("eppi_batch_size",
 			"Owners per batched lookup request.", BatchSizeBuckets)
 	}
-	if h.tracer != nil {
-		// /v1/traces itself is excluded from tracing so reading the ring
-		// does not pollute it.
-		h.mux.HandleFunc("GET /v1/traces", h.instrument("traces", h.handleTraces))
-	}
+	h.mw.MountObservability(h.mux)
 	h.mux.HandleFunc("GET /v1/query", h.wrap("query", h.handleQuery))
 	h.mux.HandleFunc("POST /v1/query/batch", h.wrap("batch", h.handleQueryBatch))
-	h.mux.HandleFunc("GET /v1/stats", h.wrap("stats", h.handleStats))
 	h.mux.HandleFunc("GET /v1/healthz", h.wrap("healthz", h.handleHealthz))
 	h.mux.HandleFunc("GET /v1/privacy", h.wrap("privacy", h.handlePrivacy))
 	return h, nil
@@ -164,7 +157,7 @@ func NewHandler(srv *index.Server, opts ...Option) (*Handler, error) {
 func (h *Handler) SetReport(rep *privacy.Report) {
 	h.report.Store(rep)
 	if rep != nil {
-		privacy.Export(h.reg, rep)
+		privacy.Export(h.mw.Registry, rep)
 	}
 }
 
@@ -197,11 +190,9 @@ func (h *Handler) Swap(next *index.Server) error {
 	if curSharded != nextSharded || curID != nextID || curOf != nextOf {
 		return fmt.Errorf("httpapi: swap changes shard identity %d/%d → %d/%d", curID, curOf, nextID, nextOf)
 	}
-	if h.reg != nil {
-		// Idempotent: the registry hands back the same series, so query
-		// counters continue across epochs instead of resetting.
-		next.Instrument(h.reg)
-	}
+	// Idempotent: the registry hands back the same series, so query
+	// counters continue across epochs instead of resetting.
+	next.Instrument(h.mw.Registry)
 	h.server.Store(next)
 	if h.epochG != nil {
 		h.epochG.Set(float64(next.Epoch()))
@@ -212,90 +203,27 @@ func (h *Handler) Swap(next *index.Server) error {
 	return nil
 }
 
-// wrap layers the tracing and metrics middleware (both conditional on
-// their options) around a route handler.
+// wrap layers the shared metrics and tracing middleware (both conditional
+// on their options) around a route handler. Node root spans carry the
+// request method, the shard identity and epoch of the snapshot serving
+// it.
 func (h *Handler) wrap(route string, fn http.HandlerFunc) http.HandlerFunc {
-	return h.instrument(route, h.traced(route, fn))
+	return h.mw.Instrument(route, h.mw.Trace(route, h.annotate, fn))
 }
 
-// traced opens one span per request — a root span, or a child of a remote
-// caller's span when the propagation headers are present — and threads it
-// through the request context so downstream layers (index, searcher) hang
-// their spans underneath. Without a tracer the handler is returned
-// untouched.
-func (h *Handler) traced(route string, fn http.HandlerFunc) http.HandlerFunc {
-	if h.tracer == nil {
-		return fn
+func (h *Handler) annotate(sp *trace.Span, r *http.Request) {
+	sp.Set("method", r.Method)
+	srv := h.srv()
+	if id, of, sharded := srv.ShardInfo(); sharded {
+		sp.SetInt("shard", id)
+		sp.SetInt("shards", of)
 	}
-	name := "http." + route
-	return func(w http.ResponseWriter, r *http.Request) {
-		var ctx context.Context
-		var sp *trace.Span
-		if tid, ok := trace.ParseID(r.Header.Get(TraceIDHeader)); ok && tid != 0 {
-			parent, _ := trace.ParseID(r.Header.Get(ParentSpanHeader))
-			ctx, sp = h.tracer.StartRemote(r.Context(), name,
-				trace.TraceID(tid), trace.SpanID(parent))
-		} else {
-			ctx, sp = h.tracer.StartRoot(r.Context(), name)
-		}
-		sp.Set("method", r.Method)
-		sp.Set("route", route)
-		srv := h.srv()
-		if id, of, sharded := srv.ShardInfo(); sharded {
-			sp.SetInt("shard", id)
-			sp.SetInt("shards", of)
-		}
-		sp.SetUint("epoch", srv.Epoch())
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		fn(sw, r.WithContext(ctx))
-		sp.SetInt("status", sw.code)
-		sp.End()
-	}
+	sp.SetUint("epoch", srv.Epoch())
 }
 
 // ServeHTTP implements http.Handler.
 func (h *Handler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.mux.ServeHTTP(w, r)
-}
-
-// statusClasses are the exposition label values for response codes.
-var statusClasses = [6]string{"", "1xx", "2xx", "3xx", "4xx", "5xx"}
-
-// instrument wraps a route handler with latency and status-class
-// accounting. Without a registry the handler is returned untouched — the
-// uninstrumented hot path pays nothing.
-func (h *Handler) instrument(route string, fn http.HandlerFunc) http.HandlerFunc {
-	if h.reg == nil {
-		return fn
-	}
-	routeLabel := metrics.L("route", route)
-	latency := h.reg.Histogram("eppi_http_request_seconds",
-		"HTTP request latency by route.", metrics.DefDurationBuckets, routeLabel)
-	classes := make(map[string]*metrics.Counter, 4)
-	for _, class := range statusClasses[1:] {
-		classes[class] = h.reg.Counter("eppi_http_requests_total",
-			"HTTP requests by route and status class.", routeLabel, metrics.L("class", class))
-	}
-	return func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		start := time.Now()
-		fn(sw, r)
-		latency.ObserveSince(start)
-		if cls := sw.code / 100; cls >= 1 && cls <= 5 {
-			classes[statusClasses[cls]].Inc()
-		}
-	}
-}
-
-// statusWriter captures the response code for the middleware.
-type statusWriter struct {
-	http.ResponseWriter
-	code int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.code = code
-	w.ResponseWriter.WriteHeader(code)
 }
 
 // QueryResponse is the /v1/query payload.
@@ -342,12 +270,6 @@ type BatchQueryResponse struct {
 	Results []BatchRow `json:"results"`
 }
 
-// StatsResponse is the /v1/stats payload.
-type StatsResponse struct {
-	Queries   uint64  `json:"queries"`
-	AvgFanout float64 `json:"avgFanout"`
-}
-
 // ShardRef identifies which column shard of a partitioned index a node
 // serves.
 type ShardRef struct {
@@ -364,11 +286,6 @@ type HealthzResponse struct {
 	Owners    int       `json:"owners"`
 	Epoch     uint64    `json:"epoch"`
 	Shard     *ShardRef `json:"shard,omitempty"`
-}
-
-// errorResponse is the uniform error payload.
-type errorResponse struct {
-	Error string `json:"error"`
 }
 
 // setEpochHeader stamps the answering snapshot's epoch on the response.
@@ -406,7 +323,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 	setEpochHeader(w, srv)
 	owner := r.URL.Query().Get("owner")
 	if owner == "" {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "missing owner parameter"})
+		WriteError(w, http.StatusBadRequest, "missing owner parameter")
 		return
 	}
 	providers, err := srv.QueryCtx(r.Context(), owner)
@@ -415,7 +332,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 			if h.sink != nil {
 				h.auditRecord(r, srv, "query", owner, -1, http.StatusNotFound)
 			}
-			writeJSON(w, http.StatusNotFound, errorResponse{Error: err.Error()})
+			WriteError(w, http.StatusNotFound, err.Error())
 			return
 		}
 		// Errors are exposure too: a scanner probing with requests that
@@ -424,7 +341,7 @@ func (h *Handler) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if h.sink != nil {
 			h.auditRecord(r, srv, "query", owner, -1, http.StatusInternalServerError)
 		}
-		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
+		WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	if h.sink != nil {
@@ -444,7 +361,7 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	setEpochHeader(w, srv)
 	owners, status, err := ReadBatchRequest(w, r)
 	if err != nil {
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		WriteError(w, status, err.Error())
 		return
 	}
 	if h.batchSize != nil {
@@ -467,13 +384,6 @@ func (h *Handler) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (h *Handler) handleStats(w http.ResponseWriter, r *http.Request) {
-	srv := h.srv()
-	setEpochHeader(w, srv)
-	st := srv.Stats()
-	writeJSON(w, http.StatusOK, StatsResponse{Queries: st.Queries, AvgFanout: st.AvgFanout})
-}
-
 func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	srv := h.srv()
 	setEpochHeader(w, srv)
@@ -486,7 +396,7 @@ func (h *Handler) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if id, of, sharded := srv.ShardInfo(); sharded {
 		resp.Shard = &ShardRef{ID: id, Of: of}
 	}
-	writeJSON(w, http.StatusOK, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (h *Handler) handlePrivacy(w http.ResponseWriter, r *http.Request) {
@@ -494,38 +404,10 @@ func (h *Handler) handlePrivacy(w http.ResponseWriter, r *http.Request) {
 	setEpochHeader(w, srv)
 	rep := h.report.Load()
 	if rep == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no privacy report for the served epoch"})
+		WriteError(w, http.StatusNotFound, "no privacy report for the served epoch")
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
-}
-
-func (h *Handler) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "text" {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		_ = h.tracer.WriteTrees(w)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	// Write errors mean the client went away mid-download; nothing to do.
-	_ = trace.WriteChrome(w, h.tracer.Recent())
-}
-
-func (h *Handler) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	// Write errors mean the client went away mid-scrape; nothing to do.
-	_, _ = h.reg.WriteTo(w)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	// Encoding errors after the header is written can only be logged by
-	// the caller's middleware; the payloads here are in-memory structs.
-	_ = json.NewEncoder(w).Encode(v)
+	WriteJSON(w, http.StatusOK, rep)
 }
 
 // DefaultTimeout bounds client calls when the caller supplies no
@@ -862,20 +744,6 @@ func (c *Client) Privacy(ctx context.Context) (*privacy.Report, error) {
 		return nil, fmt.Errorf("httpapi: privacy: %w", err)
 	}
 	return rep, nil
-}
-
-// Stats fetches the service's load counters.
-func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
-	resp, err := c.get(ctx, "/v1/stats")
-	if err != nil {
-		return StatsResponse{}, fmt.Errorf("httpapi: stats: %w", err)
-	}
-	defer resp.Body.Close()
-	var sr StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&sr); err != nil {
-		return StatsResponse{}, fmt.Errorf("httpapi: decode stats: %w", err)
-	}
-	return sr, nil
 }
 
 // Healthz checks service liveness.

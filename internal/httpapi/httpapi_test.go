@@ -99,8 +99,12 @@ func TestMethodNotAllowed(t *testing.T) {
 	}
 }
 
+// TestStatsAndHealthz: healthz reports the index shape, and the node's
+// load counters are the registry's eppi_index_* series (there is no
+// /v1/stats route).
 func TestStatsAndHealthz(t *testing.T) {
-	_, client := testService(t)
+	reg := metrics.NewRegistry()
+	_, client := testService(t, WithMetrics(reg))
 	ctx := context.Background()
 	hz, err := client.Healthz(ctx)
 	if err != nil {
@@ -112,12 +116,11 @@ func TestStatsAndHealthz(t *testing.T) {
 	if _, err := client.Query(ctx, "alice"); err != nil {
 		t.Fatal(err)
 	}
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
+	if got := reg.Counter("eppi_index_queries_total", "").Value(); got != 1 {
+		t.Fatalf("queries = %d, want 1", got)
 	}
-	if st.Queries != 1 || st.AvgFanout != 2 {
-		t.Fatalf("stats = %+v", st)
+	if h := reg.Histogram("eppi_index_query_fanout", "", nil); h.Count() != 1 || h.Sum() != 2 {
+		t.Fatalf("fanout count=%d sum=%v, want 1/2", h.Count(), h.Sum())
 	}
 }
 
@@ -126,9 +129,6 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	client := NewClient("http://127.0.0.1:1", nil) // nothing listens there
 	if _, err := client.Query(ctx, "alice"); err == nil {
 		t.Fatal("query against dead server succeeded")
-	}
-	if _, err := client.Stats(ctx); err == nil {
-		t.Fatal("stats against dead server succeeded")
 	}
 	if _, err := client.Healthz(ctx); err == nil {
 		t.Fatal("healthz against dead server succeeded")
@@ -244,7 +244,7 @@ func TestMiddleware5xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fail := h.instrument("boom", func(w http.ResponseWriter, r *http.Request) {
+	fail := h.mw.Instrument("boom", func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusInternalServerError)
 	})
 	rec := httptest.NewRecorder()

@@ -12,10 +12,12 @@ import (
 )
 
 // TestSearchRouteGone pins that the node answers only QueryPPI: no
-// substring search, and so no bulk feed of every owner's providers.
+// substring search, and so no bulk feed of every owner's providers. The
+// /v1/stats load summary is gone too: the registry's eppi_index_* series
+// are the node's only load counters.
 func TestSearchRouteGone(t *testing.T) {
 	ts, _ := testService(t)
-	for _, q := range []string{"/v1/search?q=", "/v1/search?q=bob"} {
+	for _, q := range []string{"/v1/search?q=", "/v1/search?q=bob", "/v1/stats"} {
 		resp, err := http.Get(ts.URL + q)
 		if err != nil {
 			t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 // TestQueryBatchMatchesQuery pins the batch path to the single path: for
@@ -56,14 +58,18 @@ func TestQueryBatchEmpty(t *testing.T) {
 // must account for its hits exactly like the same lookups done one by one.
 func TestQueryBatchLoadCounters(t *testing.T) {
 	s := sampleServer(t)
-	base := s.Stats()
+	reg := metrics.NewRegistry()
+	s.Instrument(reg)
 	s.QueryBatch(context.Background(), []string{"alice", "mallory", "carol"})
-	st := s.Stats()
 	// alice (fanout 2) and carol (fanout 0) hit; mallory does not count.
-	if got := st.Queries - base.Queries; got != 2 {
-		t.Fatalf("batch added %d queries, want 2", got)
+	q, avg := loadCounters(reg)
+	if q != 2 {
+		t.Fatalf("batch added %d queries, want 2", q)
 	}
-	if st.AvgFanout != 1 { // (2+0)/2
-		t.Fatalf("avg fanout = %v, want 1", st.AvgFanout)
+	if avg != 1 { // (2+0)/2
+		t.Fatalf("avg fanout = %v, want 1", avg)
+	}
+	if got := reg.Counter("eppi_index_unknown_owner_total", "").Value(); got != 1 {
+		t.Fatalf("unknown owners = %d, want 1", got)
 	}
 }

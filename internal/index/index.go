@@ -25,8 +25,6 @@ import (
 var ErrUnknownOwner = errors.New("index: unknown owner identity")
 
 // Server is the PPI server state. It is safe for concurrent queries.
-// Load counters are lock-free (sync/atomic) so concurrent QueryColumn
-// calls never contend.
 type Server struct {
 	// owners is M' transposed, owners × providers: row j is the provider
 	// set of names[j]. It is the only copy of the matrix the server holds.
@@ -45,16 +43,13 @@ type Server struct {
 	// RCU-style by the serving layer, never mutated in place.
 	epoch uint64
 
-	queries atomic.Uint64
-	fanout  atomic.Uint64 // cumulative result-list length (search cost)
-	unknown atomic.Uint64 // queries for owners absent from the index
-
-	// inst mirrors the counters into a shared registry once Instrument is
-	// called; nil before that (and every instrument method no-ops on nil).
+	// inst holds the load counters once Instrument is called: they live
+	// in the registry only. nil before that, and the query path then
+	// counts nothing.
 	inst atomic.Pointer[instruments]
 }
 
-// instruments are the registry-backed mirrors of the server's counters.
+// instruments are the server's registry-backed load counters.
 type instruments struct {
 	queries *metrics.Counter
 	unknown *metrics.Counter
@@ -65,7 +60,7 @@ type instruments struct {
 // (result-list length): powers of two up to 4096 providers.
 var FanoutBuckets = metrics.ExponentialBuckets(1, 2, 13)
 
-// Instrument mirrors query counters into reg:
+// Instrument counts queries into reg:
 //
 //	eppi_index_queries_total        QueryPPI calls served
 //	eppi_index_unknown_owner_total  queries for absent owners
@@ -189,7 +184,6 @@ func (s *Server) QueryCtx(ctx context.Context, owner string) ([]int, error) {
 	_, sp := trace.StartChild(ctx, "index.query")
 	j, ok := s.byName[owner]
 	if !ok {
-		s.unknown.Add(1)
 		if in := s.inst.Load(); in != nil {
 			in.unknown.Inc()
 		}
@@ -229,13 +223,11 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 	_, sp := trace.StartChild(ctx, "index.query_batch")
 	out := make([]BatchItem, len(owners))
 	found := 0
-	var fanout uint64
 	in := s.inst.Load()
 	for i, owner := range owners {
 		out[i].Owner = owner
 		j, ok := s.byName[owner]
 		if !ok {
-			s.unknown.Add(1)
 			if in != nil {
 				in.unknown.Inc()
 			}
@@ -248,15 +240,12 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 		out[i].Found = true
 		out[i].Providers = providers
 		found++
-		fanout += uint64(len(providers))
 		if in != nil {
 			in.fanout.Observe(float64(len(providers)))
 		}
 	}
-	// Fold the load counters in two adds instead of 2·k: the batch path
+	// Fold the query counter in one add instead of k: the batch path
 	// exists to amortize per-lookup overhead.
-	s.queries.Add(uint64(found))
-	s.fanout.Add(fanout)
 	if in != nil {
 		in.queries.Add(uint64(found))
 	}
@@ -269,35 +258,11 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 // QueryColumn is Query by column number.
 func (s *Server) QueryColumn(j int) []int {
 	result := s.owners.RowOnes(j)
-	s.queries.Add(1)
-	s.fanout.Add(uint64(len(result)))
 	if in := s.inst.Load(); in != nil {
 		in.queries.Inc()
 		in.fanout.Observe(float64(len(result)))
 	}
 	return result
-}
-
-// Stats summarises query-time load.
-type Stats struct {
-	// Queries is the number of QueryPPI calls served.
-	Queries uint64
-	// AvgFanout is the mean result-list length (the per-query search cost
-	// a searcher pays in AuthSearch round-trips).
-	AvgFanout float64
-}
-
-// Stats returns a snapshot of server load.
-func (s *Server) Stats() Stats {
-	// Two independent atomic loads: under concurrent traffic the pair may
-	// straddle an in-flight query, exactly like the old mutex snapshot
-	// taken an instant earlier or later — the semantics are unchanged.
-	queries := s.queries.Load()
-	st := Stats{Queries: queries}
-	if queries > 0 {
-		st.AvgFanout = float64(s.fanout.Load()) / float64(queries)
-	}
-	return st
 }
 
 // SearchCost returns the total published positives (Σ_j |column j|), the

@@ -8,11 +8,14 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/metrics"
 )
 
 func TestPersistRoundTrip(t *testing.T) {
 	s := sampleServer(t)
-	if _, err := s.Query("alice"); err != nil { // stats should NOT persist
+	s.Instrument(metrics.NewRegistry())
+	if _, err := s.Query("alice"); err != nil { // load counters do NOT persist
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -30,6 +33,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if back.Providers() != s.Providers() || back.Owners() != s.Owners() {
 		t.Fatalf("dims %dx%d", back.Providers(), back.Owners())
 	}
+	reg := metrics.NewRegistry()
+	back.Instrument(reg)
 	got, err := back.Query("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -37,8 +42,8 @@ func TestPersistRoundTrip(t *testing.T) {
 	if len(got) != 2 || got[0] != 0 || got[1] != 2 {
 		t.Fatalf("Query after round trip = %v", got)
 	}
-	if st := back.Stats(); st.Queries != 1 {
-		t.Fatalf("restored stats = %+v, want fresh counter at 1 (this query only)", st)
+	if q, _ := loadCounters(reg); q != 1 {
+		t.Fatalf("restored server counted %d queries, want 1 (this query only)", q)
 	}
 	if back.SearchCost() != s.SearchCost() {
 		t.Fatal("search cost changed across persistence")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"net/http"
 	"strconv"
 	"strings"
 )
@@ -33,6 +34,15 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	return cw.n, nil
+}
+
+// ServeHTTP serves the exposition: the registry is the GET /v1/metrics
+// handler of every host binary.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	w.WriteHeader(http.StatusOK)
+	// Write errors mean the client went away mid-scrape; nothing to do.
+	_, _ = r.WriteTo(w)
 }
 
 func writeSeries(w io.Writer, s *series) error {

@@ -20,7 +20,6 @@
 package replica
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -33,6 +32,7 @@ import (
 	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/httpapi"
 	"repro/internal/metrics"
 	"repro/internal/privacy"
 	"repro/internal/shard"
@@ -103,40 +103,29 @@ type CurrentResponse struct {
 	Epoch uint64 `json:"epoch"`
 }
 
-// originError is the uniform error payload.
-type originError struct {
-	Error string `json:"error"`
-}
-
-func writeOriginJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (o *Origin) handleCurrent(w http.ResponseWriter, r *http.Request) {
 	n, err := epoch.Current(o.root)
 	if err != nil {
 		if errors.Is(err, epoch.ErrNoCurrent) {
-			writeOriginJSON(w, http.StatusNotFound, originError{Error: "nothing published"})
+			httpapi.WriteError(w, http.StatusNotFound, "nothing published")
 			return
 		}
 		// A corrupted pointer is an operator problem on the origin host;
 		// mirrors must not mistake it for "no new epoch".
 		o.logger.Warn("origin CURRENT unreadable", slog.Any("error", err))
-		writeOriginJSON(w, http.StatusInternalServerError, originError{Error: err.Error()})
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeOriginJSON(w, http.StatusOK, CurrentResponse{Epoch: n})
+	httpapi.WriteJSON(w, http.StatusOK, CurrentResponse{Epoch: n})
 }
 
 func (o *Origin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	n, err := epoch.Current(o.root)
 	if err != nil && !errors.Is(err, epoch.ErrNoCurrent) {
-		writeOriginJSON(w, http.StatusInternalServerError, originError{Error: err.Error()})
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
-	writeOriginJSON(w, http.StatusOK, struct {
+	httpapi.WriteJSON(w, http.StatusOK, struct {
 		Status string `json:"status"`
 		Epoch  uint64 `json:"epoch"`
 	}{Status: "ok", Epoch: n})
@@ -147,12 +136,12 @@ func (o *Origin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (o *Origin) epochParam(w http.ResponseWriter, r *http.Request) (uint64, string, bool) {
 	n, err := strconv.ParseUint(r.PathValue("epoch"), 10, 64)
 	if err != nil || n == 0 {
-		writeOriginJSON(w, http.StatusBadRequest, originError{Error: "bad epoch number"})
+		httpapi.WriteError(w, http.StatusBadRequest, "bad epoch number")
 		return 0, "", false
 	}
 	dir := epoch.Dir(o.root, n)
 	if _, err := os.Stat(filepath.Join(dir, shard.ManifestName)); err != nil {
-		writeOriginJSON(w, http.StatusNotFound, originError{Error: fmt.Sprintf("epoch %d not published", n)})
+		httpapi.WriteError(w, http.StatusNotFound, fmt.Sprintf("epoch %d not published", n))
 		return 0, "", false
 	}
 	return n, dir, true
@@ -191,7 +180,7 @@ func (o *Origin) handleFile(w http.ResponseWriter, r *http.Request) {
 		// document, and genuinely absent files: nothing to enumerate.
 		o.logger.Warn("origin refused file request",
 			slog.Uint64("epoch", n), slog.String("name", name))
-		writeOriginJSON(w, http.StatusNotFound, originError{Error: "no such file"})
+		httpapi.WriteError(w, http.StatusNotFound, "no such file")
 		return
 	}
 	o.serveStoreFile(w, r, dir, name)
@@ -224,12 +213,12 @@ func (o *Origin) servable(dir, name string) bool {
 func (o *Origin) serveStoreFile(w http.ResponseWriter, r *http.Request, dir, name string) {
 	etag, err := EpochETag(dir)
 	if err != nil {
-		writeOriginJSON(w, http.StatusInternalServerError, originError{Error: err.Error()})
+		httpapi.WriteError(w, http.StatusInternalServerError, err.Error())
 		return
 	}
 	f, err := os.Open(filepath.Join(dir, name))
 	if err != nil {
-		writeOriginJSON(w, http.StatusNotFound, originError{Error: "no such file"})
+		httpapi.WriteError(w, http.StatusNotFound, "no such file")
 		return
 	}
 	defer f.Close()

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"sort"
 	"strings"
 	"time"
@@ -219,4 +220,20 @@ func (t *Tracer) WriteTrees(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// ServeHTTP serves the recent-trace ring as Chrome trace-event JSON (load
+// it in Perfetto), or as indented text trees with ?format=text: the
+// tracer is the GET /v1/traces handler of every host binary.
+func (t *Tracer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	// Write errors mean the client went away mid-download; nothing to do.
+	if r.URL.Query().Get("format") == "text" {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		w.WriteHeader(http.StatusOK)
+		_ = t.WriteTrees(w)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_ = WriteChrome(w, t.Recent())
 }
