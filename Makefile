@@ -33,9 +33,10 @@ race:
 smoke:
 	sh scripts/smoke.sh
 
-# One benchmark per paper table/figure (quick scale).
+# Every paper table and figure at quick scale, through eppi-bench: the
+# one way to run the experiments (`make experiments` is full scale).
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	$(GO) run ./cmd/eppi-bench -experiment all -quick
 
 # bench/ is its own module, so build/vet/test above never see it: compile
 # and test the benchmark harness against the current internal/ packages.

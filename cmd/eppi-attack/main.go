@@ -24,6 +24,10 @@ import (
 	"repro/internal/workload"
 )
 
+// mixingXi is the mixing target ξ of the attacked index: with three
+// planted commons, it is what gives the common-identity attack decoys.
+const mixingXi = 0.8
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eppi-attack:", err)
@@ -45,7 +49,6 @@ func run(args []string, out io.Writer) error {
 	providers := fs.Int("providers", 1000, "number of providers m")
 	owners := fs.Int("owners", 60, "number of owner identities n")
 	seed := fs.Int64("seed", 1, "random seed")
-	xi := fs.Float64("xi", 0.8, "mixing target ξ")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -75,7 +78,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := core.Config{
 		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted,
-		Seed: *seed + 1, XiOverride: *xi,
+		Seed: *seed + 1, XiOverride: mixingXi,
 	}
 	res, err := core.Construct(d.Matrix, d.Eps, cfg)
 	if err != nil {

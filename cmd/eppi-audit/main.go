@@ -39,6 +39,13 @@ import (
 	"repro/internal/privacy"
 )
 
+// The report ranks the topOwners most-queried identities and flags those
+// whose ε decile is highPrivacyBucket or above (ε ≥ 0.7).
+const (
+	topOwners         = 20
+	highPrivacyBucket = 7
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eppi-audit:", err)
@@ -50,8 +57,6 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eppi-audit", flag.ContinueOnError)
 	logs := fs.String("logs", "", "audit log directory (as written by -audit-dir)")
 	epochDir := fs.String("epoch-dir", "", "epoch store whose privacy reports to join against")
-	top := fs.Int("top", 20, "how many top-queried identities to report")
-	highBucket := fs.Int("high-bucket", 7, "ε decile at or above which an identity counts as high-privacy")
 	asJSON := fs.Bool("json", false, "emit the analysis as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -64,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	if _, err := os.Stat(*logs); err != nil {
 		return fmt.Errorf("audit logs: %w", err)
 	}
-	a, err := analyze(*logs, *epochDir, *top, *highBucket)
+	a, err := analyze(*logs, *epochDir, topOwners, highPrivacyBucket)
 	if err != nil {
 		return err
 	}

@@ -56,7 +56,6 @@ func run(args []string, out io.Writer) error {
 	seed := fs.Int64("seed", 42, "random seed")
 	quick := fs.Bool("quick", false, "reduced scale for smoke runs")
 	format := fs.String("format", "text", "output format: text|csv")
-	transportName := fs.String("transport", "inmem", "protocol transport for fig6a/fig6c: inmem|tcp")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); results are identical at any value")
 	withMetrics := fs.Bool("metrics", true, "append a JSON metrics snapshot to text output")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
@@ -105,10 +104,7 @@ func run(args []string, out io.Writer) error {
 	if *format != "text" && *format != "csv" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	if *transportName != "inmem" && *transportName != "tcp" {
-		return fmt.Errorf("unknown transport %q", *transportName)
-	}
-	opts := experiments.Options{Seed: *seed, Quick: *quick, TCP: *transportName == "tcp", Workers: *workers}
+	opts := experiments.Options{Seed: *seed, Quick: *quick, Workers: *workers}
 	var reg *metrics.Registry
 	if *withMetrics {
 		reg = metrics.NewRegistry()

@@ -35,16 +35,6 @@ func TestRunCSVFormat(t *testing.T) {
 	}
 }
 
-func TestRunTCPTransport(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-experiment", "fig6a", "-quick", "-transport", "tcp"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "fig6a") {
-		t.Fatalf("output:\n%s", out.String())
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-experiment", "nonsense"}, &out); err == nil {
@@ -53,8 +43,8 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-format", "xml"}, &out); err == nil {
 		t.Error("unknown format accepted")
 	}
-	if err := run([]string{"-transport", "carrier-pigeon"}, &out); err == nil {
-		t.Error("unknown transport accepted")
+	if err := run([]string{"-transport", "tcp"}, &out); err == nil {
+		t.Error("-transport accepted")
 	}
 	if err := run([]string{"-bogus-flag"}, &out); err == nil {
 		t.Error("bad flag accepted")

@@ -6,9 +6,12 @@
 //
 // Usage:
 //
-//	eppi-collude -providers 9 -c 3 -coalition 0,1        # fails (< c coordinators)
-//	eppi-collude -providers 9 -c 3 -coalition 0,1,2      # succeeds (all coordinators)
-//	eppi-collude -providers 9 -c 3 -coalition 3,4,5,6,7  # fails (no coordinators)
+//	eppi-collude -coalition 0,1        # fails (< c coordinators)
+//	eppi-collude -coalition 0,1,2      # succeeds (all coordinators)
+//	eppi-collude -coalition 3,4,5,6,7  # fails (no coordinators)
+//
+// The network is fixed: m = 9 providers, n = 5 owners, c = 3 coordinators
+// (providers 0, 1 and 2), seed 1.
 package main
 
 import (
@@ -28,6 +31,14 @@ import (
 	"repro/internal/workload"
 )
 
+// The demonstration network: m providers, n owners, c coordinators.
+const (
+	providers = 9
+	owners    = 5
+	c         = 3
+	seed      = 1
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eppi-collude:", err)
@@ -37,11 +48,7 @@ func main() {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eppi-collude", flag.ContinueOnError)
-	providers := fs.Int("providers", 9, "number of providers m")
-	owners := fs.Int("owners", 5, "number of owner identities")
-	c := fs.Int("c", 3, "share/coordinator count (tolerates c-1 colluders)")
 	coalitionArg := fs.String("coalition", "0,1", "comma-separated colluding provider ids")
-	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -51,48 +58,48 @@ func run(args []string, out io.Writer) error {
 	}
 
 	d, err := workload.GenerateZipf(workload.ZipfConfig{
-		Providers: *providers, Owners: *owners, Exponent: 1.1, Seed: *seed,
+		Providers: providers, Owners: owners, Exponent: 1.1, Seed: seed,
 	})
 	if err != nil {
 		return err
 	}
-	inputs := make([][]uint64, *providers)
+	inputs := make([][]uint64, providers)
 	for i := range inputs {
-		inputs[i] = make([]uint64, *owners)
-		for j := 0; j < *owners; j++ {
+		inputs[i] = make([]uint64, owners)
+		for j := 0; j < owners; j++ {
 			if d.Matrix.Get(i, j) {
 				inputs[i][j] = 1
 			}
 		}
 	}
 
-	f, err := field.New(field.NextPrime(uint64(*providers) + 1))
+	f, err := field.New(field.NextPrime(providers + 1))
 	if err != nil {
 		return err
 	}
-	scheme, err := secretshare.New(f, *c)
+	scheme, err := secretshare.New(f, c)
 	if err != nil {
 		return err
 	}
-	inner, err := transport.NewInMem(*providers)
+	inner, err := transport.NewInMem(providers)
 	if err != nil {
 		return err
 	}
 	rec := collusion.NewRecording(inner)
 	defer rec.Close()
-	if _, err := secsum.Run(rec, scheme, inputs, *seed); err != nil {
+	if _, err := secsum.Run(rec, scheme, inputs, seed); err != nil {
 		return fmt.Errorf("SecSumShare: %w", err)
 	}
 
 	fmt.Fprintf(out, "SecSumShare completed: m=%d providers, c=%d (tolerates %d colluders)\n",
-		*providers, *c, *c-1)
+		providers, c, c-1)
 	fmt.Fprintf(out, "coalition: providers %v pool their received messages and inputs\n", members)
 
 	coal, err := collusion.NewCoalition(rec, members, inputs)
 	if err != nil {
 		return err
 	}
-	freqs, err := coal.ReconstructFrequencies(scheme, *owners)
+	freqs, err := coal.ReconstructFrequencies(scheme, owners)
 	switch {
 	case errors.Is(err, collusion.ErrInsufficientView):
 		fmt.Fprintf(out, "RESULT: reconstruction FAILED — %v\n", err)

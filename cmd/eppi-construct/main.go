@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	eppi-construct -providers 100 -owners 50 [-policy chernoff] [-gamma 0.9]
+//	eppi-construct -providers 100 -owners 50
 //	eppi-construct -providers 12 -owners 8 -secure -c 3 [-tcp]
 //	eppi-construct -providers 12 -owners 8 -secure -trace run.json
 //	eppi-construct -providers 100 -owners 50 -shards 4 -epoch-dir store/
@@ -49,6 +49,14 @@ import (
 	"repro/internal/workload"
 )
 
+// The construction runs the paper's recommended policy, Chernoff with
+// success ratio γ, over a Zipf dataset: the values eppi-query and
+// eppi-collude use too.
+const (
+	gamma        = 0.9
+	zipfExponent = 1.1
+)
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "eppi-construct:", err)
@@ -60,20 +68,15 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eppi-construct", flag.ContinueOnError)
 	providers := fs.Int("providers", 100, "number of providers m")
 	owners := fs.Int("owners", 50, "number of owner identities n")
-	policyName := fs.String("policy", "chernoff", "β policy: basic|inc-exp|chernoff")
-	delta := fs.Float64("delta", 0.02, "Δ for the inc-exp policy")
-	gamma := fs.Float64("gamma", 0.9, "γ for the chernoff policy")
 	secure := fs.Bool("secure", false, "run the real SecSumShare+MPC protocol")
 	c := fs.Int("c", 3, "coordinator count (secure mode)")
 	tcp := fs.Bool("tcp", false, "use TCP loopback transport (secure mode)")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); output is identical at any value")
-	zipf := fs.Float64("zipf", 1.1, "Zipf exponent of identity frequencies")
 	shards := fs.Int("shards", 0, "with -epoch-dir: column-partition the index into this many shards + manifest (0 = 1)")
 	epochDir := fs.String("epoch-dir", "", "publish the index as the next epoch of this epoch store (atomic CURRENT flip)")
 	epochKeep := fs.Int("epoch-keep", 0, "with -epoch-dir: keep only the newest N epochs after publishing (0 = keep all; the epoch named by CURRENT is never pruned)")
 	tracePath := fs.String("trace", "", "write a Chrome trace-event JSON of the construction to this file")
-	metricsOut := fs.String("metrics-out", "", "write a Prometheus text exposition of the run (eppi_build_info, runtime gauges) to this file")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn, error")
 	logFormat := fs.String("log-format", "text", "log format: text or json")
 	if err := fs.Parse(args); err != nil {
@@ -87,22 +90,10 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("-shards %d needs -epoch-dir naming the epoch store", *shards)
 	}
 
-	var policy mathx.Policy
-	switch *policyName {
-	case "basic":
-		policy = mathx.PolicyBasic
-	case "inc-exp":
-		policy = mathx.PolicyIncremented
-	case "chernoff":
-		policy = mathx.PolicyChernoff
-	default:
-		return fmt.Errorf("unknown policy %q", *policyName)
-	}
-
 	d, err := workload.GenerateZipf(workload.ZipfConfig{
 		Providers: *providers,
 		Owners:    *owners,
-		Exponent:  *zipf,
+		Exponent:  zipfExponent,
 		Seed:      *seed,
 	})
 	if err != nil {
@@ -110,9 +101,8 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := core.Config{
-		Policy:  policy,
-		Delta:   *delta,
-		Gamma:   *gamma,
+		Policy:  mathx.PolicyChernoff,
+		Gamma:   gamma,
 		Mode:    core.ModeTrusted,
 		Seed:    *seed,
 		Workers: *workers,
@@ -131,16 +121,10 @@ func run(args []string, out io.Writer) error {
 		tracer = trace.New(1)
 		cfg.Tracer = tracer
 	}
-	// A batch job's metrics live in one terminal snapshot, not a scrape
-	// loop: the registry exists so construct runs are attributable the
-	// same way fleet scrapes are (eppi_build_info join).
-	reg := metrics.NewRegistry()
-	metrics.RegisterBuildInfo(reg)
-	metrics.RegisterRuntime(reg)
 	version, goVersion, revision := metrics.BuildInfo()
 	logger.Info("constructing",
 		slog.Int("providers", *providers), slog.Int("owners", *owners),
-		slog.String("policy", policy.String()), slog.String("mode", cfg.Mode.String()),
+		slog.String("policy", cfg.Policy.String()), slog.String("mode", cfg.Mode.String()),
 		slog.Bool("traced", tracer != nil),
 		slog.String("build", version+"/"+goVersion+"/"+revision))
 	res, err := core.Construct(d.Matrix, d.Eps, cfg)
@@ -162,7 +146,7 @@ func run(args []string, out io.Writer) error {
 	rep, det, err := privacy.Compute(privacy.Input{
 		Truth: d.Matrix, Published: res.Published, Names: d.Names, Eps: d.Eps,
 		Thresholds: res.Thresholds, Hidden: res.Hidden,
-		Policy: policy.String(), Gamma: *gamma,
+		Policy: cfg.Policy.String(), Gamma: gamma,
 		Lambda: res.Lambda, Xi: res.Xi,
 	})
 	if err != nil {
@@ -183,15 +167,8 @@ func run(args []string, out io.Writer) error {
 			slog.Float64("success_ratio", rep.SuccessRatio),
 			slog.Int("privacy_violations", rep.ViolationCount))
 	}
-	if *metricsOut != "" {
-		if err := writeMetrics(*metricsOut, reg); err != nil {
-			return err
-		}
-		logger.Info("metrics snapshot written", slog.String("path", *metricsOut))
-	}
-
 	fmt.Fprintf(out, "constructed ε-PPI: m=%d providers, n=%d owners, policy=%s, mode=%s\n",
-		*providers, *owners, policy, cfg.Mode)
+		*providers, *owners, cfg.Policy, cfg.Mode)
 	fmt.Fprintf(out, "  true commons:   %d\n", res.CommonCount)
 	fmt.Fprintf(out, "  mixing λ:       %.4f (ξ=%.3f)\n", res.Lambda, res.Xi)
 	hidden := 0
@@ -221,20 +198,6 @@ func run(args []string, out io.Writer) error {
 			d.Names[j], d.Frequency(j), d.Eps[j], res.Betas[j], res.Hidden[j])
 	}
 	return nil
-}
-
-// writeMetrics dumps the run's Prometheus exposition to a file — the
-// batch-job analogue of a /v1/metrics scrape.
-func writeMetrics(path string, reg *metrics.Registry) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("metrics: %w", err)
-	}
-	if _, err := reg.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("metrics: %w", err)
-	}
-	return f.Close()
 }
 
 // writeTrace exports the tracer's recorded construction trace as Chrome

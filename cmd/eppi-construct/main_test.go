@@ -72,16 +72,20 @@ func TestConstructSecureExportMatchesScalar(t *testing.T) {
 	}
 }
 
+// The command runs one policy, Chernoff with γ = 0.9, over Zipf 1.1: the
+// policy, its parameters and the generator's exponent are not flags.
 func TestConstructPolicies(t *testing.T) {
-	for _, policy := range []string{"basic", "inc-exp", "chernoff"} {
-		var out bytes.Buffer
-		if err := run([]string{"-providers", "30", "-owners", "8", "-policy", policy}, &out); err != nil {
-			t.Fatalf("policy %s: %v", policy, err)
-		}
-	}
 	var out bytes.Buffer
-	if err := run([]string{"-policy", "nonsense"}, &out); err == nil {
-		t.Error("unknown policy accepted")
+	if err := run([]string{"-providers", "30", "-owners", "8"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "policy=chernoff") {
+		t.Errorf("output does not name the Chernoff policy:\n%s", out.String())
+	}
+	for _, flag := range [][]string{{"-policy", "basic"}, {"-delta", "0.1"}, {"-gamma", "0.95"}, {"-zipf", "1.3"}, {"-metrics-out", "m.prom"}} {
+		if err := run(append([]string{"-providers", "30", "-owners", "8"}, flag...), &out); err == nil {
+			t.Errorf("%s accepted", flag[0])
+		}
 	}
 }
 

@@ -54,10 +54,8 @@ func run(ctx context.Context, args []string) error {
 	addr := fs.String("addr", "127.0.0.1:8090", "listen address")
 	shardsSpec := fs.String("shards", "", "replica base URLs: commas between replicas, semicolons between shards")
 	cacheSize := fs.Int("cache", gateway.DefaultCacheSize, "response cache entries (negative disables)")
-	cacheTTL := fs.Duration("cache-ttl", 0, "response cache entry lifetime (0: bounded only by LRU and epoch turnover)")
 	maxInFlight := fs.Int("max-inflight", gateway.DefaultMaxInFlight, "admitted-request bound before shedding")
 	queueWait := fs.Duration("queue-wait", gateway.DefaultQueueWait, "max admission queue wait before a 503")
-	hedgeAfter := fs.Duration("hedge", 0, "fixed hedge trigger (0: adaptive p95, negative: off)")
 	probePeriod := fs.Duration("probe", gateway.DefaultProbePeriod, "health probe interval (negative: off)")
 	withMetrics := fs.Bool("metrics", true, "expose GET /v1/metrics")
 	traceCap := fs.Int("trace", trace.DefaultCapacity, "recent-trace ring capacity for GET /v1/traces (0 disables)")
@@ -75,10 +73,8 @@ func run(ctx context.Context, args []string) error {
 	}
 	cfg := gateway.Config{
 		CacheSize:    *cacheSize,
-		CacheTTL:     *cacheTTL,
 		MaxInFlight:  *maxInFlight,
 		QueueWait:    *queueWait,
-		HedgeAfter:   *hedgeAfter,
 		ProbePeriod:  *probePeriod,
 		HotWindow:    *hotWindow,
 		HotThreshold: *hotThreshold,

@@ -42,7 +42,6 @@ func run(args []string, out io.Writer) error {
 	search := fs.String("search", "", "owner identity to search (defaults to the first owner)")
 	all := fs.Bool("all", false, "search every owner")
 	ownersFile := fs.String("owners-file", "", "file listing owners (one per line) to resolve via batched QueryPPI instead of searching")
-	gamma := fs.Float64("gamma", 0.9, "Chernoff success ratio γ")
 	seed := fs.Int64("seed", 1, "random seed")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,7 +75,8 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	report, err := net.ConstructPPI(eppi.WithChernoff(*gamma), eppi.WithSeed(*seed))
+	// The default policy: Chernoff with success ratio γ = 0.9.
+	report, err := net.ConstructPPI(eppi.WithSeed(*seed))
 	if err != nil {
 		return err
 	}

@@ -36,15 +36,11 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/bitmat"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/mathx"
-	"repro/internal/privacy"
 	"repro/internal/provider"
 	"repro/internal/searcher"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -57,19 +53,6 @@ type Record struct {
 	// Body is the record payload.
 	Body string
 }
-
-// Policy selects a β-calculation policy (Section III-B of the paper).
-type Policy = mathx.Policy
-
-// The three β-calculation policies.
-const (
-	// PolicyBasic meets ε with ~50% probability (Equation 3).
-	PolicyBasic = mathx.PolicyBasic
-	// PolicyIncremented adds a configured Δ to the basic β (Equation 4).
-	PolicyIncremented = mathx.PolicyIncremented
-	// PolicyChernoff meets ε with configurable probability γ (Theorem 3.1).
-	PolicyChernoff = mathx.PolicyChernoff
-)
 
 var (
 	// ErrNotConstructed reports a query before ConstructPPI.
@@ -87,13 +70,6 @@ type Network struct {
 
 	mu     sync.Mutex
 	server *index.Server
-	// published is M' as constructed (providers × owners), kept so the
-	// export paths hand it to the partitioner without transposing the
-	// server's owner-major copy back.
-	published  *bitmat.Matrix
-	report     *ConstructionReport
-	privacy    *privacy.Report
-	privacyDet *privacy.Detail
 }
 
 // NewNetwork creates a network with one provider per name.
@@ -106,17 +82,6 @@ func NewNetwork(providerNames []string) (*Network, error) {
 		n.providers[i] = provider.New(i, name)
 	}
 	return n, nil
-}
-
-// Providers returns the number of providers.
-func (n *Network) Providers() int { return len(n.providers) }
-
-// ProviderName returns the display name of provider id.
-func (n *Network) ProviderName(id int) (string, error) {
-	if id < 0 || id >= len(n.providers) {
-		return "", fmt.Errorf("%w: %d", ErrBadProvider, id)
-	}
-	return n.providers[id].Name(), nil
 }
 
 // Delegate implements Delegate(⟨t_j, ε_j⟩, p_i): owner rec.Owner stores a
@@ -164,24 +129,10 @@ type options struct {
 // Option configures ConstructPPI.
 type Option func(*options)
 
-// WithPolicy selects a β policy with its parameter (Δ for
-// PolicyIncremented, γ for PolicyChernoff; ignored for PolicyBasic).
-func WithPolicy(p Policy, param float64) Option {
-	return func(o *options) {
-		o.cfg.Policy = p
-		switch p {
-		case mathx.PolicyIncremented:
-			o.cfg.Delta = param
-		case mathx.PolicyChernoff:
-			o.cfg.Gamma = param
-		}
-	}
-}
-
 // WithChernoff selects the Chernoff policy with success ratio γ — the
-// paper's recommended configuration.
+// paper's recommended configuration, and the default with γ = 0.9.
 func WithChernoff(gamma float64) Option {
-	return WithPolicy(mathx.PolicyChernoff, gamma)
+	return func(o *options) { o.cfg.Policy, o.cfg.Gamma = mathx.PolicyChernoff, gamma }
 }
 
 // WithSecure switches construction to the real distributed protocol with c
@@ -210,13 +161,6 @@ func WithBatchSize(size int) Option {
 	return func(o *options) { o.cfg.BatchSize = size }
 }
 
-// WithPrefixArithmetic compiles the secure mode's circuits with log-depth
-// parallel-prefix adders: more AND gates but far fewer MPC communication
-// rounds — the right trade on latency-bound (WAN) coordinator links.
-func WithPrefixArithmetic() Option {
-	return func(o *options) { o.cfg.Arithmetic = circuit.StylePrefix }
-}
-
 // WithOTPreprocessing replaces the secure mode's trusted triple dealer
 // with the pairwise oblivious-transfer protocol — no trusted party at all,
 // at the cost of public-key operations per AND gate and identity. Only
@@ -236,20 +180,6 @@ func WithSeed(seed int64) Option {
 // is bit-identical at any worker count for a given seed.
 func WithWorkers(workers int) Option {
 	return func(o *options) { o.cfg.Workers = workers }
-}
-
-// WithTracer records one span tree per ConstructPPI run into tr — the β
-// phase, SecSumShare, each MPC stage (OT preprocessing and GMW phases
-// included), mixing and publication. Export the result with
-// trace.WriteChrome (Perfetto) or Tracer.WriteTrees.
-func WithTracer(tr *trace.Tracer) Option {
-	return func(o *options) { o.cfg.Tracer = tr }
-}
-
-// WithXi overrides the mixing fraction ξ (normally derived from the ε of
-// common identities).
-func WithXi(xi float64) Option {
-	return func(o *options) { o.cfg.XiOverride = xi }
 }
 
 // OwnerReport describes one owner in the constructed index.
@@ -347,58 +277,11 @@ func (n *Network) ConstructPPI(opts ...Option) (*ConstructionReport, error) {
 			Hidden:  res.Hidden[j],
 		})
 	}
-	// Audit the artifact we just built: re-derive the achieved privacy
-	// from M vs M' (internal/privacy). This runs where the truth matrix
-	// legitimately lives — inside the provider network — and only the
-	// aggregate report ever leaves with the published index; the
-	// per-identity detail stays behind PrivacyDetail.
-	priv, privDet, err := privacy.Compute(privacy.Input{
-		Truth:      truth,
-		Published:  res.Published,
-		Names:      names,
-		Eps:        eps,
-		Thresholds: res.Thresholds,
-		Hidden:     res.Hidden,
-		Policy:     o.cfg.Policy.String(),
-		Gamma:      o.cfg.Gamma,
-		Lambda:     res.Lambda,
-		Xi:         res.Xi,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("eppi: privacy audit: %w", err)
-	}
 
 	n.mu.Lock()
 	n.server = server
-	n.published = res.Published
-	n.report = report
-	n.privacy = priv
-	n.privacyDet = privDet
 	n.mu.Unlock()
 	return report, nil
-}
-
-// PrivacyReport returns the ε-audit report of the last ConstructPPI run
-// (nil before construction): the achieved false-positive protection of
-// the published matrix measured against the configured policy. It is
-// published alongside each epoch by PublishEpoch and served by nodes at
-// GET /v1/privacy.
-func (n *Network) PrivacyReport() *privacy.Report {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.privacy
-}
-
-// PrivacyDetail returns the operator-only companion of PrivacyReport
-// (nil before construction): the identity→ε-decile map and the full
-// per-identity violation records. Unlike the report it is never
-// published by PublishEpoch — per-identity privacy demand must not
-// leave the provider network — so an operator who wants it in their
-// own store persists it explicitly with privacy.WriteDetailFile.
-func (n *Network) PrivacyDetail() *privacy.Detail {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.privacyDet
 }
 
 // Query implements QueryPPI(t_j): the ids of providers that may hold the
@@ -421,13 +304,6 @@ func (n *Network) QueryBatch(ctx context.Context, owners []string) ([]index.Batc
 		return nil, err
 	}
 	return srv.QueryBatch(ctx, owners), nil
-}
-
-// Report returns the last construction report (nil before ConstructPPI).
-func (n *Network) Report() *ConstructionReport {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.report
 }
 
 // SearchResult is the outcome of a two-phase search.
@@ -478,16 +354,6 @@ func (s *Searcher) Search(owner string) (*SearchResult, error) {
 		out.Records = append(out.Records, Record{Owner: r.Owner, Kind: r.Kind, Body: r.Body})
 	}
 	return out, nil
-}
-
-// publishedHandle returns the constructed M' and its column labels.
-func (n *Network) publishedHandle() (*bitmat.Matrix, []string, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.server == nil {
-		return nil, nil, ErrNotConstructed
-	}
-	return n.published, n.server.Names(), nil
 }
 
 func (n *Network) serverHandle() (*index.Server, error) {

@@ -3,8 +3,6 @@ package eppi
 import (
 	"errors"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 // buildHospitalNetwork assembles a small HIE-style network used across the
@@ -43,15 +41,8 @@ func TestNewNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.Providers() != 2 {
-		t.Errorf("Providers = %d", net.Providers())
-	}
-	name, err := net.ProviderName(1)
-	if err != nil || name != "b" {
-		t.Errorf("ProviderName = %q, %v", name, err)
-	}
-	if _, err := net.ProviderName(5); !errors.Is(err, ErrBadProvider) {
-		t.Errorf("out-of-range name error = %v", err)
+	if len(net.providers) != 2 || net.providers[1].Name() != "b" {
+		t.Errorf("providers = %d, want a and b", len(net.providers))
 	}
 }
 
@@ -81,9 +72,6 @@ func TestQueryBeforeConstruct(t *testing.T) {
 	}
 	if _, err := net.NewSearcher("s"); !errors.Is(err, ErrNotConstructed) {
 		t.Errorf("error = %v, want ErrNotConstructed", err)
-	}
-	if net.Report() != nil {
-		t.Error("Report non-nil before construction")
 	}
 }
 
@@ -171,17 +159,17 @@ func TestHighEpsilonBroadcasts(t *testing.T) {
 	if err := net.Delegate(4, Record{Owner: "vip", Kind: "visit", Body: "x"}, 1.0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.ConstructPPI(WithSeed(9)); err != nil {
+	rep, err := net.ConstructPPI(WithSeed(9))
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := net.Query("vip")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != net.Providers() {
-		t.Fatalf("ε=1 query returned %d of %d providers", len(got), net.Providers())
+	if len(got) != len(net.providers) {
+		t.Fatalf("ε=1 query returned %d of %d providers", len(got), len(net.providers))
 	}
-	rep := net.Report()
 	var vip *OwnerReport
 	for i := range rep.Owners {
 		if rep.Owners[i].Owner == "vip" {
@@ -252,7 +240,7 @@ func TestSecureConstructionWithOT(t *testing.T) {
 	if err := net.Delegate(3, Record{Owner: "alice"}, 0.5); err != nil {
 		t.Fatal(err)
 	}
-	report, err := net.ConstructPPI(WithSecure(2), WithOTPreprocessing(), WithPolicy(PolicyBasic, 0), WithSeed(33))
+	report, err := net.ConstructPPI(WithSecure(2), WithOTPreprocessing(), WithSeed(33))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,29 +297,12 @@ func TestReconstructionReplacesIndex(t *testing.T) {
 func TestWithPolicyOptions(t *testing.T) {
 	net := buildHospitalNetwork(t)
 	for _, opt := range []Option{
-		WithPolicy(PolicyBasic, 0),
-		WithPolicy(PolicyIncremented, 0.02),
-		WithPolicy(PolicyChernoff, 0.95),
-		WithXi(0.7),
+		WithChernoff(0.95),
 		WithBatchSize(2),
-		WithPrefixArithmetic(),
+		WithWorkers(1),
 	} {
 		if _, err := net.ConstructPPI(opt, WithSeed(15)); err != nil {
 			t.Fatalf("option failed: %v", err)
 		}
-	}
-}
-
-func TestWithTracerRecordsConstruction(t *testing.T) {
-	n := buildHospitalNetwork(t)
-	tr := trace.New(2)
-	if _, err := n.ConstructPPI(WithSecure(3), WithSeed(7), WithTracer(tr)); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("recorded %d traces, want 1", tr.Len())
-	}
-	if root := tr.Recent()[0].Root(); root.Name != "core.construct" {
-		t.Fatalf("root span %q", root.Name)
 	}
 }

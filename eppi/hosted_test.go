@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/epoch"
 	"repro/internal/metrics"
 )
 
@@ -44,8 +43,8 @@ func TestHostedServiceRoundTrip(t *testing.T) {
 	}
 	reg := metrics.NewRegistry()
 	host.server.Instrument(reg)
-	if host.Providers() != net.Providers() || host.Owners() != 3 {
-		t.Fatalf("host dims %d/%d", host.Providers(), host.Owners())
+	if host.server.Providers() != len(net.providers) || host.server.Owners() != 3 {
+		t.Fatalf("host dims %d/%d", host.server.Providers(), host.server.Owners())
 	}
 	got, err := host.Query("carol")
 	if err != nil {
@@ -107,52 +106,5 @@ func TestHostedServiceHTTPHandler(t *testing.T) {
 func TestReadHostedServiceGarbage(t *testing.T) {
 	if _, err := ReadHostedService(strings.NewReader("garbage")); err == nil {
 		t.Fatal("garbage accepted")
-	}
-}
-
-func TestPublishEpoch(t *testing.T) {
-	net := buildHospitalNetwork(t)
-	root := t.TempDir()
-	if _, err := net.PublishEpoch(root, 2); !errors.Is(err, ErrNotConstructed) {
-		t.Fatalf("pre-construction error = %v", err)
-	}
-	if _, err := net.ConstructPPI(WithSeed(21)); err != nil {
-		t.Fatal(err)
-	}
-	n, err := net.PublishEpoch(root, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 1 {
-		t.Fatalf("first publication is epoch %d, want 1", n)
-	}
-	// Every owner answers identically from its shard of the store; each
-	// load verifies the whole set against its manifest first.
-	owners := 0
-	for k := 0; k < 2; k++ {
-		srv, e, err := epoch.Load(root, k, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e != n {
-			t.Fatalf("shard %d loaded epoch %d, want %d", k, e, n)
-		}
-		for _, name := range srv.Names() {
-			want, err := net.Query(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := srv.Query(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("shard %d answer for %q differs", k, name)
-			}
-			owners++
-		}
-	}
-	if owners != 3 {
-		t.Fatalf("shards cover %d owners, want 3", owners)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"repro/internal/bitmat"
 )
@@ -104,21 +103,6 @@ func PublishedFrequencies(published *bitmat.Matrix) []uint64 {
 		out[j] = uint64(c)
 	}
 	return out
-}
-
-// TopKBySignal returns the k identity columns with the largest signal,
-// ties broken by lower index — the "intentionally chosen" victims of the
-// threat model.
-func TopKBySignal(signal []uint64, k int) []int {
-	idx := make([]int, len(signal))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return signal[idx[a]] > signal[idx[b]] })
-	if k > len(idx) {
-		k = len(idx)
-	}
-	return idx[:k]
 }
 
 // Degree is the paper's qualitative privacy classification.

@@ -145,17 +145,6 @@ func TestPublishedFrequencies(t *testing.T) {
 	}
 }
 
-func TestTopKBySignal(t *testing.T) {
-	signal := []uint64{5, 9, 1, 9, 3}
-	top := TopKBySignal(signal, 3)
-	if len(top) != 3 || top[0] != 1 || top[1] != 3 || top[2] != 0 {
-		t.Fatalf("top = %v", top)
-	}
-	if got := TopKBySignal(signal, 99); len(got) != 5 {
-		t.Fatalf("k beyond len = %v", got)
-	}
-}
-
 func TestDegreeString(t *testing.T) {
 	names := map[Degree]string{
 		DegreeUnleaked:       "UNLEAKED",

@@ -92,22 +92,3 @@ func EstimateAll(truth, published *bitmat.Matrix, betas []float64) (*EstimationR
 	}
 	return rep, nil
 }
-
-// BetaConsistentWithPolicy reports whether a published β is consistent
-// with the basic policy for some frequency, given public ε — the sanity
-// check an attacker runs before inverting (a mixed identity's β = 1 fails
-// it unless its ε explains broadcast).
-func BetaConsistentWithPolicy(beta, epsilon float64, m int) bool {
-	if beta >= 1 {
-		// β = 1 is consistent iff some σ ≤ 1 yields β* ≥ 1, which holds for
-		// every ε > 0 (σ → 1 diverges); the attacker learns nothing.
-		return epsilon > 0
-	}
-	sigma, ok := InvertBasicBeta(beta, epsilon)
-	if !ok {
-		return beta == 0
-	}
-	// The implied frequency must be a plausible count.
-	f := sigma * float64(m)
-	return f >= 0 && f <= float64(m)
-}

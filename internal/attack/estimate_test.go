@@ -124,21 +124,3 @@ func TestEstimateAllValidation(t *testing.T) {
 		t.Error("β length mismatch accepted")
 	}
 }
-
-func TestBetaConsistentWithPolicy(t *testing.T) {
-	// A genuine basic-policy β is consistent.
-	beta := mathx.BetaBasic(0.1, 0.5)
-	if !BetaConsistentWithPolicy(beta, 0.5, 1000) {
-		t.Error("true β flagged inconsistent")
-	}
-	// β = 1 never incriminates (mixed identities hide here).
-	if !BetaConsistentWithPolicy(1, 0.5, 1000) {
-		t.Error("broadcast β flagged inconsistent")
-	}
-	if BetaConsistentWithPolicy(1, 0, 1000) {
-		t.Error("β=1 with ε=0 should be inconsistent")
-	}
-	if !BetaConsistentWithPolicy(0, 0.5, 1000) {
-		t.Error("β=0 is consistent with σ=0")
-	}
-}

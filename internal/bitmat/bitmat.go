@@ -120,18 +120,6 @@ func (m *Matrix) ColCount(col int) int {
 	return count
 }
 
-// RowCount returns the number of set bits in row `row` — the number of
-// identities a provider claims (truthfully or falsely) to hold.
-func (m *Matrix) RowCount(row int) int {
-	m.check(row, 0)
-	count := 0
-	start := row * m.words
-	for _, w := range m.data[start : start+m.words] {
-		count += bits.OnesCount64(w)
-	}
-	return count
-}
-
 // ColOnes returns the row indices with a set bit in column col — for the
 // published matrix this is exactly the QueryPPI result list.
 func (m *Matrix) ColOnes(col int) []int {

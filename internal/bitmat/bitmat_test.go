@@ -77,11 +77,11 @@ func TestRowOps(t *testing.T) {
 			t.Fatalf("Row[%d] = %v, want %v", i, row[i], want[i])
 		}
 	}
-	if m.RowCount(0) != 3 {
-		t.Errorf("RowCount = %d, want 3", m.RowCount(0))
+	if got := m.RowOnes(0); !slices.Equal(got, []int{0, 2, 4}) {
+		t.Errorf("RowOnes = %v, want [0 2 4]", got)
 	}
-	if m.RowCount(1) != 0 {
-		t.Errorf("RowCount empty = %d", m.RowCount(1))
+	if got := m.RowOnes(1); len(got) != 0 {
+		t.Errorf("RowOnes of an empty row = %v", got)
 	}
 }
 
@@ -97,7 +97,7 @@ func TestOrRow(t *testing.T) {
 	if got := m.RowOnes(1); !slices.Equal(got, want) {
 		t.Fatalf("RowOnes(1) = %v, want %v", got, want)
 	}
-	if m.RowCount(0) != 0 || m.RowCount(2) != 1 {
+	if len(m.RowOnes(0)) != 0 || len(m.RowOnes(2)) != 1 {
 		t.Error("OrRow disturbed another row")
 	}
 	if m.Count() != len(want)+1 {

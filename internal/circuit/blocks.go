@@ -45,24 +45,6 @@ func (b *Builder) Add(x, y []Wire) ([]Wire, error) {
 	return out, nil
 }
 
-// AddWide returns a + b with one extra output bit (no wraparound).
-func (b *Builder) AddWide(x, y []Wire) ([]Wire, error) {
-	if len(x) != len(y) {
-		return nil, fmt.Errorf("circuit: adder width mismatch %d vs %d", len(x), len(y))
-	}
-	out := make([]Wire, len(x)+1)
-	carry := Zero
-	for i := range x {
-		xi, yi := x[i], y[i]
-		axc := b.XOR(xi, carry)
-		ayc := b.XOR(yi, carry)
-		out[i] = b.XOR(axc, yi)
-		carry = b.XOR(b.AND(axc, ayc), carry)
-	}
-	out[len(x)] = carry
-	return out, nil
-}
-
 // SumMod returns the sum of all vectors modulo 2^width. Vectors must share
 // one width; at least one vector is required.
 func (b *Builder) SumMod(vecs [][]Wire) ([]Wire, error) {

@@ -155,40 +155,10 @@ func TestAdder(t *testing.T) {
 	}
 }
 
-func TestAddWide(t *testing.T) {
-	const width = 5
-	b := NewBuilder()
-	x := b.InputVec(0, width)
-	y := b.InputVec(1, width)
-	sum, err := b.AddWide(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sum) != width+1 {
-		t.Fatalf("AddWide width = %d", len(sum))
-	}
-	for _, w := range sum {
-		if err := b.Output(w); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := mustBuild(t, b)
-	for _, pair := range [][2]uint64{{31, 31}, {0, 0}, {16, 16}, {31, 1}} {
-		in := append(PackBits(pair[0], width), PackBits(pair[1], width)...)
-		got := UnpackBits(evalOne(t, c, in))
-		if want := pair[0] + pair[1]; got != want {
-			t.Fatalf("AddWide(%d,%d) = %d, want %d", pair[0], pair[1], got, want)
-		}
-	}
-}
-
 func TestAdderWidthMismatch(t *testing.T) {
 	b := NewBuilder()
 	if _, err := b.Add(b.InputVec(0, 3), b.InputVec(0, 4)); err == nil {
 		t.Fatal("width mismatch accepted")
-	}
-	if _, err := b.AddWide(b.InputVec(0, 3), b.InputVec(0, 4)); err == nil {
-		t.Fatal("AddWide width mismatch accepted")
 	}
 	if _, err := b.LessThan(b.InputVec(0, 2), b.InputVec(0, 3)); err == nil {
 		t.Fatal("comparator width mismatch accepted")

@@ -31,9 +31,6 @@ type Options struct {
 	// Quick shrinks workloads (fewer providers/samples/parties) for test
 	// suites and smoke runs; the full scale matches the paper.
 	Quick bool
-	// TCP runs the protocol-execution experiments (Fig 6a/6c) over real
-	// TCP loopback sockets instead of the in-memory transport.
-	TCP bool
 	// Workers bounds the construction worker pool of every experiment's
 	// core.Construct runs (0 = runtime.NumCPU()). Results are identical
 	// at any worker count; only wall time changes.

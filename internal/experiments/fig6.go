@@ -49,16 +49,13 @@ func bestTime(run func() (time.Duration, error)) (time.Duration, error) {
 	return best, nil
 }
 
-// netFactory returns the transport constructor for the experiment options.
-// Networks are instrumented with opts.Metrics (no-op when nil) so Fig 6
-// runs contribute transport traffic and MPC phase timers to the registry.
+// netFactory returns the in-memory transport constructor for the
+// experiment options. Networks are instrumented with opts.Metrics (no-op
+// when nil) so Fig 6 runs contribute transport traffic and MPC phase
+// timers to the registry.
 func netFactory(opts Options) func(int) (transport.Network, error) {
-	mk := func(parties int) (transport.Network, error) { return transport.NewInMem(parties) }
-	if opts.TCP {
-		mk = func(parties int) (transport.Network, error) { return transport.NewTCP(parties) }
-	}
 	return func(parties int) (transport.Network, error) {
-		net, err := mk(parties)
+		net, err := transport.NewInMem(parties)
 		if err != nil {
 			return nil, err
 		}

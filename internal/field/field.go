@@ -91,14 +91,6 @@ func (f Field) Sub(a, b uint64) uint64 {
 	return a + (f.q - b)
 }
 
-// Neg returns -a mod q.
-func (f Field) Neg(a uint64) uint64 {
-	if a == 0 {
-		return 0
-	}
-	return f.q - a
-}
-
 // Mul returns (a * b) mod q using 128-bit intermediate arithmetic.
 func (f Field) Mul(a, b uint64) uint64 {
 	return mulmod(a, b, f.q)

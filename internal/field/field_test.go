@@ -62,7 +62,7 @@ func TestAddSubNeg(t *testing.T) {
 		}
 	}
 	for a := uint64(0); a < 97; a++ {
-		if got := f.Add(a, f.Neg(a)); got != 0 {
+		if got := f.Add(a, f.Sub(0, a)); got != 0 {
 			t.Fatalf("a + (-a) = %d for a=%d, want 0", got, a)
 		}
 	}

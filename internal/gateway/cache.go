@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 )
 
 // lookupResult is one cacheable QueryPPI outcome. Caching responses at
@@ -34,15 +33,14 @@ func cacheKey(epoch uint64, owner string) string {
 }
 
 // cache is a fixed-capacity LRU of lookupResults keyed by (epoch, owner).
-// All methods are safe for concurrent use. A non-zero ttl additionally
-// expires entries by age — the safety net for deployments that never
-// publish a new epoch, where stale-by-LRU would otherwise be the only
-// bound on entry lifetime.
+// All methods are safe for concurrent use. Entries have no age bound: an
+// epoch's M′ never changes, nodes refuse a CURRENT pointer that
+// regresses, and the floor below drops answers from older epochs, so
+// every entry is correct for as long as its key can be read.
 type cache struct {
 	mu    sync.Mutex
 	cap   int
-	ttl   time.Duration // 0: entries never expire by age
-	ll    *list.List    // front = most recent; values are *cacheEntry
+	ll    *list.List // front = most recent; values are *cacheEntry
 	items map[string]*list.Element
 	// floor is the epoch of the last purge. A put of an older epoch's
 	// answer is dropped: a lookup that left for upstream before the swap
@@ -50,22 +48,20 @@ type cache struct {
 	floor uint64
 }
 
-// cacheEntry is kept to exactly 64 bytes — key header 16 + val 40 +
-// expiresNs 8 — so a probe touches one cache line. The expiry deadline
-// is unix nanos rather than a time.Time (24 bytes) for that reason.
+// cacheEntry is 56 bytes — key header 16 + val 40 — so an entry sits in
+// one 64-byte cache line, and a hit reads no clock.
 type cacheEntry struct {
-	key       string
-	val       lookupResult
-	expiresNs int64 // 0: never
+	key string
+	val lookupResult
 }
 
 // newCache returns an LRU holding up to capacity entries; capacity <= 0
 // returns nil, and a nil cache misses on every get and drops every put.
-func newCache(capacity int, ttl time.Duration) *cache {
+func newCache(capacity int) *cache {
 	if capacity <= 0 {
 		return nil
 	}
-	return &cache{cap: capacity, ttl: ttl, ll: list.New(), items: make(map[string]*list.Element, capacity)}
+	return &cache{cap: capacity, ll: list.New(), items: make(map[string]*list.Element, capacity)}
 }
 
 func (c *cache) get(key string) (lookupResult, bool) {
@@ -78,23 +74,13 @@ func (c *cache) get(key string) (lookupResult, bool) {
 	if !ok {
 		return lookupResult{}, false
 	}
-	ent := el.Value.(*cacheEntry)
-	if ent.expiresNs != 0 && time.Now().UnixNano() > ent.expiresNs {
-		c.ll.Remove(el)
-		delete(c.items, key)
-		return lookupResult{}, false
-	}
 	c.ll.MoveToFront(el)
-	return ent.val, true
+	return el.Value.(*cacheEntry).val, true
 }
 
 func (c *cache) put(key string, val lookupResult) {
 	if c == nil {
 		return
-	}
-	var expires int64
-	if c.ttl > 0 {
-		expires = time.Now().Add(c.ttl).UnixNano()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -102,13 +88,11 @@ func (c *cache) put(key string, val lookupResult) {
 		return
 	}
 	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		ent.val = val
-		ent.expiresNs = expires
+		el.Value.(*cacheEntry).val = val
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val, expiresNs: expires})
+	c.items[key] = c.ll.PushFront(&cacheEntry{key: key, val: val})
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
@@ -127,7 +111,6 @@ func (c *cache) put(key string, val lookupResult) {
 // to the LRU front: splicing the list (and its GC write barriers) per
 // row costs more than the whole probe, and a bulk scan refreshing 64
 // entries at once would crowd out genuinely hot single lookups anyway.
-// Expired entries are evicted and reported as misses, exactly like get.
 func (c *cache) getBatch(epoch uint64, owners []string, answers []BatchAnswer) (hits int) {
 	if c == nil {
 		return 0
@@ -135,10 +118,6 @@ func (c *cache) getBatch(epoch uint64, owners []string, answers []BatchAnswer) (
 	keyBuf := strconv.AppendUint(make([]byte, 0, 64), epoch, 10)
 	keyBuf = append(keyBuf, 0)
 	prefixLen := len(keyBuf)
-	var nowNs int64
-	if c.ttl > 0 {
-		nowNs = time.Now().UnixNano()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for i, owner := range owners {
@@ -148,11 +127,6 @@ func (c *cache) getBatch(epoch uint64, owners []string, answers []BatchAnswer) (
 			continue
 		}
 		ent := el.Value.(*cacheEntry)
-		if ent.expiresNs != 0 && nowNs > ent.expiresNs {
-			c.ll.Remove(el)
-			delete(c.items, ent.key)
-			continue
-		}
 		hits++
 		a := &answers[i]
 		a.Owner = owner
@@ -177,10 +151,6 @@ func (c *cache) putBatch(puts []cachePut) {
 	if c == nil || len(puts) == 0 {
 		return
 	}
-	var expires int64
-	if c.ttl > 0 {
-		expires = time.Now().Add(c.ttl).UnixNano()
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, p := range puts {
@@ -188,13 +158,11 @@ func (c *cache) putBatch(puts []cachePut) {
 			continue
 		}
 		if el, ok := c.items[p.key]; ok {
-			ent := el.Value.(*cacheEntry)
-			ent.val = p.val
-			ent.expiresNs = expires
+			el.Value.(*cacheEntry).val = p.val
 			c.ll.MoveToFront(el)
 			continue
 		}
-		c.items[p.key] = c.ll.PushFront(&cacheEntry{key: p.key, val: p.val, expiresNs: expires})
+		c.items[p.key] = c.ll.PushFront(&cacheEntry{key: p.key, val: p.val})
 		if c.ll.Len() > c.cap {
 			oldest := c.ll.Back()
 			c.ll.Remove(oldest)

@@ -70,10 +70,6 @@ type Config struct {
 	// CacheSize is the response-cache capacity in entries; < 0 disables
 	// caching, 0 means DefaultCacheSize.
 	CacheSize int
-	// CacheTTL expires cache entries by age. Epoch-keyed invalidation is
-	// the primary freshness mechanism; the TTL is the safety net for
-	// deployments that never publish a new epoch. 0 disables expiry.
-	CacheTTL time.Duration
 	// MaxInFlight bounds concurrently admitted requests; 0 means
 	// DefaultMaxInFlight.
 	MaxInFlight int
@@ -178,7 +174,7 @@ func New(cfg Config) (*Gateway, error) {
 		hedge = -1
 	}
 	g := &Gateway{
-		cache:  newCache(cacheSize, cfg.CacheTTL),
+		cache:  newCache(cacheSize),
 		flight: newFlight(),
 		lat:    &latencyWindow{},
 		hedge:  hedge,

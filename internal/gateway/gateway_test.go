@@ -25,7 +25,7 @@ import (
 )
 
 func TestCacheLRU(t *testing.T) {
-	c := newCache(2, 0)
+	c := newCache(2)
 	c.put("a", lookupResult{providers: []int{1}})
 	c.put("b", lookupResult{providers: []int{2}})
 	if _, ok := c.get("a"); !ok {
@@ -47,7 +47,7 @@ func TestCacheLRU(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	var c *cache = newCache(0, 0)
+	var c *cache = newCache(0)
 	c.put("a", lookupResult{})
 	if _, ok := c.get("a"); ok {
 		t.Fatal("disabled cache stored an entry")
@@ -57,28 +57,8 @@ func TestCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestCacheTTLExpiry(t *testing.T) {
-	c := newCache(4, 25*time.Millisecond)
-	c.put("a", lookupResult{providers: []int{1}})
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("fresh entry missing")
-	}
-	time.Sleep(40 * time.Millisecond)
-	if _, ok := c.get("a"); ok {
-		t.Fatal("expired entry served")
-	}
-	if c.len() != 0 {
-		t.Fatalf("len after expiry = %d, want 0 (get evicts)", c.len())
-	}
-	// A re-put after expiry is fresh again.
-	c.put("a", lookupResult{providers: []int{2}})
-	if got, ok := c.get("a"); !ok || got.providers[0] != 2 {
-		t.Fatalf("re-put entry = %+v, %v", got, ok)
-	}
-}
-
 func TestCachePurgeOtherEpochs(t *testing.T) {
-	c := newCache(8, 0)
+	c := newCache(8)
 	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1})
 	c.put(cacheKey(1, "bob"), lookupResult{epoch: 1, notFound: true})
 	c.put(cacheKey(2, "alice"), lookupResult{epoch: 2})
@@ -101,7 +81,7 @@ func TestCachePurgeOtherEpochs(t *testing.T) {
 // lookup left before the swap and returned after it — stays out of the
 // cache, through both put paths.
 func TestCachePutAfterPurgeRefusesOlderEpoch(t *testing.T) {
-	c := newCache(8, 0)
+	c := newCache(8)
 	c.purgeOtherEpochs(2)
 	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1})
 	c.putBatch([]cachePut{
@@ -129,7 +109,7 @@ func TestCachePutAfterPurgeRefusesOlderEpoch(t *testing.T) {
 func TestCacheKeyScopesByEpoch(t *testing.T) {
 	// Same owner, different epochs: distinct entries. An owner name that
 	// starts with digits must not collide with another epoch's key space.
-	c := newCache(8, 0)
+	c := newCache(8)
 	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1, providers: []int{1}})
 	c.put(cacheKey(2, "alice"), lookupResult{epoch: 2, providers: []int{2}})
 	if got, _ := c.get(cacheKey(1, "alice")); len(got.providers) != 1 || got.providers[0] != 1 {

@@ -144,7 +144,7 @@ func TestBatchBadJSON(t *testing.T) {
 // exactly like GET lookups do.
 func TestBatchClientRetriesTransient5xx(t *testing.T) {
 	ts, fh := flakyService(t, 2, http.StatusServiceUnavailable)
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Millisecond, 4*time.Millisecond))
 	rows, err := client.QueryBatch(context.Background(), []string{"alice", "bob"})
 	if err != nil {
 		t.Fatalf("batch through two 503s: %v", err)
@@ -159,7 +159,7 @@ func TestBatchClientRetriesTransient5xx(t *testing.T) {
 
 func TestBatchClientRetries429(t *testing.T) {
 	ts, fh := flakyService(t, 1, http.StatusTooManyRequests)
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Millisecond, 4*time.Millisecond))
 	if _, err := client.QueryBatch(context.Background(), []string{"alice"}); err != nil {
 		t.Fatalf("batch through a 429: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestBatchClientRetriesTransportError(t *testing.T) {
 		}
 		real.ServeHTTP(w, r)
 	})
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Millisecond, 4*time.Millisecond))
 	rows, err := client.QueryBatch(context.Background(), []string{"alice"})
 	if err != nil {
 		t.Fatalf("batch through a dropped connection: %v", err)
@@ -216,7 +216,7 @@ func TestBatchClientHonorsRetryAfter(t *testing.T) {
 	})
 	// Backoff is configured near-zero, so a prompt second request would
 	// arrive within a few ms; honoring Retry-After: 1 forces >= 1s.
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Microsecond, time.Microsecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Microsecond, time.Microsecond))
 	start := time.Now()
 	if _, err := client.QueryBatch(context.Background(), []string{"alice"}); err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestBatchClientHonorsRetryAfter(t *testing.T) {
 func TestBatchClientCancellationNoGoroutineLeak(t *testing.T) {
 	ts, _ := flakyService(t, 1000, http.StatusServiceUnavailable)
 	client := NewClient(ts.URL, ts.Client(),
-		WithRetries(10), WithBackoff(10*time.Second, 10*time.Second))
+		WithRetries(10), withBackoff(10*time.Second, 10*time.Second))
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)

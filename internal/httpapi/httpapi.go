@@ -456,11 +456,6 @@ func WithRetries(n int) ClientOption {
 	return func(c *Client) { c.retries = n }
 }
 
-// WithBackoff sets the initial and maximum backoff between retries.
-func WithBackoff(initial, cap time.Duration) ClientOption {
-	return func(c *Client) { c.backoff, c.backoffCap = initial, cap }
-}
-
 // NewClient returns a client for the service at base URL (e.g.
 // "http://127.0.0.1:8080"). httpClient may be nil for a default client
 // with DefaultTimeout; per-call deadlines tighter than that come from the
@@ -676,9 +671,6 @@ func (c *Client) QueryEpoch(ctx context.Context, owner string) ([]int, uint64, e
 	}
 	return qr.Providers, epoch, nil
 }
-
-// Base returns the base URL the client targets.
-func (c *Client) Base() string { return c.base }
 
 // QueryBatch resolves many owners in one round-trip. Rows come back
 // position-matched to owners, misses in-band (Found false) — one unknown

@@ -14,6 +14,12 @@ import (
 	"repro/internal/index"
 )
 
+// withBackoff sets the initial and maximum backoff between retries, so a
+// test's retries sleep milliseconds instead of DefaultBackoff.
+func withBackoff(initial, cap time.Duration) ClientOption {
+	return func(c *Client) { c.backoff, c.backoffCap = initial, cap }
+}
+
 // flakyHandler answers 5xx for the first fail requests, then delegates.
 type flakyHandler struct {
 	fail  int32
@@ -51,7 +57,7 @@ func flakyService(t *testing.T, fail int32, code int) (*httptest.Server, *flakyH
 
 func TestClientRetriesTransient5xx(t *testing.T) {
 	ts, fh := flakyService(t, 2, http.StatusServiceUnavailable)
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Millisecond, 4*time.Millisecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Millisecond, 4*time.Millisecond))
 	got, err := client.Query(context.Background(), "alice")
 	if err != nil {
 		t.Fatalf("query through two 503s: %v", err)
@@ -66,7 +72,7 @@ func TestClientRetriesTransient5xx(t *testing.T) {
 
 func TestClientGivesUpAfterRetryBudget(t *testing.T) {
 	ts, fh := flakyService(t, 100, http.StatusInternalServerError)
-	client := NewClient(ts.URL, ts.Client(), WithBackoff(time.Millisecond, 2*time.Millisecond))
+	client := NewClient(ts.URL, ts.Client(), withBackoff(time.Millisecond, 2*time.Millisecond))
 	if _, err := client.Query(context.Background(), "alice"); err == nil {
 		t.Fatal("persistent 500 succeeded")
 	}
@@ -102,7 +108,7 @@ func TestClientRetryHonorsCancellation(t *testing.T) {
 	// mid-backoff: the call must return promptly with the context error.
 	ts, _ := flakyService(t, 1000, http.StatusServiceUnavailable)
 	client := NewClient(ts.URL, ts.Client(),
-		WithRetries(10), WithBackoff(10*time.Second, 10*time.Second))
+		WithRetries(10), withBackoff(10*time.Second, 10*time.Second))
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(20 * time.Millisecond)
@@ -168,7 +174,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	rts := httptest.NewServer(fh)
 	defer rts.Close()
 	client := NewClient(rts.URL, rts.Client(),
-		WithBackoff(10*time.Second, 10*time.Second))
+		withBackoff(10*time.Second, 10*time.Second))
 	start := time.Now()
 	got, err := client.Query(context.Background(), "alice")
 	if err != nil {
@@ -194,7 +200,7 @@ func TestClientRetryAfterDoesNotSpendBackoff(t *testing.T) {
 	rts := httptest.NewServer(fh)
 	defer rts.Close()
 	client := NewClient(rts.URL, rts.Client(),
-		WithRetries(5), WithBackoff(time.Millisecond, time.Millisecond))
+		WithRetries(5), withBackoff(time.Millisecond, time.Millisecond))
 	if _, err := client.Query(context.Background(), "alice"); err != nil {
 		t.Fatalf("query: %v", err)
 	}
@@ -226,7 +232,7 @@ func TestClientRetriesConnectionError(t *testing.T) {
 	// transient network failure. Simpler deterministic stand-in: a base URL
 	// where nothing listens — every attempt fails with a connection error
 	// and the retry budget must still bound the call.
-	client := NewClient("http://127.0.0.1:1", nil, WithBackoff(time.Millisecond, 2*time.Millisecond))
+	client := NewClient("http://127.0.0.1:1", nil, withBackoff(time.Millisecond, 2*time.Millisecond))
 	start := time.Now()
 	if _, err := client.Query(context.Background(), "alice"); err == nil {
 		t.Fatal("dead server succeeded")

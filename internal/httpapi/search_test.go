@@ -56,7 +56,7 @@ func TestHealthzReportsShard(t *testing.T) {
 
 	// Wire shape: the field is absent entirely for an unsharded index.
 	_, full := testService(t)
-	raw, err := http.Get(full.Base() + "/v1/healthz")
+	raw, err := http.Get(full.base + "/v1/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func NewServer(published *bitmat.Matrix, names []string) (*Server, error) {
 // Adopt builds a server around an owner-major matrix (owners ×
 // providers: row j is the provider set of names[j]) and its row labels,
 // taking ownership of both (no copy): the caller must hold no other
-// reference. Snapshot loading, Select and the shard partitioner feed it
+// reference. Snapshot loading and the shard partitioner feed it
 // matrices they just built. Duplicate names are rejected.
 func Adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
 	if len(names) != owners.Rows() {
@@ -110,18 +110,6 @@ func Adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
 		byName[name] = j
 	}
 	return &Server{owners: owners, names: names, byName: byName}, nil
-}
-
-// Select returns a new server holding the owners at the given positions
-// of this one, in the given order, with provider lists unchanged — the
-// shard partitioner's split. Shard identity and epoch are not carried
-// over. It panics on a position out of range and rejects a repeated one.
-func (s *Server) Select(owners []int) (*Server, error) {
-	names := make([]string, len(owners))
-	for k, j := range owners {
-		names[k] = s.names[j]
-	}
-	return Adopt(s.owners.SelectRows(owners), names)
 }
 
 // SetShard marks the server as column shard id of a set of `of` shards.

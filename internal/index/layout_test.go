@@ -88,44 +88,6 @@ func TestQueryColumnAllocs(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	pub, names := raggedPublished(t)
-	srv, err := NewServer(pub, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetEpoch(4)
-	picked := []int{129, 1, 64}
-	sub, err := srv.Select(picked)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sub.Owners() != 3 || sub.Providers() != pub.Rows() {
-		t.Fatalf("selection is %d providers × %d owners", sub.Providers(), sub.Owners())
-	}
-	for k, j := range picked {
-		if sub.Names()[k] != names[j] {
-			t.Fatalf("row %d is %q, want %q", k, sub.Names()[k], names[j])
-		}
-		if got, want := sub.QueryColumn(k), pub.ColOnes(j); !reflect.DeepEqual(got, want) {
-			t.Fatalf("selected owner %d answers %v, source column %v", j, got, want)
-		}
-	}
-	if _, _, sharded := sub.ShardInfo(); sharded || sub.Epoch() != 0 {
-		t.Fatal("Select carried shard identity or epoch over")
-	}
-	if _, err := srv.Select([]int{3, 3}); err == nil {
-		t.Fatal("repeated owner accepted")
-	}
-	empty, err := srv.Select(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if empty.Owners() != 0 || empty.Providers() != pub.Rows() {
-		t.Fatalf("empty selection is %d providers × %d owners, want %d × 0", empty.Providers(), empty.Owners(), pub.Rows())
-	}
-}
-
 // TestSnapshotByteStable: write → read → write reproduces the file, on a
 // geometry where the owner rows end in a partial word.
 func TestSnapshotByteStable(t *testing.T) {

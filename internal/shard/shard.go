@@ -101,38 +101,3 @@ func Partition(published *bitmat.Matrix, names []string, of int) ([]*index.Serve
 	}
 	return out, nil
 }
-
-// PartitionServer is Partition over an existing full server (e.g. one
-// loaded from an unsharded snapshot file): its owner rows are split as
-// they are stored (Server.Select), and every shard inherits its epoch.
-// It shares no kernel with Partition beyond the hash, which makes each
-// the other's reference in the tests.
-func PartitionServer(full *index.Server, of int) ([]*index.Server, error) {
-	if full == nil {
-		return nil, errors.New("shard: nil server")
-	}
-	if of < 1 {
-		return nil, fmt.Errorf("shard: bad shard count %d", of)
-	}
-	if _, _, sharded := full.ShardInfo(); sharded {
-		return nil, errors.New("shard: refusing to re-partition an already-sharded index")
-	}
-	rows := make([][]int, of) // shard → owner positions in full
-	for j, name := range full.Names() {
-		k := For(name, of)
-		rows[k] = append(rows[k], j)
-	}
-	out := make([]*index.Server, of)
-	for k := range out {
-		srv, err := full.Select(rows[k])
-		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", k, err)
-		}
-		if err := srv.SetShard(k, of); err != nil {
-			return nil, err
-		}
-		srv.SetEpoch(full.Epoch())
-		out[k] = srv
-	}
-	return out, nil
-}

@@ -93,8 +93,7 @@ func TestPartitionCoversEveryOwnerExactlyOnce(t *testing.T) {
 // TestPartitionAnswersIdenticalToFullIndex holds every shard to the
 // per-bit column reference of the source matrix (ragged against the 64-bit
 // tile on both sides): each owner is answered by exactly its own shard
-// with ColOnes of its column, by position, by name and in a batch, and
-// splitting a full server gives the same shards as splitting the matrix.
+// with ColOnes of its column, by position, by name and in a batch.
 func TestPartitionAnswersIdenticalToFullIndex(t *testing.T) {
 	published, names := buildIndex(t, 70, 130)
 	const of = 4
@@ -102,27 +101,16 @@ func TestPartitionAnswersIdenticalToFullIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := index.NewServer(published, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full.SetEpoch(6)
-	fromServer, err := PartitionServer(full, of)
-	if err != nil {
-		t.Fatal(err)
-	}
 	local := make([]int, of) // next local column per shard: original order is kept
 	for j, name := range names {
 		want := published.ColOnes(j)
 		k := For(name, of)
-		for _, set := range [][]*index.Server{shards, fromServer} {
-			if got := set[k].QueryColumn(local[k]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("shard %d column %d (%q) = %v, source column = %v", k, local[k], name, got, want)
-			}
-			got, err := set[k].Query(name)
-			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("shard %d Query(%q) = %v, %v; source column = %v", k, name, got, err, want)
-			}
+		if got := shards[k].QueryColumn(local[k]); !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d column %d (%q) = %v, source column = %v", k, local[k], name, got, want)
+		}
+		got, err := shards[k].Query(name)
+		if err != nil || !reflect.DeepEqual(got, want) {
+			t.Fatalf("shard %d Query(%q) = %v, %v; source column = %v", k, name, got, err, want)
 		}
 		local[k]++
 		for other := range shards {
@@ -132,11 +120,11 @@ func TestPartitionAnswersIdenticalToFullIndex(t *testing.T) {
 		}
 	}
 	for k := range shards {
-		if local[k] != shards[k].Owners() || local[k] != fromServer[k].Owners() {
-			t.Fatalf("shard %d holds %d / %d owners, want %d", k, shards[k].Owners(), fromServer[k].Owners(), local[k])
+		if local[k] != shards[k].Owners() {
+			t.Fatalf("shard %d holds %d owners, want %d", k, shards[k].Owners(), local[k])
 		}
-		if shards[k].Epoch() != 0 || fromServer[k].Epoch() != 6 {
-			t.Fatalf("shard %d epochs %d / %d, want 0 / 6", k, shards[k].Epoch(), fromServer[k].Epoch())
+		if shards[k].Epoch() != 0 {
+			t.Fatalf("shard %d epoch %d, want 0", k, shards[k].Epoch())
 		}
 		// One batch over the shard's own names ≡ the singles above.
 		for i, item := range shards[k].QueryBatch(context.Background(), shards[k].Names()) {
@@ -197,17 +185,6 @@ func TestPartitionValidation(t *testing.T) {
 	}
 	if _, err := Partition(m, []string{"a"}, 2); err == nil {
 		t.Error("name/column mismatch accepted")
-	}
-}
-
-func TestPartitionServerRejectsSharded(t *testing.T) {
-	published, names := buildIndex(t, 10, 12)
-	shards, err := Partition(published, names, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := PartitionServer(shards[0], 2); err == nil {
-		t.Error("re-partitioning a shard accepted")
 	}
 }
 

@@ -254,14 +254,6 @@ func FromContext(ctx context.Context) *Span {
 	return sp
 }
 
-// ContextWith returns ctx carrying sp. A nil span returns ctx unchanged.
-func ContextWith(ctx context.Context, sp *Span) context.Context {
-	if sp == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, ctxKey{}, sp)
-}
-
 // StartChild starts a span nested under the context's active span and
 // returns a derived context carrying the new span. When the context has no
 // span it returns (ctx, nil) without allocating — the disabled-tracing

@@ -17,7 +17,8 @@
 # gateway. Last, the replication path: boot eppi-origin over the store,
 # boot a node with an empty local cache and -epoch-origin, and assert it
 # converges to the origin's epoch and answers queries from the mirrored
-# index.
+# index. Before the fleets, a secure construction runs over the TCP
+# loopback transport and must report its MPC traffic.
 # Used by CI; runnable locally via `make smoke`.
 #
 # Set SMOKE_ARTIFACT_DIR to persist debugging artifacts (final metrics
@@ -74,6 +75,19 @@ collect_artifacts() {
 
 PIDS=""
 trap 'collect_artifacts; for p in $PIDS; do kill "$p" 2>/dev/null || true; done; rm -f "$BIN" "$GW_BIN" "$CON_BIN" "$ORIGIN_BIN"; rm -rf "$ONE_STORE" "$SHARD_STORE" "$STORE" "$AUDIT" "$MIRROR_CACHE"' EXIT
+
+# Secure construction over real sockets: 12 providers make a 66-link gob
+# mesh, cheap enough for every run. The command must exit 0 and print
+# its MPC traffic line.
+TCP_OUT=$("$CON_BIN" -providers 12 -owners 8 -secure -c 3 -tcp -log-level error) || {
+  echo "smoke: secure construction over -tcp failed" >&2
+  exit 1
+}
+echo "$TCP_OUT" | grep -q 'MPC traffic:' || {
+  echo "smoke: secure construction over -tcp printed no MPC traffic: $TCP_OUT" >&2
+  exit 1
+}
+echo "smoke: secure construction over tcp ok"
 
 # A 1-shard store: the single node serves the whole index.
 "$CON_BIN" -providers 20 -owners 8 -seed 1 -epoch-dir "$ONE_STORE" >/dev/null
