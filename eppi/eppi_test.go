@@ -41,8 +41,8 @@ func TestNewNetworkValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(net.providers) != 2 || net.providers[1].Name() != "b" {
-		t.Errorf("providers = %d, want a and b", len(net.providers))
+	if len(net.providers) != 2 || net.providers[1].ID() != 1 {
+		t.Errorf("providers = %d, want a and b at ids 0 and 1", len(net.providers))
 	}
 }
 

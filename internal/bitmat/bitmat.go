@@ -10,9 +10,9 @@
 // Two families of operations coexist on purpose. Get, ColOnes and
 // ColCount probe one column bit by bit: they are the reference the rest is
 // tested against and the right tool for looking at a single column.
-// Transposed, SplitTransposed, ColCounts, RowOnes, SelectRows and OrRow
-// work a word or a 64×64 tile at a time and are what every whole-matrix
-// or hot path uses.
+// Transposed, SplitTransposed, ColCounts, RowOnes and OrRow work a word
+// or a 64×64 tile at a time and are what every whole-matrix or hot path
+// uses.
 //
 // The matrices are bitset-backed so that networks of 25,000 providers and
 // millions of identities stay addressable in memory during experiments.
@@ -154,18 +154,6 @@ func (m *Matrix) RowOnes(row int) []int {
 		for ; w != 0; w &= w - 1 {
 			out = append(out, i*64+bits.TrailingZeros64(w))
 		}
-	}
-	return out
-}
-
-// SelectRows returns a new len(rows) × Cols matrix whose row k is a copy
-// of row rows[k] — the shard partitioner's gather over an owner-major
-// index.
-func (m *Matrix) SelectRows(rows []int) *Matrix {
-	out := MustNew(len(rows), m.cols)
-	for k, row := range rows {
-		m.checkRow(row)
-		copy(out.data[k*m.words:(k+1)*m.words], m.data[row*m.words:(row+1)*m.words])
 	}
 	return out
 }

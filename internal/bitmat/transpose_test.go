@@ -83,39 +83,6 @@ func BenchmarkTranspose64(b *testing.B) {
 	}
 }
 
-func TestSelectRows(t *testing.T) {
-	m := MustNew(5, 70)
-	for r := 0; r < 5; r++ {
-		m.Set(r, r, true)
-		m.Set(r, 69-r, true)
-	}
-	got := m.SelectRows([]int{4, 1, 1})
-	if got.Rows() != 3 || got.Cols() != 70 {
-		t.Fatalf("SelectRows dims %dx%d, want 3x70", got.Rows(), got.Cols())
-	}
-	for k, src := range []int{4, 1, 1} {
-		for c := 0; c < 70; c++ {
-			if got.Get(k, c) != m.Get(src, c) {
-				t.Fatalf("row %d (source %d) differs at column %d", k, src, c)
-			}
-		}
-	}
-	got.Set(0, 0, true)
-	if m.Get(4, 0) {
-		t.Fatal("SelectRows aliases the source")
-	}
-	// No rows selected keeps the width: an empty shard still reports m.
-	if empty := m.SelectRows(nil); empty.Rows() != 0 || empty.Cols() != 70 {
-		t.Fatalf("empty selection is %dx%d, want 0x70", empty.Rows(), empty.Cols())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range row accepted")
-		}
-	}()
-	m.SelectRows([]int{5})
-}
-
 // benchMatrix is the trusted-cold benchmark geometry (bench/workloads.go)
 // at its fill: ≈ 9 published positives per owner column.
 func benchMatrix(b *testing.B) *Matrix {

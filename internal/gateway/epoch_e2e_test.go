@@ -7,7 +7,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -265,13 +264,14 @@ func TestEpochHotSwapEndToEnd(t *testing.T) {
 
 	// The cache holds no epoch-1 entries: every key is epoch-2-scoped.
 	g.cache.mu.Lock()
-	for key := range g.cache.items {
-		if !strings.HasPrefix(key, "2\x00") {
+	entries := 0
+	for s := g.cache.head; s >= 0; s = g.cache.slots[s].next {
+		if sl := &g.cache.slots[s]; sl.val.epoch != 2 {
 			g.cache.mu.Unlock()
-			t.Fatalf("stale cache key %q survived the epoch swap", key)
+			t.Fatalf("stale cache key (%d, %q) survived the epoch swap", sl.val.epoch, sl.owner)
 		}
+		entries++
 	}
-	entries := len(g.cache.items)
 	g.cache.mu.Unlock()
 	if entries == 0 {
 		t.Fatal("cache empty after epoch-2 sweep")

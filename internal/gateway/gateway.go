@@ -7,11 +7,13 @@
 // owning shard. On top of plain routing the gateway layers the techniques
 // a locator service needs to face heavy traffic:
 //
-//   - response caching: an LRU over lookup results, safe because M' is
-//     public by construction — the Eq. 2 noise is fixed at publication
-//     time, so a cached answer equals a fresh one until the next index
-//     version. Concurrent misses on one owner are deduplicated
-//     (singleflight) so a hot identity costs one upstream request.
+//   - response caching: an LRU over lookup results — the provider lists
+//     as the node encoded them, written out again as they are — safe
+//     because M' is public by construction: the Eq. 2 noise is fixed at
+//     publication time, so a cached answer equals a fresh one until the
+//     next index version. Concurrent misses on one owner are
+//     deduplicated (singleflight) so a hot identity costs one upstream
+//     request.
 //   - hedged requests: when a lookup exceeds an adaptive latency
 //     percentile of recent upstream calls, a second request is fired at
 //     the next replica and the first answer wins — tail latency of a slow
@@ -36,6 +38,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -85,7 +88,8 @@ type Config struct {
 	// trusted until a lookup fails through them).
 	ProbePeriod time.Duration
 	// Client is the upstream HTTP client shared by all shard clients; nil
-	// uses the httpapi default (DefaultTimeout, retries on).
+	// builds one with httpapi.DefaultTimeout over a transport that keeps
+	// MaxInFlight idle connections per replica.
 	Client *http.Client
 	// Registry receives gateway metrics; nil disables them.
 	Registry *metrics.Registry
@@ -123,6 +127,11 @@ type Gateway struct {
 	hot     *audit.HotTracker
 	probeWG sync.WaitGroup
 	stop    context.CancelFunc
+	// upstream is the transport New built when Config.Client was nil;
+	// Close drops its idle connections.
+	upstream *http.Transport
+	// scratch pools batchScratch values.
+	scratch sync.Pool
 
 	// epoch is the highest publication epoch any upstream has reported.
 	// It keys the response cache: advancing it orphans every entry of the
@@ -184,6 +193,23 @@ func New(cfg Config) (*Gateway, error) {
 		hot:    audit.NewHotTracker(cfg.HotWindow, cfg.HotThreshold, cfg.Registry, logger),
 	}
 	g.gate = newGate(maxInFlight, queueWait)
+	g.scratch.New = func() any { return new(batchScratch) }
+	client := cfg.Client
+	if client == nil {
+		replicas := 0
+		for _, bases := range cfg.Shards {
+			replicas += len(bases)
+		}
+		// An admitted request holds at most one connection to each
+		// replica it reaches (two only while a hedge races), so keep
+		// MaxInFlight idle per replica. http.DefaultTransport keeps two per
+		// host: above two concurrent requests a replica's connections were
+		// closed after each answer and dialed again for the next.
+		g.upstream = http.DefaultTransport.(*http.Transport).Clone()
+		g.upstream.MaxIdleConnsPerHost = maxInFlight
+		g.upstream.MaxIdleConns = maxInFlight * replicas
+		client = &http.Client{Transport: g.upstream, Timeout: httpapi.DefaultTimeout}
+	}
 	if reg := cfg.Registry; reg != nil {
 		g.inst = instruments{
 			lookups:     reg.Counter("eppi_gateway_lookups_total", "Lookups admitted by the gateway."),
@@ -209,7 +235,7 @@ func New(cfg Config) (*Gateway, error) {
 		}
 		st := &shardState{id: k}
 		for i, base := range bases {
-			r := &replica{base: base, client: httpapi.NewClient(base, cfg.Client)}
+			r := &replica{base: base, client: httpapi.NewClient(base, client)}
 			r.up.Store(true) // trusted until a probe or a lookup says otherwise
 			r.upG = cfg.Registry.Gauge("eppi_gateway_replica_up",
 				"1 when the replica answered its last health probe.",
@@ -232,11 +258,14 @@ func New(cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// Close stops the health prober. The handler keeps working (probing
-// verdicts just freeze).
+// Close stops the health prober and drops idle upstream connections.
+// The handler keeps working (probing verdicts just freeze).
 func (g *Gateway) Close() {
 	g.stop()
 	g.probeWG.Wait()
+	if g.upstream != nil {
+		g.upstream.CloseIdleConnections()
+	}
 }
 
 // Shards returns the shard count the gateway routes over.
@@ -271,7 +300,7 @@ func (g *Gateway) Lookup(ctx context.Context, owner string) ([]int, error) {
 	if res.notFound {
 		return nil, fmt.Errorf("%w: %q", httpapi.ErrOwnerNotFound, owner)
 	}
-	return res.providers, nil
+	return httpapi.DecodeProviders(res.providers), nil
 }
 
 // Epoch returns the highest publication epoch any upstream shard has
@@ -303,19 +332,19 @@ func (g *Gateway) observeEpoch(e uint64) {
 // the response cache (for the span annotation and the handler's counters).
 func (g *Gateway) lookup(ctx context.Context, owner string) (lookupResult, bool, error) {
 	g.inst.lookups.Inc()
-	key := cacheKey(g.epoch.Load(), owner)
-	if res, ok := g.cache.get(key); ok {
+	epoch := g.epoch.Load()
+	if res, ok := g.cache.get(epoch, owner); ok {
 		g.inst.cacheHits.Inc()
 		return res, true, nil
 	}
 	g.inst.cacheMiss.Inc()
-	res, shared, err := g.flight.do(ctx, key, func() (lookupResult, error) {
+	res, shared, err := g.flight.do(ctx, flightKey{epoch, owner}, func() (lookupResult, error) {
 		res, err := g.fetch(ctx, owner)
 		if err == nil {
 			g.observeEpoch(res.epoch)
 			// Key by the epoch that actually answered: mid-swap, a newer
 			// upstream's answer must not be findable under the old epoch.
-			g.cache.put(cacheKey(res.epoch, owner), res)
+			g.cache.put(owner, res)
 		}
 		return res, err
 	})
@@ -337,7 +366,7 @@ func (g *Gateway) fetch(ctx context.Context, owner string) (lookupResult, error)
 	candidates := g.shards[k].candidates()
 	res, winner, hedged, err := raceReplicas(g, ctx, candidates,
 		func(ctx context.Context, r *replica, asp *trace.Span) (lookupResult, error) {
-			providers, epoch, err := r.client.QueryEpoch(ctx, owner)
+			providers, epoch, err := r.client.QueryRaw(ctx, owner)
 			asp.SetUint("epoch", epoch)
 			switch {
 			case err == nil:
@@ -472,14 +501,18 @@ type BatchAnswer struct {
 	// failed). Partial shard failures surface here per owner — the other
 	// rows of the batch are unaffected.
 	Err error
+
+	// raw is the provider list as the node encoded it (nil with Err);
+	// the handler writes it out and LookupBatchInto decodes it.
+	raw []byte
 }
 
 // LookupBatch resolves many owners in one pass: cache hits are served
 // without touching upstreams, the misses are grouped by owning shard
-// (shard.Group — duplicates collapse), one sub-batch request per shard is
-// fired concurrently through the same hedging/failover race as single
-// lookups, shard failures degrade to per-owner errors, and every batch
-// answer back-fills the (epoch, owner) response cache. Answers are
+// (duplicates collapse), one sub-batch request per shard is fired
+// concurrently through the same hedging/failover race as single lookups,
+// shard failures degrade to per-owner errors, and every batch answer
+// back-fills the (epoch, owner) response cache. Answers are
 // position-matched to owners. It is the programmatic form of
 // POST /v1/query/batch.
 func (g *Gateway) LookupBatch(ctx context.Context, owners []string) []BatchAnswer {
@@ -491,7 +524,97 @@ func (g *Gateway) LookupBatch(ctx context.Context, owners []string) []BatchAnswe
 // not feed the garbage collector one answer slice per call — at warm
 // batch rates the GC assists otherwise dominate the tail. buf is grown
 // when too small; the returned slice is the answer, always len(owners).
+// Each row's Providers is decoded from the bytes the handler forwards.
 func (g *Gateway) LookupBatchInto(ctx context.Context, owners []string, buf []BatchAnswer) []BatchAnswer {
+	sc := g.scratch.Get().(*batchScratch)
+	defer g.putScratch(sc)
+	answers := g.lookupBatch(ctx, owners, buf, sc)
+	for i := range answers {
+		if a := &answers[i]; a.raw != nil {
+			a.Providers = httpapi.DecodeProviders(a.raw)
+		}
+	}
+	return answers
+}
+
+// batchScratch is one batch's working memory, pooled so that routing and
+// merging a batch allocate nothing per owner.
+type batchScratch struct {
+	answers []BatchAnswer // the handler's answer rows
+	hashes  []uint64      // ownerHash per position
+	// first maps a miss position to the position whose upstream row
+	// answers it: itself, or the first earlier position of the same owner.
+	first []int32
+	dedup []int32 // open-addressed miss positions + 1, probed by hash
+	// pos[k] lists the positions shard k answers, in the order of its
+	// sub-batch request owners[k]; a node answers in request order, so
+	// row r of shard k answers position pos[k][r].
+	pos [][]int32
+	// owners[k] is shard k's sub-batch. Its backing array is fresh per
+	// batch, never pooled: a losing hedge attempt may still be checking
+	// its rows against it after the batch has returned.
+	owners [][]string
+	outs   []shardOut
+	wg     sync.WaitGroup // the sub-batch fetches in flight
+	puts   []cachePut
+}
+
+// shardOut is one shard's answer to its sub-batch.
+type shardOut struct {
+	rows  *httpapi.RawBatch
+	epoch uint64
+	err   error
+}
+
+// reset sizes the scratch for n owners over shards shards.
+func (sc *batchScratch) reset(n, shards int) {
+	sc.hashes = slices.Grow(sc.hashes[:0], n)[:n]
+	sc.first = slices.Grow(sc.first[:0], n)[:n]
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	sc.dedup = slices.Grow(sc.dedup[:0], size)[:size]
+	clear(sc.dedup)
+	if len(sc.pos) != shards {
+		sc.pos = make([][]int32, shards)
+		sc.owners = make([][]string, shards)
+		sc.outs = make([]shardOut, shards)
+	}
+	for k := range sc.pos {
+		sc.pos[k] = sc.pos[k][:0]
+	}
+	sc.puts = sc.puts[:0]
+}
+
+// putScratch pools sc, dropping its references into the batch first.
+func (g *Gateway) putScratch(sc *batchScratch) {
+	clear(sc.answers)
+	clear(sc.owners)
+	clear(sc.outs)
+	clear(sc.puts)
+	g.scratch.Put(sc)
+}
+
+// firstOf returns the first miss position holding owners[i]'s owner,
+// entering i when it is the first.
+func (sc *batchScratch) firstOf(owners []string, i int) int32 {
+	mask := uint64(len(sc.dedup) - 1)
+	for t := sc.hashes[i] & mask; ; t = (t + 1) & mask {
+		j := sc.dedup[t] - 1
+		if j < 0 {
+			sc.dedup[t] = int32(i) + 1
+			return int32(i)
+		}
+		if sc.hashes[j] == sc.hashes[i] && owners[j] == owners[i] {
+			return j
+		}
+	}
+}
+
+// lookupBatch is LookupBatchInto without the decode, working in sc: rows
+// carry raw, and Providers stays nil.
+func (g *Gateway) lookupBatch(ctx context.Context, owners []string, buf []BatchAnswer, sc *batchScratch) []BatchAnswer {
 	ctx, sp := trace.StartChild(ctx, "gateway.batch")
 	sp.SetInt("batch_size", len(owners))
 	defer sp.End()
@@ -502,21 +625,23 @@ func (g *Gateway) LookupBatchInto(ctx context.Context, owners []string, buf []Ba
 		answers = buf[:len(owners)]
 		// The merge path below distinguishes misses by the Cached flag, so
 		// flags left over from the buffer's previous life must be reset.
-		// (A full clear would do, but resetting one bool per row is ~4×
-		// cheaper than zeroing 72 bytes; hit rows are rewritten whole and
-		// miss rows are assigned whole in the merge, so nothing else
-		// stale is ever read.)
+		// Every row is then assigned whole — hits by the cache pass, misses
+		// by the merge — so nothing else stale is ever read.
 		for i := range answers {
 			answers[i].Cached = false
 		}
 	} else {
 		answers = make([]BatchAnswer, len(owners))
 	}
+	sc.reset(len(owners), len(g.shards))
+	for i, owner := range owners {
+		sc.hashes[i] = ownerHash(owner)
+	}
 
 	// Cache pass: one lock acquisition and one epoch load for the whole
 	// batch — the warm path is why batching pays. The Cached flag doubles
 	// as the hit marker: an unresolved row keeps Cached false.
-	hits := g.cache.getBatch(g.epoch.Load(), owners, answers)
+	hits := g.cache.getBatch(g.epoch.Load(), owners, sc.hashes, answers)
 	g.inst.cacheHits.Add(uint64(hits))
 	g.inst.cacheMiss.Add(uint64(len(owners) - hits))
 	sp.SetInt("cache_hits", hits)
@@ -524,84 +649,77 @@ func (g *Gateway) LookupBatchInto(ctx context.Context, owners []string, buf []Ba
 		return answers
 	}
 
-	missOwners := make([]string, 0, len(owners)-hits)
-	for i := range answers {
-		if !answers[i].Cached {
-			missOwners = append(missOwners, owners[i])
-		}
-	}
-	groups := shard.Group(missOwners, len(g.shards))
-	type shardOut struct {
-		rows  []httpapi.BatchRow
-		epoch uint64
-		err   error
-	}
-	outs := make([]shardOut, len(groups))
-	var wg sync.WaitGroup
-	for k, group := range groups {
-		if len(group) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(k int, group []string) {
-			defer wg.Done()
-			rows, epoch, err := g.fetchBatch(ctx, k, group)
-			outs[k] = shardOut{rows: rows, epoch: epoch, err: err}
-		}(k, group)
-	}
-	wg.Wait()
-
-	// Merge the sub-batches: shard failures become per-owner errors, and
-	// successful rows back-fill the cache under the epoch that answered
-	// them (mid-swap, a newer shard's rows must not be findable under the
-	// old epoch — same rule as single lookups).
-	byOwner := make(map[string]BatchAnswer, len(missOwners))
-	puts := make([]cachePut, 0, len(missOwners))
-	var maxEpoch uint64
-	failedShards := 0
-	for k := range outs {
-		out := &outs[k]
-		if len(groups[k]) == 0 {
-			continue
-		}
-		if out.err != nil {
-			failedShards++
-			for _, owner := range groups[k] {
-				byOwner[owner] = BatchAnswer{Owner: owner,
-					Err: fmt.Errorf("shard %d: %w", k, out.err)}
-			}
-			continue
-		}
-		if out.epoch > maxEpoch {
-			maxEpoch = out.epoch
-		}
-		for _, row := range out.rows {
-			providers := row.Providers
-			if row.Found && providers == nil {
-				providers = []int{}
-			}
-			byOwner[row.Owner] = BatchAnswer{Owner: row.Owner, Found: row.Found,
-				Providers: providers, Epoch: out.epoch}
-			puts = append(puts, cachePut{
-				key: cacheKey(out.epoch, row.Owner),
-				val: lookupResult{providers: providers, notFound: !row.Found, epoch: out.epoch},
-			})
-		}
-	}
-	g.observeEpoch(maxEpoch)
-	g.cache.putBatch(puts)
+	// Route the misses: each distinct owner joins its shard's sub-batch
+	// once, and a repeat is answered from its first position.
+	distinct := 0
 	for i := range answers {
 		if answers[i].Cached {
 			continue
 		}
-		ans, resolved := byOwner[owners[i]]
-		if !resolved {
-			// Defensive: a shard answered its sub-batch but dropped a row.
-			ans = BatchAnswer{Owner: owners[i],
-				Err: fmt.Errorf("gateway: shard %d returned no row for %q",
-					shard.For(owners[i], len(g.shards)), owners[i])}
+		if sc.first[i] = sc.firstOf(owners, i); sc.first[i] != int32(i) {
+			continue
 		}
-		answers[i] = ans
+		k := shard.For(owners[i], len(g.shards))
+		sc.pos[k] = append(sc.pos[k], int32(i))
+		distinct++
+	}
+	sub := make([]string, 0, distinct)
+	for k, pos := range sc.pos {
+		start := len(sub)
+		for _, i := range pos {
+			sub = append(sub, owners[i])
+		}
+		sc.owners[k] = sub[start:len(sub):len(sub)]
+	}
+	for k := range sc.owners {
+		if len(sc.owners[k]) > 0 {
+			sc.wg.Add(1)
+			go g.fetchInto(ctx, k, sc)
+		}
+	}
+	sc.wg.Wait()
+
+	// Merge the sub-batches by position: shard failures become per-owner
+	// errors, and successful rows back-fill the cache under the epoch
+	// that answered them (mid-swap, a newer shard's rows must not be
+	// findable under the old epoch — same rule as single lookups).
+	var maxEpoch uint64
+	failedShards := 0
+	for k, pos := range sc.pos {
+		if len(pos) == 0 {
+			continue
+		}
+		out := &sc.outs[k]
+		if out.err != nil {
+			failedShards++
+			err := fmt.Errorf("shard %d: %w", k, out.err)
+			for _, i := range pos {
+				answers[i] = BatchAnswer{Owner: owners[i], Err: err}
+			}
+			continue
+		}
+		maxEpoch = max(maxEpoch, out.epoch)
+		for r, i := range pos {
+			if r >= out.rows.Len() {
+				// Defensive: a shard answered its sub-batch but dropped rows.
+				answers[i] = BatchAnswer{Owner: owners[i],
+					Err: fmt.Errorf("gateway: shard %d returned no row for %q", k, owners[i])}
+				continue
+			}
+			found, providers := out.rows.Row(r)
+			raw := httpapi.CloneProviders(providers) // the cache and the answer share it
+			answers[i] = BatchAnswer{Owner: owners[i], Found: found, Epoch: out.epoch, raw: raw}
+			sc.puts = append(sc.puts, cachePut{owner: owners[i], hash: sc.hashes[i],
+				val: lookupResult{providers: raw, notFound: !found, epoch: out.epoch}})
+		}
+		out.rows.Release()
+	}
+	g.observeEpoch(maxEpoch)
+	g.cache.putBatch(sc.puts)
+	for i := range answers {
+		if j := sc.first[i]; !answers[i].Cached && j != int32(i) {
+			answers[i] = answers[j]
+		}
 	}
 	if failedShards > 0 {
 		sp.SetInt("failed_shards", failedShards)
@@ -609,22 +727,29 @@ func (g *Gateway) LookupBatchInto(ctx context.Context, owners []string, buf []Ba
 	return answers
 }
 
+// fetchInto resolves shard k's sub-batch of a batch into sc.outs[k].
+func (g *Gateway) fetchInto(ctx context.Context, k int, sc *batchScratch) {
+	defer sc.wg.Done()
+	out := &sc.outs[k]
+	out.rows, out.epoch, out.err = g.fetchBatch(ctx, k, sc.owners[k])
+}
+
 // fetchBatch resolves one shard's sub-batch upstream through the same
 // replica race (hedging, failover) as single-owner fetches.
-func (g *Gateway) fetchBatch(ctx context.Context, k int, owners []string) ([]httpapi.BatchRow, uint64, error) {
+func (g *Gateway) fetchBatch(ctx context.Context, k int, owners []string) (*httpapi.RawBatch, uint64, error) {
 	ctx, sp := trace.StartChild(ctx, "gateway.batch_shard")
 	sp.SetInt("shard", k)
 	sp.SetInt("sub_batch", len(owners))
 	defer sp.End()
 	type batchOut struct {
-		rows  []httpapi.BatchRow
+		rows  *httpapi.RawBatch
 		epoch uint64
 	}
 	candidates := g.shards[k].candidates()
 	out, winner, hedged, err := raceReplicas(g, ctx, candidates,
 		func(ctx context.Context, r *replica, asp *trace.Span) (batchOut, error) {
 			g.inst.batchSubreq.Inc()
-			rows, epoch, err := r.client.QueryBatchEpoch(ctx, owners)
+			rows, epoch, err := r.client.QueryBatchRaw(ctx, owners)
 			asp.SetUint("epoch", epoch)
 			if err != nil {
 				return batchOut{}, err

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -26,19 +28,19 @@ import (
 
 func TestCacheLRU(t *testing.T) {
 	c := newCache(2)
-	c.put("a", lookupResult{providers: []int{1}})
-	c.put("b", lookupResult{providers: []int{2}})
-	if _, ok := c.get("a"); !ok {
+	c.put("a", lookupResult{providers: []byte("[1]")})
+	c.put("b", lookupResult{providers: []byte("[2]")})
+	if _, ok := c.get(0, "a"); !ok {
 		t.Fatal("a missing")
 	}
-	c.put("c", lookupResult{providers: []int{3}}) // evicts b (a was touched)
-	if _, ok := c.get("b"); ok {
+	c.put("c", lookupResult{providers: []byte("[3]")}) // evicts b (a was touched)
+	if _, ok := c.get(0, "b"); ok {
 		t.Fatal("b survived past capacity")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.get(0, "a"); !ok {
 		t.Fatal("a evicted despite being most recently used")
 	}
-	if got, ok := c.get("c"); !ok || got.providers[0] != 3 {
+	if got, ok := c.get(0, "c"); !ok || string(got.providers) != "[3]" {
 		t.Fatalf("c = %+v, %v", got, ok)
 	}
 	if c.len() != 2 {
@@ -49,7 +51,7 @@ func TestCacheLRU(t *testing.T) {
 func TestCacheDisabled(t *testing.T) {
 	var c *cache = newCache(0)
 	c.put("a", lookupResult{})
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.get(0, "a"); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
 	if c.len() != 0 {
@@ -59,20 +61,20 @@ func TestCacheDisabled(t *testing.T) {
 
 func TestCachePurgeOtherEpochs(t *testing.T) {
 	c := newCache(8)
-	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1})
-	c.put(cacheKey(1, "bob"), lookupResult{epoch: 1, notFound: true})
-	c.put(cacheKey(2, "alice"), lookupResult{epoch: 2})
+	c.put("alice", lookupResult{epoch: 1})
+	c.put("bob", lookupResult{epoch: 1, notFound: true})
+	c.put("alice", lookupResult{epoch: 2})
 	c.purgeOtherEpochs(2)
 	if c.len() != 1 {
 		t.Fatalf("len after purge = %d, want 1", c.len())
 	}
-	if _, ok := c.get(cacheKey(1, "alice")); ok {
+	if _, ok := c.get(1, "alice"); ok {
 		t.Fatal("epoch-1 entry survived the purge")
 	}
-	if _, ok := c.get(cacheKey(1, "bob")); ok {
+	if _, ok := c.get(1, "bob"); ok {
 		t.Fatal("epoch-1 negative entry survived the purge")
 	}
-	if _, ok := c.get(cacheKey(2, "alice")); !ok {
+	if _, ok := c.get(2, "alice"); !ok {
 		t.Fatal("current-epoch entry purged")
 	}
 }
@@ -83,25 +85,25 @@ func TestCachePurgeOtherEpochs(t *testing.T) {
 func TestCachePutAfterPurgeRefusesOlderEpoch(t *testing.T) {
 	c := newCache(8)
 	c.purgeOtherEpochs(2)
-	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1})
+	c.put("alice", lookupResult{epoch: 1})
 	c.putBatch([]cachePut{
-		{key: cacheKey(1, "bob"), val: lookupResult{epoch: 1, notFound: true}},
-		{key: cacheKey(2, "bob"), val: lookupResult{epoch: 2}},
+		{owner: "bob", hash: ownerHash("bob"), val: lookupResult{epoch: 1, notFound: true}},
+		{owner: "bob", hash: ownerHash("bob"), val: lookupResult{epoch: 2}},
 	})
-	c.put(cacheKey(3, "carol"), lookupResult{epoch: 3})
+	c.put("carol", lookupResult{epoch: 3})
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2 (epoch-1 puts refused)", c.len())
 	}
-	if _, ok := c.get(cacheKey(1, "alice")); ok {
+	if _, ok := c.get(1, "alice"); ok {
 		t.Fatal("epoch-1 put landed after the epoch-2 purge")
 	}
-	if _, ok := c.get(cacheKey(1, "bob")); ok {
+	if _, ok := c.get(1, "bob"); ok {
 		t.Fatal("epoch-1 batch put landed after the epoch-2 purge")
 	}
-	if _, ok := c.get(cacheKey(2, "bob")); !ok {
+	if _, ok := c.get(2, "bob"); !ok {
 		t.Fatal("current-epoch batch put refused")
 	}
-	if _, ok := c.get(cacheKey(3, "carol")); !ok {
+	if _, ok := c.get(3, "carol"); !ok {
 		t.Fatal("newer-epoch put refused")
 	}
 }
@@ -110,16 +112,161 @@ func TestCacheKeyScopesByEpoch(t *testing.T) {
 	// Same owner, different epochs: distinct entries. An owner name that
 	// starts with digits must not collide with another epoch's key space.
 	c := newCache(8)
-	c.put(cacheKey(1, "alice"), lookupResult{epoch: 1, providers: []int{1}})
-	c.put(cacheKey(2, "alice"), lookupResult{epoch: 2, providers: []int{2}})
-	if got, _ := c.get(cacheKey(1, "alice")); len(got.providers) != 1 || got.providers[0] != 1 {
+	c.put("alice", lookupResult{epoch: 1, providers: []byte("[1]")})
+	c.put("alice", lookupResult{epoch: 2, providers: []byte("[2]")})
+	if got, _ := c.get(1, "alice"); string(got.providers) != "[1]" {
 		t.Fatalf("epoch-1 entry = %+v", got)
 	}
-	if got, _ := c.get(cacheKey(2, "alice")); len(got.providers) != 1 || got.providers[0] != 2 {
+	if got, _ := c.get(2, "alice"); string(got.providers) != "[2]" {
 		t.Fatalf("epoch-2 entry = %+v", got)
 	}
-	if cacheKey(1, "2alice") == cacheKey(12, "alice") {
-		t.Fatal("epoch/owner boundary ambiguous")
+	c.put("2alice", lookupResult{epoch: 1, providers: []byte("[3]")})
+	c.put("alice", lookupResult{epoch: 12, providers: []byte("[4]")})
+	if got, _ := c.get(1, "2alice"); string(got.providers) != "[3]" {
+		t.Fatalf("(1, 2alice) = %+v", got)
+	}
+	if got, _ := c.get(12, "alice"); string(got.providers) != "[4]" {
+		t.Fatalf("(12, alice) = %+v: epoch/owner boundary ambiguous", got)
+	}
+}
+
+// TestCacheHashCollision: keys sharing one hash are separate entries —
+// a probe checks the slot's owner and epoch, so a collision never
+// answers for the wrong key — and evicting one leaves the other findable.
+func TestCacheHashCollision(t *testing.T) {
+	c := newCache(2)
+	const h = 12345
+	c.mu.Lock()
+	c.insert(h, "x", lookupResult{epoch: 1, providers: []byte("[1]")})
+	c.insert(h, "y", lookupResult{epoch: 1, providers: []byte("[2]")})
+	c.insert(h, "x", lookupResult{epoch: 2, providers: []byte("[3]")}) // evicts (1, x)
+	for _, tc := range []struct {
+		epoch uint64
+		owner string
+		want  string
+	}{{1, "x", ""}, {1, "y", "[2]"}, {2, "x", "[3]"}, {2, "y", ""}} {
+		got := ""
+		if s := c.find(h, tc.epoch, tc.owner); s >= 0 {
+			got = string(c.slots[s].val.providers)
+		}
+		if got != tc.want {
+			t.Errorf("(%d, %s) = %q, want %q", tc.epoch, tc.owner, got, tc.want)
+		}
+	}
+	c.mu.Unlock()
+}
+
+// TestCacheMatchesReference drives the slab cache and a map + list
+// reference LRU with the same random operations over few keys (so
+// probes chain, evict and shift) and requires equal answers throughout.
+func TestCacheMatchesReference(t *testing.T) {
+	type key struct {
+		epoch uint64
+		owner string
+	}
+	const capacity = 5
+	c := newCache(capacity)
+	var order []key // reference LRU, most recent first
+	vals := map[key]string{}
+	var floor uint64
+	touch := func(k key) {
+		for i, o := range order {
+			if o == k {
+				order = append(order[:i], order[i+1:]...)
+				break
+			}
+		}
+		order = append([]key{k}, order...)
+	}
+	rng := rand.New(rand.NewPCG(3, 4))
+	for step := 0; step < 20000; step++ {
+		k := key{uint64(1 + rng.IntN(3)), fmt.Sprint("o", rng.IntN(9))}
+		switch op := rng.IntN(10); {
+		case op < 4:
+			got, ok := c.get(k.epoch, k.owner)
+			want, wantOK := vals[k]
+			if ok != wantOK || ok && string(got.providers) != want {
+				t.Fatalf("step %d: get %v = %q %v, want %q %v", step, k, got.providers, ok, want, wantOK)
+			}
+			if ok {
+				touch(k)
+			}
+		case op < 9:
+			v := fmt.Sprint("[", step, "]")
+			c.put(k.owner, lookupResult{epoch: k.epoch, providers: []byte(v)})
+			if k.epoch < floor {
+				continue
+			}
+			vals[k] = v
+			touch(k)
+			if len(order) > capacity {
+				delete(vals, order[capacity])
+				order = order[:capacity]
+			}
+		default:
+			c.purgeOtherEpochs(k.epoch)
+			floor = max(floor, k.epoch)
+			kept := order[:0]
+			for _, o := range order {
+				if o.epoch == k.epoch {
+					kept = append(kept, o)
+				} else {
+					delete(vals, o)
+				}
+			}
+			order = kept
+		}
+		if c.len() != len(order) {
+			t.Fatalf("step %d: len %d, reference %d", step, c.len(), len(order))
+		}
+	}
+}
+
+// TestCacheAllocFree: at capacity, every cache operation — a promoting
+// get, a put that evicts, a batch probe and a batch put — allocates
+// nothing.
+func TestCacheAllocFree(t *testing.T) {
+	const capacity = 64
+	c := newCache(capacity)
+	owners := make([]string, 4*capacity)
+	hashes := make([]uint64, len(owners))
+	for i := range owners {
+		owners[i] = fmt.Sprint("owner://site-", i, ".example.org")
+		hashes[i] = ownerHash(owners[i])
+	}
+	list := []byte("[1,2,3]")
+	for _, o := range owners {
+		c.put(o, lookupResult{epoch: 1, providers: list})
+	}
+	answers := make([]BatchAnswer, capacity)
+	puts := make([]cachePut, capacity)
+	next := 0
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"get", func() { c.get(1, owners[next%len(owners)]); next++ }},
+		{"put", func() { c.put(owners[next%len(owners)], lookupResult{epoch: 1, providers: list}); next++ }},
+		{"getBatch", func() {
+			lo := next % (len(owners) - capacity)
+			c.getBatch(1, owners[lo:lo+capacity], hashes[lo:lo+capacity], answers)
+			next += 7
+		}},
+		{"putBatch", func() {
+			lo := next % (len(owners) - capacity)
+			for i := range puts {
+				puts[i] = cachePut{owner: owners[lo+i], hash: hashes[lo+i], val: lookupResult{epoch: 1, providers: list}}
+			}
+			c.putBatch(puts)
+			next += 7
+		}},
+	} {
+		if n := testing.AllocsPerRun(500, tc.op); n != 0 {
+			t.Errorf("%s allocates %v times per call, want 0", tc.name, n)
+		}
+	}
+	if c.len() != capacity {
+		t.Fatalf("len = %d, want %d", c.len(), capacity)
 	}
 }
 
@@ -134,12 +281,12 @@ func TestFlightDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, sh, err := f.do(context.Background(), "alice", func() (lookupResult, error) {
+			res, sh, err := f.do(context.Background(), flightKey{owner: "alice"}, func() (lookupResult, error) {
 				calls.Add(1)
 				<-release
-				return lookupResult{providers: []int{7}}, nil
+				return lookupResult{providers: []byte("[7]")}, nil
 			})
-			if err != nil || len(res.providers) != 1 {
+			if err != nil || string(res.providers) != "[7]" {
 				t.Errorf("do = %+v, %v", res, err)
 			}
 			shared[i] = sh
@@ -167,14 +314,14 @@ func TestFlightFollowerHonorsContext(t *testing.T) {
 	f := newFlight()
 	release := make(chan struct{})
 	defer close(release)
-	go f.do(context.Background(), "alice", func() (lookupResult, error) {
+	go f.do(context.Background(), flightKey{owner: "alice"}, func() (lookupResult, error) {
 		<-release
 		return lookupResult{}, nil
 	})
 	time.Sleep(10 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, _, err := f.do(ctx, "alice", func() (lookupResult, error) {
+	_, _, err := f.do(ctx, flightKey{owner: "alice"}, func() (lookupResult, error) {
 		t.Error("follower ran the function")
 		return lookupResult{}, nil
 	})
@@ -386,6 +533,57 @@ func TestGatewayFailoverToReplica(t *testing.T) {
 	}
 	if fo := reg.Counter("eppi_gateway_failovers_total", "").Value(); fo == 0 {
 		t.Fatal("no failovers counted despite dead primaries")
+	}
+}
+
+// TestGatewayReusesUpstreamConnections: with no Config.Client the
+// gateway's own transport keeps enough idle connections that 16
+// concurrent lookups, round after round, reuse their connections to a
+// replica. http.DefaultTransport keeps two idle per host, so each round
+// closed fourteen and dialed fourteen anew (about 72 dials and 69 closes
+// over five rounds). net/http hands a connection back to the idle pool a
+// moment after its body is read, so a round can still dial one or two
+// extra connections; none may be closed.
+func TestGatewayReusesUpstreamConnections(t *testing.T) {
+	const concurrent, rounds = 16, 5
+	full, names, _, _ := buildShardedFixture(t, 20, concurrent*rounds, 1, 1)
+	h, err := httpapi.NewHandler(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dials, closes atomic.Int32
+	ts := httptest.NewUnstartedServer(h)
+	ts.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		switch st {
+		case http.StateNew:
+			dials.Add(1)
+		case http.StateClosed:
+			closes.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	g, err := New(Config{Shards: [][]string{{ts.URL}}, ProbePeriod: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(g.Close)
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for _, owner := range names[r*concurrent : (r+1)*concurrent] {
+			wg.Add(1)
+			go func(owner string) {
+				defer wg.Done()
+				if _, err := g.Lookup(context.Background(), owner); err != nil {
+					t.Errorf("lookup %q: %v", owner, err)
+				}
+			}(owner)
+		}
+		wg.Wait()
+	}
+	if n, c := dials.Load(), closes.Load(); c > 0 || n > 2*concurrent {
+		t.Fatalf("%d connections dialed and %d closed for %d rounds of %d concurrent lookups, want none closed and <= %d dialed",
+			n, c, rounds, concurrent, 2*concurrent)
 	}
 }
 

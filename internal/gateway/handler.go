@@ -147,7 +147,11 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ownerShard := shard.For(owner, len(g.shards))
 	res, cached, err := g.lookup(r.Context(), owner)
 	if sp := trace.FromContext(r.Context()); sp != nil {
-		sp.Set("cache", map[bool]string{true: "hit", false: "miss"}[cached])
+		if cached {
+			sp.Set("cache", "hit")
+		} else {
+			sp.Set("cache", "miss")
+		}
 	}
 	if err != nil {
 		if g.sink != nil {
@@ -167,9 +171,9 @@ func (g *Gateway) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if g.sink != nil {
-		g.auditRecord(r, "query", owner, ownerShard, res.epoch, len(res.providers), http.StatusOK)
+		g.auditRecord(r, "query", owner, ownerShard, res.epoch, httpapi.CountProviders(res.providers), http.StatusOK)
 	}
-	httpapi.WriteQuery(w, owner, res.providers)
+	httpapi.WriteQueryRaw(w, owner, res.providers)
 }
 
 // handleBatch is the gateway's POST /v1/query/batch: the whole batch is
@@ -189,7 +193,10 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, owner := range owners {
 		g.hot.Observe(owner)
 	}
-	answers := g.LookupBatch(r.Context(), owners)
+	sc := g.scratch.Get().(*batchScratch)
+	defer g.putScratch(sc)
+	answers := g.lookupBatch(r.Context(), owners, sc.answers, sc)
+	sc.answers = answers
 	if g.sink != nil {
 		for _, ans := range answers {
 			ownerShard := shard.For(ans.Owner, len(g.shards))
@@ -199,14 +206,14 @@ func (g *Gateway) handleBatch(w http.ResponseWriter, r *http.Request) {
 			case !ans.Found:
 				g.auditRecord(r, "batch", ans.Owner, ownerShard, ans.Epoch, -1, http.StatusNotFound)
 			default:
-				g.auditRecord(r, "batch", ans.Owner, ownerShard, ans.Epoch, len(ans.Providers), http.StatusOK)
+				g.auditRecord(r, "batch", ans.Owner, ownerShard, ans.Epoch, httpapi.CountProviders(ans.raw), http.StatusOK)
 			}
 		}
 	}
 	w.Header().Set(httpapi.EpochHeader, strconv.FormatUint(g.Epoch(), 10))
-	httpapi.WriteBatch(w, len(answers), func(i int) httpapi.BatchRow {
+	httpapi.WriteBatchRaw(w, len(answers), func(i int) httpapi.RawRow {
 		ans := &answers[i]
-		row := httpapi.BatchRow{Owner: ans.Owner, Found: ans.Found, Providers: ans.Providers}
+		row := httpapi.RawRow{Owner: ans.Owner, Found: ans.Found, Providers: ans.raw}
 		if ans.Err != nil {
 			row.Error = ans.Err.Error()
 		}

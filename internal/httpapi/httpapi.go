@@ -648,28 +648,63 @@ func (c *Client) Query(ctx context.Context, owner string) ([]int, error) {
 
 // QueryEpoch is Query plus the publication epoch of the index that
 // answered (from the EpochHeader the node stamps on every response —
-// including 404s, so negative answers are epoch-attributed too). The
-// gateway uses the epoch to key its response cache and to spot
-// mixed-epoch fleets.
+// including 404s, so negative answers are epoch-attributed too).
 func (c *Client) QueryEpoch(ctx context.Context, owner string) ([]int, uint64, error) {
-	resp, err := c.get(ctx, "/v1/query?owner="+url.QueryEscape(owner))
+	resp, epoch, err := c.query(ctx, owner)
 	if err != nil {
-		return nil, 0, fmt.Errorf("httpapi: query: %w", err)
+		return nil, epoch, err
 	}
 	defer resp.Body.Close()
-	epoch := epochOf(resp)
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return nil, epoch, fmt.Errorf("%w: %q", ErrOwnerNotFound, owner)
-	default:
-		return nil, epoch, fmt.Errorf("httpapi: query status %d: %s", resp.StatusCode, errorText(resp))
-	}
 	qr, err := readWire(resp.Body, parseQueryResponse)
 	if err != nil {
 		return nil, epoch, fmt.Errorf("httpapi: decode query response: %w", err)
 	}
 	return qr.Providers, epoch, nil
+}
+
+// QueryRaw is QueryEpoch keeping the provider list as the node encoded
+// it: a JSON int array as WriteQuery writes it, checked against the
+// decoder's grammar, in a slice of its own. The echoed owner must equal
+// owner. The gateway caches and forwards these bytes as they are.
+func (c *Client) QueryRaw(ctx context.Context, owner string) ([]byte, uint64, error) {
+	resp, epoch, err := c.query(ctx, owner)
+	if err != nil {
+		return nil, epoch, err
+	}
+	defer resp.Body.Close()
+	bp := getBuf()
+	defer putBuf(bp)
+	var echo, providers []byte
+	err = readCapped(bp, resp.Body, maxResponseBody)
+	if err == nil {
+		echo, providers, err = parseQueryRaw(*bp)
+	}
+	if err == nil && !tokenIs(echo, owner) {
+		err = fmt.Errorf("httpapi: response echoes %s, want %q", echo, owner)
+	}
+	if err != nil {
+		return nil, epoch, fmt.Errorf("httpapi: decode query response: %w", err)
+	}
+	return CloneProviders(providers), epoch, nil
+}
+
+// query sends GET /v1/query and returns a 200 response for its caller to
+// read; a 404 comes back as ErrOwnerNotFound.
+func (c *Client) query(ctx context.Context, owner string) (*http.Response, uint64, error) {
+	resp, err := c.get(ctx, "/v1/query?owner="+url.QueryEscape(owner))
+	if err != nil {
+		return nil, 0, fmt.Errorf("httpapi: query: %w", err)
+	}
+	epoch := epochOf(resp)
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return resp, epoch, nil
+	case http.StatusNotFound:
+		resp.Body.Close()
+		return nil, epoch, fmt.Errorf("%w: %q", ErrOwnerNotFound, owner)
+	}
+	defer resp.Body.Close()
+	return nil, epoch, fmt.Errorf("httpapi: query status %d: %s", resp.StatusCode, errorText(resp))
 }
 
 // QueryBatch resolves many owners in one round-trip. Rows come back
@@ -684,6 +719,47 @@ func (c *Client) QueryBatch(ctx context.Context, owners []string) ([]BatchRow, e
 // snapshot that answered. The server resolves the whole batch against one
 // snapshot, so the epoch applies to every row.
 func (c *Client) QueryBatchEpoch(ctx context.Context, owners []string) ([]BatchRow, uint64, error) {
+	resp, epoch, err := c.queryBatch(ctx, owners)
+	if err != nil {
+		return nil, epoch, err
+	}
+	defer resp.Body.Close()
+	rows, err := readWire(resp.Body, parseBatchResponse)
+	if err != nil {
+		return nil, epoch, fmt.Errorf("httpapi: decode batch response: %w", err)
+	}
+	return rows, epoch, nil
+}
+
+// QueryBatchRaw is QueryBatchEpoch keeping the rows as bytes (RawBatch):
+// each provider list is checked against the decoder's grammar but not
+// decoded, and row i must echo owners[i]. The caller must Release the
+// batch.
+func (c *Client) QueryBatchRaw(ctx context.Context, owners []string) (*RawBatch, uint64, error) {
+	resp, epoch, err := c.queryBatch(ctx, owners)
+	if err != nil {
+		return nil, epoch, err
+	}
+	defer resp.Body.Close()
+	rb := rawBatchPool.Get().(*RawBatch)
+	rb.buf = getBuf()
+	err = readCapped(rb.buf, resp.Body, maxResponseBody)
+	if err == nil {
+		rb.rows, err = parseBatchRaw(*rb.buf, rb.rows)
+	}
+	if err == nil {
+		err = checkEcho(rb.rows, owners)
+	}
+	if err != nil {
+		rb.Release()
+		return nil, epoch, fmt.Errorf("httpapi: decode batch response: %w", err)
+	}
+	return rb, epoch, nil
+}
+
+// queryBatch sends POST /v1/query/batch and returns a 200 response for
+// its caller to read.
+func (c *Client) queryBatch(ctx context.Context, owners []string) (*http.Response, uint64, error) {
 	// The body is not pooled: the transport may still be reading it after
 	// the response arrives.
 	body := appendBatchRequest(nil, owners)
@@ -694,16 +770,12 @@ func (c *Client) QueryBatchEpoch(ctx context.Context, owners []string) ([]BatchR
 	if err != nil {
 		return nil, 0, fmt.Errorf("httpapi: query batch: %w", err)
 	}
-	defer resp.Body.Close()
 	epoch := epochOf(resp)
 	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
 		return nil, epoch, fmt.Errorf("httpapi: query batch status %d: %s", resp.StatusCode, errorText(resp))
 	}
-	rows, err := readWire(resp.Body, parseBatchResponse)
-	if err != nil {
-		return nil, epoch, fmt.Errorf("httpapi: decode batch response: %w", err)
-	}
-	return rows, epoch, nil
+	return resp, epoch, nil
 }
 
 // ErrNoPrivacyReport reports a node serving an epoch that carries no

@@ -16,6 +16,7 @@ package httpapi
 // refuses.
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -134,6 +135,15 @@ func appendInts(dst []byte, xs []int) []byte {
 	return append(dst, ']')
 }
 
+// appendList appends an already encoded provider list (nil is written
+// as []).
+func appendList(dst, list []byte) []byte {
+	if list == nil {
+		return append(dst, "[]"...)
+	}
+	return append(dst, list...)
+}
+
 func appendQueryResponse(dst []byte, owner string, providers []int) []byte {
 	dst = append(dst, `{"owner":`...)
 	dst = appendString(dst, owner)
@@ -142,32 +152,57 @@ func appendQueryResponse(dst []byte, owner string, providers []int) []byte {
 	return append(dst, "}\n"...)
 }
 
-func appendBatchRow(dst []byte, r *BatchRow) []byte {
+func appendRawQueryResponse(dst []byte, owner string, providers []byte) []byte {
 	dst = append(dst, `{"owner":`...)
-	dst = appendString(dst, r.Owner)
-	dst = append(dst, `,"found":`...)
-	dst = strconv.AppendBool(dst, r.Found)
+	dst = appendString(dst, owner)
 	dst = append(dst, `,"providers":`...)
-	dst = appendInts(dst, r.Providers)
-	if r.Error != "" {
+	dst = appendList(dst, providers)
+	return append(dst, "}\n"...)
+}
+
+// appendRowHead appends a batch row up to its provider list.
+func appendRowHead(dst []byte, owner string, found bool) []byte {
+	dst = append(dst, `{"owner":`...)
+	dst = appendString(dst, owner)
+	dst = append(dst, `,"found":`...)
+	dst = strconv.AppendBool(dst, found)
+	return append(dst, `,"providers":`...)
+}
+
+// appendRowTail closes a batch row after its provider list.
+func appendRowTail(dst []byte, errText string) []byte {
+	if errText != "" {
 		dst = append(dst, `,"error":`...)
-		dst = appendString(dst, r.Error)
+		dst = appendString(dst, errText)
 	}
 	return append(dst, '}')
 }
 
-// appendBatchResponse appends the batch payload of n rows, row(i) giving
-// the i-th, so callers need not build a []BatchRow first.
-func appendBatchResponse(dst []byte, n int, row func(i int) BatchRow) []byte {
+func appendBatchRow(dst []byte, r BatchRow) []byte {
+	dst = appendInts(appendRowHead(dst, r.Owner, r.Found), r.Providers)
+	return appendRowTail(dst, r.Error)
+}
+
+func appendRawRow(dst []byte, r RawRow) []byte {
+	dst = appendList(appendRowHead(dst, r.Owner, r.Found), r.Providers)
+	return appendRowTail(dst, r.Error)
+}
+
+// appendRows appends the batch payload of n rows, row(i) giving the i-th
+// and enc writing it, so callers need not build a row slice first.
+func appendRows[R any](dst []byte, n int, row func(i int) R, enc func([]byte, R) []byte) []byte {
 	dst = append(dst, `{"results":[`...)
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		r := row(i)
-		dst = appendBatchRow(dst, &r)
+		dst = enc(dst, row(i))
 	}
 	return append(dst, "]}\n"...)
+}
+
+func appendBatchResponse(dst []byte, n int, row func(i int) BatchRow) []byte {
+	return appendRows(dst, n, row, appendBatchRow)
 }
 
 // appendBatchRequest appends the request body exactly as json.Marshal
@@ -207,6 +242,28 @@ func WriteQuery(w http.ResponseWriter, owner string, providers []int) {
 // giving the i-th (a nil provider list is written as []).
 func WriteBatch(w http.ResponseWriter, n int, row func(i int) BatchRow) {
 	writeWire(w, func(dst []byte) []byte { return appendBatchResponse(dst, n, row) })
+}
+
+// RawRow is a batch row whose provider list is already encoded — as
+// QueryRaw and RawBatch return it — so writing it copies the bytes.
+type RawRow struct {
+	Owner     string
+	Found     bool
+	Providers []byte // nil is written as []
+	Error     string
+}
+
+// WriteQueryRaw is WriteQuery for an already encoded provider list. The
+// bytes on the wire equal WriteQuery's for the list they encode.
+func WriteQueryRaw(w http.ResponseWriter, owner string, providers []byte) {
+	writeWire(w, func(dst []byte) []byte { return appendRawQueryResponse(dst, owner, providers) })
+}
+
+// WriteBatchRaw is WriteBatch for rows whose provider lists are already
+// encoded. The bytes on the wire equal WriteBatch's for the lists they
+// encode.
+func WriteBatchRaw(w http.ResponseWriter, n int, row func(i int) RawRow) {
+	writeWire(w, func(dst []byte) []byte { return appendRows(dst, n, row, appendRawRow) })
 }
 
 // ReadBatchRequest reads and parses a POST /v1/query/batch body under the
@@ -473,6 +530,88 @@ func (p *wireParser) intList() ([]int, error) {
 	return append(make([]int, 0, len(p.ints)), p.ints...), nil
 }
 
+// rawInts validates an int array (or null) at the cursor under intList's
+// grammar and returns it encoded as appendInts writes the same values:
+// the array's own bytes when the sender wrote it that way — every node
+// does — else a fresh re-encoding. null reads as [].
+func (p *wireParser) rawInts() ([]byte, error) {
+	if p.literal("null") {
+		return emptyList, nil
+	}
+	if p.peek() != '[' {
+		return nil, p.fail("want an array")
+	}
+	start := p.i
+	n, width := 0, 0 // elements, and their canonical digits and signs
+	err := p.array(func() error {
+		v, err := p.int()
+		n++
+		width += intWidth(v)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	raw := p.b[start:p.i]
+	// Each int has one canonical spelling and the grammar admits only
+	// longer ones (whitespace, -0), so equal length means equal bytes.
+	if len(raw) == 2+width+max(n-1, 0) {
+		return raw, nil
+	}
+	q := wireParser{b: raw}
+	xs, _ := q.intList() // raw has just parsed
+	return appendInts(nil, xs), nil
+}
+
+// intWidth is the length of strconv.AppendInt(nil, v, 10).
+func intWidth(v int) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
+// rawStr validates the string at the cursor as str does and returns its
+// token, quotes included, without copying or unescaping it.
+func (p *wireParser) rawStr() ([]byte, error) {
+	if s, ok := p.plain(); ok {
+		start := p.i
+		p.i += len(s) + 2
+		return p.b[start:p.i], nil
+	}
+	start := p.i
+	if _, err := p.str(); err != nil {
+		return nil, err
+	}
+	return p.b[start:p.i], nil
+}
+
+// tokenField overwrites *tok with a string token (rawStr); null leaves it
+// as is.
+func (p *wireParser) tokenField(tok *[]byte) (err error) {
+	if !p.literal("null") {
+		*tok, err = p.rawStr()
+	}
+	return err
+}
+
+// boolField overwrites *b with a bool value; null leaves it as is.
+func (p *wireParser) boolField(b *bool) error {
+	switch {
+	case p.literal("true"):
+		*b = true
+	case p.literal("false"):
+		*b = false
+	case !p.literal("null"):
+		return p.fail("want a bool")
+	}
+	return nil
+}
+
 // strField overwrites *s with a string value; null leaves it as is.
 func (p *wireParser) strField(s *string) (err error) {
 	if !p.literal("null") {
@@ -500,7 +639,7 @@ func (p *wireParser) skip(depth int) error {
 	}
 	switch c := p.peek(); {
 	case c == '"':
-		_, err := p.str()
+		_, err := p.rawStr()
 		return err
 	case c == '{':
 		return p.object(func([]byte) error { return p.skip(depth + 1) })
@@ -610,15 +749,7 @@ func parseBatchResponse(b []byte) ([]BatchRow, error) {
 				case "owner":
 					return p.strField(&r.Owner)
 				case "found":
-					switch {
-					case p.literal("true"):
-						r.Found = true
-					case p.literal("false"):
-						r.Found = false
-					case !p.literal("null"):
-						return p.fail("want a bool")
-					}
-					return nil
+					return p.boolField(&r.Found)
 				case "providers":
 					r.Providers, err = p.intList()
 					return err
@@ -632,4 +763,191 @@ func parseBatchResponse(b []byte) ([]BatchRow, error) {
 		})
 	})
 	return rows, err
+}
+
+// ---- raw decode: the gateway's path ----
+//
+// The gateway forwards a node's provider lists without decoding them: the
+// raw parsers below accept exactly the bodies parseQueryResponse and
+// parseBatchResponse accept, but keep each provider list as bytes in the
+// encoder's form and each echoed owner as its string token, both slices
+// of the body.
+
+// emptyList is the encoding of an empty (or null) provider list.
+var emptyList = []byte("[]")
+
+// rawRow is one row of a batch response as parseBatchRaw keeps it.
+type rawRow struct {
+	owner     []byte // the echoed owner's string token; nil when absent or null
+	found     bool
+	providers []byte // as appendInts writes the row's list
+}
+
+func parseQueryRaw(b []byte) (owner, providers []byte, err error) {
+	p := wireParser{b: b}
+	providers = emptyList
+	err = p.document(func(key []byte) (err error) {
+		switch string(key) {
+		case "owner":
+			return p.tokenField(&owner)
+		case "providers":
+			providers, err = p.rawInts()
+			return err
+		}
+		return p.unknown(key, "owner", "providers")
+	})
+	return owner, providers, err
+}
+
+// parseBatchRaw appends the rows of a batch response to rows.
+func parseBatchRaw(b []byte, rows []rawRow) ([]rawRow, error) {
+	p := wireParser{b: b}
+	seen := false
+	err := p.document(func(key []byte) error {
+		if string(key) != "results" {
+			return p.unknown(key, "results")
+		}
+		if seen {
+			return p.fail(`repeated "results" key`)
+		}
+		seen = true
+		if p.literal("null") {
+			return nil
+		}
+		return p.array(func() error {
+			r := rawRow{providers: emptyList}
+			err := p.object(func(key []byte) (err error) {
+				switch string(key) {
+				case "owner":
+					return p.tokenField(&r.owner)
+				case "found":
+					return p.boolField(&r.found)
+				case "providers":
+					r.providers, err = p.rawInts()
+					return err
+				case "error":
+					var text []byte
+					return p.tokenField(&text)
+				}
+				return p.unknown(key, "owner", "found", "providers", "error")
+			})
+			rows = append(rows, r)
+			return err
+		})
+	})
+	return rows, err
+}
+
+// tokenIs reports whether the string token tok (nil reads as "") decodes
+// to s. A token without escapes is compared in place.
+func tokenIs(tok []byte, s string) bool {
+	if tok == nil {
+		return s == ""
+	}
+	inner := tok[1 : len(tok)-1]
+	for _, c := range inner {
+		if !plainByte[c] {
+			var u string
+			return json.Unmarshal(tok, &u) == nil && u == s
+		}
+	}
+	return string(inner) == s
+}
+
+// checkEcho requires row i to echo the i-th owner asked: the gateway
+// matches rows to owners by position, and a node answering another
+// owner's row (or more rows than asked) is not to be believed. A short
+// answer passes; the caller reports the owners it left out.
+func checkEcho(rows []rawRow, owners []string) error {
+	if len(rows) > len(owners) {
+		return fmt.Errorf("httpapi: %d rows for %d owners", len(rows), len(owners))
+	}
+	for i := range rows {
+		if !tokenIs(rows[i].owner, owners[i]) {
+			return fmt.Errorf("httpapi: row %d echoes %s, want %q", i, rows[i].owner, owners[i])
+		}
+	}
+	return nil
+}
+
+// DecodeProviders decodes a provider list in the form QueryRaw and
+// RawBatch return it into a fresh slice, non-nil when empty.
+func DecodeProviders(list []byte) []int {
+	inner := list[1 : len(list)-1]
+	if len(inner) == 0 {
+		return []int{}
+	}
+	out := make([]int, 0, CountProviders(list))
+	var u uint64
+	neg := false
+	for _, c := range inner {
+		switch c {
+		case '-':
+			neg = true
+		case ',':
+			out = append(out, signed(u, neg))
+			u, neg = 0, false
+		default:
+			u = u*10 + uint64(c-'0')
+		}
+	}
+	return append(out, signed(u, neg))
+}
+
+func signed(u uint64, neg bool) int {
+	if neg {
+		return -int(u)
+	}
+	return int(u)
+}
+
+// CountProviders returns the number of ids in an encoded provider list
+// (0 for nil).
+func CountProviders(list []byte) int {
+	if len(list) <= len(emptyList) {
+		return 0
+	}
+	return 1 + bytes.Count(list, comma)
+}
+
+var comma = []byte{','}
+
+// CloneProviders copies an encoded provider list — out of a RawBatch,
+// whose rows die with Release — into a slice of its own; every empty list
+// shares one static copy.
+func CloneProviders(list []byte) []byte {
+	if len(list) == len(emptyList) {
+		return emptyList
+	}
+	return bytes.Clone(list)
+}
+
+// rawBatchPool recycles RawBatch headers and their row slices.
+var rawBatchPool = sync.Pool{New: func() any { return new(RawBatch) }}
+
+// RawBatch is a node's batch answer kept as bytes: row i answers the
+// i-th owner asked (QueryBatchRaw checks the echo), its provider list as
+// the node encoded it. The rows alias one pooled body buffer, which
+// Release recycles; no row may be read after Release.
+type RawBatch struct {
+	buf  *[]byte
+	rows []rawRow
+}
+
+// Len is the row count; it can fall short of the owners asked (a node
+// that dropped rows), never exceed it.
+func (b *RawBatch) Len() int { return len(b.rows) }
+
+// Row returns row i: whether its owner is indexed, and its provider list
+// as the node sent it ([] for an owner it does not know).
+func (b *RawBatch) Row(i int) (found bool, providers []byte) {
+	return b.rows[i].found, b.rows[i].providers
+}
+
+// Release recycles the body buffer and the batch.
+func (b *RawBatch) Release() {
+	putBuf(b.buf)
+	clear(b.rows)
+	*b = RawBatch{rows: b.rows[:0]}
+	rawBatchPool.Put(b)
 }

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -322,6 +323,7 @@ func FuzzWireDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, body []byte, owner string, provider int, found bool) {
 		decodeBoth(t, body)
+		checkRawDecode(t, body)
 
 		providers := []int{provider, -provider, len(owner)}
 		b := appendQueryResponse(nil, owner, providers)
@@ -335,8 +337,118 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("batch response:\ncodec %s\njson  %s", b, want)
 		}
 		checkDecodeMatches(t, b)
+		for _, ws := range []string{"", " ", "\t\r\n "} {
+			checkRawDecode(t, spread(b, ws))
+		}
 		checkDecodeMatches(t, appendBatchRequest(nil, []string{owner, string(body)}))
 	})
+}
+
+// checkRawDecode holds the raw parsers to the full ones: each accepts
+// exactly the bodies its full twin accepts, keeps every provider list as
+// appendInts writes the list the full parse decodes, and keeps echoed
+// owners that decode to the full parse's owner.
+func checkRawDecode(t *testing.T, b []byte) {
+	t.Helper()
+	sameList := func(what string, got []byte, want []int) {
+		t.Helper()
+		if enc := appendInts(nil, want); !bytes.Equal(got, enc) {
+			t.Fatalf("%s %q: raw list %s, full decode %v", what, b, got, want)
+		}
+		if dec := DecodeProviders(got); !slices.Equal(dec, want) || dec == nil {
+			t.Fatalf("%s %q: DecodeProviders(%s) = %#v, full decode %v", what, b, got, dec, want)
+		}
+	}
+	qr, err := parseQueryResponse(b)
+	owner, providers, rawErr := parseQueryRaw(b)
+	if (err == nil) != (rawErr == nil) {
+		t.Fatalf("query %q: full decode err %v, raw err %v", b, err, rawErr)
+	}
+	if err == nil {
+		if !tokenIs(owner, qr.Owner) {
+			t.Fatalf("query %q: raw owner %s, full %q", b, owner, qr.Owner)
+		}
+		sameList("query", providers, qr.Providers)
+	}
+	rows, err := parseBatchResponse(b)
+	raw, rawErr := parseBatchRaw(b, nil)
+	if (err == nil) != (rawErr == nil) {
+		t.Fatalf("batch response %q: full decode err %v, raw err %v", b, err, rawErr)
+	}
+	if err != nil {
+		return
+	}
+	if len(raw) != len(rows) {
+		t.Fatalf("batch response %q: %d raw rows, %d full", b, len(raw), len(rows))
+	}
+	for i, r := range rows {
+		if raw[i].found != r.Found || !tokenIs(raw[i].owner, r.Owner) {
+			t.Fatalf("batch response %q row %d: raw %v %s, full %v %q", b, i, raw[i].found, raw[i].owner, r.Found, r.Owner)
+		}
+		sameList("batch response", raw[i].providers, r.Providers)
+	}
+}
+
+// TestWireRawDecode runs the raw parsers over the corpus as encoded, with
+// whitespace between tokens, and over the refusal and acceptance lists,
+// where provider lists like [1, -0] are valid but not as the encoder
+// writes them and must come back re-encoded.
+func TestWireRawDecode(t *testing.T) {
+	rows := wireRows()
+	bodies := [][]byte{appendBatchResponse(nil, len(rows), func(i int) BatchRow { return rows[i] })}
+	for _, owner := range wireOwners {
+		for _, providers := range wireProviders {
+			bodies = append(bodies, appendQueryResponse(nil, owner, providers))
+		}
+	}
+	for _, b := range bodies {
+		for _, ws := range []string{"", " ", "\t\r\n "} {
+			checkRawDecode(t, spread(b, ws))
+		}
+	}
+	for _, body := range []string{
+		` { "owner" : "a" , "providers" : [ 1 , -0 , -9223372036854775808 ] } `,
+		`{"owner":"a","owner":null,"providers":[1],"providers":[]}`,
+		`{"results":[{"owner":"a","found":true,"found":null,"providers":[7],"error":"e","extra":0}]}`,
+		`{"results":[{"owner":"\u0061","providers":[-0,0]},{"providers":null},{}]}`,
+		`{"results":null}`,
+		`{"results":[{"providers":[2.5]}]}`,
+		`{"results":[{"error":1}]}`,
+		`{"results":[],"results":[]}`,
+		`{"providers":[null]}`,
+		`{}`,
+	} {
+		checkRawDecode(t, []byte(body))
+	}
+}
+
+// TestWireRawMatchesWire: the raw writers put out the same bytes as the
+// int-list writers when handed the lists those would encode, and a nil
+// list as [].
+func TestWireRawMatchesWire(t *testing.T) {
+	for _, owner := range wireOwners {
+		for _, providers := range wireProviders {
+			var list []byte
+			if providers != nil {
+				list = appendInts(nil, providers)
+			}
+			if got, want := appendRawQueryResponse(nil, owner, list), appendQueryResponse(nil, owner, providers); !bytes.Equal(got, want) {
+				t.Fatalf("query %q:\nraw  %s\nints %s", owner, got, want)
+			}
+		}
+	}
+	rows := wireRows()
+	got := appendRows(nil, len(rows), func(i int) RawRow {
+		r := rows[i]
+		var list []byte
+		if r.Providers != nil {
+			list = appendInts(nil, r.Providers)
+		}
+		return RawRow{Owner: r.Owner, Found: r.Found, Providers: list, Error: r.Error}
+	}, appendRawRow)
+	if want := appendBatchResponse(nil, len(rows), func(i int) BatchRow { return rows[i] }); !bytes.Equal(got, want) {
+		t.Fatalf("batch response:\nraw  %s\nints %s", got, want)
+	}
 }
 
 // wireSink keeps BenchmarkWire's decoded rows alive.
@@ -396,4 +508,73 @@ func BenchmarkWire(b *testing.B) {
 		}
 		wireSink = br.Results
 	})
+}
+
+// TestClientRawChecksEcho: QueryRaw and QueryBatchRaw believe a row only
+// when it echoes the owner asked at its position. A short batch passes
+// (the gateway reports the owners left out); a wrong owner, a row too
+// many or a body outside the grammar fails the call.
+func TestClientRawChecksEcho(t *testing.T) {
+	var body string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set(EpochHeader, "7")
+		_, _ = w.Write([]byte(body))
+	}))
+	t.Cleanup(ts.Close)
+	client := NewClient(ts.URL, ts.Client(), WithRetries(0))
+	ctx := context.Background()
+
+	for _, tc := range []struct {
+		body, want string
+	}{
+		{`{"owner":"a","providers":[1,2]}`, "[1,2]"},
+		{`{"owner":"a","providers":[ 3 ,-0]}`, "[3,0]"},
+		{`{"owner":"b","providers":[1]}`, ""},
+		{`{"providers":[1]}`, ""},
+		{`{"owner":"a","providers":[1.5]}`, ""},
+	} {
+		body = tc.body
+		got, epoch, err := client.QueryRaw(ctx, "a")
+		if tc.want == "" {
+			if err == nil {
+				t.Errorf("QueryRaw accepted %s", tc.body)
+			}
+			continue
+		}
+		if err != nil || string(got) != tc.want || epoch != 7 {
+			t.Errorf("QueryRaw over %s = %s, %d, %v; want %s", tc.body, got, epoch, err, tc.want)
+		}
+	}
+
+	owners := []string{"a", "b"}
+	for _, tc := range []struct {
+		body string
+		rows int // -1: the call must fail
+	}{
+		{`{"results":[{"owner":"a","found":true,"providers":[4]},{"owner":"b","found":false,"providers":[]}]}`, 2},
+		{`{"results":[{"owner":"a","found":true,"providers":[4]}]}`, 1},
+		{`{"results":null}`, 0},
+		{`{"results":[{"owner":"b","found":true,"providers":[4]},{"owner":"a","found":false,"providers":[]}]}`, -1},
+		{`{"results":[{"owner":"a"},{"owner":"b"},{"owner":"b"}]}`, -1},
+		{`{"results":[{"owner":"a","providers":[null]}]}`, -1},
+	} {
+		body = tc.body
+		rb, epoch, err := client.QueryBatchRaw(ctx, owners)
+		if tc.rows < 0 {
+			if err == nil {
+				t.Errorf("QueryBatchRaw accepted %s", tc.body)
+				rb.Release()
+			}
+			continue
+		}
+		if err != nil || rb.Len() != tc.rows || epoch != 7 {
+			t.Fatalf("QueryBatchRaw over %s: %v, epoch %d", tc.body, err, epoch)
+		}
+		if tc.rows > 0 {
+			if found, list := rb.Row(0); !found || string(list) != "[4]" {
+				t.Errorf("row 0 = %v %s, want true [4]", found, list)
+			}
+		}
+		rb.Release()
+	}
 }

@@ -54,9 +54,6 @@ func New(id int, name string) *Provider {
 // ID returns the provider's network id (its row in the membership matrix).
 func (p *Provider) ID() int { return p.id }
 
-// Name returns the display name.
-func (p *Provider) Name() string { return p.name }
-
 // Delegate stores a record on behalf of its owner together with the owner's
 // privacy degree ε ∈ [0,1] (the paper's Delegate(⟨t_j, ε_j⟩, p_i)). If the
 // owner has delegated before with a different ε, the maximum is kept: a
