@@ -131,7 +131,9 @@ type Config struct {
 	// communication rounds (latency-bound deployments).
 	Arithmetic circuit.Style
 	// NewNetwork supplies the transport for ModeSecure; defaults to the
-	// in-memory transport.
+	// in-memory transport. A construction calls it once for the m-party
+	// provider network and once per MPC execution for a c-party
+	// coordinator network, and closes each network before the next opens.
 	NewNetwork func(parties int) (transport.Network, error)
 	// Metrics, when non-nil, instruments every protocol network of a
 	// ModeSecure run: per-kind transport traffic plus SecSumShare and GMW

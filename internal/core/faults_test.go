@@ -10,9 +10,12 @@ import (
 )
 
 // faultySecureCfg returns a secure config whose network factory injects
-// plan into the net-th network the construction opens (1 = the m-party
-// SecSumShare network, 2 = the c-party coordinator network that carries
-// every MPC execution).
+// plan into the networks of one tier: net = 1 faults the m-party
+// SecSumShare network (the first the construction opens), net = 2 every
+// c-party network after it, one per MPC execution. Faulting all of them
+// keeps the scenario of a faulty coordinator tier: semi-honest GMW has no
+// integrity check, so corruption confined to one execution can pass
+// silently where a later execution would fail.
 func faultySecureCfg(seed int64, net int, plan transport.FaultPlan) Config {
 	cfg := secureCfg(seed)
 	cfg.BatchSize = 3 // several count batches share the faulty net
@@ -24,7 +27,7 @@ func faultySecureCfg(seed int64, net int, plan transport.FaultPlan) Config {
 			return nil, err
 		}
 		call++
-		if call == net {
+		if net == 1 && call == 1 || net == 2 && call >= 2 {
 			return transport.NewFaulty(inner, plan), nil
 		}
 		return inner, nil
@@ -34,7 +37,7 @@ func faultySecureCfg(seed int64, net int, plan transport.FaultPlan) Config {
 
 // runConstructGuarded runs Construct with a hang guard: the parallel
 // secure path must surface an injected fault as a prompt error, never by
-// stalling on a dead session or returning a half-built matrix.
+// stalling on a dead network or returning a half-built matrix.
 func runConstructGuarded(t *testing.T, truth *bitmat.Matrix, eps []float64, cfg Config) {
 	t.Helper()
 	type outcome struct {

@@ -16,6 +16,29 @@ import (
 	"repro/internal/transport"
 )
 
+// onNetwork runs one protocol execution on a network of its own: it opens
+// a network of the given number of parties from cfg.NewNetwork (in memory
+// by default), instruments it with cfg.Metrics, attaches sp, runs fn on it
+// and closes it. A close error fails the execution; on an execution error
+// the network is closed and fn's error returned.
+func (cfg Config) onNetwork(parties int, sp *trace.Span, fn func(transport.Network) error) error {
+	newNet := cfg.NewNetwork
+	if newNet == nil {
+		newNet = func(parties int) (transport.Network, error) { return transport.NewInMem(parties) }
+	}
+	net, err := newNet(parties)
+	if err != nil {
+		return fmt.Errorf("open %d-party network: %w", parties, err)
+	}
+	transport.Instrument(net, cfg.Metrics)
+	transport.AttachSpan(net, sp)
+	err = fn(net)
+	if closeErr := net.Close(); err == nil && closeErr != nil {
+		err = fmt.Errorf("close %d-party network: %w", parties, closeErr)
+	}
+	return err
+}
+
 // addCircuitStats accumulates circuit statistics (sizes add; depth takes
 // the maximum).
 func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
@@ -43,9 +66,10 @@ func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
 //	Phase 2 (every provider, local): randomized publication.
 //
 // Stages B and C are three bit-sliced GMW executions over all n
-// identities at once (secure_mpc.go), each over its own logical session of
-// one coordinator network (transport.SessionMux). Protocol randomness and
-// the mixing coins are keyed through internal/prf, per execution and per
+// identities at once (secure_mpc.go). Every execution, stage A's
+// included, runs on a network of its own from Config.NewNetwork, closed
+// before the next one opens (onNetwork). Protocol randomness and the
+// mixing coins are keyed through internal/prf, per execution and per
 // (coordinator, identity), so the run is bit-identical at any worker count
 // and batch size.
 //
@@ -59,10 +83,6 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	workers := cfg.workers()
 	if m < c {
 		return nil, fmt.Errorf("%w: %d providers cannot host %d coordinators", ErrBadConfig, m, c)
-	}
-	newNet := cfg.NewNetwork
-	if newNet == nil {
-		newNet = func(parties int) (transport.Network, error) { return transport.NewInMem(parties) }
 	}
 	// The comparators fold the public threshold into party 0's share and
 	// read the sign bit of freq − t, which needs one bit of sign slack:
@@ -80,40 +100,22 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	stats := &SecureStats{}
 
 	// --- Stage A: SecSumShare over all m providers -------------------------
-	provNet, err := newNet(m)
-	if err != nil {
-		return nil, fmt.Errorf("provider network: %w", err)
-	}
-	transport.Instrument(provNet, cfg.Metrics)
 	_, ssSpan := trace.StartChild(ctx, "secsum.share")
-	transport.AttachSpan(provNet, ssSpan)
-	sumRes, err := secsum.RunBits(provNet, scheme, n, truth.RowWords, cfg.Seed)
+	var sumRes *secsum.Result
+	err = cfg.onNetwork(m, ssSpan, func(net transport.Network) (err error) {
+		sumRes, err = secsum.RunBits(net, scheme, n, truth.RowWords, cfg.Seed)
+		return err
+	})
 	ssSpan.End()
-	closeErr := provNet.Close()
 	if err != nil {
 		return nil, fmt.Errorf("SecSumShare: %w", err)
-	}
-	if closeErr != nil {
-		return nil, fmt.Errorf("provider network close: %w", closeErr)
 	}
 	stats.SecSum = sumRes.Stats
 	stats.SecSumRounds = sumRes.Rounds
 
-	// One physical coordinator network for the whole run, multiplexed into
-	// one session per execution. Registry instrumentation sits on the
-	// physical network (each wire message counted once); spans attach per
-	// session (exact per-stage attribution).
-	coordNet, err := newNet(c)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator network: %w", err)
-	}
-	transport.Instrument(coordNet, cfg.Metrics)
-	mux := transport.NewSessionMux(coordNet)
-	defer mux.Close()
 	st := &mpcStages{
 		ctx:        ctx,
 		cfg:        cfg,
-		mux:        mux,
 		c:          c,
 		w:          groupBits,
 		m:          m,
@@ -174,10 +176,6 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		"Padded lanes in the final word of the CountBelow and Reveal executions of the most recent secure construction (both passes counted; 0 when the identity count is a multiple of 64)."); g != nil {
 		g.Set(float64(2 * (gmw.Lanes*st.words - n)))
 	}
-	if err := mux.Close(); err != nil {
-		return nil, fmt.Errorf("coordinator network close: %w", err)
-	}
-
 	// Phase 2: every provider publishes locally using the public β vector.
 	published := publishSharded(ctx, truth, betas, cfg.Seed, workers)
 	return &Result{

@@ -39,17 +39,17 @@ import (
 //     discarded. Their wire values are therefore public, which is what
 //     lets OT preprocessing give them the all-zero triple (THEORY.md).
 //
-// The execution on session s runs under prf.Seed(Seed, prf.Exec, s), from
-// which gmw keys its triples, input sharing and OT entropy, and coordinator
-// k's mixing coins are keyed per identity (prf.Coins). Opened outputs do
-// not depend on any protocol randomness, so the hidden set and the opened
-// frequencies are a function of (Seed, inputs) alone: the same at any
-// worker count and batch size. Every party holds O(wires · ⌈n/64⌉) words
-// per execution.
+// Execution s (1 = CountBelowSlice, 2 = the count opener, 3 =
+// RevealSlice) runs on a c-party network of its own under prf.Seed(Seed,
+// prf.Exec, s), from which gmw keys its triples, input sharing and OT
+// entropy, and coordinator k's mixing coins are keyed per identity
+// (prf.Coins). Opened outputs do not depend on any protocol randomness, so
+// the hidden set and the opened frequencies are a function of (Seed,
+// inputs) alone: the same at any worker count and batch size. Every party
+// holds O(wires · ⌈n/64⌉) words per execution.
 type mpcStages struct {
 	ctx        context.Context
 	cfg        Config
-	mux        *transport.SessionMux
 	c          int
 	w          int // share width W = bits(m+1) + 1
 	m          int
@@ -135,39 +135,30 @@ func batchLanes(vec []uint64, n, batch, words int) []uint64 {
 	return out
 }
 
-// run runs one execution over its own session and span, with
+// run runs execution exec on a c-party network and span of its own, with
 // preprocessing per the configuration (sharded dealer, or OT over the same
-// session for the first `live` instances only), and tears the mux down on
-// failure. Stage B, the count opener and stage C use sessions 1, 2 and 3.
-func (st *mpcStages) run(stage string, sessID uint32, circ *circuit.Circuit, words, live int, inputs [][]uint64, mode gmw.Mode) (*gmw.Result, error) {
-	sess, err := st.mux.Session(sessID)
-	if err != nil {
-		return nil, fmt.Errorf("coordinator session: %w", err)
-	}
+// network for the first `live` instances only). Stage B, the count opener
+// and stage C are executions 1, 2 and 3.
+func (st *mpcStages) run(stage string, exec uint64, circ *circuit.Circuit, words, live int, inputs [][]uint64, mode gmw.Mode) (*gmw.Result, error) {
 	_, sp := trace.StartChild(st.ctx, stage,
 		trace.Int("identities", st.n), trace.Int("words", words))
-	transport.AttachSpan(sess, sp)
 	defer sp.End()
-	seed := prf.Seed(st.cfg.Seed, prf.Exec, uint64(sessID))
-	var triples []gmw.Triples
-	if st.cfg.Triples == TripleOT {
-		triples, err = gmw.GenTriplesOT(sess, circ.Stats().AndGates, words, live, seed)
-		if err != nil {
-			err = fmt.Errorf("OT preprocessing: %w", err)
-		}
-	} else {
-		triples, err = gmw.GenTriplesWideSharded(seed, st.c, circ.Stats().AndGates*words, st.workers)
-	}
+	seed := prf.Seed(st.cfg.Seed, prf.Exec, exec)
 	var res *gmw.Result
-	if err == nil {
-		res, err = gmw.Run(sess, circ, words, inputs, triples, seed, mode)
-	}
-	sess.Close()
-	if err != nil {
-		st.mux.Close()
-		return nil, err
-	}
-	return res, nil
+	err := st.cfg.onNetwork(st.c, sp, func(net transport.Network) error {
+		var triples []gmw.Triples
+		var err error
+		if st.cfg.Triples == TripleOT {
+			if triples, err = gmw.GenTriplesOT(net, circ.Stats().AndGates, words, live, seed); err != nil {
+				return fmt.Errorf("OT preprocessing: %w", err)
+			}
+		} else if triples, err = gmw.GenTriplesWideSharded(seed, st.c, circ.Stats().AndGates*words, st.workers); err != nil {
+			return err
+		}
+		res, err = gmw.Run(net, circ, words, inputs, triples, seed, mode)
+		return err
+	})
+	return res, err
 }
 
 // countBelow is stage B. One shares-kept CountBelowSlice execution gives

@@ -196,7 +196,8 @@ func TestLookupBatchIntoReusesBuffer(t *testing.T) {
 }
 
 // TestLookupBatchDuplicatesCollapse: duplicate owners ride one upstream
-// sub-request (shard.Group dedups) yet every position gets its row.
+// sub-request (the batch merge collapses them) yet every position gets its
+// row.
 func TestLookupBatchDuplicatesCollapse(t *testing.T) {
 	_, names, bases, _ := buildShardedFixture(t, 10, 12, 2, 1)
 	reg := metrics.NewRegistry()

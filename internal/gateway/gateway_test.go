@@ -818,6 +818,37 @@ func TestGatewayHealthProbeMarksDownReplica(t *testing.T) {
 	}
 }
 
+func TestGatewayProbeMarksUnhealthyReplicaDown(t *testing.T) {
+	// A replica that answers healthz with 503 (draining, overloaded) is
+	// down even though it answers.
+	_, _, bases, _ := buildShardedFixture(t, 10, 12, 1, 2)
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"draining"}`))
+	}))
+	defer draining.Close()
+	bases[0][0] = draining.URL
+	g, err := New(Config{
+		Shards: bases, Client: fastClient(),
+		ProbePeriod: 20 * time.Millisecond, CacheSize: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	deadline := time.Now().Add(3 * time.Second)
+	for time.Now().Before(deadline) && g.shards[0].replicas[0].up.Load() {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if g.shards[0].replicas[0].up.Load() {
+		t.Fatal("probe kept a replica answering 503 up")
+	}
+	if !g.shards[0].replicas[1].up.Load() {
+		t.Fatal("probe marked the healthy replica down")
+	}
+}
+
 func TestGatewayProbeRejectsWrongShard(t *testing.T) {
 	// A node serving shard 1/2 configured into shard 0's replica list must
 	// be marked down by the probe: wrong answers are worse than none.

@@ -1,9 +1,7 @@
 package gmw
 
 import (
-	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -380,99 +378,4 @@ func TestSecureOverTCP(t *testing.T) {
 		xorWords(opened, sh)
 	}
 	checkInstances(t, circ, 1, inputs, opened, Lanes)
-}
-
-// Several independent GMW evaluations must be able to share one physical
-// network concurrently via SessionMux without interleaving messages: this
-// is what lets the secure pipeline run its stages over sessions of one
-// coordinator network. Each execution compares against a different sum
-// threshold, so a cross-session message would corrupt outputs, not just
-// stall.
-func TestConcurrentGMWBatchesOverSessions(t *testing.T) {
-	const parties = 3
-	const batches = 4
-	inner, err := transport.NewInMem(parties)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mux := transport.NewSessionMux(inner)
-	defer mux.Close()
-
-	build := func(threshold uint64) *circuit.Circuit {
-		b := circuit.NewBuilder()
-		const width = 5
-		x := b.InputVec(0, width)
-		y := b.InputVec(1, width)
-		z := b.InputVec(2, width)
-		sum, err := b.Add(x, y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum, err = b.Add(sum, z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ge, err := b.GreaterEq(sum, circuit.ConstVec(threshold, len(sum)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := b.Output(ge); err != nil {
-			t.Fatal(err)
-		}
-		circ, err := b.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return circ
-	}
-	// Lane 0 sums 5+6+7 = 18; every other lane sums 0.
-	word := func(v uint64) []uint64 {
-		out := make([]uint64, 5)
-		for i := range out {
-			out[i] = v >> uint(i) & 1
-		}
-		return out
-	}
-	inputs := [][]uint64{word(5), word(6), word(7)}
-
-	var wg sync.WaitGroup
-	errs := make([]error, batches)
-	outs := make([]uint64, batches)
-	for i := 0; i < batches; i++ {
-		circ := build(uint64(10 + i*3)) // thresholds 10,13,16,19 over sum 18
-		wg.Add(1)
-		go func(i int, circ *circuit.Circuit) {
-			defer wg.Done()
-			sess, err := mux.Session(uint32(i + 1))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer sess.Close()
-			res, err := runDealer(sess, circ, 1, inputs, int64(100+i), Open)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			outs[i] = res.Outputs[0]
-			if res.Stats.Messages == 0 {
-				errs[i] = fmt.Errorf("batch %d reported zero per-session traffic", i)
-			}
-		}(i, circ)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("batch %d: %v", i, err)
-		}
-	}
-	for i, got := range outs {
-		var want uint64
-		if 18 >= 10+i*3 {
-			want = 1
-		}
-		if got != want {
-			t.Fatalf("batch %d: 18>=%d computed as %#x, want %#x", i, 10+i*3, got, want)
-		}
-	}
 }

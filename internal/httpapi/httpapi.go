@@ -627,15 +627,15 @@ func epochOf(resp *http.Response) uint64 {
 	return n
 }
 
-// maxErrorBody bounds the error payload a client reads: it is one short
-// message.
-const maxErrorBody = 64 << 10
+// maxShortBody bounds a short payload a client reads: an error message
+// or a healthz answer.
+const maxShortBody = 64 << 10
 
 // errorText returns the message of a failed call's uniform error payload
 // (empty when the body is not one).
 func errorText(resp *http.Response) string {
 	var e errorResponse
-	_ = json.NewDecoder(io.LimitReader(resp.Body, maxErrorBody)).Decode(&e)
+	_ = json.NewDecoder(io.LimitReader(resp.Body, maxShortBody)).Decode(&e)
 	return e.Error
 }
 
@@ -810,15 +810,18 @@ func (c *Client) Privacy(ctx context.Context) (*privacy.Report, error) {
 	return rep, nil
 }
 
-// Healthz checks service liveness.
+// Healthz checks service liveness: only a 200 answer reads as up.
 func (c *Client) Healthz(ctx context.Context) (HealthzResponse, error) {
 	resp, err := c.get(ctx, "/v1/healthz")
 	if err != nil {
 		return HealthzResponse{}, fmt.Errorf("httpapi: healthz: %w", err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return HealthzResponse{}, fmt.Errorf("httpapi: healthz status %d: %s", resp.StatusCode, errorText(resp))
+	}
 	var hr HealthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&hr); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxShortBody)).Decode(&hr); err != nil {
 		return HealthzResponse{}, fmt.Errorf("httpapi: decode healthz: %w", err)
 	}
 	return hr, nil

@@ -3,6 +3,7 @@ package httpapi
 import (
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -132,6 +133,28 @@ func TestClientAgainstDeadServer(t *testing.T) {
 	}
 	if _, err := client.Healthz(ctx); err == nil {
 		t.Fatal("healthz against dead server succeeded")
+	}
+}
+
+// A node that answers healthz with a non-200 is not healthy, whatever
+// its body says, and a healthz body is read under a cap.
+func TestClientHealthzRejectsNon200AndOversizedBody(t *testing.T) {
+	draining := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		WriteJSON(w, http.StatusServiceUnavailable, errorResponse{Error: "draining"})
+	}))
+	defer draining.Close()
+	client := NewClient(draining.URL, draining.Client(), withBackoff(time.Millisecond, 2*time.Millisecond))
+	_, err := client.Healthz(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "503") || !strings.Contains(err.Error(), "draining") {
+		t.Fatalf("healthz of a 503 replica: err = %v, want the status and its error text", err)
+	}
+
+	huge := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		fmt.Fprintf(w, `{"status":"ok","pad":"%s"}`, strings.Repeat("x", maxShortBody))
+	}))
+	defer huge.Close()
+	if _, err := NewClient(huge.URL, huge.Client()).Healthz(context.Background()); err == nil {
+		t.Fatal("healthz read a body past its cap")
 	}
 }
 

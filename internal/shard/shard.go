@@ -36,29 +36,6 @@ func For(owner string, of int) int {
 	return int(h.Sum64() % uint64(of))
 }
 
-// Group buckets owners by owning shard for a batched lookup:
-// Group(owners, of)[k] lists the owners routed to shard k, in first-
-// appearance order with duplicates removed — one sub-batch request per
-// shard resolves every distinct owner exactly once, and the caller maps
-// answers back to the original (possibly repeating) positions. It panics
-// on of < 1, like For.
-func Group(owners []string, of int) [][]string {
-	if of < 1 {
-		panic(fmt.Sprintf("shard: bad shard count %d", of))
-	}
-	groups := make([][]string, of)
-	seen := make(map[string]struct{}, len(owners))
-	for _, owner := range owners {
-		if _, dup := seen[owner]; dup {
-			continue
-		}
-		seen[owner] = struct{}{}
-		k := For(owner, of)
-		groups[k] = append(groups[k], owner)
-	}
-	return groups
-}
-
 // Partition splits a published index into `of` column shards. Shard k
 // receives the columns of every identity with For(name, of) == k, in the
 // original column order; provider rows are complete in every shard, so

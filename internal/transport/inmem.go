@@ -46,8 +46,8 @@ func (n *InMemNetwork) Instrument(reg *metrics.Registry) { n.stats.instrument(re
 // Metrics returns the registry installed by Instrument, or nil.
 func (n *InMemNetwork) Metrics() *metrics.Registry { return n.stats.registry() }
 
-// SetTraceSpan installs sp as the active span: subsequent messages carry
-// its trace id and their traffic accumulates on it.
+// SetTraceSpan installs sp as the active span: the traffic of subsequent
+// sends accumulates on it.
 func (n *InMemNetwork) SetTraceSpan(sp *trace.Span) { n.stats.setSpan(sp) }
 
 // TraceSpan returns the span installed by SetTraceSpan, or nil.
@@ -78,7 +78,6 @@ func (n *inMemNode) Send(to int, m Message) error {
 	}
 	m.From = n.id
 	m.To = to
-	n.net.stats.stamp(&m)
 	// Copy the payload so sender-side reuse of buffers cannot race with the
 	// receiver (slices share backing arrays across goroutines otherwise).
 	// The copy comes from the shared word pool; receivers that finish with

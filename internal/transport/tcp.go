@@ -132,9 +132,8 @@ func (t *TCPNetwork) Instrument(reg *metrics.Registry) { t.stats.instrument(reg)
 // Metrics returns the registry installed by Instrument, or nil.
 func (t *TCPNetwork) Metrics() *metrics.Registry { return t.stats.registry() }
 
-// SetTraceSpan installs sp as the active span: subsequent messages carry
-// its trace id (across the gob framing) and their traffic accumulates on
-// it.
+// SetTraceSpan installs sp as the active span: the traffic of subsequent
+// sends accumulates on it.
 func (t *TCPNetwork) SetTraceSpan(sp *trace.Span) { t.stats.setSpan(sp) }
 
 // TraceSpan returns the span installed by SetTraceSpan, or nil.
@@ -215,7 +214,6 @@ func (n *tcpNode) Send(to int, m Message) error {
 	}
 	m.From = n.id
 	m.To = to
-	n.net.stats.stamp(&m)
 	n.net.stats.record(m)
 	if to == n.id {
 		return n.mb.put(m)

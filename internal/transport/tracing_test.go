@@ -18,55 +18,6 @@ func startSpan(t *testing.T) (*trace.Tracer, *trace.Span) {
 	return tr, sp
 }
 
-func TestInMemStampsTraceID(t *testing.T) {
-	net, err := NewInMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	_, sp := startSpan(t)
-	if !AttachSpan(net, sp) {
-		t.Fatal("AttachSpan refused an in-memory network")
-	}
-	if SpanOf(net) != sp {
-		t.Fatal("SpanOf does not return the attached span")
-	}
-	if err := net.Node(0).Send(1, Message{Kind: KindControl, Data: []uint64{7}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := net.Node(1).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != uint64(sp.TraceID()) {
-		t.Fatalf("received Trace=%x, want %x", got.Trace, uint64(sp.TraceID()))
-	}
-}
-
-func TestTCPTraceIDSurvivesGob(t *testing.T) {
-	net, err := NewTCP(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	_, sp := startSpan(t)
-	AttachSpan(net, sp)
-	want := uint64(sp.TraceID())
-	if err := net.Node(0).Send(1, Message{Kind: KindShare, Seq: 3, Data: []uint64{1, 2, 3}}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := net.Node(1).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != want {
-		t.Fatalf("trace id did not survive gob framing: got %x, want %x", got.Trace, want)
-	}
-	if got.Kind != KindShare || got.Seq != 3 || len(got.Data) != 3 {
-		t.Fatalf("message mangled alongside trace header: %+v", got)
-	}
-}
-
 func TestSpanTrafficAttribution(t *testing.T) {
 	net, err := NewInMem(2)
 	if err != nil {
@@ -98,32 +49,14 @@ func TestSpanTrafficAttribution(t *testing.T) {
 
 func TestWireSizeCoversTraceHeader(t *testing.T) {
 	m := Message{Kind: KindShare, Data: make([]uint64, 5)}
-	// 28-byte header (routing + 4-byte session id + 8-byte trace id) plus
-	// 8 bytes per element.
-	if got, want := m.wireSize(), 28+8*5; got != want {
+	// 16-byte routing header (From, To, Kind, Seq) plus 8 bytes per
+	// element.
+	if got, want := m.wireSize(), 16+8*5; got != want {
 		t.Fatalf("wireSize = %d, want %d", got, want)
 	}
 	empty := Message{Kind: KindControl}
-	if got := empty.wireSize(); got != 28 {
-		t.Fatalf("empty message wireSize = %d, want 28", got)
-	}
-}
-
-func TestUntracedMessagesCarryZeroTrace(t *testing.T) {
-	net, err := NewInMem(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer net.Close()
-	if err := net.Node(0).Send(1, Message{Kind: KindControl}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := net.Node(1).Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Trace != 0 {
-		t.Fatalf("untraced message carries trace id %x", got.Trace)
+	if got := empty.wireSize(); got != 16 {
+		t.Fatalf("empty message wireSize = %d, want 16", got)
 	}
 }
 

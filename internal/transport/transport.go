@@ -10,6 +10,8 @@
 //
 // All protocol messages are vectors of field elements plus small routing
 // headers, so a single Message type covers every protocol in the repo.
+// A network carries one protocol execution: a secure construction opens
+// one per execution (SecSumShare, each GMW run) and closes it after.
 package transport
 
 import (
@@ -68,29 +70,19 @@ func (k Kind) String() string {
 
 // Message is a routed protocol message. Data carries field elements or
 // packed bits depending on Kind; Seq disambiguates rounds or batches.
-// Session identifies the logical sub-network the message belongs to when a
-// physical network is multiplexed by a SessionMux (0 outside a mux), so
-// concurrent protocol instances never interleave messages. Trace carries
-// the id of the trace active on the sending network (0 when tracing is
-// off); both transports round-trip it, so per-trace traffic attribution
-// survives gob framing on the TCP path.
 type Message struct {
-	From    int
-	To      int
-	Kind    Kind
-	Seq     uint32
-	Session uint32
-	Trace   uint64
-	Data    []uint64
+	From int
+	To   int
+	Kind Kind
+	Seq  uint32
+	Data []uint64
 }
 
 // wireSize approximates the serialized size of the message in bytes; used
-// for traffic accounting in both transports. The 28-byte header is the
-// routing fields (From, To, Kind, Seq ≈ 16 bytes), the 4-byte session id,
-// and the 8-byte trace id, so Collector traffic numbers stay honest with
-// tracing and session multiplexing on.
+// for traffic accounting in both transports. The 16-byte header prices
+// the routing fields (From, To, Kind, Seq).
 func (m Message) wireSize() int {
-	return 28 + 8*len(m.Data)
+	return 16 + 8*len(m.Data)
 }
 
 // ErrClosed is returned by Send/Recv on a closed node.
@@ -166,8 +158,8 @@ func RegistryOf(n Network) *metrics.Registry {
 // SpanCarrier is implemented by networks whose traffic can be attributed
 // to an active trace span.
 type SpanCarrier interface {
-	// SetTraceSpan installs sp as the active span: subsequent messages are
-	// stamped with its trace id and their bytes/messages accumulate on it.
+	// SetTraceSpan installs sp as the active span: the bytes and messages
+	// of subsequent sends accumulate on it.
 	SetTraceSpan(sp *trace.Span)
 	// TraceSpan returns the installed span (nil before SetTraceSpan).
 	TraceSpan() *trace.Span
@@ -248,14 +240,6 @@ func (c *counter) registry() *metrics.Registry {
 func (c *counter) setSpan(sp *trace.Span) { c.span.Store(sp) }
 
 func (c *counter) traceSpan() *trace.Span { return c.span.Load() }
-
-// stamp writes the active trace id into the message header before it hits
-// the wire (a no-op when no span is attached).
-func (c *counter) stamp(m *Message) {
-	if sp := c.span.Load(); sp != nil {
-		m.Trace = uint64(sp.TraceID())
-	}
-}
 
 func (c *counter) record(m Message) {
 	c.messages.Add(1)
