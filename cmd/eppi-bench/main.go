@@ -7,10 +7,11 @@
 //	eppi-bench -experiment all
 //
 // Experiments: fig4a fig4b fig5a fig5b fig6a fig6a-model fig6b fig6c
-// table2 searchcost all. Output is an aligned text rendering of the
-// figure's series (one column per line in the paper's plot) or the table's
-// rows. -quick shrinks the workloads for smoke runs; the default scale
-// matches the paper (10,000 providers for Figures 4-5).
+// table2 searchcost ablation-mixing ablation-c ablation-rebuild all (-h
+// lists them from the table run executes). Output is an aligned text
+// rendering of the figure's series (one column per line in the paper's
+// plot) or the table's rows. -quick shrinks the workloads for smoke runs;
+// the default scale matches the paper (10,000 providers for Figures 4-5).
 //
 // Unless -metrics=false, text output ends with a "== metrics snapshot =="
 // section: a JSON dump of the instrumentation gathered across the run
@@ -32,6 +33,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	rtrace "runtime/trace"
+	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -50,9 +52,40 @@ type renderer interface {
 	RenderCSV(io.Writer) error
 }
 
+// experimentTable lists every experiment -experiment accepts, in the order
+// -experiment all runs them.
+var experimentTable = []struct {
+	id  string
+	gen func(experiments.Options) (renderer, error)
+}{
+	{"fig4a", wrapFig(experiments.Fig4a)},
+	{"fig4b", wrapFig(experiments.Fig4b)},
+	{"fig5a", wrapFig(experiments.Fig5a)},
+	{"fig5b", wrapFig(experiments.Fig5b)},
+	{"fig6a", wrapFig(experiments.Fig6a)},
+	{"fig6a-model", wrapFig(experiments.Fig6aModelled)},
+	{"fig6b", wrapFig(experiments.Fig6b)},
+	{"fig6c", wrapFig(experiments.Fig6c)},
+	{"table2", wrapTable(experiments.Table2)},
+	{"searchcost", wrapTable(experiments.SearchCost)},
+	{"ablation-mixing", wrapTable(experiments.AblationMixing)},
+	{"ablation-c", wrapTable(experiments.AblationC)},
+	{"ablation-rebuild", wrapTable(experiments.AblationRebuild)},
+}
+
+// experimentHelp is the -experiment usage string, built from
+// experimentTable so the two cannot drift.
+func experimentHelp() string {
+	ids := make([]string, len(experimentTable))
+	for i, exp := range experimentTable {
+		ids[i] = exp.id
+	}
+	return "experiment id (" + strings.Join(ids, ", ") + ", or all)"
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("eppi-bench", flag.ContinueOnError)
-	experiment := fs.String("experiment", "all", "experiment id (fig4a..fig6c, table2, searchcost, ablation-mixing, ablation-c, all)")
+	experiment := fs.String("experiment", "all", experimentHelp())
 	seed := fs.Int64("seed", 42, "random seed")
 	quick := fs.Bool("quick", false, "reduced scale for smoke runs")
 	format := fs.String("format", "text", "output format: text|csv")
@@ -111,28 +144,8 @@ func run(args []string, out io.Writer) error {
 		opts.Metrics = reg
 	}
 
-	all := []struct {
-		id  string
-		gen func(experiments.Options) (renderer, error)
-	}{
-		{"fig4a", wrapFig(experiments.Fig4a)},
-		{"fig4b", wrapFig(experiments.Fig4b)},
-		{"fig5a", wrapFig(experiments.Fig5a)},
-		{"fig5b", wrapFig(experiments.Fig5b)},
-		{"fig6a", wrapFig(experiments.Fig6a)},
-		{"fig6a-model", wrapFig(experiments.Fig6aModelled)},
-		{"fig6b", wrapFig(experiments.Fig6b)},
-		{"fig6c", wrapFig(experiments.Fig6c)},
-		{"table2", wrapTable(experiments.Table2)},
-		{"searchcost", wrapTable(experiments.SearchCost)},
-		{"ablation-mixing", wrapTable(experiments.AblationMixing)},
-		{"ablation-c", wrapTable(experiments.AblationC)},
-		{"ablation-rebuild", wrapTable(experiments.AblationRebuild)},
-		{"ablation-depth", wrapTable(experiments.AblationDepth)},
-	}
-
 	ran := false
-	for _, exp := range all {
+	for _, exp := range experimentTable {
 		if *experiment != "all" && *experiment != exp.id {
 			continue
 		}

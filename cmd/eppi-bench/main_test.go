@@ -140,3 +140,42 @@ func TestRunProfilingBadPath(t *testing.T) {
 		t.Fatal("unwritable cpuprofile path accepted")
 	}
 }
+
+// TestExperimentHelpListsTable checks that the -experiment help printed by
+// -h names exactly the experiments the table runs, plus all.
+func TestExperimentHelpListsTable(t *testing.T) {
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stderr := os.Stderr
+	os.Stderr = f
+	err = run([]string{"-h"}, &bytes.Buffer{})
+	os.Stderr = stderr
+	if err == nil {
+		t.Fatal("-h returned no error")
+	}
+	usage, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rest, ok := strings.Cut(string(usage), "experiment id (")
+	list, _, ok2 := strings.Cut(rest, ")")
+	if !ok || !ok2 {
+		t.Fatalf("no experiment list in usage:\n%s", usage)
+	}
+	named := map[string]bool{}
+	for _, id := range strings.Split(strings.TrimSuffix(list, ", or all"), ", ") {
+		named[id] = true
+	}
+	for _, exp := range experimentTable {
+		if !named[exp.id] {
+			t.Errorf("help omits experiment %q", exp.id)
+		}
+		delete(named, exp.id)
+	}
+	for id := range named {
+		t.Errorf("help names %q, which the table does not run", id)
+	}
+}

@@ -20,13 +20,9 @@ func ConstVec(v uint64, width int) []Wire {
 	return out
 }
 
-// Add returns a + b modulo 2^len(a), using the builder's adder style
-// (ripple by default; SetStyle(StylePrefix) switches to log-depth
-// Kogge–Stone). Vectors must have equal width.
+// Add returns a + b modulo 2^len(a) with a ripple-carry adder (one AND
+// gate and one AND level per bit). Vectors must have equal width.
 func (b *Builder) Add(x, y []Wire) ([]Wire, error) {
-	if b.style == StylePrefix {
-		return b.addPrefix(x, y)
-	}
 	if len(x) != len(y) {
 		return nil, fmt.Errorf("circuit: adder width mismatch %d vs %d", len(x), len(y))
 	}
@@ -63,12 +59,8 @@ func (b *Builder) SumMod(vecs [][]Wire) ([]Wire, error) {
 }
 
 // LessThan returns the single wire (x < y) for unsigned little-endian
-// vectors of equal width, via the borrow of x − y (or the prefix carry
-// network when the builder style is StylePrefix).
+// vectors of equal width, via the borrow of x − y.
 func (b *Builder) LessThan(x, y []Wire) (Wire, error) {
-	if b.style == StylePrefix {
-		return b.lessThanPrefix(x, y)
-	}
 	if len(x) != len(y) {
 		return Zero, fmt.Errorf("circuit: comparator width mismatch %d vs %d", len(x), len(y))
 	}

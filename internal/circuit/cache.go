@@ -8,8 +8,8 @@ import (
 // Compilation cache. Compilation (gate emission, constant folding, round
 // scheduling) is pure CPU waste when the parameters repeat, and the secure
 // pipeline's slice circuits repeat across every construction with the
-// same coordinator count, share width, coin precision, mixing threshold
-// and arithmetic style. Compiled *Circuit values are immutable after Build
+// same coordinator count, share width, coin precision and mixing
+// threshold. Compiled *Circuit values are immutable after Build
 // (the GMW evaluator already shares one circuit across all party
 // goroutines), so handing the same pointer to every caller is safe.
 //
@@ -68,18 +68,18 @@ func cacheSize() int {
 
 // CountBelowSliceCached is CountBelowSlice memoized by its parameters.
 func CountBelowSliceCached(p SliceParams) (*Circuit, error) {
-	key := fmt.Sprintf("cbs|%d|%d|%d", p.Parties, p.ShareBits, p.Arithmetic)
+	key := fmt.Sprintf("cbs|%d|%d", p.Parties, p.ShareBits)
 	return cachedCompile(key, func() (*Circuit, error) { return CountBelowSlice(p) })
 }
 
 // RevealSliceCached is RevealSlice memoized by its parameters.
 func RevealSliceCached(p SliceParams) (*Circuit, error) {
-	key := fmt.Sprintf("rvs|%d|%d|%d|%d|%d", p.Parties, p.ShareBits, p.CoinBits, p.MixThreshold, p.Arithmetic)
+	key := fmt.Sprintf("rvs|%d|%d|%d|%d", p.Parties, p.ShareBits, p.CoinBits, p.MixThreshold)
 	return cachedCompile(key, func() (*Circuit, error) { return RevealSlice(p) })
 }
 
 // SliceCountCached is SliceCount memoized by its parameters.
 func SliceCountCached(p SliceCountParams) (*Circuit, error) {
-	key := fmt.Sprintf("sc|%d|%d|%d", p.Parties, p.Slots, p.Arithmetic)
+	key := fmt.Sprintf("sc|%d|%d", p.Parties, p.Slots)
 	return cachedCompile(key, func() (*Circuit, error) { return SliceCount(p) })
 }

@@ -203,7 +203,6 @@ type Builder struct {
 	inputs   []Input
 	outputs  []Wire
 	gates    []Gate
-	style    Style
 }
 
 // NewBuilder returns an empty builder.

@@ -35,8 +35,6 @@ type CountBelowParams struct {
 	// Thresholds holds the public per-identity thresholds t_j = σ'_j · m,
 	// one per identity.
 	Thresholds []uint64
-	// Arithmetic selects ripple (default) or log-depth prefix arithmetic.
-	Arithmetic Style
 }
 
 // CountBelow compiles the MPC-reduced CountBelow circuit.
@@ -58,7 +56,6 @@ func CountBelow(p CountBelowParams) (*Circuit, error) {
 		}
 	}
 	b := NewBuilder()
-	b.SetStyle(p.Arithmetic)
 	// Party k's inputs: identities × ShareBits wires, identity-major.
 	shares := make([][][]Wire, p.Parties) // [party][identity][bit]
 	for k := 0; k < p.Parties; k++ {

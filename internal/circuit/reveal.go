@@ -40,8 +40,6 @@ type RevealParams struct {
 	// MixThreshold is the public λ·2^CoinBits cutoff; 0 disables mixing and
 	// it must be < 2^CoinBits (clamp λ upstream).
 	MixThreshold uint64
-	// Arithmetic selects ripple (default) or log-depth prefix arithmetic.
-	Arithmetic Style
 }
 
 // Reveal compiles the MPC-reduced reveal circuit. Input order per party k:
@@ -67,7 +65,6 @@ func Reveal(p RevealParams) (*Circuit, error) {
 		}
 	}
 	b := NewBuilder()
-	b.SetStyle(p.Arithmetic)
 	type partyInputs struct {
 		shares [][]Wire // [identity][bit]
 		coins  [][]Wire // [identity][bit]

@@ -40,9 +40,22 @@ type SliceParams struct {
 	// MixThreshold is the public λ·2^CoinBits cutoff (< 2^CoinBits;
 	// RevealSlice only).
 	MixThreshold uint64
-	// Arithmetic selects ripple (default) or log-depth prefix arithmetic.
+	// Arithmetic named an adder style.
+	//
+	// Deprecated: ignored; kept because bench/ sets it.
 	Arithmetic Style
 }
+
+// Style is the type of the ignored Arithmetic fields of SliceParams and
+// core.Config; every circuit uses ripple adders.
+//
+// Deprecated: ignored; kept because bench/ sets it.
+type Style int
+
+// StylePrefix named the parallel-prefix adder style.
+//
+// Deprecated: ignored; kept because bench/ sets it.
+const StylePrefix Style = 1
 
 // CountBelowSlice compiles the threshold-free one-identity comparator.
 // Party k inputs its W-bit share; party 0's share must have the folded
@@ -54,7 +67,6 @@ func CountBelowSlice(p SliceParams) (*Circuit, error) {
 		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)
 	}
 	b := NewBuilder()
-	b.SetStyle(p.Arithmetic)
 	vecs := make([][]Wire, p.Parties)
 	for k := range vecs {
 		vecs[k] = b.InputVec(k, p.ShareBits)
@@ -77,8 +89,6 @@ type SliceCountParams struct {
 	// Slots is the number of kept-shared ≥-bits counted per instance (the
 	// batch size; padded identities carry zero bits by construction).
 	Slots int
-	// Arithmetic selects ripple (default) or log-depth prefix arithmetic.
-	Arithmetic Style
 }
 
 // SliceCount compiles the count opener: party k inputs its Slots XOR-share
@@ -90,7 +100,6 @@ func SliceCount(p SliceCountParams) (*Circuit, error) {
 		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)
 	}
 	b := NewBuilder()
-	b.SetStyle(p.Arithmetic)
 	shares := make([][]Wire, p.Parties) // [party][slot]
 	for k := range shares {
 		shares[k] = b.InputVec(k, p.Slots)
@@ -130,7 +139,6 @@ func RevealSlice(p SliceParams) (*Circuit, error) {
 		return nil, fmt.Errorf("%w: mix threshold %d needs more than %d coin bits", ErrNoParams, p.MixThreshold, p.CoinBits)
 	}
 	b := NewBuilder()
-	b.SetStyle(p.Arithmetic)
 	shares := make([][]Wire, p.Parties)
 	coins := make([][]Wire, p.Parties)
 	for k := 0; k < p.Parties; k++ {

@@ -10,41 +10,39 @@ import (
 // share, the output bit must equal freq ≥ t for every freq ≤ m, t ≤ 2^(W−1)−1.
 func TestCountBelowSliceMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	for _, style := range []Style{StyleRipple, StylePrefix} {
-		const m = 37
-		shareBits := BitsNeeded(uint64(m + 1))
-		w := shareBits + 1
-		p := SliceParams{Parties: 3, ShareBits: w, Arithmetic: style}
-		c, err := CountBelowSlice(p)
+	const m = 37
+	shareBits := BitsNeeded(uint64(m + 1))
+	w := shareBits + 1
+	p := SliceParams{Parties: 3, ShareBits: w}
+	c, err := CountBelowSlice(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod := uint64(1) << uint(w)
+	for trial := 0; trial < 300; trial++ {
+		freq := uint64(rng.Intn(m + 1))
+		thr := uint64(rng.Intn(1<<uint(shareBits)-1) + 1)
+		shares := make([]uint64, p.Parties)
+		var sum uint64
+		for k := 0; k < p.Parties-1; k++ {
+			shares[k] = rng.Uint64() % mod
+			sum = (sum + shares[k]) % mod
+		}
+		shares[p.Parties-1] = (freq + mod - sum) % mod
+		shares[0] = (shares[0] + mod - thr) % mod // fold the offset
+		var in []bool
+		for k := 0; k < p.Parties; k++ {
+			in = append(in, PackBits(shares[k], w)...)
+		}
+		out, err := c.Evaluate(in)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod := uint64(1) << uint(w)
-		for trial := 0; trial < 300; trial++ {
-			freq := uint64(rng.Intn(m + 1))
-			thr := uint64(rng.Intn(1<<uint(shareBits)-1) + 1)
-			shares := make([]uint64, p.Parties)
-			var sum uint64
-			for k := 0; k < p.Parties-1; k++ {
-				shares[k] = rng.Uint64() % mod
-				sum = (sum + shares[k]) % mod
-			}
-			shares[p.Parties-1] = (freq + mod - sum) % mod
-			shares[0] = (shares[0] + mod - thr) % mod // fold the offset
-			var in []bool
-			for k := 0; k < p.Parties; k++ {
-				in = append(in, PackBits(shares[k], w)...)
-			}
-			out, err := c.Evaluate(in)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(out) != 1 {
-				t.Fatalf("CountBelowSlice has %d outputs, want 1", len(out))
-			}
-			if want := freq >= thr; out[0] != want {
-				t.Fatalf("style %v freq=%d thr=%d: ge=%v, want %v", style, freq, thr, out[0], want)
-			}
+		if len(out) != 1 {
+			t.Fatalf("CountBelowSlice has %d outputs, want 1", len(out))
+		}
+		if want := freq >= thr; out[0] != want {
+			t.Fatalf("freq=%d thr=%d: ge=%v, want %v", freq, thr, out[0], want)
 		}
 	}
 }

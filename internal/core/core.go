@@ -109,11 +109,14 @@ type Config struct {
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
 	// deriving it from the ε of common identities.
 	XiOverride float64
-	// BatchSize, in ModeSecure, sets how finely the common count is
-	// released: stage B opens one count per batch of BatchSize identities
-	// (0 means one batch, i.e. the total alone). Batch boundaries are public
-	// parameters. Every secure execution spans all identities whatever the
-	// batch size, and no other output depends on it.
+	// BatchSize, in ModeSecure, sets how many common counts stage B opens:
+	// one per batch of BatchSize identities (0 means one batch, i.e. the
+	// total alone). Batch boundaries are public column ranges, so every
+	// coordinator learns ⌈n/BatchSize⌉ per-batch counts, and BatchSize 1
+	// opens each identity's common bit: the common set that identity
+	// mixing (Eq. 6–7) exists to hide. ROADMAP.md item 6 replaces the knob
+	// with one opened count. Every secure execution spans all identities
+	// whatever the batch size, and M′ depends only on the total.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold and mixing
 	// shards, triple dealing, and randomized publication shards all share
@@ -126,9 +129,10 @@ type Config struct {
 	// Deprecated: Wide is ignored. Stages B and C always run bit-sliced
 	// over all identities; the field stays for callers that still set it.
 	Wide bool
-	// Arithmetic selects the circuit adder style: ripple (default) or
-	// log-depth parallel-prefix, which trades AND gates for fewer GMW
-	// communication rounds (latency-bound deployments).
+	// Arithmetic named a circuit adder style; every circuit uses ripple
+	// adders.
+	//
+	// Deprecated: ignored; kept because bench/ sets it.
 	Arithmetic circuit.Style
 	// NewNetwork supplies the transport for ModeSecure; defaults to the
 	// in-memory transport. A construction calls it once for the m-party

@@ -12,7 +12,6 @@ import (
 	"testing"
 
 	"repro/internal/bitmat"
-	"repro/internal/circuit"
 	"repro/internal/mathx"
 	"repro/internal/prf"
 	"repro/internal/workload"
@@ -367,7 +366,8 @@ func fuzzBetas(rng *rand.Rand, n int, profile uint8) []float64 {
 
 // benchShape is one benchmark workload's dataset and the configuration its
 // construction runs (bench/pipeline.go): the trusted build at 4000 × 14 336
-// or the secure build at 512 × 32 768.
+// or the secure build at 512 × 32 768. The deprecated Arithmetic and Wide
+// fields bench/pipeline.go also sets change nothing, so they are left out.
 type benchShape struct {
 	name string
 	data *workload.Dataset
@@ -391,7 +391,7 @@ func benchShapes(b *testing.B) []benchShape {
 			Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1}},
 		{"secure-512x32768", gen(512, 32768), Config{
 			Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-			Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+			CoinBits: 32, BatchSize: 128,
 		}},
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/circuit"
 	"repro/internal/transport"
 )
 
@@ -16,10 +15,10 @@ import (
 // ragged 40 × 130 shape with exactly one true common identity (column 0,
 // held by 39 of 40 providers). Every row must agree with its policy's
 // entry: BatchSize 48 (three batches, the last partial), 0 (the whole set),
-// 64 (one word) and 33 (dividing neither 64 nor 130), ripple and prefix
-// arithmetic, 1 and 8 workers, and the TCP row. Batch size is a public
-// release granularity and shapes no other output; opened values do not
-// depend on the arithmetic style, the worker count or the transport.
+// 64 (one word) and 33 (dividing neither 64 nor 130), 1 and 8 workers, and
+// the TCP row. Batch size sets how many counts stage B opens and shapes no
+// other output; opened values do not depend on the worker count or the
+// transport.
 //
 // The values were re-pinned once, when the per-batch mixing-coin streams
 // were replaced by the keyed per-coordinator, per-identity coin (prf.Coins),
@@ -82,12 +81,10 @@ func TestSecurePublishedGolden(t *testing.T) {
 			check(fmt.Sprintf("%s/workers=%d", pol.name, workers), pol.name, cfg)
 		}
 		for _, batch := range []int{0, 64, 33} {
-			for _, arith := range []circuit.Style{circuit.StyleRipple, circuit.StylePrefix} {
-				cfg := base
-				pol.set(&cfg)
-				cfg.BatchSize, cfg.Arithmetic = batch, arith
-				check(fmt.Sprintf("%s/batch=%d/%v", pol.name, batch, arith), pol.name, cfg)
-			}
+			cfg := base
+			pol.set(&cfg)
+			cfg.BatchSize = batch
+			check(fmt.Sprintf("%s/batch=%d", pol.name, batch), pol.name, cfg)
 		}
 	}
 	cfg := base

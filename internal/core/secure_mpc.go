@@ -167,9 +167,7 @@ func (st *mpcStages) run(stage string, exec uint64, circ *circuit.Circuit, words
 // The returned count is their sum.
 func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 	var out mpcOut
-	cbCirc, err := circuit.CountBelowSliceCached(circuit.SliceParams{
-		Parties: st.c, ShareBits: st.w, Arithmetic: st.cfg.Arithmetic,
-	})
+	cbCirc, err := circuit.CountBelowSliceCached(circuit.SliceParams{Parties: st.c, ShareBits: st.w})
 	if err != nil {
 		return out, fmt.Errorf("compile CountBelowSlice: %w", err)
 	}
@@ -190,9 +188,7 @@ func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 	}
 	out.record(cbCirc, st.words, cbRes)
 
-	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{
-		Parties: st.c, Slots: batch, Arithmetic: st.cfg.Arithmetic,
-	})
+	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{Parties: st.c, Slots: batch})
 	if err != nil {
 		return out, fmt.Errorf("compile SliceCount: %w", err)
 	}
@@ -230,8 +226,7 @@ func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden 
 		mixThreshold = uint64(math.Ldexp(lambda, coinBits))
 	}
 	rvCirc, err := circuit.RevealSliceCached(circuit.SliceParams{
-		Parties: st.c, ShareBits: st.w, CoinBits: coinBits,
-		MixThreshold: mixThreshold, Arithmetic: st.cfg.Arithmetic,
+		Parties: st.c, ShareBits: st.w, CoinBits: coinBits, MixThreshold: mixThreshold,
 	})
 	if err != nil {
 		return out, fmt.Errorf("compile RevealSlice: %w", err)

@@ -179,36 +179,59 @@ func TestSecureWithOTPreprocessing(t *testing.T) {
 	}
 }
 
-// Prefix-arithmetic circuits must produce identical protocol outcomes.
-func TestSecureWithPrefixArithmetic(t *testing.T) {
-	truth := matrixWithFreqs(10, []int{10, 2, 4})
-	eps := []float64{0.5, 0.5, 0.5}
-	base := secureCfg(41)
-	base.Policy = mathx.PolicyBasic
-	ripple, err := Construct(truth, eps, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pfx := base
-	pfx.Arithmetic = circuit.StylePrefix
-	prefix, err := Construct(truth, eps, pfx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ripple.CommonCount != prefix.CommonCount {
-		t.Fatalf("commons differ: %d vs %d", ripple.CommonCount, prefix.CommonCount)
-	}
-	for j := range ripple.Betas {
-		if !ripple.Hidden[j] && !prefix.Hidden[j] && ripple.Betas[j] != prefix.Betas[j] {
-			t.Fatalf("β %d differs between arithmetic styles", j)
+// TestArithmeticShimInert holds the deprecated Config.Arithmetic and
+// Config.Wide to no effect: setting them changes neither what a secure
+// construction publishes nor what its MPC costs.
+func TestArithmeticShimInert(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	m, n := 40, 150
+	truth := randomMatrix(rng, m, n, 0.3)
+	eps := make([]float64, n)
+	for j := range eps {
+		eps[j] = 0.1 + 0.8*rng.Float64()
+		if j%25 == 0 { // a few commons, so Reveal has identities to hide
+			for i := 0; i < m; i++ {
+				truth.Set(i, j, true)
+			}
 		}
 	}
-	// Note: at this toy scale (4-bit shares) prefix circuits are not yet
-	// shallower — the round-count advantage at realistic widths is covered
-	// by circuit.TestPrefixDepthAdvantage and the ablation-depth
-	// experiment; here we only require protocol-outcome equivalence.
-	if prefix.Secure.MPCRounds == 0 {
-		t.Fatal("prefix pipeline recorded no MPC rounds")
+	base := secureCfg(41)
+	base.BatchSize = 64
+	want, err := Construct(truth, eps, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shim := base
+	shim.Arithmetic, shim.Wide = circuit.StylePrefix, true
+	got, err := Construct(truth, eps, shim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.CommonCount == 0 {
+		t.Fatal("shape has no commons")
+	}
+	if !got.Published.Equal(want.Published) {
+		t.Error("M′ differs")
+	}
+	if got.CommonCount != want.CommonCount {
+		t.Errorf("CommonCount = %d, want %d", got.CommonCount, want.CommonCount)
+	}
+	for j := range want.Betas {
+		if got.Hidden[j] != want.Hidden[j] || got.Betas[j] != want.Betas[j] {
+			t.Fatalf("identity %d: hidden %v β %v, want hidden %v β %v",
+				j, got.Hidden[j], got.Betas[j], want.Hidden[j], want.Betas[j])
+		}
+	}
+	gs, ws := got.Secure, want.Secure
+	if gs.MPCRounds != ws.MPCRounds || gs.MPC.Bytes != ws.MPC.Bytes {
+		t.Errorf("MPC cost %d rounds / %d bytes, want %d / %d",
+			gs.MPCRounds, gs.MPC.Bytes, ws.MPCRounds, ws.MPC.Bytes)
+	}
+	if gs.CountBelowCircuit.AndGates != ws.CountBelowCircuit.AndGates ||
+		gs.RevealCircuit.AndGates != ws.RevealCircuit.AndGates {
+		t.Errorf("AND gates %d + %d, want %d + %d",
+			gs.CountBelowCircuit.AndGates, gs.RevealCircuit.AndGates,
+			ws.CountBelowCircuit.AndGates, ws.RevealCircuit.AndGates)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/circuit"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -194,9 +193,10 @@ func TestWideRoundsIndependentOfN(t *testing.T) {
 
 // BenchmarkWideStages times stages B and C of one secure construction
 // at the secure benchmark's shape: 512 providers × 32 768 identities,
-// c = 3, prefix arithmetic, 32 coin bits, batch 128. It reports the
-// protocol rounds and the stage wall time (SecureStats.MPCWall) per
-// word-AND gate evaluated.
+// c = 3, 32 coin bits, batch 128. It reports the protocol rounds (33:
+// 11 for CountBelowSlice, 9 for the count opener, 13 for RevealSlice) and
+// the stage wall time (SecureStats.MPCWall) per word-AND gate evaluated
+// (10 240 + 988 + 20 992 of them).
 func BenchmarkWideStages(b *testing.B) {
 	const m, n = 512, 32768
 	d, err := workload.GenerateZipf(workload.ZipfConfig{
@@ -208,7 +208,7 @@ func BenchmarkWideStages(b *testing.B) {
 	}
 	cfg := Config{
 		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-		Arithmetic: circuit.StylePrefix, CoinBits: 32, BatchSize: 128,
+		CoinBits: 32, BatchSize: 128,
 	}
 	var wall time.Duration
 	var s *SecureStats

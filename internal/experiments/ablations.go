@@ -6,10 +6,8 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/bitmat"
-	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/mathx"
-	"repro/internal/netsim"
 	"repro/internal/workload"
 )
 
@@ -197,73 +195,6 @@ func AblationRebuild(opts Options) (*TableResult, error) {
 				fmt.Sprintf("%.3f", series.bound))
 		}
 		table.Rows = append(table.Rows, row)
-	}
-	return table, nil
-}
-
-// AblationDepth compares ripple against parallel-prefix (Kogge–Stone)
-// arithmetic in the coordinator circuits. GMW pays one communication round
-// per AND-depth level, so on latency-bound links the shallow prefix
-// circuits win despite spending more AND gates; the table prices both
-// styles under the netsim LAN model at the paper's network sizes.
-func AblationDepth(opts Options) (*TableResult, error) {
-	providerCounts := []int{100, 1000, 10000, 25000}
-	if opts.Quick {
-		providerCounts = []int{100, 25000}
-	}
-	lan := netsim.Emulab()
-	wan := netsim.WAN()
-	table := &TableResult{
-		ID:     "ablation-depth",
-		Title:  "Ripple vs prefix arithmetic in the coordinator MPC (per identity, c=3)",
-		Header: []string{"providers", "style", "and-gates", "and-depth", "modelled-LAN-ms", "modelled-WAN-ms"},
-	}
-	for _, m := range providerCounts {
-		shareBits := circuit.BitsNeeded(uint64(m + 1))
-		threshold := []uint64{uint64(m)/2 + 1}
-		for _, style := range []circuit.Style{circuit.StyleRipple, circuit.StylePrefix} {
-			cb, err := circuit.CountBelow(circuit.CountBelowParams{
-				Parties: 3, Identities: 1, ShareBits: shareBits,
-				Thresholds: threshold, Arithmetic: style,
-			})
-			if err != nil {
-				return nil, err
-			}
-			rv, err := circuit.Reveal(circuit.RevealParams{
-				Parties: 3, Identities: 1, ShareBits: shareBits,
-				Thresholds: threshold, CoinBits: 16, MixThreshold: 100,
-				Arithmetic: style,
-			})
-			if err != nil {
-				return nil, err
-			}
-			gates := cb.Stats().AndGates + rv.Stats().AndGates
-			depth := cb.Stats().AndDepth + rv.Stats().AndDepth
-			// Each AND level is one broadcast round among the coordinators;
-			// per-gate compute is negligible next to link latency here, so
-			// model rounds plus traffic only.
-			work := netsim.Workload{
-				Rounds:           depth + 4,
-				MaxBytesPerParty: gates,
-				Gates:            0, // GMW online gate work is bitwise, ~free
-			}
-			lanDur, err := lan.Estimate(work)
-			if err != nil {
-				return nil, err
-			}
-			wanDur, err := wan.Estimate(work)
-			if err != nil {
-				return nil, err
-			}
-			table.Rows = append(table.Rows, []string{
-				fmt.Sprintf("%d", m),
-				style.String(),
-				fmt.Sprintf("%d", gates),
-				fmt.Sprintf("%d", depth),
-				fmt.Sprintf("%.2f", lanDur.Seconds()*1000),
-				fmt.Sprintf("%.1f", wanDur.Seconds()*1000),
-			})
-		}
 	}
 	return table, nil
 }

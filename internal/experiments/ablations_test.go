@@ -78,57 +78,6 @@ func TestAblationRebuild(t *testing.T) {
 	}
 }
 
-func TestAblationDepth(t *testing.T) {
-	table, err := AblationDepth(quickOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(table.Rows)%2 != 0 || len(table.Rows) == 0 {
-		t.Fatalf("rows = %d", len(table.Rows))
-	}
-	// Pairs of rows: ripple then prefix for the same m. The trade has a
-	// crossover — at small m the folded ripple chains are already shallow —
-	// but at the largest network the prefix circuits must win on depth and
-	// modelled latency while spending more gates.
-	last := len(table.Rows) - 2
-	ripple, prefix := table.Rows[last], table.Rows[last+1]
-	if ripple[1] != "ripple" || prefix[1] != "prefix" {
-		t.Fatalf("row order wrong: %v / %v", ripple, prefix)
-	}
-	rd, err := strconv.Atoi(ripple[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := strconv.Atoi(prefix[3])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pd >= rd {
-		t.Errorf("largest m: prefix depth %d not below ripple %d", pd, rd)
-	}
-	rg, err := strconv.Atoi(ripple[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	pg, err := strconv.Atoi(prefix[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pg <= rg {
-		t.Errorf("prefix gates %d not above ripple %d (nothing is free)", pg, rg)
-	}
-	var rms, pms float64
-	if _, err := sscan(ripple[4], &rms); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sscan(prefix[4], &pms); err != nil {
-		t.Fatal(err)
-	}
-	if pms >= rms {
-		t.Errorf("largest m: prefix modelled latency %v not below ripple %v", pms, rms)
-	}
-}
-
 func TestAblationC(t *testing.T) {
 	table, err := AblationC(quickOpts)
 	if err != nil {

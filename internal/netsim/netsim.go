@@ -42,18 +42,6 @@ func Emulab() Config {
 	}
 }
 
-// WAN returns parameters for geographically distributed coordinators
-// (cross-region links): high latency makes protocol round count — i.e.
-// circuit AND-depth — the dominant cost, which is the regime where the
-// parallel-prefix circuits pay off.
-func WAN() Config {
-	return Config{
-		LatencyNs:      25_000_000, // 25 ms one-way cross-region
-		BytesPerSecond: 12_500_000, // 100 Mbit/s
-		GateNs:         40_000,
-	}
-}
-
 // ErrBadConfig reports non-positive model parameters.
 var ErrBadConfig = errors.New("netsim: config values must be positive")
 

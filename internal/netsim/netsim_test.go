@@ -9,12 +9,6 @@ func TestValidate(t *testing.T) {
 	if err := Emulab().Validate(); err != nil {
 		t.Fatalf("Emulab invalid: %v", err)
 	}
-	if err := WAN().Validate(); err != nil {
-		t.Fatalf("WAN invalid: %v", err)
-	}
-	if WAN().LatencyNs <= Emulab().LatencyNs {
-		t.Fatal("WAN latency should exceed LAN latency")
-	}
 	bad := []Config{
 		{LatencyNs: 0, BytesPerSecond: 1, GateNs: 1},
 		{LatencyNs: 1, BytesPerSecond: 0, GateNs: 1},

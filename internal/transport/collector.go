@@ -18,9 +18,6 @@ func NewCollector(node Node) *Collector {
 	return &Collector{node: node}
 }
 
-// Node returns the underlying node.
-func (c *Collector) Node() Node { return c.node }
-
 // Send forwards to the underlying node.
 func (c *Collector) Send(to int, m Message) error { return c.node.Send(to, m) }
 
@@ -65,12 +62,3 @@ func (c *Collector) GatherKind(kind Kind, seq uint32, n int) (map[int]Message, e
 // Pending returns the number of parked (unconsumed) messages; useful for
 // protocol-hygiene assertions in tests.
 func (c *Collector) Pending() int { return len(c.parked) }
-
-// Reset discards the parked backlog and returns the dropped messages, in
-// arrival order. Protocols call it between phases when leftover messages
-// would indicate a peer protocol violation rather than pending work.
-func (c *Collector) Reset() []Message {
-	dropped := c.parked
-	c.parked = nil
-	return dropped
-}

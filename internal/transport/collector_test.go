@@ -108,32 +108,6 @@ func TestCollectorGatherRejectsDuplicates(t *testing.T) {
 	}
 }
 
-func TestCollectorReset(t *testing.T) {
-	sender, coll, _ := collectorPair(t)
-	if err := sender.Send(1, Message{Kind: KindControl, Seq: 1, Data: []uint64{5}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send(1, Message{Kind: KindControl, Seq: 2, Data: []uint64{6}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := sender.Send(1, Message{Kind: KindShare, Seq: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := coll.RecvKind(KindShare, 0); err != nil {
-		t.Fatal(err)
-	}
-	dropped := coll.Reset()
-	if len(dropped) != 2 || dropped[0].Seq != 1 || dropped[1].Seq != 2 {
-		t.Fatalf("Reset dropped %+v, want the two control messages in order", dropped)
-	}
-	if coll.Pending() != 0 {
-		t.Fatalf("Pending = %d after Reset", coll.Pending())
-	}
-	if again := coll.Reset(); len(again) != 0 {
-		t.Fatalf("second Reset dropped %+v", again)
-	}
-}
-
 func TestCollectorClosedNode(t *testing.T) {
 	_, coll, net := collectorPair(t)
 	net.Close()
