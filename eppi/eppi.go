@@ -154,16 +154,6 @@ func WithTCP() Option {
 	}
 }
 
-// WithBatchSize makes secure mode open one common count per batch of size
-// identities instead of the total alone. Every coordinator learns
-// ⌈n/size⌉ per-batch counts, and size 1 opens each identity's common bit:
-// the common set that identity mixing (Eq. 6–7) exists to hide.
-// ROADMAP.md item 6 replaces the option with one opened count. It does not
-// bound memory; every MPC execution spans all identities.
-func WithBatchSize(size int) Option {
-	return func(o *options) { o.cfg.BatchSize = size }
-}
-
 // WithOTPreprocessing replaces the secure mode's trusted triple dealer
 // with the pairwise oblivious-transfer protocol — no trusted party at all,
 // at the cost of public-key operations per AND gate and identity. Only

@@ -298,7 +298,6 @@ func TestWithPolicyOptions(t *testing.T) {
 	net := buildHospitalNetwork(t)
 	for _, opt := range []Option{
 		WithChernoff(0.95),
-		WithBatchSize(2),
 		WithWorkers(1),
 	} {
 		if _, err := net.ConstructPPI(opt, WithSeed(15)); err != nil {

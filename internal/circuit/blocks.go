@@ -98,40 +98,49 @@ func (b *Builder) Equal(x, y []Wire) (Wire, error) {
 }
 
 // PopCount sums n single-bit wires into a counter of width
-// ceil(log2(n+1)) using a balanced adder tree.
+// ceil(log2(n+1)) (Sum over one-bit vectors).
 func (b *Builder) PopCount(bits []Wire) ([]Wire, error) {
-	if len(bits) == 0 {
-		return nil, fmt.Errorf("circuit: PopCount of no bits")
-	}
-	width := 1
-	for 1<<uint(width) < len(bits)+1 {
-		width++
-	}
-	// Promote each bit to a width-bit vector, then tree-sum.
 	vecs := make([][]Wire, len(bits))
 	for i, bit := range bits {
-		v := make([]Wire, width)
-		v[0] = bit
-		for k := 1; k < width; k++ {
-			v[k] = Zero
-		}
-		vecs[i] = v
+		vecs[i] = []Wire{bit}
 	}
-	for len(vecs) > 1 {
-		next := make([][]Wire, 0, (len(vecs)+1)/2)
-		for i := 0; i+1 < len(vecs); i += 2 {
-			s, err := b.Add(vecs[i], vecs[i+1])
+	return b.Sum(vecs)
+}
+
+// Sum adds unsigned vectors of one width w exactly: each is zero-extended
+// to BitsNeeded(len(vecs)·(2^w − 1)) bits, the width of the largest
+// possible total, and a balanced tree of ripple adders sums them.
+func (b *Builder) Sum(vecs [][]Wire) ([]Wire, error) {
+	if len(vecs) == 0 {
+		return nil, fmt.Errorf("circuit: Sum of no vectors")
+	}
+	w := len(vecs[0])
+	if w < 1 || w > 32 {
+		return nil, fmt.Errorf("circuit: Sum of %d-bit vectors", w)
+	}
+	width := BitsNeeded(uint64(len(vecs)) * (1<<uint(w) - 1))
+	level := make([][]Wire, len(vecs))
+	for i, v := range vecs {
+		if len(v) != w {
+			return nil, fmt.Errorf("circuit: Sum width mismatch %d vs %d", len(v), w)
+		}
+		level[i] = append(append(make([]Wire, 0, width), v...), ConstVec(0, width-w)...)
+	}
+	for len(level) > 1 {
+		next := make([][]Wire, 0, (len(level)+1)/2)
+		for i := 0; i+1 < len(level); i += 2 {
+			s, err := b.Add(level[i], level[i+1])
 			if err != nil {
 				return nil, err
 			}
 			next = append(next, s)
 		}
-		if len(vecs)%2 == 1 {
-			next = append(next, vecs[len(vecs)-1])
+		if len(level)%2 == 1 {
+			next = append(next, level[len(level)-1])
 		}
-		vecs = next
+		level = next
 	}
-	return vecs[0], nil
+	return level[0], nil
 }
 
 // BitsNeeded returns the minimal width representing values 0..maxValue.

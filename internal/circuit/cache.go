@@ -80,6 +80,6 @@ func RevealSliceCached(p SliceParams) (*Circuit, error) {
 
 // SliceCountCached is SliceCount memoized by its parameters.
 func SliceCountCached(p SliceCountParams) (*Circuit, error) {
-	key := fmt.Sprintf("sc|%d|%d", p.Parties, p.Slots)
+	key := fmt.Sprintf("sc|%d|%d|%d", p.Parties, p.Slots, p.Width)
 	return cachedCompile(key, func() (*Circuit, error) { return SliceCount(p) })
 }

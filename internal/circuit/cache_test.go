@@ -52,7 +52,7 @@ func TestCachedCompileKeyCoversThresholds(t *testing.T) {
 
 func TestCacheEvictionBound(t *testing.T) {
 	for slots := 1; slots <= cacheLimit+20; slots++ {
-		if _, err := SliceCountCached(SliceCountParams{Parties: 2, Slots: slots}); err != nil {
+		if _, err := SliceCountCached(SliceCountParams{Parties: 2, Slots: slots, Width: 1}); err != nil {
 			t.Fatal(err)
 		}
 	}

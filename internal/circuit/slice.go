@@ -24,8 +24,10 @@ import "fmt"
 // CountBelowSlice deliberately has no opening step: revealing per-identity
 // ≥-bits would leak exactly the common set that ε-PPI hides. The run keeps
 // the output *shared*; SliceCount is the count opener that XOR-reconstructs
-// one batch's kept bits inside MPC, popcounts them, and opens only the
-// batch's count. Run bit-sliced, each lane is one batch.
+// kept values inside MPC and sums them. The secure pipeline runs it twice:
+// over the kept ≥-bits, one lane per 64th of the identities, with the
+// counts kept shared, then in one lane over those 64 kept counts, opening
+// only the total.
 
 // SliceParams configures CountBelowSlice and RevealSlice.
 type SliceParams struct {
@@ -82,37 +84,43 @@ func CountBelowSlice(p SliceParams) (*Circuit, error) {
 	return b.Build()
 }
 
-// SliceCountParams configures the per-batch count opener.
+// SliceCountParams configures the count opener.
 type SliceCountParams struct {
 	// Parties is c, the number of coordinators.
 	Parties int
-	// Slots is the number of kept-shared ≥-bits counted per instance (the
-	// batch size; padded identities carry zero bits by construction).
+	// Slots is the number of kept-shared values counted per instance.
 	Slots int
+	// Width is the bits per slot: 1 for kept ≥-bits, wider for kept
+	// counts.
+	Width int
 }
 
-// SliceCount compiles the count opener: party k inputs its Slots XOR-share
-// bits of a batch's ≥-threshold bits (as produced shares-kept by
-// CountBelowSlice), the circuit reconstructs each
-// bit by XOR, popcounts, and opens only the count.
+// SliceCount compiles the count opener: party k inputs its XOR shares of
+// Slots values of Width bits each (slot by slot, least significant bit
+// first), as a shares-kept run produces them. The circuit reconstructs
+// each value by XOR and outputs their exact sum (Builder.Sum), which a run
+// may open or keep shared.
 func SliceCount(p SliceCountParams) (*Circuit, error) {
-	if p.Parties < 2 || p.Slots < 1 {
+	if p.Parties < 2 || p.Slots < 1 || p.Width < 1 {
 		return nil, fmt.Errorf("%w: %+v", ErrNoParams, p)
 	}
 	b := NewBuilder()
-	shares := make([][]Wire, p.Parties) // [party][slot]
+	shares := make([][]Wire, p.Parties) // [party][slot·Width + bit]
 	for k := range shares {
-		shares[k] = b.InputVec(k, p.Slots)
+		shares[k] = b.InputVec(k, p.Slots*p.Width)
 	}
-	lanes := make([]Wire, p.Slots)
-	for s := 0; s < p.Slots; s++ {
-		lane := shares[0][s]
-		for k := 1; k < p.Parties; k++ {
-			lane = b.XOR(lane, shares[k][s])
+	vals := make([][]Wire, p.Slots)
+	for s := range vals {
+		vals[s] = make([]Wire, p.Width)
+		for i := range vals[s] {
+			v := shares[0][s*p.Width+i]
+			for k := 1; k < p.Parties; k++ {
+				v = b.XOR(v, shares[k][s*p.Width+i])
+			}
+			vals[s][i] = v
 		}
-		lanes[s] = lane
 	}
-	count, err := b.PopCount(lanes)
+	count, err := b.Sum(vals)
 	if err != nil {
 		return nil, err
 	}

@@ -47,52 +47,55 @@ func TestCountBelowSliceMatchesDirect(t *testing.T) {
 	}
 }
 
+// SliceCount sums XOR-shared slots exactly: one-bit slots (a popcount) and
+// wider ones (kept counts), with a counter as wide as the largest total.
 func TestSliceCountMatchesPopcount(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	p := SliceCountParams{Parties: 3, Slots: 64}
-	c, err := SliceCount(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		lanes := make([]bool, p.Slots)
-		want := uint64(0)
-		for s := range lanes {
-			lanes[s] = rng.Intn(2) == 1
-			if lanes[s] {
-				want++
-			}
-		}
-		// XOR-share each lane bit across the parties.
-		shares := make([][]bool, p.Parties)
-		for k := range shares {
-			shares[k] = make([]bool, p.Slots)
-		}
-		for s, v := range lanes {
-			acc := false
-			for k := 0; k < p.Parties-1; k++ {
-				shares[k][s] = rng.Intn(2) == 1
-				acc = acc != shares[k][s]
-			}
-			shares[p.Parties-1][s] = acc != v
-		}
-		var in []bool
-		for k := range shares {
-			in = append(in, shares[k]...)
-		}
-		out, err := c.Evaluate(in)
+	for _, p := range []SliceCountParams{
+		{Parties: 3, Slots: 64, Width: 1},
+		{Parties: 3, Slots: 64, Width: 10},
+		{Parties: 2, Slots: 5, Width: 3},
+	} {
+		c, err := SliceCount(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := UnpackBits(out); got != want {
-			t.Fatalf("trial %d: count=%d, want %d", trial, got, want)
+		if got, want := len(c.Outputs()), BitsNeeded(uint64(p.Slots)*(1<<uint(p.Width)-1)); got != want {
+			t.Fatalf("%+v: %d output bits, want %d", p, got, want)
+		}
+		for trial := 0; trial < 50; trial++ {
+			// XOR-share each slot's value across the parties.
+			var want uint64
+			shares := make([][]bool, p.Parties)
+			for s := 0; s < p.Slots; s++ {
+				v := rng.Uint64() & (1<<uint(p.Width) - 1)
+				if trial%2 == 0 {
+					v &= 1 // sparse values too
+				}
+				want += v
+				acc := v
+				for k := 0; k < p.Parties-1; k++ {
+					r := rng.Uint64() & (1<<uint(p.Width) - 1)
+					shares[k] = append(shares[k], PackBits(r, p.Width)...)
+					acc ^= r
+				}
+				shares[p.Parties-1] = append(shares[p.Parties-1], PackBits(acc, p.Width)...)
+			}
+			var in []bool
+			for k := range shares {
+				in = append(in, shares[k]...)
+			}
+			out, err := c.Evaluate(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := UnpackBits(out); got != want {
+				t.Fatalf("%+v trial %d: count=%d, want %d", p, trial, got, want)
+			}
 		}
 	}
 }
 
-// TestRevealSliceMatchesDirect checks Equation 6 semantics lane-wise:
-// hidden = (freq ≥ t) ∨ (coin < mixThreshold), masked = freq·¬hidden,
-// with the offset entering as party 0's trailing private input.
 func TestRevealSliceMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const m = 21
@@ -157,7 +160,10 @@ func TestSliceParamValidation(t *testing.T) {
 	if _, err := RevealSlice(SliceParams{Parties: 2, ShareBits: 4, CoinBits: 3, MixThreshold: 8}); err == nil {
 		t.Fatal("RevealSlice accepted mix threshold == 2^CoinBits")
 	}
-	if _, err := SliceCount(SliceCountParams{Parties: 2, Slots: 0}); err == nil {
+	if _, err := SliceCount(SliceCountParams{Parties: 2, Slots: 0, Width: 1}); err == nil {
 		t.Fatal("SliceCount accepted 0 slots")
+	}
+	if _, err := SliceCount(SliceCountParams{Parties: 2, Slots: 4}); err == nil {
+		t.Fatal("SliceCount accepted 0-bit slots")
 	}
 }

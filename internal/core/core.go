@@ -73,7 +73,7 @@ const (
 	// TripleOT generates triples with the pairwise oblivious-transfer
 	// protocol (gmw.GenTriplesOT) — no trusted party, at real
 	// public-key-operation cost, paid only for lanes that carry an
-	// identity (or a batch).
+	// identity (or a count).
 	TripleOT
 )
 
@@ -109,14 +109,9 @@ type Config struct {
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
 	// deriving it from the ε of common identities.
 	XiOverride float64
-	// BatchSize, in ModeSecure, sets how many common counts stage B opens:
-	// one per batch of BatchSize identities (0 means one batch, i.e. the
-	// total alone). Batch boundaries are public column ranges, so every
-	// coordinator learns ⌈n/BatchSize⌉ per-batch counts, and BatchSize 1
-	// opens each identity's common bit: the common set that identity
-	// mixing (Eq. 6–7) exists to hide. ROADMAP.md item 6 replaces the knob
-	// with one opened count. Every secure execution spans all identities
-	// whatever the batch size, and M′ depends only on the total.
+	// BatchSize sized the batches whose common counts stage B opened.
+	//
+	// Deprecated: ignored; kept because bench/ sets it.
 	BatchSize int
 	// Workers bounds the construction worker pool: β-threshold and mixing
 	// shards, triple dealing, and randomized publication shards all share
@@ -198,9 +193,6 @@ func (c Config) validate() error {
 	if c.CoinBits < 0 || c.CoinBits > 62 {
 		return fmt.Errorf("%w: coin bits %d", ErrBadConfig, c.CoinBits)
 	}
-	if c.BatchSize < 0 {
-		return fmt.Errorf("%w: batch size %d", ErrBadConfig, c.BatchSize)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("%w: workers %d", ErrBadConfig, c.Workers)
 	}
@@ -216,13 +208,15 @@ type SecureStats struct {
 	SecSum transport.Stats
 	// SecSumRounds is its round count (always 2).
 	SecSumRounds int
-	// CountBelowCircuit summarises the common-count circuit.
+	// CountBelowCircuit sums the sizes of stage B's three circuits, the
+	// comparator and the count opener's two levels, in word units.
 	CountBelowCircuit circuit.Stats
-	// RevealCircuit summarises the mixing/reveal circuit.
+	// RevealCircuit summarises the mixing/reveal circuit, in word units.
 	RevealCircuit circuit.Stats
-	// MPC is the combined traffic of both GMW executions.
+	// MPC is the combined traffic of the four GMW executions of stages B
+	// and C.
 	MPC transport.Stats
-	// MPCRounds is the combined GMW round count.
+	// MPCRounds is their combined round count.
 	MPCRounds int
 	// MPCWall is the wall time of the CountBelow/Reveal construction
 	// stages (circuit compilation, preprocessing and protocol execution;

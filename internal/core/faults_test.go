@@ -18,7 +18,6 @@ import (
 // silently where a later execution would fail.
 func faultySecureCfg(seed int64, net int, plan transport.FaultPlan) Config {
 	cfg := secureCfg(seed)
-	cfg.BatchSize = 3 // several count batches share the faulty net
 	cfg.Workers = 4
 	call := 0
 	cfg.NewNetwork = func(parties int) (transport.Network, error) {

@@ -391,7 +391,7 @@ func benchShapes(b *testing.B) []benchShape {
 			Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 1}},
 		{"secure-512x32768", gen(512, 32768), Config{
 			Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-			CoinBits: 32, BatchSize: 128,
+			CoinBits: 32,
 		}},
 	}
 }

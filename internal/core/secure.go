@@ -58,20 +58,22 @@ func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
 //
 //	Stage A (m providers): SecSumShare → c coordinator share vectors over
 //	        the additive group Z_{2^W}, W = bits(m+1) + 1.
-//	Stage B (c coordinators, GMW): CountBelow → public common count.
-//	        λ is then computed publicly from the count (Equation 7).
+//	Stage B (c coordinators, GMW): CountBelow → public common count, the
+//	        one value the stage opens. λ is then computed publicly from
+//	        the count (Equation 7).
 //	Stage C (c coordinators, GMW): Reveal → per identity, a hidden bit
 //	        (common ∨ mixed) and the frequency, opened only when not
 //	        hidden. β follows Equation 6.
 //	Phase 2 (every provider, local): randomized publication.
 //
-// Stages B and C are three bit-sliced GMW executions over all n
-// identities at once (secure_mpc.go). Every execution, stage A's
+// Stages B and C are four bit-sliced GMW executions (secure_mpc.go): the
+// comparator and Reveal over all n identities at once, and between them
+// the two levels of the count opener. Every execution, stage A's
 // included, runs on a network of its own from Config.NewNetwork, closed
 // before the next one opens (onNetwork). Protocol randomness and the
 // mixing coins are keyed through internal/prf, per execution and per
-// (coordinator, identity), so the run is bit-identical at any worker count
-// and batch size.
+// (coordinator, identity), so the run is bit-identical at any worker
+// count.
 //
 // ξ is taken over identities that *can* be common (public thresholds
 // t_j <= m); the trusted path uses the paper's exact max-over-true-commons,
@@ -127,15 +129,9 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	}
 
 	// --- Stage B: CountBelow among the c coordinators ----------------------
-	// The per-batch common counts (Config.BatchSize) are opened and summed
-	// into the global count; batch boundaries are public parameters.
-	batch := cfg.BatchSize
-	if batch <= 0 || batch > n {
-		batch = n
-	}
-	nb := (n + batch - 1) / batch
+	// One common count is opened, the total over all identities.
 	mpcStart := time.Now()
-	cb, err := st.countBelow(batch, nb)
+	cb, err := st.countBelow()
 	if err != nil {
 		return nil, fmt.Errorf("CountBelow: %w", err)
 	}

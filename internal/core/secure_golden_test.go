@@ -14,15 +14,12 @@ import (
 // Result.Published's binary encoding, CommonCount and λ, per β policy, on a
 // ragged 40 × 130 shape with exactly one true common identity (column 0,
 // held by 39 of 40 providers). Every row must agree with its policy's
-// entry: BatchSize 48 (three batches, the last partial), 0 (the whole set),
-// 64 (one word) and 33 (dividing neither 64 nor 130), 1 and 8 workers, and
-// the TCP row. Batch size sets how many counts stage B opens and shapes no
-// other output; opened values do not depend on the worker count or the
-// transport.
+// entry: 1 and 8 workers, and the TCP row. Opened values do not depend on
+// the worker count or the transport.
 //
 // The values were re-pinned once, when the per-batch mixing-coin streams
 // were replaced by the keyed per-coordinator, per-identity coin (prf.Coins),
-// which collapsed the twelve per-(policy, BatchSize) entries into one per
+// which collapsed the twelve per-(policy, batch size) entries into one per
 // policy. λ and CommonCount were unchanged, and every column hidden under
 // neither coin was checked bit-identical to the earlier build's M′ at every
 // batch size. Frequencies are exact sums whatever the shares are, so a
@@ -72,19 +69,13 @@ func TestSecurePublishedGolden(t *testing.T) {
 			t.Errorf("%s: Lambda = %v, want %v", name, res.Lambda, want.lambda)
 		}
 	}
-	base := Config{Mode: ModeSecure, C: 3, Seed: 777, BatchSize: 48}
+	base := Config{Mode: ModeSecure, C: 3, Seed: 777}
 	for _, pol := range workerPolicies {
 		for _, workers := range []int{1, 8} {
 			cfg := base
 			pol.set(&cfg)
 			cfg.Workers = workers
 			check(fmt.Sprintf("%s/workers=%d", pol.name, workers), pol.name, cfg)
-		}
-		for _, batch := range []int{0, 64, 33} {
-			cfg := base
-			pol.set(&cfg)
-			cfg.BatchSize = batch
-			check(fmt.Sprintf("%s/batch=%d", pol.name, batch), pol.name, cfg)
 		}
 	}
 	cfg := base

@@ -15,10 +15,12 @@ import (
 	"repro/internal/transport"
 )
 
-// Stages B and C run as three bit-sliced GMW executions over all n
-// identities at once. Every wire carries L = ⌈n/64⌉ words, identity j in
-// bit j mod 64 of word ⌊j/64⌋, so a construction takes as many rounds as
-// the three circuits are deep, whatever n is. Three invariants hold:
+// Stages B and C run as four bit-sliced GMW executions. CountBelowSlice and
+// RevealSlice run over all n identities at once: every wire carries
+// L = ⌈n/64⌉ words, identity j in bit j mod 64 of word ⌊j/64⌋, so their
+// rounds are their circuits' depths, whatever n is. Between them the count
+// opener runs two small executions whose depth grows with log n. Three
+// invariants hold:
 //
 //   - Thresholds enter as data, not circuit structure. Shares live in
 //     Z_{2^W} with W = bits(m+1)+1; party 0 folds (2^W − t_j) into its
@@ -28,10 +30,9 @@ import (
 //     compiled circuit serves every identity.
 //
 //   - Nothing beyond the paper's releases is opened. CountBelowSlice runs
-//     shares-kept (the per-identity ≥-bits stay secret); one SliceCount
-//     execution whose lanes are the identity batches XORs the kept shares
-//     and opens only the per-batch counts (batch boundaries are public
-//     parameters). RevealSlice opens the hidden bit and the coin-masked
+//     shares-kept (the per-identity ≥-bits stay secret); the count opener
+//     sums the kept bits in two shares-kept levels and opens the total
+//     alone. RevealSlice opens the hidden bit and the coin-masked
 //     frequency.
 //
 //   - Lanes past n carry public padding: zero shares and a folded t = 1
@@ -39,14 +40,14 @@ import (
 //     discarded. Their wire values are therefore public, which is what
 //     lets OT preprocessing give them the all-zero triple (THEORY.md).
 //
-// Execution s (1 = CountBelowSlice, 2 = the count opener, 3 =
-// RevealSlice) runs on a c-party network of its own under prf.Seed(Seed,
-// prf.Exec, s), from which gmw keys its triples, input sharing and OT
-// entropy, and coordinator k's mixing coins are keyed per identity
-// (prf.Coins). Opened outputs do not depend on any protocol randomness, so
-// the hidden set and the opened frequencies are a function of (Seed,
-// inputs) alone: the same at any worker count and batch size. Every party
-// holds O(wires · ⌈n/64⌉) words per execution.
+// Execution s (1 = CountBelowSlice, 2 and 3 = the count opener's levels,
+// 4 = RevealSlice) runs on a c-party network of its own under
+// prf.Seed(Seed, prf.Exec, s), from which gmw keys its triples, input
+// sharing and OT entropy, and coordinator k's mixing coins are keyed per
+// identity (prf.Coins). Opened outputs do not depend on any protocol
+// randomness, so the hidden set and the opened frequencies are a function
+// of (Seed, inputs) alone: the same at any worker count. Every party holds
+// O(wires · ⌈n/64⌉) words per execution.
 type mpcStages struct {
 	ctx        context.Context
 	cfg        Config
@@ -103,42 +104,10 @@ func packPlanes(vals []uint64, pad uint64, planes, words int) []uint64 {
 	return out
 }
 
-// batchLanes regroups one party's kept ≥-bit shares (bit j mod 64 of word
-// ⌊j/64⌋ = identity j) so that lanes are batches: bit r of slot s's word l
-// is the share of identity (64·l + r)·batch + s. Identities past n get
-// zero shares, whose XOR is their true never-common bit. Each 64×64 tile
-// of (batch, slot) bits is cut from the vector at bit offset
-// batch·b + 64·block and turned by bitmat.Transpose64.
-func batchLanes(vec []uint64, n, batch, words int) []uint64 {
-	out := make([]uint64, batch*words)
-	var tile [64]uint64
-	for l := 0; l < words; l++ {
-		for s0 := 0; s0 < batch; s0 += 64 {
-			for r := range tile {
-				lo := (64*l+r)*batch + s0
-				tile[r] = 0
-				if valid := min(64, batch-s0, n-lo); valid > 0 {
-					w, sh := lo/64, uint(lo%64)
-					x := vec[w] >> sh
-					if sh != 0 && w+1 < len(vec) {
-						x |= vec[w+1] << (64 - sh)
-					}
-					tile[r] = x & (^uint64(0) >> uint(64-valid))
-				}
-			}
-			bitmat.Transpose64(&tile)
-			for i := 0; i < 64 && s0+i < batch; i++ {
-				out[(s0+i)*words+l] = tile[i]
-			}
-		}
-	}
-	return out
-}
-
 // run runs execution exec on a c-party network and span of its own, with
 // preprocessing per the configuration (sharded dealer, or OT over the same
-// network for the first `live` instances only). Stage B, the count opener
-// and stage C are executions 1, 2 and 3.
+// network for the first `live` instances only). Stage B's three
+// executions are 1 to 3 and stage C is 4.
 func (st *mpcStages) run(stage string, exec uint64, circ *circuit.Circuit, words, live int, inputs [][]uint64, mode gmw.Mode) (*gmw.Result, error) {
 	_, sp := trace.StartChild(st.ctx, stage,
 		trace.Int("identities", st.n), trace.Int("words", words))
@@ -161,11 +130,14 @@ func (st *mpcStages) run(stage string, exec uint64, circ *circuit.Circuit, words
 	return res, err
 }
 
-// countBelow is stage B. One shares-kept CountBelowSlice execution gives
-// every identity's ≥-threshold bit as XOR shares; one SliceCount execution
-// whose lanes are the nb identity batches then opens the per-batch counts.
-// The returned count is their sum.
-func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
+// countBelow is stage B: three executions and one opening. A shares-kept
+// CountBelowSlice gives every identity's ≥-threshold bit as XOR shares,
+// identity j in bit j mod 64 of word ⌊j/64⌉. Read as L = ⌈n/64⌉ one-word
+// wires, those words are the slots of a shares-kept SliceCount whose lane r
+// counts the identities j ≡ r mod 64. Bit r of each of its output words is
+// then moved into slot r of one SliceCount in lane 0, which opens the total
+// alone. The move is a local permutation of share bits and sends nothing.
+func (st *mpcStages) countBelow() (mpcOut, error) {
 	var out mpcOut
 	cbCirc, err := circuit.CountBelowSliceCached(circuit.SliceParams{Parties: st.c, ShareBits: st.w})
 	if err != nil {
@@ -188,23 +160,45 @@ func (st *mpcStages) countBelow(batch, nb int) (mpcOut, error) {
 	}
 	out.record(cbCirc, st.words, cbRes)
 
-	scCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{Parties: st.c, Slots: batch})
+	laneCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{Parties: st.c, Slots: st.words, Width: 1})
 	if err != nil {
-		return out, fmt.Errorf("compile SliceCount: %w", err)
+		return out, fmt.Errorf("compile lane SliceCount: %w", err)
 	}
-	scWords := (nb + 63) / 64
-	for k := range inputs {
-		inputs[k] = batchLanes(cbRes.OutputShares[k], st.n, batch, scWords)
-	}
-	scRes, err := st.run("mpc.slicecount", 2, scCirc, scWords, nb, inputs, gmw.Open)
-	if err != nil {
-		return out, fmt.Errorf("SliceCount MPC: %w", err)
-	}
-	out.record(scCirc, scWords, scRes)
-	for b := 0; b < nb; b++ {
-		for i := range scCirc.Outputs() {
-			out.count += int(scRes.Outputs[i*scWords+b/64]>>uint(b%64)&1) << uint(i)
+	for k, in := range cbRes.OutputShares {
+		// Every party zeroes its shares of the bits past n, so their XOR
+		// stays the true never-common bit and dead lanes stay public.
+		if r := st.n % gmw.Lanes; r != 0 {
+			in[st.words-1] &= 1<<uint(r) - 1
 		}
+		inputs[k] = in
+	}
+	laneRes, err := st.run("mpc.slicecount", 2, laneCirc, 1, min(st.n, gmw.Lanes), inputs, gmw.KeepShared)
+	if err != nil {
+		return out, fmt.Errorf("lane SliceCount MPC: %w", err)
+	}
+	out.record(laneCirc, 1, laneRes)
+
+	width := len(laneCirc.Outputs())
+	sumCirc, err := circuit.SliceCountCached(circuit.SliceCountParams{Parties: st.c, Slots: gmw.Lanes, Width: width})
+	if err != nil {
+		return out, fmt.Errorf("compile total SliceCount: %w", err)
+	}
+	for k, counts := range laneRes.OutputShares {
+		in := make([]uint64, gmw.Lanes*width)
+		for r := range gmw.Lanes {
+			for i, w := range counts {
+				in[r*width+i] = w >> uint(r) & 1
+			}
+		}
+		inputs[k] = in
+	}
+	sumRes, err := st.run("mpc.opencount", 3, sumCirc, 1, 1, inputs, gmw.Open)
+	if err != nil {
+		return out, fmt.Errorf("total SliceCount MPC: %w", err)
+	}
+	out.record(sumCirc, 1, sumRes)
+	for i, w := range sumRes.Outputs {
+		out.count |= int(w&1) << uint(i)
 	}
 	return out, nil
 }
@@ -256,7 +250,7 @@ func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden 
 		}
 		inputs[k] = in
 	}
-	res, err := st.run("mpc.reveal", 3, rvCirc, st.words, st.n, inputs, gmw.Open)
+	res, err := st.run("mpc.reveal", 4, rvCirc, st.words, st.n, inputs, gmw.Open)
 	if err != nil {
 		return out, fmt.Errorf("RevealSlice MPC: %w", err)
 	}

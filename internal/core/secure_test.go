@@ -179,9 +179,9 @@ func TestSecureWithOTPreprocessing(t *testing.T) {
 	}
 }
 
-// TestArithmeticShimInert holds the deprecated Config.Arithmetic and
-// Config.Wide to no effect: setting them changes neither what a secure
-// construction publishes nor what its MPC costs.
+// TestArithmeticShimInert holds the deprecated Config.Arithmetic,
+// Config.Wide and Config.BatchSize to no effect: setting them changes
+// neither what a secure construction publishes nor what its MPC costs.
 func TestArithmeticShimInert(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	m, n := 40, 150
@@ -196,42 +196,47 @@ func TestArithmeticShimInert(t *testing.T) {
 		}
 	}
 	base := secureCfg(41)
-	base.BatchSize = 64
 	want, err := Construct(truth, eps, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim := base
-	shim.Arithmetic, shim.Wide = circuit.StylePrefix, true
-	got, err := Construct(truth, eps, shim)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.CommonCount == 0 {
 		t.Fatal("shape has no commons")
 	}
-	if !got.Published.Equal(want.Published) {
-		t.Error("M′ differs")
-	}
-	if got.CommonCount != want.CommonCount {
-		t.Errorf("CommonCount = %d, want %d", got.CommonCount, want.CommonCount)
-	}
-	for j := range want.Betas {
-		if got.Hidden[j] != want.Hidden[j] || got.Betas[j] != want.Betas[j] {
-			t.Fatalf("identity %d: hidden %v β %v, want hidden %v β %v",
-				j, got.Hidden[j], got.Betas[j], want.Hidden[j], want.Betas[j])
+	for name, set := range map[string]func(*Config){
+		"arithmetic+wide": func(c *Config) { c.Arithmetic, c.Wide = circuit.StylePrefix, true },
+		"batch=1":         func(c *Config) { c.BatchSize = 1 },
+		"batch=128":       func(c *Config) { c.BatchSize = 128 },
+	} {
+		shim := base
+		set(&shim)
+		got, err := Construct(truth, eps, shim)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	gs, ws := got.Secure, want.Secure
-	if gs.MPCRounds != ws.MPCRounds || gs.MPC.Bytes != ws.MPC.Bytes {
-		t.Errorf("MPC cost %d rounds / %d bytes, want %d / %d",
-			gs.MPCRounds, gs.MPC.Bytes, ws.MPCRounds, ws.MPC.Bytes)
-	}
-	if gs.CountBelowCircuit.AndGates != ws.CountBelowCircuit.AndGates ||
-		gs.RevealCircuit.AndGates != ws.RevealCircuit.AndGates {
-		t.Errorf("AND gates %d + %d, want %d + %d",
-			gs.CountBelowCircuit.AndGates, gs.RevealCircuit.AndGates,
-			ws.CountBelowCircuit.AndGates, ws.RevealCircuit.AndGates)
+		if !got.Published.Equal(want.Published) {
+			t.Errorf("%s: M′ differs", name)
+		}
+		if got.CommonCount != want.CommonCount {
+			t.Errorf("%s: CommonCount = %d, want %d", name, got.CommonCount, want.CommonCount)
+		}
+		for j := range want.Betas {
+			if got.Hidden[j] != want.Hidden[j] || got.Betas[j] != want.Betas[j] {
+				t.Fatalf("%s: identity %d: hidden %v β %v, want hidden %v β %v",
+					name, j, got.Hidden[j], got.Betas[j], want.Hidden[j], want.Betas[j])
+			}
+		}
+		gs, ws := got.Secure, want.Secure
+		if gs.MPCRounds != ws.MPCRounds || gs.MPC.Bytes != ws.MPC.Bytes {
+			t.Errorf("%s: MPC cost %d rounds / %d bytes, want %d / %d",
+				name, gs.MPCRounds, gs.MPC.Bytes, ws.MPCRounds, ws.MPC.Bytes)
+		}
+		if gs.CountBelowCircuit.AndGates != ws.CountBelowCircuit.AndGates ||
+			gs.RevealCircuit.AndGates != ws.RevealCircuit.AndGates {
+			t.Errorf("%s: AND gates %d + %d, want %d + %d", name,
+				gs.CountBelowCircuit.AndGates, gs.RevealCircuit.AndGates,
+				ws.CountBelowCircuit.AndGates, ws.RevealCircuit.AndGates)
+		}
 	}
 }
 

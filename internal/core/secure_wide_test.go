@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/circuit"
 	"repro/internal/mathx"
 	"repro/internal/metrics"
 	"repro/internal/transport"
@@ -12,8 +14,7 @@ import (
 )
 
 // TestWideSecureConstructEndToEnd runs every demo policy at 1 and 8
-// workers on a geometry that forces ragged words in every batch (BatchSize
-// 40 < 64 lanes) plus a ragged final batch (n = 100): the two worker
+// workers on a geometry with a ragged final word (n = 100): the two worker
 // counts must publish the same M′, β vector, hidden set and count, with
 // perfect recall. TestSecurePublishedGolden pins published values on its
 // own fixture.
@@ -32,7 +33,6 @@ func TestWideSecureConstructEndToEnd(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			cfg := secureCfg(23)
 			cfg.Policy = policy
-			cfg.BatchSize = 40
 			cfg.Workers = workers
 			res, err := Construct(truth, eps, cfg)
 			if err != nil {
@@ -53,31 +53,50 @@ func TestWideSecureConstructEndToEnd(t *testing.T) {
 	}
 }
 
-// The secure path must stay deterministic and self-consistent across
-// batch geometries (the count is an exact sum either way, so BatchSize
-// cannot change any published bit of this fixture).
-func TestWideSecureDeterministicAcrossBatchSizes(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	truth := randomMatrix(rng, 9, 70, 0.4)
-	eps := make([]float64, 70)
-	for j := range eps {
-		eps[j] = 0.5
-	}
-	base := secureCfg(55)
-	var ref *Result
-	for _, batch := range []int{0, 64, 33} {
-		cfg := base
-		cfg.BatchSize = batch
+// Stage B's count over every geometry of its two levels: ⌈n/64⌉ = 1, 1, 2
+// and 65 level-1 slots, with padded lanes in the last word at n = 3, 65
+// and 4 097. CommonCount must be the number of identities whose frequency
+// reaches their threshold, every common identity must be hidden, and
+// recall must hold.
+func TestStageBCountGeometry(t *testing.T) {
+	const m = 9
+	for _, n := range []int{3, 64, 65, 4097} {
+		rng := rand.New(rand.NewSource(int64(n)))
+		truth := randomMatrix(rng, m, n, 0.1)
+		eps := make([]float64, n)
+		for j := range eps {
+			eps[j] = 0.2 + 0.7*rng.Float64()
+			if rng.Intn(8) == 0 || j == n-1 {
+				for i := 0; i < m; i++ {
+					truth.Set(i, j, true)
+				}
+			}
+		}
+		cfg := secureCfg(int64(n))
 		res, err := Construct(truth, eps, cfg)
 		if err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		if ref == nil {
-			ref = res
-			continue
+		commons := 0
+		for j := 0; j < n; j++ {
+			freq := 0
+			for i := 0; i < m; i++ {
+				if truth.Get(i, j) {
+					freq++
+				}
+			}
+			if uint64(freq) >= cfg.Threshold(eps[j], m) {
+				commons++
+				if !res.Hidden[j] {
+					t.Errorf("n=%d: common identity %d not hidden", n, j)
+				}
+			}
 		}
-		if res.CommonCount != ref.CommonCount || !res.Published.Equal(ref.Published) {
-			t.Fatalf("batch=%d changes the publication", batch)
+		if res.CommonCount != commons {
+			t.Errorf("n=%d: CommonCount = %d, want %d", n, res.CommonCount, commons)
+		}
+		if !res.Published.Covers(truth) {
+			t.Errorf("n=%d: recall lost", n)
 		}
 	}
 }
@@ -150,53 +169,79 @@ func TestWideSlabWasteGauge(t *testing.T) {
 	}
 }
 
-// Rounds and messages of stages B and C follow the circuits' depths, not
-// the identity count: at m = 9 and BatchSize 40, 100 and 1 000 identities
-// take the same protocol rounds and messages. Every tenth identity is held
-// by all providers and the rest by one, so both sizes have the same
-// common share, hence the same λ and the same compiled Reveal circuit.
+// Rounds of stages B and C follow the depths of the four compiled
+// circuits: 1 input round plus the AND depth per execution, plus 1 for
+// each opened output (the count and Reveal). At m = 9, 100 and 1 000
+// identities run the same CountBelowSlice and RevealSlice circuits, so
+// those stages take rounds independent of n; only the count opener's
+// level-1 width, ⌈n/64⌉ slots, differs. Every tenth identity is held by
+// all providers and the rest by one, so both sizes have the same common
+// share, hence the same λ and the same compiled Reveal circuit.
 func TestWideRoundsIndependentOfN(t *testing.T) {
-	run := func(n int) *Result {
+	const m = 9
+	compiled := func(c *circuit.Circuit, err error) *circuit.Circuit {
 		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	var lambda float64
+	for _, n := range []int{100, 1000} {
 		freqs := make([]int, n)
 		eps := make([]float64, n)
 		for j := range freqs {
 			freqs[j] = 1
 			if j%10 == 0 {
-				freqs[j] = 9
+				freqs[j] = m
 			}
 			eps[j] = 0.5
 		}
 		cfg := secureCfg(61)
 		cfg.Policy = mathx.PolicyBasic
-		cfg.BatchSize = 40
-		res, err := Construct(matrixWithFreqs(9, freqs), eps, cfg)
+		res, err := Construct(matrixWithFreqs(m, freqs), eps, cfg)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
 		if res.CommonCount != n/10 {
 			t.Fatalf("n=%d: CommonCount = %d, want %d", n, res.CommonCount, n/10)
 		}
-		return res
-	}
-	small, large := run(100), run(1000)
-	if small.Lambda != large.Lambda {
-		t.Fatalf("λ differs: %v vs %v", small.Lambda, large.Lambda)
-	}
-	if s, l := small.Secure.MPCRounds, large.Secure.MPCRounds; s != l {
-		t.Errorf("MPC rounds: n=100 took %d, n=1000 took %d", s, l)
-	}
-	if s, l := small.Secure.MPC.Messages, large.Secure.MPC.Messages; s != l {
-		t.Errorf("MPC messages: n=100 sent %d, n=1000 sent %d", s, l)
+		if lambda == 0 {
+			lambda = res.Lambda
+		} else if res.Lambda != lambda {
+			t.Fatalf("n=%d: λ = %v, want %v", n, res.Lambda, lambda)
+		}
+		words := (n + 63) / 64
+		w := circuit.BitsNeeded(m+1) + 1
+		cbs := compiled(circuit.CountBelowSliceCached(circuit.SliceParams{Parties: 3, ShareBits: w}))
+		lanes := compiled(circuit.SliceCountCached(circuit.SliceCountParams{Parties: 3, Slots: words, Width: 1}))
+		total := compiled(circuit.SliceCountCached(circuit.SliceCountParams{Parties: 3, Slots: 64, Width: len(lanes.Outputs())}))
+		rv := compiled(circuit.RevealSliceCached(circuit.SliceParams{
+			Parties: 3, ShareBits: w, CoinBits: DefaultCoinBits,
+			MixThreshold: uint64(math.Ldexp(res.Lambda, DefaultCoinBits)),
+		}))
+		s := res.Secure
+		if got, want := s.CountBelowCircuit.AndGates, cbs.Stats().AndGates*words+lanes.Stats().AndGates+total.Stats().AndGates; got != want {
+			t.Errorf("n=%d: stage B ran %d word-ANDs, the compiled circuits %d", n, got, want)
+		}
+		if got, want := s.RevealCircuit.AndGates, rv.Stats().AndGates*words; got != want {
+			t.Errorf("n=%d: stage C ran %d word-ANDs, the compiled circuit %d", n, got, want)
+		}
+		depth := func(c *circuit.Circuit) int { return c.Stats().AndDepth }
+		want := (1 + depth(cbs)) + (1 + depth(lanes)) + (1 + depth(total) + 1) + (1 + depth(rv) + 1)
+		if s.MPCRounds != want {
+			t.Errorf("n=%d: %d MPC rounds, circuit depths give %d", n, s.MPCRounds, want)
+		}
 	}
 }
 
 // BenchmarkWideStages times stages B and C of one secure construction
 // at the secure benchmark's shape: 512 providers × 32 768 identities,
-// c = 3, 32 coin bits, batch 128. It reports the protocol rounds (33:
-// 11 for CountBelowSlice, 9 for the count opener, 13 for RevealSlice) and
-// the stage wall time (SecureStats.MPCWall) per word-AND gate evaluated
-// (10 240 + 988 + 20 992 of them).
+// c = 3, 32 coin bits. It reports the MPC wall per construction
+// (SecureStats.MPCWall), the protocol rounds (51: 11 for CountBelowSlice,
+// 10 + 17 for the two count levels, 13 for RevealSlice) and the bytes the
+// coordinators send. A per-gate rate would read worse when the circuits
+// shrink, since fixed per-round costs are divided by fewer gates.
 func BenchmarkWideStages(b *testing.B) {
 	const m, n = 512, 32768
 	d, err := workload.GenerateZipf(workload.ZipfConfig{
@@ -208,7 +253,7 @@ func BenchmarkWideStages(b *testing.B) {
 	}
 	cfg := Config{
 		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeSecure, C: 3, Seed: 1,
-		CoinBits: 32, BatchSize: 128,
+		CoinBits: 32,
 	}
 	var wall time.Duration
 	var s *SecureStats
@@ -221,13 +266,13 @@ func BenchmarkWideStages(b *testing.B) {
 		s = res.Secure
 		wall += s.MPCWall
 	}
-	andWords := s.CountBelowCircuit.AndGates + s.RevealCircuit.AndGates
+	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/1e6, "mpc-ms/op")
 	b.ReportMetric(float64(s.MPCRounds), "rounds")
-	b.ReportMetric(float64(wall.Nanoseconds())/float64(b.N)/float64(andWords), "ns/word-AND")
+	b.ReportMetric(float64(s.MPC.Bytes), "mpc-bytes")
 }
 
-// TestWideSecureFaultInjection drives the pipeline over a faulty
-// coordinator network with several count batches: crash, corruption and
+// TestWideSecureFaultInjection drives the pipeline over faulty
+// coordinator networks: crash, corruption and
 // total loss must each abort the run promptly.
 func TestWideSecureFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
@@ -246,9 +291,7 @@ func TestWideSecureFaultInjection(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := faultySecureCfg(11, 2, tc.plan)
-			cfg.BatchSize = 40
-			runConstructGuarded(t, truth, eps, cfg)
+			runConstructGuarded(t, truth, eps, faultySecureCfg(11, 2, tc.plan))
 		})
 	}
 }

@@ -85,7 +85,7 @@ func TestSecureTraceCoversAllPhases(t *testing.T) {
 	for _, want := range []string{
 		"core.construct", "core.construct.run", "core.beta_thresholds",
 		"secsum.share", "secsum.distribute", "secsum.aggregate", "secsum.coordinate",
-		"mpc.countbelow", "mpc.reveal",
+		"mpc.countbelow", "mpc.slicecount", "mpc.opencount", "mpc.reveal",
 		"gmw.input_share", "gmw.and_rounds", "gmw.output",
 		"core.mixing", "core.publish",
 	} {
@@ -114,7 +114,6 @@ func TestSecureTraceWithOTPreprocessing(t *testing.T) {
 	}
 	tr := traceFixture(t, func(cfg *Config) {
 		cfg.Triples = TripleOT
-		cfg.BatchSize = 3
 	})
 	tree := spanTree(tr)
 	if !strings.Contains(tree, "gmw.ot_preprocess") {

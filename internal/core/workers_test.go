@@ -59,9 +59,7 @@ func TestConstructDeterministicAcrossWorkers(t *testing.T) {
 		bigEps[j] = 0.3 + 0.5*rng.Float64()
 	}
 
-	// Secure fixture: small parties but BatchSize 3 over 7 identities, so
-	// stage B opens three batch counts and stage C draws three coin
-	// streams.
+	// Secure fixture: small parties, 7 identities in one word.
 	secTruth := randomMatrix(rng, 9, 7, 0.4)
 	secEps := make([]float64, 7)
 	for j := range secEps {
@@ -78,7 +76,6 @@ func TestConstructDeterministicAcrossWorkers(t *testing.T) {
 		{"secure", secTruth, secEps, func(c *Config) {
 			c.Mode = ModeSecure
 			c.C = 3
-			c.BatchSize = 3
 		}},
 	}
 
