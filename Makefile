@@ -47,10 +47,10 @@ bench-check:
 # Short fuzz session over every fuzz target. The batch equivalence fuzz
 # gets the longest slice: it drives the whole gateway query path.
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s ./internal/bitmat/
+	$(GO) test -fuzz=FuzzUnmarshalBinary -fuzztime=10s -run '^$$' ./internal/bitmat/
 	$(GO) test -fuzz=FuzzOwnerMajor -fuzztime=10s -run '^$$' ./internal/bitmat/
-	$(GO) test -fuzz=FuzzBeta -fuzztime=10s ./internal/mathx/
-	$(GO) test -fuzz=FuzzLambda -fuzztime=10s ./internal/mathx/
+	$(GO) test -fuzz=FuzzBeta -fuzztime=10s -run '^$$' ./internal/mathx/
+	$(GO) test -fuzz=FuzzLambda -fuzztime=10s -run '^$$' ./internal/mathx/
 	$(GO) test -fuzz=FuzzBatchEquivalence -fuzztime=30s -run '^$$' ./internal/gateway/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/httpapi/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$$' ./internal/index/

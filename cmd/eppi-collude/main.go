@@ -11,7 +11,8 @@
 //	eppi-collude -coalition 3,4,5,6,7  # fails (no coordinators)
 //
 // The network is fixed: m = 9 providers, n = 5 owners, c = 3 coordinators
-// (providers 0, 1 and 2), seed 1.
+// (providers 0, 1 and 2), seed 1. Shares live in Z_32, the ring secure
+// construction derives for nine providers.
 package main
 
 import (
@@ -23,6 +24,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/circuit"
 	"repro/internal/collusion"
 	"repro/internal/field"
 	"repro/internal/secretshare"
@@ -73,7 +75,9 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	f, err := field.New(field.NextPrime(providers + 1))
+	// The ring construction shares frequencies in (core.constructSecure):
+	// Z_{2^W}, W = bits(m+1) + 1.
+	f, err := field.NewAdditive(1 << uint(circuit.BitsNeeded(providers+1)+1))
 	if err != nil {
 		return err
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -25,8 +26,15 @@ func TestColludeFullCoordinators(t *testing.T) {
 	if !strings.Contains(s, "SUCCEEDED") {
 		t.Fatalf("full-coordinator coalition did not succeed:\n%s", s)
 	}
-	if !strings.Contains(s, "reconstructed=") {
-		t.Fatal("reconstruction values missing")
+	// Every owner's frequency comes back exact: the ring holds it.
+	rows := regexp.MustCompile(`reconstructed=(\d+) truth=(\d+)`).FindAllStringSubmatch(s, -1)
+	if len(rows) != owners {
+		t.Fatalf("%d reconstructed owners, want %d:\n%s", len(rows), owners, s)
+	}
+	for _, r := range rows {
+		if r[1] != r[2] {
+			t.Errorf("reconstructed %s, truth %s", r[1], r[2])
+		}
 	}
 }
 

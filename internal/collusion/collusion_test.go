@@ -20,7 +20,7 @@ const (
 
 func runRecorded(t *testing.T, inputs [][]uint64, seed int64) (*RecordingNetwork, secretshare.Scheme) {
 	t.Helper()
-	f, err := field.New(10007)
+	f, err := field.NewAdditive(1 << 14)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCoalitionValidation(t *testing.T) {
 // inputs and compare the empirical mean of observed shares — they must
 // agree within noise (uniform distribution over Z_q in both worlds).
 func TestObservedSharesIndependentOfSecrets(t *testing.T) {
-	f, err := field.New(101) // small field so means converge fast
+	f, err := field.NewAdditive(128) // small ring so means converge fast
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,8 +151,8 @@ func TestObservedSharesIndependentOfSecrets(t *testing.T) {
 	}
 	m0 := meanObserved(0, 1000)
 	m1 := meanObserved(1, 5000)
-	// Uniform over Z_101 has mean 50; allow generous sampling noise.
-	if math.Abs(m0-50) > 5 || math.Abs(m1-50) > 5 {
+	// Uniform over Z_128 has mean 63.5; allow generous sampling noise.
+	if math.Abs(m0-63.5) > 5 || math.Abs(m1-63.5) > 5 {
 		t.Fatalf("observed share means %v / %v stray from uniform", m0, m1)
 	}
 	if math.Abs(m0-m1) > 7 {

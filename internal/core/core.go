@@ -209,9 +209,12 @@ type SecureStats struct {
 	// SecSumRounds is its round count (always 2).
 	SecSumRounds int
 	// CountBelowCircuit sums the sizes of stage B's three circuits, the
-	// comparator and the count opener's two levels, in word units.
+	// comparator and the count opener's two levels, in word units; its
+	// AndDepth is the sum of their AND depths, since the three run one
+	// after another.
 	CountBelowCircuit circuit.Stats
-	// RevealCircuit summarises the mixing/reveal circuit, in word units.
+	// RevealCircuit summarises the mixing/reveal circuit: sizes in word
+	// units, its own AND depth.
 	RevealCircuit circuit.Stats
 	// MPC is the combined traffic of the four GMW executions of stages B
 	// and C.

@@ -39,21 +39,6 @@ func (cfg Config) onNetwork(parties int, sp *trace.Span, fn func(transport.Netwo
 	return err
 }
 
-// addCircuitStats accumulates circuit statistics (sizes add; depth takes
-// the maximum).
-func addCircuitStats(acc, s circuit.Stats) circuit.Stats {
-	acc.Wires += s.Wires
-	acc.Gates += s.Gates
-	acc.AndGates += s.AndGates
-	acc.FreeGates += s.FreeGates
-	acc.Inputs += s.Inputs
-	acc.Outputs += s.Outputs
-	if s.AndDepth > acc.AndDepth {
-		acc.AndDepth = s.AndDepth
-	}
-	return acc
-}
-
 // constructSecure runs the real distributed pipeline of Section IV:
 //
 //	Stage A (m providers): SecSumShare → c coordinator share vectors over

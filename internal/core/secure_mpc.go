@@ -71,12 +71,17 @@ type mpcOut struct {
 }
 
 // record adds one execution over `words` words per wire: circuit sizes in
-// word units (each gate count times words), traffic and rounds.
+// word units (each count times words), the circuit's AND depth once (the
+// stage's executions run one after another), traffic and rounds.
 func (o *mpcOut) record(circ *circuit.Circuit, words int, res *gmw.Result) {
 	s := circ.Stats()
-	for range words {
-		o.circ = addCircuitStats(o.circ, s)
-	}
+	o.circ.Wires += s.Wires * words
+	o.circ.Gates += s.Gates * words
+	o.circ.AndGates += s.AndGates * words
+	o.circ.FreeGates += s.FreeGates * words
+	o.circ.Inputs += s.Inputs * words
+	o.circ.Outputs += s.Outputs * words
+	o.circ.AndDepth += s.AndDepth
 	o.stats.Messages += res.Stats.Messages
 	o.stats.Bytes += res.Stats.Bytes
 	o.rounds += res.Rounds

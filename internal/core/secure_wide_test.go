@@ -228,6 +228,13 @@ func TestWideRoundsIndependentOfN(t *testing.T) {
 			t.Errorf("n=%d: stage C ran %d word-ANDs, the compiled circuit %d", n, got, want)
 		}
 		depth := func(c *circuit.Circuit) int { return c.Stats().AndDepth }
+		// Stage B's three executions run in sequence: its depth is theirs summed.
+		if got, want := s.CountBelowCircuit.AndDepth, depth(cbs)+depth(lanes)+depth(total); got != want {
+			t.Errorf("n=%d: stage B reports AND depth %d, its circuits sum to %d", n, got, want)
+		}
+		if got, want := s.RevealCircuit.AndDepth, depth(rv); got != want {
+			t.Errorf("n=%d: stage C reports AND depth %d, its circuit %d", n, got, want)
+		}
 		want := (1 + depth(cbs)) + (1 + depth(lanes)) + (1 + depth(total) + 1) + (1 + depth(rv) + 1)
 		if s.MPCRounds != want {
 			t.Errorf("n=%d: %d MPC rounds, circuit depths give %d", n, s.MPCRounds, want)

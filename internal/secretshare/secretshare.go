@@ -1,6 +1,6 @@
 // Package secretshare implements the additive (c, c) secret-sharing scheme
-// over Z_q that underlies the ε-PPI SecSumShare protocol (Theorem 4.1 of the
-// paper).
+// over the ring Z_q, q = 2^w (internal/field), that underlies the ε-PPI
+// SecSumShare protocol (Theorem 4.1 of the paper).
 //
 // A secret v ∈ Z_q is split into c shares whose sum is v mod q; the first
 // c−1 shares are uniformly random, so any subset of at most c−1 shares is
@@ -26,13 +26,13 @@ var (
 	ErrEmpty = errors.New("secretshare: no shares to combine")
 )
 
-// Scheme is a (c, c) additive sharing scheme over a prime field.
+// Scheme is a (c, c) additive sharing scheme over Z_q.
 type Scheme struct {
 	f field.Field
 	c int
 }
 
-// New returns a scheme producing c shares over field f.
+// New returns a scheme producing c shares over the ring f.
 func New(f field.Field, c int) (Scheme, error) {
 	if c < 2 {
 		return Scheme{}, fmt.Errorf("%w: %d", ErrBadShareCount, c)
@@ -49,7 +49,7 @@ func MustNew(f field.Field, c int) Scheme {
 	return s
 }
 
-// Field returns the underlying prime field.
+// Field returns the underlying ring Z_q.
 func (s Scheme) Field() field.Field { return s.f }
 
 // Shares returns c.

@@ -9,8 +9,18 @@ import (
 	"repro/internal/field"
 )
 
+// ring is Z_q, q a power of two.
+func ring(t *testing.T, q uint64) field.Field {
+	t.Helper()
+	f, err := field.NewAdditive(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 func TestNewValidation(t *testing.T) {
-	f := field.Default()
+	f := ring(t, 1<<61)
 	if _, err := New(f, 1); err == nil {
 		t.Error("c=1 accepted")
 	}
@@ -35,7 +45,7 @@ func TestMustNewPanics(t *testing.T) {
 			t.Fatal("no panic")
 		}
 	}()
-	MustNew(field.Default(), 1)
+	MustNew(ring(t, 1<<61), 1)
 }
 
 // split decomposes secret v into c shares summing to v mod q: c−1 drawn
@@ -57,7 +67,7 @@ func split(rng *rand.Rand, s Scheme, v uint64) []uint64 {
 
 // Recoverability (Theorem 4.1): Combine(split(v)) == v for all v.
 func TestSplitCombineQuick(t *testing.T) {
-	f := field.Default()
+	f := ring(t, 1<<61)
 	rng := rand.New(rand.NewSource(11))
 	for _, c := range []int{2, 3, 5, 16} {
 		s := MustNew(f, c)
@@ -68,7 +78,7 @@ func TestSplitCombineQuick(t *testing.T) {
 				return false
 			}
 			for _, sh := range shares {
-				if !f.Valid(sh) {
+				if sh >= f.Modulus() {
 					return false
 				}
 			}
@@ -82,7 +92,7 @@ func TestSplitCombineQuick(t *testing.T) {
 }
 
 func TestCombineErrors(t *testing.T) {
-	s := MustNew(field.Default(), 3)
+	s := MustNew(ring(t, 1<<61), 3)
 	if _, err := s.Combine(nil); err == nil {
 		t.Error("empty shares accepted")
 	}
@@ -98,20 +108,20 @@ func TestCombineErrors(t *testing.T) {
 // statistically, each partial share's low bits look unbiased and two
 // different secrets produce indistinguishable marginal distributions.
 func TestPartialSharesUniform(t *testing.T) {
-	f := field.MustNew(257) // small field so chi-square has power
+	f := ring(t, 256) // small ring so chi-square has power
 	s := MustNew(f, 3)
 	rng := rand.New(rand.NewSource(12))
 
-	countsSecretA := make([]int, 257)
-	countsSecretB := make([]int, 257)
-	const draws = 257 * 200
+	countsSecretA := make([]int, 256)
+	countsSecretB := make([]int, 256)
+	const draws = 256 * 200
 	for i := 0; i < draws; i++ {
 		countsSecretA[split(rng, s, 7)[0]]++
 		countsSecretB[split(rng, s, 250)[0]]++
 	}
 	chiA := chiSquare(countsSecretA, draws)
 	chiB := chiSquare(countsSecretB, draws)
-	// 256 dof: mean 256, sd ~22.6; 400 is ~6 sigma.
+	// 255 dof: mean 255, sd ~22.6; 400 is ~6 sigma.
 	if chiA > 400 || chiB > 400 {
 		t.Fatalf("first share not uniform: chiA=%v chiB=%v", chiA, chiB)
 	}
@@ -120,18 +130,18 @@ func TestPartialSharesUniform(t *testing.T) {
 // The sum of any proper subset of shares must also be uniform (else the
 // last balancing share would leak).
 func TestSubsetSumUniform(t *testing.T) {
-	f := field.MustNew(101)
+	f := ring(t, 128)
 	s := MustNew(f, 4)
 	rng := rand.New(rand.NewSource(13))
-	counts := make([]int, 101)
-	const draws = 101 * 200
+	counts := make([]int, 128)
+	const draws = 128 * 200
 	for i := 0; i < draws; i++ {
 		sh := split(rng, s, 42)
 		subset := f.Add(f.Add(sh[0], sh[1]), sh[3]) // 3 of 4 shares
 		counts[subset]++
 	}
-	if chi := chiSquare(counts, draws); chi > 200 {
-		t.Fatalf("3-share subset sum not uniform: chi=%v (100 dof)", chi)
+	if chi := chiSquare(counts, draws); chi > 240 {
+		t.Fatalf("3-share subset sum not uniform: chi=%v (127 dof)", chi)
 	}
 }
 
@@ -147,7 +157,7 @@ func chiSquare(counts []int, total int) float64 {
 
 // Additive homomorphism: share-wise sums reconstruct the sum of secrets.
 func TestHomomorphismQuick(t *testing.T) {
-	f := field.Default()
+	f := ring(t, 1<<61)
 	s := MustNew(f, 3)
 	rng := rand.New(rand.NewSource(14))
 	prop := func(a, b, c uint64) bool {
@@ -181,10 +191,11 @@ func TestHomomorphismQuick(t *testing.T) {
 	}
 }
 
-// Simulates the paper's Figure 3 numbers: q=5, c=3, five providers with
-// bits 0,1,1,0,0 — total frequency must reconstruct to 2.
+// Simulates the paper's Figure 3 numbers over Z_8 (the figure uses q=5):
+// c=3, five providers with bits 0,1,1,0,0 — total frequency must
+// reconstruct to 2.
 func TestPaperFigure3Scenario(t *testing.T) {
-	f := field.MustNew(5)
+	f := ring(t, 8)
 	s := MustNew(f, 3)
 	rng := rand.New(rand.NewSource(15))
 	bits := []uint64{0, 1, 1, 0, 0}
@@ -211,7 +222,7 @@ func TestPaperFigure3Scenario(t *testing.T) {
 func TestUniformityAcrossSecretValues(t *testing.T) {
 	// Distribution of share[0] must not depend on the secret: compare
 	// empirical means for two extreme secrets.
-	f := field.MustNew(1009)
+	f := ring(t, 1024)
 	s := MustNew(f, 2)
 	rng := rand.New(rand.NewSource(17))
 	meanFor := func(secret uint64) float64 {
@@ -222,8 +233,8 @@ func TestUniformityAcrossSecretValues(t *testing.T) {
 		}
 		return sum / n
 	}
-	m0, m1 := meanFor(0), meanFor(1008)
-	if math.Abs(m0-m1) > 25 { // both should be ≈504
+	m0, m1 := meanFor(0), meanFor(1023)
+	if math.Abs(m0-m1) > 25 { // both should be ≈511.5
 		t.Fatalf("share mean depends on secret: %v vs %v", m0, m1)
 	}
 }

@@ -32,7 +32,7 @@ func runWithDeadline(t *testing.T, name string, fn func() error) error {
 }
 
 func TestCrashedProviderFailsFast(t *testing.T) {
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	inner, err := transport.NewInMem(5)
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestCrashedProviderFailsFast(t *testing.T) {
 }
 
 func TestDroppedMessagesFailFast(t *testing.T) {
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	inner, err := transport.NewInMem(6)
 	if err != nil {
 		t.Fatal(err)
@@ -83,10 +83,10 @@ func TestDroppedMessagesFailFast(t *testing.T) {
 }
 
 // Payload corruption is undetectable wherever every bit pattern is a valid
-// message, and the packed super-share leaves no redundancy to check in a
-// power-of-two group whose element width w divides 64 (no padding bits) when
-// n fills the last word. Key messages are two arbitrary words in any ring.
-// The test states both rows of the boundary.
+// message: the packed super-share leaves no redundancy to check when the
+// element width w divides 64 (no padding bits) and n fills the last word.
+// Key messages are two arbitrary words in any ring. The test states both
+// rows of the boundary.
 func TestCorruptedShareStillSums(t *testing.T) {
 	inputs := [][]uint64{{1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}, {1, 1, 1, 1}}
 	corrupted := func(t *testing.T, s secretshare.Scheme) (*Result, error) {
@@ -107,7 +107,7 @@ func TestCorruptedShareStillSums(t *testing.T) {
 	// Z_{2^16}: four 16-bit elements fill each word, so the run completes
 	// and the sum is wrong.
 	t.Run("power-of-two group completes with a wrong sum", func(t *testing.T) {
-		s := additive(t, 1<<16, 3)
+		s := scheme(t, 1<<16, 3)
 		res, err := corrupted(t, s)
 		if err != nil {
 			t.Fatalf("corruption in a padding-free group must go undetected: %v", err)
@@ -127,11 +127,11 @@ func TestCorruptedShareStillSums(t *testing.T) {
 		}
 	})
 
-	// Z_104729: 17-bit elements leave padding and 2^17 − q out-of-range
-	// values per slot, so the coordinator either folds garbage or rejects it
-	// as malformed — never anything else.
-	t.Run("prime field completes or fails with the range error", func(t *testing.T) {
-		s := scheme(t, 104729, 3)
+	// Z_{2^17}: three 17-bit elements leave 13 padding bits per word, so the
+	// coordinator either folds garbage or rejects it as malformed — never
+	// anything else.
+	t.Run("padded group completes or fails as malformed", func(t *testing.T) {
+		s := scheme(t, 1<<17, 3)
 		res, err := corrupted(t, s)
 		if err != nil {
 			if !errors.Is(err, ErrMalformedShare) {

@@ -33,12 +33,12 @@ func (n tamperNode) Send(to int, m transport.Message) error {
 	return n.net.Network.Node(via).Send(dest, m)
 }
 
-// mustReject runs SecSumShare over Z_10007 (14-bit elements, four per
+// mustReject runs SecSumShare over Z_{2^14} (14-bit elements, four per
 // word, eight bits of padding per word) among six providers, c = 3, with
 // hook applied to every message, and requires ErrMalformedShare.
 func mustReject(t *testing.T, hook func(from, to int, m transport.Message) (int, int, transport.Message)) {
 	t.Helper()
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	inner, err := transport.NewInMem(6)
 	if err != nil {
 		t.Fatal(err)
@@ -79,14 +79,6 @@ func TestRejectsSuperShareLength(t *testing.T) {
 	// Six identities at four per word: exactly two words.
 	mustReject(t, edit(transport.KindSuperShare, 4, func(d []uint64) []uint64 { return d[:1] }))
 	mustReject(t, edit(transport.KindSuperShare, 4, func(d []uint64) []uint64 { return append(d, 0) }))
-}
-
-func TestRejectsElementOutOfRange(t *testing.T) {
-	mustReject(t, edit(transport.KindSuperShare, 3, func(d []uint64) []uint64 {
-		const slot1 = (1<<14 - 1) << 14
-		d[0] = d[0]&^slot1 | 10007<<14 // identity 1 := q
-		return d
-	}))
 }
 
 func TestRejectsPaddingBits(t *testing.T) {

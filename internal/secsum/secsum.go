@@ -7,6 +7,8 @@
 //
 //	Σ_k s(k, j) mod q  =  Σ_i M(i, j)   (the identity's frequency)
 //
+// in the ring Z_q, q = 2^w (internal/field).
+//
 // No party learns any other party's input ((2c−3)-secrecy), and fewer than
 // all c coordinator vectors reveal nothing about any frequency (c-secrecy,
 // Theorem 4.1 — computational here, with AES-CTR as the pseudorandom
@@ -21,10 +23,10 @@
 //     identity chunks, and sends the result bit-packed (ring.pack) to
 //     coordinator (i mod c), which folds each one in as it arrives.
 //
-// For q = 2^w both the pass and the fold run on the packed words
-// themselves: element j of an expansion is a w-bit field of keystream word
-// ⌊j/per⌋, in the very slot it takes on the wire, so one 64-bit field-wise
-// add or subtract (addw, subw) handles per = ⌊64/w⌋ identities.
+// Both the pass and the fold run on the packed words themselves: element j
+// of an expansion is a w-bit field of keystream word ⌊j/per⌋, in the very
+// slot it takes on the wire, so one 64-bit field-wise add or subtract (addw,
+// subw) handles per = ⌊64/w⌋ identities.
 package secsum
 
 import (
@@ -50,8 +52,8 @@ var (
 	// ErrInputShape reports malformed provider inputs.
 	ErrInputShape = errors.New("secsum: malformed inputs")
 	// ErrMalformedShare reports a share key or super-share that does not
-	// decode: a wrong word count, an element outside Z_q, set padding bits,
-	// or a sender the protocol did not assign.
+	// decode: a wrong word count, set padding bits, or a sender the protocol
+	// did not assign.
 	ErrMalformedShare = errors.New("secsum: malformed share message")
 )
 
@@ -364,13 +366,10 @@ func shareKeyOf(key [16]byte) shareKey {
 	return shareKey{binary.LittleEndian.Uint64(key[:8]), binary.LittleEndian.Uint64(key[8:])}
 }
 
-// ring is the arithmetic and wire geometry of Z_q.
+// ring is the arithmetic and wire geometry of Z_q, q = 2^w.
 type ring struct {
-	f    field.Field
 	q    uint64
-	pow2 bool   // q = 2^w: the pass and the fold work field-wise on packed words
-	max  uint64 // q not a power of two: keystream words ≥ max are rejected
-	w    uint   // bits per packed element: bits.Len64(q − 1)
+	w    uint   // bits per packed element: log2 q
 	per  int    // elements per packed word: ⌊64/w⌋
 	full uint64 // the per fields of a word: its low per·w bits
 	high uint64 // the top bit of each of the per fields
@@ -384,8 +383,7 @@ func newRing(f field.Field) (*ring, error) {
 	if q < 2 {
 		return nil, fmt.Errorf("secsum: modulus %d", q)
 	}
-	r := &ring{f: f, q: q, pow2: q&(q-1) == 0, w: uint(bits.Len64(q - 1))}
-	r.max = ^uint64(0) - ^uint64(0)%q
+	r := &ring{q: q, w: uint(bits.Len64(q - 1))}
 	r.per = 64 / int(r.w)
 	r.full = ^uint64(0) >> (64 - uint(r.per)*r.w)
 	for s := 0; s < r.per; s++ {
@@ -434,17 +432,16 @@ func subw(x, y, h uint64) uint64 { return ((x | h) - (y &^ h)) ^ ((x ^ ^y) & h) 
 
 // expander streams the share vector a key stands for, a function of the
 // AES-CTR keystream under the key (IV 0) read as little-endian 8-byte
-// words. For q = 2^w element j is field j mod per of keystream word
-// ⌊j/per⌋ — the slot it takes in a packed super-share — and the top
-// 64 − per·w bits of every word are discarded. Otherwise element j is the
-// j-th word below max, reduced mod q. It is the one expansion sender,
-// receiver and ExpandShare share, and its output does not depend on how
-// the caller chunks the identities.
+// words: element j is field j mod per of keystream word ⌊j/per⌋ — the slot
+// it takes in a packed super-share — and the top 64 − per·w bits of every
+// word are discarded. It is the one expansion sender, receiver and
+// ExpandShare share, and its output does not depend on how the caller
+// chunks the identities.
 type expander struct {
 	r  *ring
 	ks *prf.Stream
 	// cur holds the left fields of the last keystream word drawn that no
-	// element has taken yet, lowest first (q = 2^w, next only).
+	// element has taken yet, lowest first (next only).
 	cur  uint64
 	left int
 }
@@ -466,29 +463,15 @@ func (e *expander) stream(b []byte) []byte {
 // scratch of at least 8·len(dst) bytes.
 func (e *expander) next(dst []uint64, ks []byte) {
 	r := e.r
-	if r.pow2 {
-		b := e.stream(ks[:8*((max(len(dst)-e.left, 0)+r.per-1)/r.per)])
-		for i := range dst {
-			if e.left == 0 {
-				e.cur, e.left = binary.LittleEndian.Uint64(b), r.per
-				b = b[8:]
-			}
-			dst[i] = e.cur & (r.q - 1)
-			e.cur >>= r.w
-			e.left--
+	b := e.stream(ks[:8*((max(len(dst)-e.left, 0)+r.per-1)/r.per)])
+	for i := range dst {
+		if e.left == 0 {
+			e.cur, e.left = binary.LittleEndian.Uint64(b), r.per
+			b = b[8:]
 		}
-		return
-	}
-	for i := 0; i < len(dst); {
-		// One 8-byte word per missing element: no keystream is drawn that
-		// is not consumed, so the element sequence is chunking-independent.
-		b := e.stream(ks[:8*(len(dst)-i)])
-		for o := 0; o < len(b); o += 8 {
-			if v := binary.LittleEndian.Uint64(b[o:]); v < r.max {
-				dst[i] = v % r.q
-				i++
-			}
-		}
+		dst[i] = e.cur & (r.q - 1)
+		e.cur >>= r.w
+		e.left--
 	}
 }
 
@@ -514,10 +497,6 @@ func (r *ring) superShare(n int, load loader, own, in []shareKey) []uint64 {
 		hi := min(lo+r.chunk, n)
 		dst := out[lo/r.per : r.packedLen(hi)]
 		load(dst, lo/r.per)
-		if !r.pow2 {
-			r.mixElements(dst, hi-lo, subs, adds, s)
-			continue
-		}
 		// Each keystream word is the per share elements of its packed slot.
 		h, full, ks := r.high, r.full, s.ks[:8*len(dst)]
 		for _, e := range subs {
@@ -543,38 +522,15 @@ func (r *ring) superShare(n int, load loader, own, in []shareKey) []uint64 {
 	return out
 }
 
-// mixElements is superShare's step over the k identities of dst for q not
-// a power of two, one element at a time.
-func (r *ring) mixElements(dst []uint64, k int, subs, adds []*expander, s *scratch) {
-	acc, tmp := s.acc[:k], s.tmp[:k]
-	r.unpack(acc, dst)
-	for _, e := range subs {
-		e.next(tmp, s.ks)
-		for j, v := range tmp {
-			acc[j] = r.f.Sub(acc[j], v)
-		}
-	}
-	for _, e := range adds {
-		e.next(tmp, s.ks)
-		for j, v := range tmp {
-			acc[j] = r.f.Add(acc[j], v)
-		}
-	}
-	r.pack(dst, acc)
-}
-
-// scratch is the per-pass working set of superShare, pooled across the m
-// concurrent providers (only the ones mid-pass hold one).
-type scratch struct {
-	acc, tmp []uint64
-	ks       []byte
-}
+// scratch is the keystream buffer of one superShare pass, pooled across
+// the m concurrent providers (only the ones mid-pass hold one).
+type scratch struct{ ks []byte }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 func (s *scratch) grow(chunk int) {
-	if len(s.acc) < chunk {
-		s.acc, s.tmp, s.ks = make([]uint64, chunk), make([]uint64, chunk), make([]byte, 8*chunk)
+	if len(s.ks) < 8*chunk {
+		s.ks = make([]byte, 8*chunk)
 	}
 }
 
@@ -585,10 +541,7 @@ func (r *ring) pack(dst, elems []uint64) {
 		k := min(r.per, len(elems))
 		var word uint64
 		for s, v := range elems[:k] {
-			if v >= r.q {
-				v = r.f.Reduce(v)
-			}
-			word |= v << (uint(s) * r.w)
+			word |= (v & (r.q - 1)) << (uint(s) * r.w)
 		}
 		dst[t] = word
 		elems = elems[k:]
@@ -598,12 +551,11 @@ func (r *ring) pack(dst, elems []uint64) {
 // unpack is pack's inverse: it fills dst with the first len(dst) elements
 // of the packed words.
 func (r *ring) unpack(dst, words []uint64) {
-	elem := uint64(1)<<r.w - 1
 	for t := 0; len(dst) > 0; t++ {
 		k := min(r.per, len(dst))
 		word := words[t]
 		for s := range dst[:k] {
-			dst[s] = word & elem
+			dst[s] = word & (r.q - 1)
 			word >>= r.w
 		}
 		dst = dst[k:]
@@ -613,9 +565,8 @@ func (r *ring) unpack(dst, words []uint64) {
 // fold adds the packed super-share words of an n-identity run into the
 // packed accumulator acc, field by field mod q. It rejects with
 // ErrMalformedShare — never a panic — a payload of other than len(acc)
-// words, set padding bits (the top 64 − per·w bits of every word and the
-// unused slots of the last), and, for q not a power of two, an element
-// ≥ q; for q = 2^w every field holds an element.
+// words and set padding bits (the top 64 − per·w bits of every word and the
+// unused slots of the last); every w-bit field holds an element of Z_q.
 func (r *ring) fold(acc, words []uint64, n int) error {
 	if len(words) != len(acc) {
 		return fmt.Errorf("%w: %d words, want %d", ErrMalformedShare, len(words), len(acc))
@@ -623,24 +574,11 @@ func (r *ring) fold(acc, words []uint64, n int) error {
 	if last := len(words) - 1; last >= 0 && words[last]&^r.tail(n) != 0 {
 		return fmt.Errorf("%w: padding bits set in word %d", ErrMalformedShare, last)
 	}
-	elem := uint64(1)<<r.w - 1
 	for t, word := range words {
 		if word&^r.full != 0 {
 			return fmt.Errorf("%w: padding bits set in word %d", ErrMalformedShare, t)
 		}
-		if r.pow2 {
-			acc[t] = addw(acc[t], word, r.high)
-			continue
-		}
-		var sum uint64
-		for s := uint(0); s < uint(r.per); s++ {
-			a, v := acc[t]>>(s*r.w)&elem, word>>(s*r.w)&elem
-			if v >= r.q {
-				return fmt.Errorf("%w: element %d is %d, not below q = %d", ErrMalformedShare, t*r.per+int(s), v, r.q)
-			}
-			sum |= r.f.Add(a, v) << (s * r.w)
-		}
-		acc[t] = sum
+		acc[t] = addw(acc[t], word, r.high)
 	}
 	return nil
 }
@@ -690,9 +628,8 @@ func DecodeSuperShare(f field.Field, words []uint64, n int) ([]uint64, error) {
 }
 
 // Frequencies reconstructs per-identity frequencies from the c coordinator
-// share vectors. It exists for tests and for the *trusted-aggregate*
-// construction path; the secure path never reconstructs frequencies outside
-// the CountBelow circuit.
+// share vectors, the check the tests hold a run to; construction never
+// reconstructs a frequency outside the CountBelow circuit.
 func Frequencies(scheme secretshare.Scheme, coordShares [][]uint64) ([]uint64, error) {
 	c := scheme.Shares()
 	if len(coordShares) != c {

@@ -11,22 +11,8 @@ import (
 	"repro/internal/transport"
 )
 
+// scheme is the (c, c) scheme over Z_q, q a power of two.
 func scheme(t testing.TB, q uint64, c int) secretshare.Scheme {
-	t.Helper()
-	f, err := field.New(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := secretshare.New(f, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-// additive is scheme over the group Z_q, q any modulus ≥ 2 (construction
-// uses q = 2^w).
-func additive(t testing.TB, q uint64, c int) secretshare.Scheme {
 	t.Helper()
 	f, err := field.NewAdditive(q)
 	if err != nil {
@@ -53,10 +39,11 @@ func runInMem(t testing.TB, s secretshare.Scheme, inputs [][]uint64, seed int64)
 	return res
 }
 
-// The paper's Figure 3 example: q=5, c=3, five providers with membership
-// bits 0,1,1,0,0 for identity t0; the coordinator shares must sum to 2.
+// The paper's Figure 3 example, c=3, five providers with membership bits
+// 0,1,1,0,0 for identity t0, over Z_8 (the paper's figure uses q=5); the
+// coordinator shares must sum to 2.
 func TestPaperFigure3(t *testing.T) {
-	s := scheme(t, 5, 3)
+	s := scheme(t, 8, 3)
 	inputs := [][]uint64{{0}, {1}, {1}, {0}, {0}}
 	res := runInMem(t, s, inputs, 1)
 	if len(res.CoordinatorShares) != 3 {
@@ -75,7 +62,7 @@ func TestPaperFigure3(t *testing.T) {
 }
 
 func TestMultiIdentity(t *testing.T) {
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	m, n := 10, 20
 	rng := rand.New(rand.NewSource(2))
 	inputs := make([][]uint64, m)
@@ -107,7 +94,7 @@ func TestVaryCAndM(t *testing.T) {
 			if m < c {
 				continue
 			}
-			s := scheme(t, 104729, c)
+			s := scheme(t, 1<<17, c)
 			rng := rand.New(rand.NewSource(int64(c*100 + m)))
 			n := 5
 			inputs := make([][]uint64, m)
@@ -138,7 +125,7 @@ func TestMessageComplexity(t *testing.T) {
 	// Each provider sends c-1 share messages and 1 super-share message:
 	// total m·c messages on the wire.
 	c, m := 3, 12
-	s := scheme(t, 101, c)
+	s := scheme(t, 128, c)
 	inputs := make([][]uint64, m)
 	for i := range inputs {
 		inputs[i] = []uint64{uint64(i % 2)}
@@ -150,7 +137,7 @@ func TestMessageComplexity(t *testing.T) {
 }
 
 func TestErrors(t *testing.T) {
-	s := scheme(t, 101, 3)
+	s := scheme(t, 128, 3)
 	net, err := transport.NewInMem(2) // m < c
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +161,7 @@ func TestErrors(t *testing.T) {
 }
 
 func TestZeroIdentities(t *testing.T) {
-	s := scheme(t, 101, 2)
+	s := scheme(t, 128, 2)
 	inputs := [][]uint64{{}, {}, {}}
 	res := runInMem(t, s, inputs, 5)
 	freqs, err := Frequencies(s, res.CoordinatorShares)
@@ -187,7 +174,7 @@ func TestZeroIdentities(t *testing.T) {
 }
 
 func TestFrequenciesValidation(t *testing.T) {
-	s := scheme(t, 101, 3)
+	s := scheme(t, 128, 3)
 	if _, err := Frequencies(s, [][]uint64{{1}}); err == nil {
 		t.Fatal("short coordinator set accepted")
 	}
@@ -201,7 +188,7 @@ func TestFrequenciesValidation(t *testing.T) {
 // randomness). Two runs with different seeds must (almost surely) differ.
 func TestCoordinatorSharesLookRandom(t *testing.T) {
 	inputs := [][]uint64{{1, 0, 1}, {0, 0, 1}, {1, 1, 1}, {0, 0, 0}, {1, 0, 0}}
-	for _, s := range []secretshare.Scheme{scheme(t, 104729, 3), additive(t, 1<<11, 3)} {
+	for _, s := range []secretshare.Scheme{scheme(t, 1<<16, 3), scheme(t, 1<<11, 3)} {
 		a := runInMem(t, s, inputs, 100)
 		b := runInMem(t, s, inputs, 200)
 		same := true
@@ -227,7 +214,7 @@ func TestCoordinatorSharesLookRandom(t *testing.T) {
 // Property: for random small networks the protocol always reproduces the
 // plaintext column sums.
 func TestProtocolCorrectQuick(t *testing.T) {
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := 3 + rng.Intn(10)
@@ -269,7 +256,7 @@ func TestProtocolCorrectQuick(t *testing.T) {
 
 // The protocol must also work over real TCP.
 func TestOverTCP(t *testing.T) {
-	s := scheme(t, 10007, 3)
+	s := scheme(t, 1<<14, 3)
 	m, n := 6, 4
 	rng := rand.New(rand.NewSource(6))
 	inputs := make([][]uint64, m)
@@ -303,11 +290,7 @@ func TestOverTCP(t *testing.T) {
 }
 
 func BenchmarkSecSumShare100x64(b *testing.B) {
-	f := field.Default()
-	s, err := secretshare.New(f, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
+	s := scheme(b, 1<<8, 3)
 	m, n := 100, 64
 	rng := rand.New(rand.NewSource(8))
 	inputs := make([][]uint64, m)
@@ -334,7 +317,7 @@ func BenchmarkSecSumShare100x64(b *testing.B) {
 // TestMetricsWiring checks that Run reports phase timers and traffic
 // through a registry attached to the network with transport.Instrument.
 func TestMetricsWiring(t *testing.T) {
-	s := scheme(t, 65537, 3)
+	s := scheme(t, 1<<17, 3)
 	inputs := [][]uint64{{1, 0}, {0, 1}, {1, 1}, {0, 0}}
 	net, err := transport.NewInMem(len(inputs))
 	if err != nil {

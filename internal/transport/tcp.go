@@ -53,21 +53,20 @@ func NewTCP(n int) (*TCPNetwork, error) {
 		wg.Add(1)
 		go func(j int) {
 			defer wg.Done()
+			seen := make([]bool, j)
 			for k := 0; k < j; k++ { // j accepts one conn per lower-id peer
 				conn, err := listeners[j].Accept()
 				if err != nil {
 					errs[j] = fmt.Errorf("accept on party %d: %w", j, err)
 					return
 				}
-				dec := gob.NewDecoder(conn)
-				var hello Message
-				if err := dec.Decode(&hello); err != nil {
-					errs[j] = fmt.Errorf("handshake on party %d: %w", j, err)
+				from, pc, err := acceptPeer(conn, j, seen)
+				if err != nil {
+					errs[j] = err
 					conn.Close()
 					return
 				}
-				pc := &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: dec}
-				network.nodes[j].setConn(hello.From, pc)
+				network.nodes[j].setConn(from, pc)
 			}
 		}(j)
 	}
@@ -106,6 +105,32 @@ func NewTCP(n int) (*TCPNetwork, error) {
 		node.startReaders()
 	}
 	return network, nil
+}
+
+// acceptPeer reads the one-message handshake on conn, accepted by party j,
+// and returns the dialer's id with the connection framed for use. Only
+// lower ids dial j, each once, so it refuses a hello that is not
+// KindControl, is addressed to another party, names an id outside [0, j)
+// or names one seen already marks; it marks the id it accepts.
+func acceptPeer(conn net.Conn, j int, seen []bool) (int, *peerConn, error) {
+	dec := gob.NewDecoder(conn)
+	var hello Message
+	if err := dec.Decode(&hello); err != nil {
+		return 0, nil, fmt.Errorf("handshake on party %d: %w", j, err)
+	}
+	from := hello.From
+	switch {
+	case hello.Kind != KindControl:
+		return 0, nil, fmt.Errorf("handshake on party %d: message kind %v, want control", j, hello.Kind)
+	case hello.To != j:
+		return 0, nil, fmt.Errorf("handshake on party %d: addressed to party %d", j, hello.To)
+	case from < 0 || from >= j:
+		return 0, nil, fmt.Errorf("handshake on party %d: dialer id %d outside [0, %d)", j, from, j)
+	case seen[from]:
+		return 0, nil, fmt.Errorf("handshake on party %d: party %d connected twice", j, from)
+	}
+	seen[from] = true
+	return from, &peerConn{conn: conn, enc: gob.NewEncoder(conn), dec: dec}, nil
 }
 
 func closeListeners(ls []net.Listener) {
