@@ -69,7 +69,7 @@ func run(args []string, out io.Writer) error {
 	providers := fs.Int("providers", 100, "number of providers m")
 	owners := fs.Int("owners", 50, "number of owner identities n")
 	secure := fs.Bool("secure", false, "run the real SecSumShare+MPC protocol")
-	c := fs.Int("c", 3, "coordinator count (secure mode)")
+	c := fs.Int("c", core.DefaultCoordinators, "coordinator count: the secure protocol's coordinators, whose mixing coins a trusted build XORs too")
 	tcp := fs.Bool("tcp", false, "use TCP loopback transport (secure mode)")
 	seed := fs.Int64("seed", 1, "random seed")
 	workers := fs.Int("workers", 0, "construction worker pool size (0 = NumCPU); output is identical at any value")
@@ -104,12 +104,12 @@ func run(args []string, out io.Writer) error {
 		Policy:  mathx.PolicyChernoff,
 		Gamma:   gamma,
 		Mode:    core.ModeTrusted,
+		C:       *c,
 		Seed:    *seed,
 		Workers: *workers,
 	}
 	if *secure {
 		cfg.Mode = core.ModeSecure
-		cfg.C = *c
 		if *tcp {
 			cfg.NewNetwork = func(parties int) (transport.Network, error) {
 				return transport.NewTCP(parties)

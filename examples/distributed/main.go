@@ -1,6 +1,6 @@
 // Distributed construction: runs the paper's actual secure protocol — the
-// SecSumShare secure sum over every provider followed by two GMW
-// multi-party computations among c = 3 coordinators — over real TCP
+// SecSumShare secure sum over every provider followed by four GMW
+// executions among c = 3 coordinators — over real TCP
 // loopback sockets, and prints the protocol accounting (rounds, messages,
 // bytes, circuit sizes).
 //

@@ -2,7 +2,7 @@
 // framework of Section III of the paper (β calculation, then randomized
 // publication), including the common-identity mixing defence.
 //
-// Two execution paths produce identical statistical behaviour:
+// Two execution paths compute the same result from the same seed:
 //
 //   - ModeTrusted computes identity frequencies directly from the private
 //     matrix. It exists for large-scale simulation (Figures 4 and 5 use
@@ -10,13 +10,15 @@
 //     protocol per sample would dominate experiment time.
 //
 //   - ModeSecure runs the real distributed pipeline: SecSumShare over all
-//     m providers, then two GMW computations among the c coordinators
-//     (CountBelow for the common count, Reveal for per-identity mixing and
-//     masked frequency release). No frequency of a hidden identity is ever
-//     reconstructed outside a circuit.
+//     m providers, then four GMW executions among the c coordinators (three
+//     open the common count, Reveal each hidden bit and unhidden
+//     frequency). No frequency of a hidden identity is ever reconstructed
+//     outside a circuit. Trusted mode evaluates its mixing in the clear:
+//     both take their inputs from mixingInputs and their β from decide.
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -61,6 +63,10 @@ func (m Mode) String() string {
 // 2^-16).
 const DefaultCoinBits = 16
 
+// DefaultCoordinators is the coin count of a ModeTrusted run with C = 0,
+// and eppi-construct's -c default.
+const DefaultCoordinators = 3
+
 // TripleSource selects the Beaver-triple preprocessing for ModeSecure.
 type TripleSource int
 
@@ -99,7 +105,8 @@ type Config struct {
 	Gamma float64
 	// Mode selects trusted aggregation or the secure protocol.
 	Mode Mode
-	// C is the coordinator count (collusion tolerance) for ModeSecure.
+	// C is the coordinator count (collusion tolerance); a ModeTrusted run
+	// XORs the mixing coins of C coordinators (DefaultCoordinators when 0).
 	C int
 	// CoinBits is the mixing-coin precision (DefaultCoinBits when 0).
 	CoinBits int
@@ -107,7 +114,7 @@ type Config struct {
 	// every draw is keyed by it through internal/prf.
 	Seed int64
 	// XiOverride, when positive, fixes the mixing fraction ξ instead of
-	// deriving it from the ε of common identities.
+	// the largest ε over identities that can be common (t_j ≤ m).
 	XiOverride float64
 	// BatchSize sized the batches whose common counts stage B opened.
 	//
@@ -183,6 +190,9 @@ func (c Config) validate() error {
 	}
 	switch c.Mode {
 	case ModeTrusted:
+		if c.C < 0 {
+			return fmt.Errorf("%w: coordinator count %d", ErrBadConfig, c.C)
+		}
 	case ModeSecure:
 		if c.C < 2 {
 			return fmt.Errorf("%w: secure mode needs C >= 2, got %d", ErrBadConfig, c.C)
@@ -417,7 +427,6 @@ func ConstructCtx(ctx context.Context, truth *bitmat.Matrix, eps []float64, cfg 
 // bit-identical at any worker count.
 func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, thresholds []uint64, cfg Config) (*Result, error) {
 	m, n := truth.Rows(), truth.Cols()
-	workers := cfg.workers()
 	// One tiled pass counts every column: a few milliseconds where
 	// publication takes hundreds, so it is not sharded.
 	_, aggSpan := trace.StartChild(ctx, "core.aggregate")
@@ -431,41 +440,98 @@ func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, 
 	}
 	aggSpan.SetInt("commons", commons)
 	aggSpan.End()
-	xi := cfg.XiOverride
-	if xi <= 0 {
-		for j := 0; j < n; j++ {
-			if freqs[j] >= thresholds[j] && eps[j] > xi {
-				xi = eps[j]
+	// Identity mixing + per-identity β (Equations 6 and 7): RevealSlice's
+	// predicate, common or the XOR of the coins below the cutoff.
+	mixCtx, mixSpan := trace.StartChild(ctx, "core.mixing")
+	mx, err := cfg.mixingInputs(eps, thresholds, m, commons)
+	var hidden []bool
+	var betas []float64
+	if err == nil {
+		hidden, betas, err = cfg.decide(mixCtx, m, eps, func(j int) (bool, uint64) {
+			var coin uint64
+			for _, coins := range mx.coins {
+				coin ^= coins[j]
 			}
-		}
+			return freqs[j] >= thresholds[j] || coin < mx.cut, freqs[j]
+		})
 	}
-	lambda, err := mathx.Lambda(xi, commons, n)
+	mixSpan.End()
 	if err != nil {
 		return nil, err
 	}
+	return &Result{
+		Published:   publishSharded(ctx, truth, betas, cfg.Seed, cfg.workers()),
+		Betas:       betas,
+		Thresholds:  thresholds,
+		Hidden:      hidden,
+		CommonCount: commons,
+		Lambda:      mx.lambda,
+		Xi:          mx.xi,
+	}, nil
+}
 
-	// Identity mixing + per-identity β (Equations 6 and 7). Owner j's coin
-	// is word j of the Mix keystream, drawn for every owner, so the hidden
-	// set is monotone in λ and no owner's coin depends on another's.
-	mixCtx, mixSpan := trace.StartChild(ctx, "core.mixing")
-	hidden := make([]bool, n)
-	betas := make([]float64, n)
-	coins := make([]uint64, n)
-	prf.New(prf.Key(cfg.Seed, prf.Mix, 0)).Words(coins)
-	cut := mixCut(lambda)
-	err = parallel.Blocks(workers, n, colShard, func(_, lo, hi int) error {
-		_, sp := trace.StartChild(mixCtx, "core.mixing.shard",
-			trace.Int("lo", lo), trace.Int("hi", hi))
+// mixing is the public input of Equations 6 and 7 that both modes apply:
+// ModeSecure feeds coins and cut into RevealSlice, and ModeTrusted
+// evaluates the same predicate in the clear.
+type mixing struct {
+	xi, lambda float64
+	cut        uint64     // mixed in iff the XOR of an owner's coins is below cut
+	coins      [][]uint64 // coins[k][j]: coordinator k's coin for owner j; nil: all zero
+}
+
+// mixingInputs derives the mixing inputs from public values and the common
+// count. ξ is XiOverride when set, else the largest ε over the identities
+// that can be common (t_j ≤ m): the paper's max over the true commons would
+// need the common set. Coordinator k's coin for owner j is word j of
+// Key(Seed, Coins, k) mod 2^CoinBits, so the hidden set is monotone in λ;
+// the cutoff is ⌊λ · 2^CoinBits⌋, exact and below 2^CoinBits for λ < 1. At
+// λ ≥ 1 every owner hides (zero coins, cutoff 2^CoinBits − 1); a zero
+// cutoff mixes no one, and no coin is drawn.
+func (cfg Config) mixingInputs(eps []float64, thresholds []uint64, m, commons int) (*mixing, error) {
+	xi := cfg.XiOverride
+	for j, t := range thresholds {
+		if cfg.XiOverride <= 0 && t <= uint64(m) && eps[j] > xi {
+			xi = eps[j]
+		}
+	}
+	lambda, err := mathx.Lambda(xi, commons, len(eps))
+	if err != nil {
+		return nil, err
+	}
+	mask := uint64(1)<<uint(cfg.coinBits()) - 1
+	if lambda >= 1 {
+		return &mixing{xi: xi, lambda: lambda, cut: mask}, nil
+	}
+	mx := &mixing{xi: xi, lambda: lambda, cut: uint64(math.Ldexp(lambda, cfg.coinBits()))}
+	for k := 0; mx.cut > 0 && k < cmp.Or(cfg.C, DefaultCoordinators); k++ {
+		coins := make([]uint64, len(eps))
+		prf.New(prf.Key(cfg.Seed, prf.Coins, uint64(k))).Words(coins)
+		for j := range coins {
+			coins[j] &= mask
+		}
+		mx.coins = append(mx.coins, coins)
+	}
+	return mx, nil
+}
+
+// decide fills every owner's hidden bit and β_j (Equation 6) from reveal,
+// which gives owner j's hidden bit and, when not hidden, its frequency: β_j
+// is 1 when hidden, else the policy's β at that frequency. Both modes call
+// it, sharded across the worker pool.
+func (cfg Config) decide(ctx context.Context, m int, eps []float64, reveal func(j int) (bool, uint64)) ([]bool, []float64, error) {
+	hidden := make([]bool, len(eps))
+	betas := make([]float64, len(eps))
+	err := parallel.Blocks(cfg.workers(), len(eps), colShard, func(_, lo, hi int) error {
+		_, sp := trace.StartChild(ctx, "core.mixing.shard", trace.Int("lo", lo), trace.Int("hi", hi))
 		defer sp.End()
 		for j := lo; j < hi; j++ {
-			if freqs[j] >= thresholds[j] || lambda >= 1 || coins[j] < cut {
-				hidden[j] = true
+			var freq uint64
+			if hidden[j], freq = reveal(j); hidden[j] {
 				betas[j] = 1
 				continue
 			}
-			sigma := float64(freqs[j]) / float64(m)
 			bv, err := mathx.Beta(cfg.Policy, mathx.BetaParams{
-				Sigma: sigma, Epsilon: eps[j], M: m, Delta: cfg.Delta, Gamma: cfg.Gamma,
+				Sigma: float64(freq) / float64(m), Epsilon: eps[j], M: m, Delta: cfg.Delta, Gamma: cfg.Gamma,
 			})
 			if err != nil {
 				return fmt.Errorf("β for identity %d: %w", j, err)
@@ -474,30 +540,5 @@ func constructTrusted(ctx context.Context, truth *bitmat.Matrix, eps []float64, 
 		}
 		return nil
 	})
-	mixSpan.End()
-	if err != nil {
-		return nil, err
-	}
-
-	published := publishSharded(ctx, truth, betas, cfg.Seed, workers)
-	return &Result{
-		Published:   published,
-		Betas:       betas,
-		Thresholds:  thresholds,
-		Hidden:      hidden,
-		CommonCount: commons,
-		Lambda:      lambda,
-		Xi:          xi,
-	}, nil
-}
-
-// mixCut is ⌊λ · 2⁶⁴⌋, the trusted-mode mixing cutoff: an owner whose coin
-// is below it is mixed in. λ ≤ 0 gives 0 (no one); λ ≥ 1 hides every owner
-// and is tested before the cutoff is. Scaling by a power of two is exact,
-// and λ ≤ 1 − 2⁻⁵³ keeps the product below 2⁶⁴.
-func mixCut(lambda float64) uint64 {
-	if lambda <= 0 || lambda >= 1 {
-		return 0
-	}
-	return uint64(math.Ldexp(lambda, 64))
+	return hidden, betas, err
 }

@@ -17,22 +17,27 @@ import (
 // and every publication coin feed them. They are also the oracle a future
 // removal of an evaluator or a layout change is checked against. The lambda
 // values (and the CommonCount assertion) date from before aggregation moved
-// to bitmat.ColCounts. The hashes were re-pinned twice, deliberately and
-// each time for one cause, with λ and CommonCount unchanged:
+// to bitmat.ColCounts. The hashes were re-pinned three times, deliberately
+// and each time for one cause, with λ and CommonCount unchanged:
 //   - when Equation 2's per-tile math/rand stream was replaced by the keyed
 //     per-cell coin (publishSharded), which changes the noise bits of M′
 //     and nothing else;
-//   - when the per-shard mixing streams were replaced by the keyed per-owner
-//     mixing coin (prf.Mix), which changes which non-common owners are
+//   - when the per-shard mixing streams were replaced by a keyed 64-bit
+//     per-owner mixing coin, which changes which non-common owners are
 //     mixed in; every column hidden under neither coin was checked
-//     bit-identical.
+//     bit-identical;
+//   - when trusted mode took the secure pipeline's mixing rule: ξ over the
+//     identities that can be common (0.85 here too) and the XOR of three
+//     coordinators' prf.Coins words mod 2^16 against ⌊λ · 2^16⌋. It hides
+//     10 non-common owners instead of 2; every column hidden under neither
+//     coin was checked bit-identical.
 var goldenPublished = map[string]struct {
 	sha    string
 	lambda float64
 }{
-	"basic":    {"fe6b8901fd9d771a99bfd21137a40255323f15cd06e67c1febf4fab92883aecb", 0.01717171717171717},
-	"inc-exp":  {"32020bbd90b003be220b38d65b4203ba241b64a0a6de087d3d825c1794dc577a", 0.01717171717171717},
-	"chernoff": {"909ea449e0b3c86ac999d31728b91f6330b85b64b9e0029bddb3897a71533ec7", 0.01717171717171717},
+	"basic":    {"9e2974c81bbb9682e0fdc07d6104241469bd0910cd8800fc78b527a1ab954467", 0.01717171717171717},
+	"inc-exp":  {"7f7395d62735ac309f948e71c842d3cdbc269d82205e61608842dcccaeb0cf9e", 0.01717171717171717},
+	"chernoff": {"762b067a0959b588ba6c2783b857452f429de6bb409e5ece1191be34a2864113", 0.01717171717171717},
 }
 
 func TestPublishedGolden(t *testing.T) {

@@ -104,10 +104,10 @@ func TestMixingStickyAcrossThresholdCrossing(t *testing.T) {
 
 // TestMixingRate checks Equation 7's λ in the way TestPublicationStatistics
 // checks Equation 2: over many seeds, the fraction of non-common owners
-// mixed in must match the cutoff the mode applies — ⌊λ · 2⁶⁴⌋ / 2⁶⁴ in
-// trusted mode, ⌊λ · 2^CoinBits⌋ / 2^CoinBits in secure mode — within a
-// two-sided Hoeffding bound at δ = 1e-9. A biased coin, coins shared
-// between owners or coordinators, or a wrong cutoff fails it.
+// mixed in must match the cutoff both modes apply, ⌊λ · 2^CoinBits⌋ /
+// 2^CoinBits (DefaultCoinBits when CoinBits is 0), within a two-sided
+// Hoeffding bound at δ = 1e-9. A biased coin, coins shared between owners
+// or coordinators, or a wrong cutoff fails it.
 func TestMixingRate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("statistical suite needs many trials")
@@ -143,11 +143,12 @@ func TestMixingRate(t *testing.T) {
 					}
 				}
 			}
-			want := lambda
-			if tc.coinBits > 0 {
-				scale := math.Ldexp(1, tc.coinBits)
-				want = math.Floor(lambda*scale) / scale
+			bits := tc.coinBits
+			if bits == 0 {
+				bits = DefaultCoinBits
 			}
+			scale := math.Ldexp(1, bits)
+			want := math.Floor(lambda*scale) / scale
 			if want <= 0.1 || want >= 0.9 {
 				t.Fatalf("fixture: cutoff %v leaves the test no power", want)
 			}

@@ -9,7 +9,6 @@ import (
 	"repro/internal/circuit"
 	"repro/internal/field"
 	"repro/internal/gmw"
-	"repro/internal/mathx"
 	"repro/internal/secretshare"
 	"repro/internal/secsum"
 	"repro/internal/trace"
@@ -58,12 +57,7 @@ func (cfg Config) onNetwork(parties int, sp *trace.Span, fn func(transport.Netwo
 // before the next one opens (onNetwork). Protocol randomness and the
 // mixing coins are keyed through internal/prf, per execution and per
 // (coordinator, identity), so the run is bit-identical at any worker
-// count.
-//
-// ξ is taken over identities that *can* be common (public thresholds
-// t_j <= m); the trusted path uses the paper's exact max-over-true-commons,
-// which the secure path cannot evaluate without leaking the common set.
-// The conservative ξ only ever increases λ, i.e. strengthens mixing.
+// count. ξ, λ and the coins come from mixingInputs, as in trusted mode.
 func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, thresholds []uint64, cfg Config) (*Result, error) {
 	m, n := truth.Rows(), truth.Cols()
 	c := cfg.C
@@ -105,7 +99,6 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		cfg:        cfg,
 		c:          c,
 		w:          groupBits,
-		m:          m,
 		n:          n,
 		words:      (n + gmw.Lanes - 1) / gmw.Lanes,
 		workers:    workers,
@@ -123,26 +116,17 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 	commonCount := cb.count
 	stats.CountBelowCircuit = cb.circ
 
-	// λ from the public count (Equation 7), with conservative public ξ.
+	// ξ, λ (Equation 7), the coin cutoff and the coins, from public values
+	// and the opened count.
 	_, mixSpan := trace.StartChild(ctx, "core.mixing", trace.Int("common_count", commonCount))
-	xi := cfg.XiOverride
-	if xi <= 0 {
-		for j := 0; j < n; j++ {
-			if thresholds[j] <= uint64(m) && eps[j] > xi {
-				xi = eps[j]
-			}
-		}
-	}
-	lambda, err := mathx.Lambda(xi, commonCount, n)
+	mx, err := cfg.mixingInputs(eps, thresholds, m, commonCount)
 	mixSpan.End()
 	if err != nil {
 		return nil, err
 	}
 
 	// --- Stage C: Reveal among the c coordinators --------------------------
-	hidden := make([]bool, n)
-	betas := make([]float64, n)
-	rv, err := st.reveal(cfg.coinBits(), lambda, eps, hidden, betas)
+	rv, revealed, err := st.reveal(mx)
 	if err != nil {
 		return nil, fmt.Errorf("Reveal: %w", err)
 	}
@@ -157,16 +141,19 @@ func constructSecure(ctx context.Context, truth *bitmat.Matrix, eps []float64, t
 		"Padded lanes in the final word of the CountBelow and Reveal executions of the most recent secure construction (both passes counted; 0 when the identity count is a multiple of 64)."); g != nil {
 		g.Set(float64(2 * (gmw.Lanes*st.words - n)))
 	}
+	hidden, betas, err := cfg.decide(ctx, m, eps, revealed)
+	if err != nil {
+		return nil, err
+	}
 	// Phase 2: every provider publishes locally using the public β vector.
-	published := publishSharded(ctx, truth, betas, cfg.Seed, workers)
 	return &Result{
-		Published:   published,
+		Published:   publishSharded(ctx, truth, betas, cfg.Seed, workers),
 		Betas:       betas,
 		Thresholds:  thresholds,
 		Hidden:      hidden,
 		CommonCount: commonCount,
-		Lambda:      lambda,
-		Xi:          xi,
+		Lambda:      mx.lambda,
+		Xi:          mx.xi,
 		Secure:      stats,
 	}, nil
 }

@@ -3,13 +3,10 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"repro/internal/bitmat"
 	"repro/internal/circuit"
 	"repro/internal/gmw"
-	"repro/internal/mathx"
-	"repro/internal/parallel"
 	"repro/internal/prf"
 	"repro/internal/trace"
 	"repro/internal/transport"
@@ -53,7 +50,6 @@ type mpcStages struct {
 	cfg        Config
 	c          int
 	w          int // share width W = bits(m+1) + 1
-	m          int
 	n          int
 	words      int // words per wire, ⌈n/64⌉
 	workers    int
@@ -208,38 +204,21 @@ func (st *mpcStages) countBelow() (mpcOut, error) {
 	return out, nil
 }
 
-// reveal is stage C: one RevealSlice execution over all n identities.
-// Identity j is hidden iff it is common or its joint coin, the XOR of the
-// c coordinators' coins, is below ⌊λ · 2^coinBits⌋ (exact, and below
-// 2^coinBits for λ < 1). Coordinator k's coin is word j of its prf.Coins
-// keystream mod 2^coinBits, so each joint coin is fixed by the seed and
-// the hidden set is monotone in λ. At λ ≥ 1 every identity must hide: the
-// coordinators input zero coins against the cutoff 2^coinBits − 1, so no
-// frequency opens. Padded lanes carry zero shares, zero coins and a folded
-// t = 1; their outputs are discarded undecoded.
-func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden []bool, betas []float64) (mpcOut, error) {
+// reveal is stage C: one RevealSlice execution over all n identities,
+// on the coins and cutoff of mx. Identity j is hidden iff it is common or
+// its joint coin, the XOR of the c coordinators' coins, is below the
+// cutoff: the predicate trusted mode evaluates in the clear. Padded lanes
+// carry zero shares, zero coins and a folded t = 1; their outputs are
+// discarded undecoded. The returned function reads identity j's opened
+// hidden bit and frequency (0 when hidden).
+func (st *mpcStages) reveal(mx *mixing) (mpcOut, func(j int) (bool, uint64), error) {
 	var out mpcOut
-	coinMask := uint64(1)<<uint(coinBits) - 1
-	mixThreshold := coinMask
-	if lambda < 1 {
-		mixThreshold = uint64(math.Ldexp(lambda, coinBits))
-	}
+	coinBits := st.cfg.coinBits()
 	rvCirc, err := circuit.RevealSliceCached(circuit.SliceParams{
-		Parties: st.c, ShareBits: st.w, CoinBits: coinBits, MixThreshold: mixThreshold,
+		Parties: st.c, ShareBits: st.w, CoinBits: coinBits, MixThreshold: mx.cut,
 	})
 	if err != nil {
-		return out, fmt.Errorf("compile RevealSlice: %w", err)
-	}
-	coins := make([][]uint64, st.c)
-	for k := range coins {
-		coins[k] = make([]uint64, st.n)
-		if lambda >= 1 {
-			continue
-		}
-		prf.New(prf.Key(st.cfg.Seed, prf.Coins, uint64(k))).Words(coins[k])
-		for j := range coins[k] {
-			coins[k][j] &= coinMask
-		}
+		return out, nil, fmt.Errorf("compile RevealSlice: %w", err)
 	}
 	mod := uint64(1) << uint(st.w)
 	offsets := make([]uint64, st.n)
@@ -248,8 +227,12 @@ func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden 
 	}
 	inputs := make([][]uint64, st.c)
 	for k := range inputs {
+		var coins []uint64 // all zero when no coin was drawn
+		if mx.coins != nil {
+			coins = mx.coins[k]
+		}
 		in := packPlanes(st.shares[k], 0, st.w, st.words)
-		in = append(in, packPlanes(coins[k], 0, coinBits, st.words)...)
+		in = append(in, packPlanes(coins, 0, coinBits, st.words)...)
 		if k == 0 {
 			in = append(in, packPlanes(offsets, mod-1, st.w, st.words)...)
 		}
@@ -257,34 +240,19 @@ func (st *mpcStages) reveal(coinBits int, lambda float64, eps []float64, hidden 
 	}
 	res, err := st.run("mpc.reveal", 4, rvCirc, st.words, st.n, inputs, gmw.Open)
 	if err != nil {
-		return out, fmt.Errorf("RevealSlice MPC: %w", err)
+		return out, nil, fmt.Errorf("RevealSlice MPC: %w", err)
 	}
-	if len(res.Outputs) != (1+st.w)*st.words {
-		return out, fmt.Errorf("core: reveal output words %d, want %d", len(res.Outputs), (1+st.w)*st.words)
+	opened := res.Outputs
+	if len(opened) != (1+st.w)*st.words {
+		return out, nil, fmt.Errorf("core: reveal output words %d, want %d", len(opened), (1+st.w)*st.words)
 	}
 	out.record(rvCirc, st.words, res)
-	// Decode (hidden, masked frequency) per identity and derive β (Eq. 6).
-	err = parallel.Blocks(st.workers, st.n, colShard, func(_, lo, hi int) error {
-		for j := lo; j < hi; j++ {
-			l, r := j/64, uint(j%64)
-			hidden[j] = res.Outputs[l]>>r&1 == 1
-			if hidden[j] {
-				betas[j] = 1
-				continue
-			}
-			var freq uint64
-			for i := 0; i < st.w; i++ {
-				freq |= (res.Outputs[(1+i)*st.words+l] >> r & 1) << uint(i)
-			}
-			bv, err := mathx.Beta(st.cfg.Policy, mathx.BetaParams{
-				Sigma: float64(freq) / float64(st.m), Epsilon: eps[j], M: st.m, Delta: st.cfg.Delta, Gamma: st.cfg.Gamma,
-			})
-			if err != nil {
-				return fmt.Errorf("β for identity %d: %w", j, err)
-			}
-			betas[j] = bv
+	return out, func(j int) (bool, uint64) {
+		l, r := j/64, uint(j%64)
+		var freq uint64
+		for i := 0; i < st.w; i++ {
+			freq |= (opened[(1+i)*st.words+l] >> r & 1) << uint(i)
 		}
-		return nil
-	})
-	return out, err
+		return opened[l]>>r&1 == 1, freq
+	}, nil
 }

@@ -19,79 +19,6 @@ func secureCfg(seed int64) Config {
 	}
 }
 
-func TestSecureMatchesTrustedSemantics(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	m, n := 12, 8
-	truth := randomMatrix(rng, m, n, 0.3)
-	truth.Set(0, 0, true) // ensure at least one nonzero column
-	eps := make([]float64, n)
-	for j := range eps {
-		eps[j] = 0.3 + 0.5*rng.Float64()
-	}
-
-	sec, err := Construct(truth, eps, secureCfg(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tru, err := Construct(truth, eps, Config{
-		Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: ModeTrusted, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Thresholds are public and identical.
-	for j := range sec.Thresholds {
-		if sec.Thresholds[j] != tru.Thresholds[j] {
-			t.Fatalf("threshold %d differs: %d vs %d", j, sec.Thresholds[j], tru.Thresholds[j])
-		}
-	}
-	// The secure CountBelow output equals the true common count.
-	if sec.CommonCount != tru.CommonCount {
-		t.Fatalf("secure commons %d, trusted commons %d", sec.CommonCount, tru.CommonCount)
-	}
-	// Every true common must be hidden in the secure result.
-	for j := 0; j < n; j++ {
-		if uint64(truth.ColCount(j)) >= sec.Thresholds[j] && !sec.Hidden[j] {
-			t.Fatalf("true common identity %d not hidden", j)
-		}
-	}
-	// Revealed identities carry the β computed from their true frequency.
-	for j := 0; j < n; j++ {
-		if sec.Hidden[j] {
-			if sec.Betas[j] != 1 {
-				t.Fatalf("hidden identity %d has β=%v", j, sec.Betas[j])
-			}
-			continue
-		}
-		sigma := float64(truth.ColCount(j)) / float64(m)
-		want, err := mathx.Beta(mathx.PolicyChernoff, mathx.BetaParams{
-			Sigma: sigma, Epsilon: eps[j], M: m, Gamma: 0.9,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sec.Betas[j] != want {
-			t.Fatalf("identity %d: secure β=%v, want %v", j, sec.Betas[j], want)
-		}
-	}
-	if !sec.Published.Covers(truth) {
-		t.Fatal("secure published matrix lost true positives")
-	}
-	if sec.Secure == nil {
-		t.Fatal("secure stats missing")
-	}
-	if sec.Secure.SecSumRounds != 2 {
-		t.Fatalf("SecSumRounds = %d", sec.Secure.SecSumRounds)
-	}
-	if sec.Secure.CountBelowCircuit.Gates == 0 || sec.Secure.RevealCircuit.Gates == 0 {
-		t.Fatal("circuit stats empty")
-	}
-	if sec.Secure.MPC.Messages == 0 || sec.Secure.SecSum.Messages == 0 {
-		t.Fatal("traffic stats empty")
-	}
-}
-
 func TestSecureWithCommonIdentity(t *testing.T) {
 	m := 10
 	// Identity 0 on all providers (common), identities 1..4 rare.

@@ -16,18 +16,25 @@ import (
 //
 //   - AblationMixing removes the identity-mixing defence (λ → 0) and shows
 //     the common-identity attack returning to full confidence — the
-//     experimental justification for Equation 6.
+//     experimental justification for Equation 6 — and shows the defence
+//     surviving republication only when the mixing coins are kept.
 //   - AblationC sweeps the coordinator count c, pricing the collusion
 //     tolerance (tolerate up to c−1 colluders) in circuit size, traffic
 //     and wall time.
 
 // AblationMixing compares the common-identity attack confidence with the
-// mixing defence enabled (ξ = 0.8) versus disabled.
+// mixing defence enabled (ξ = 0.8) versus disabled, then follows the
+// defence across E = 1…8 republications: with fresh coins each epoch (a new
+// seed) and with one seed for every epoch. The attacker picks the columns
+// that are all-ones in every epoch so far; between epochs the non-common
+// owner with the most providers loses one, which changes no owner's
+// commonness and so neither λ nor the true commons.
 func AblationMixing(opts Options) (*TableResult, error) {
 	m, n, repeats := 2000, 200, 10
 	if opts.Quick {
 		m, n, repeats = 400, 100, 6
 	}
+	const epochs = 8
 	commonsPlanted := n / 40
 	if commonsPlanted < 3 {
 		commonsPlanted = 3
@@ -51,57 +58,93 @@ func AblationMixing(opts Options) (*TableResult, error) {
 	}
 	base := core.Config{Policy: mathx.PolicyChernoff, Gamma: 0.9, Mode: core.ModeTrusted, Workers: opts.Workers}
 	isCommon := make([]bool, n)
-	for j := 0; j < n; j++ {
-		if uint64(d.Matrix.ColCount(j)) >= base.Threshold(d.Eps[j], m) {
-			isCommon[j] = true
+	churn := -1
+	counts := d.Matrix.ColCounts()
+	for j, f := range counts {
+		isCommon[j] = uint64(f) >= base.Threshold(d.Eps[j], m)
+		if !isCommon[j] && (churn < 0 || f > counts[churn]) {
+			churn = j
 		}
 	}
 
 	table := &TableResult{
 		ID:     "ablation-mixing",
-		Title:  "Common-identity attack confidence with and without identity mixing",
+		Title:  fmt.Sprintf("Common-identity attack confidence with and without identity mixing, and over E = 1…%d epochs", epochs),
 		Header: []string{"configuration", "published-commons(avg)", "attack-confidence", "degree"},
 	}
-	measure := func(label string, xi float64) error {
-		pickedTotal, trueTotal := 0, 0
+	// series adds one row per E ≤ epochs: the common-identity attack on
+	// each column's smallest published frequency over the first E epochs,
+	// which picks the columns all-ones in every one of them.
+	series := func(label string, xi float64, epochs int, seed func(rep, e int) int64) error {
+		picked := make([]int, epochs)
+		trueCommons := make([]int, epochs)
 		for rep := 0; rep < repeats; rep++ {
-			cfg := base
-			cfg.Seed = opts.Seed + int64(rep)*113
-			cfg.XiOverride = xi
-			res, err := core.Construct(d.Matrix, d.Eps, cfg)
-			if err != nil {
-				return err
+			truth := d.Matrix.Clone()
+			signal := make([]uint64, n)
+			for e := 0; e < epochs; e++ {
+				for i := 0; e > 0 && i < m; i++ {
+					if truth.Get(i, churn) {
+						truth.Set(i, churn, false)
+						break
+					}
+				}
+				cfg := base
+				cfg.Seed = seed(rep, e)
+				cfg.XiOverride = xi
+				res, err := core.Construct(truth, d.Eps, cfg)
+				if err != nil {
+					return err
+				}
+				for j, f := range res.Published.ColCounts() {
+					if e == 0 || uint64(f) < signal[j] {
+						signal[j] = uint64(f)
+					}
+				}
+				att, err := attack.CommonIdentityAttack(signal, uint64(m), isCommon)
+				if err != nil {
+					return err
+				}
+				picked[e] += len(att.Picked)
+				trueCommons[e] += att.TrueCommons
 			}
-			att, err := attack.CommonIdentityAttack(attack.PublishedFrequencies(res.Published), uint64(m), isCommon)
-			if err != nil {
-				return err
+		}
+		for e := range picked {
+			conf := 0.0
+			if picked[e] > 0 {
+				conf = float64(trueCommons[e]) / float64(picked[e])
 			}
-			pickedTotal += len(att.Picked)
-			trueTotal += att.TrueCommons
+			degree := attack.DegreeNoGuarantee
+			switch {
+			case conf >= 1-1e-9:
+				degree = attack.DegreeNoProtect
+			case xi > 1e-6 && conf <= (1-xi)*1.25:
+				degree = attack.DegreeEpsilonPrivate
+			}
+			name := label
+			if epochs > 1 {
+				name = fmt.Sprintf("%s, E=%d", label, e+1)
+			}
+			table.Rows = append(table.Rows, []string{
+				name,
+				fmt.Sprintf("%.1f", float64(picked[e])/float64(repeats)),
+				fmt.Sprintf("%.3f", conf),
+				degree.String(),
+			})
 		}
-		conf := 0.0
-		if pickedTotal > 0 {
-			conf = float64(trueTotal) / float64(pickedTotal)
-		}
-		degree := attack.DegreeNoGuarantee
-		switch {
-		case conf >= 1-1e-9:
-			degree = attack.DegreeNoProtect
-		case xi > 1e-6 && conf <= (1-xi)*1.25:
-			degree = attack.DegreeEpsilonPrivate
-		}
-		table.Rows = append(table.Rows, []string{
-			label,
-			fmt.Sprintf("%.1f", float64(pickedTotal)/float64(repeats)),
-			fmt.Sprintf("%.3f", conf),
-			degree.String(),
-		})
 		return nil
 	}
-	if err := measure("mixing on (ξ=0.8)", 0.8); err != nil {
+	oneSeed := func(rep, _ int) int64 { return opts.Seed + int64(rep)*113 }
+	freshSeed := func(rep, e int) int64 { return opts.Seed + int64(rep)*113 + int64(e)*7919 }
+	if err := series("mixing on (ξ=0.8)", 0.8, 1, oneSeed); err != nil {
 		return nil, err
 	}
-	if err := measure("mixing off (λ≈0)", 1e-12); err != nil {
+	if err := series("mixing off (λ≈0)", 1e-12, 1, oneSeed); err != nil {
+		return nil, err
+	}
+	if err := series("ξ=0.8, fresh seed per epoch", 0.8, epochs, freshSeed); err != nil {
+		return nil, err
+	}
+	if err := series("ξ=0.8, one seed", 0.8, epochs, oneSeed); err != nil {
 		return nil, err
 	}
 	return table, nil

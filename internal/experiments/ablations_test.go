@@ -10,7 +10,7 @@ func TestAblationMixing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(table.Rows) != 2 {
+	if len(table.Rows) != 2+2*8 {
 		t.Fatalf("rows = %d", len(table.Rows))
 	}
 	var onConf, offConf float64
@@ -33,6 +33,23 @@ func TestAblationMixing(t *testing.T) {
 	}
 	if table.Rows[0][3] != "ε-PRIVATE" {
 		t.Errorf("mixing-on degree = %q", table.Rows[0][3])
+	}
+	// Across epochs: fresh coins leave the true commons alone after a few
+	// republications; one seed keeps the single-epoch survivors and
+	// confidence, although the data churns between epochs.
+	fresh, sticky := table.Rows[2:10], table.Rows[10:]
+	var freshLast float64
+	if _, err := sscan(fresh[7][2], &freshLast); err != nil {
+		t.Fatal(err)
+	}
+	if freshLast < 0.99 {
+		t.Errorf("fresh-seed confidence after 8 epochs %v, want ≈ 1", freshLast)
+	}
+	for e, row := range sticky {
+		if row[1] != table.Rows[0][1] || row[2] != table.Rows[0][2] {
+			t.Errorf("one seed, E=%d: %s survivors at confidence %s, want the single epoch's %s at %s",
+				e+1, row[1], row[2], table.Rows[0][1], table.Rows[0][2])
+		}
 	}
 }
 

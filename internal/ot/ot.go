@@ -99,9 +99,9 @@ func SendBatch(g Group, coll *transport.Collector, peer int, pairs [][2][]byte, 
 	if err != nil {
 		return fmt.Errorf("ot: recv PK0s: %w", err)
 	}
-	pk0s, err := unpackBigs(msg.Data)
-	if err != nil || len(pk0s) != len(pairs) {
-		return fmt.Errorf("%w: bad PK0 batch (%d keys for %d pairs)", ErrProtocol, len(pk0s), len(pairs))
+	pk0s, err := unpackBigs(msg.Data, len(pairs))
+	if err != nil {
+		return fmt.Errorf("ot: PK0 batch for %d pairs: %w", len(pairs), err)
 	}
 	// Step 3: encrypt both messages per transfer. The exponents are drawn
 	// in transfer order first, so the transcript does not depend on how
@@ -155,9 +155,9 @@ func ReceiveBatch(g Group, coll *transport.Collector, peer int, choices []byte, 
 	if err != nil {
 		return nil, fmt.Errorf("ot: recv C: %w", err)
 	}
-	cs, err := unpackBigs(msg.Data)
-	if err != nil || len(cs) != 1 {
-		return nil, fmt.Errorf("%w: bad C message", ErrProtocol)
+	cs, err := unpackBigs(msg.Data, 1)
+	if err != nil {
+		return nil, fmt.Errorf("ot: C message: %w", err)
 	}
 	c := cs[0]
 	if c.Sign() <= 0 || c.Cmp(g.P) >= 0 {
@@ -197,9 +197,9 @@ func ReceiveBatch(g Group, coll *transport.Collector, peer int, choices []byte, 
 	if err != nil {
 		return nil, fmt.Errorf("ot: recv ciphertexts: %w", err)
 	}
-	vals, err := unpackBigs(msg.Data)
-	if err != nil || len(vals) != 4*len(choices) {
-		return nil, fmt.Errorf("%w: bad ciphertext batch", ErrProtocol)
+	vals, err := unpackBigs(msg.Data, 4*len(choices))
+	if err != nil {
+		return nil, fmt.Errorf("ot: ciphertext batch for %d choices: %w", len(choices), err)
 	}
 	out := make([][]byte, len(choices))
 	parallel.For(runtime.GOMAXPROCS(0), len(choices), func(t int) error {
@@ -270,18 +270,20 @@ func packBigs(vals []*big.Int) []uint64 {
 	return out
 }
 
-// unpackBigs reverses packBigs.
-func unpackBigs(words []uint64) ([]*big.Int, error) {
-	if len(words) == 0 {
-		return nil, fmt.Errorf("%w: empty payload", ErrProtocol)
-	}
-	n := int(words[0])
-	if n < 0 || n > 1<<20 {
-		return nil, fmt.Errorf("%w: count %d", ErrProtocol, n)
+// errCount refuses a batch whose value count is not the one its receiver
+// expects. It is built once, so refusing a hostile count allocates nothing.
+var errCount = fmt.Errorf("%w: value count does not match the batch", ErrProtocol)
+
+// unpackBigs reverses packBigs for a batch of exactly want values, the
+// count the caller's protocol step fixes. Any other count is refused
+// before anything is allocated.
+func unpackBigs(words []uint64, want int) ([]*big.Int, error) {
+	if len(words) == 0 || words[0] != uint64(want) {
+		return nil, errCount
 	}
 	pos := 1
-	out := make([]*big.Int, 0, n)
-	for i := 0; i < n; i++ {
+	out := make([]*big.Int, 0, want)
+	for i := 0; i < want; i++ {
 		if pos >= len(words) {
 			return nil, fmt.Errorf("%w: truncated", ErrProtocol)
 		}

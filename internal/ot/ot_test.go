@@ -1,6 +1,7 @@
 package ot
 
 import (
+	"errors"
 	"fmt"
 	"math/big"
 	"math/rand"
@@ -168,7 +169,7 @@ func TestPackUnpackBigs(t *testing.T) {
 		DefaultGroup().P,
 	}
 	words := packBigs(vals)
-	got, err := unpackBigs(words)
+	got, err := unpackBigs(words, len(vals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,14 +181,54 @@ func TestPackUnpackBigs(t *testing.T) {
 			t.Fatalf("value %d: %v != %v", i, got[i], vals[i])
 		}
 	}
-	if _, err := unpackBigs(nil); err == nil {
-		t.Error("empty payload accepted")
+	for name, tc := range map[string]struct {
+		words []uint64
+		want  int
+	}{
+		"empty payload":     {nil, 1},
+		"truncated payload": {[]uint64{5, 8}, 5},
+		"absurd length":     {[]uint64{1, 1 << 30}, 1},
+		"fewer than wanted": {words, len(vals) + 1},
+		"more than wanted":  {words, len(vals) - 1},
+	} {
+		if _, err := unpackBigs(tc.words, tc.want); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: err %v, want ErrProtocol", name, err)
+		}
 	}
-	if _, err := unpackBigs([]uint64{5, 8}); err == nil {
-		t.Error("truncated payload accepted")
+}
+
+// An honest batch may exceed any fixed cap: 2²⁰ + 1 one-byte values, more
+// than the 2²⁰ an earlier cap allowed, round-trip.
+func TestUnpackBigsLargeBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocates a million values")
 	}
-	if _, err := unpackBigs([]uint64{1, 1 << 30}); err == nil {
-		t.Error("absurd length accepted")
+	const n = 1<<20 + 1
+	vals := make([]*big.Int, n)
+	for i := range vals {
+		vals[i] = big.NewInt(int64(1 + i%255))
+	}
+	got, err := unpackBigs(packBigs(vals), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range vals {
+		if got[i].Cmp(vals[i]) != 0 {
+			t.Fatalf("value %d: %v != %v", i, got[i], vals[i])
+		}
+	}
+}
+
+// A hostile count is refused before anything is allocated for it.
+func TestUnpackBigsHostileCountAllocatesNothing(t *testing.T) {
+	hostile := []uint64{1 << 62, 1, 7}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := unpackBigs(hostile, 1); err == nil {
+			t.Fatal("hostile count accepted")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("refusing a hostile count allocated %v times", allocs)
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package prf is the one place construction gets its randomness from. Every
-// protocol draw — publication coins, SecSumShare share keys, mixing coins,
-// the secure coin inputs, the triple dealer, GMW input sharing and the OT
-// parties' entropy — is the AES-CTR keystream under a key derived from the
-// run seed, a purpose label and an index (Key). A draw is therefore a
-// function of (seed, purpose, index, position) alone: no worker count,
-// shard size or batch size can move it.
+// protocol draw — publication coins, SecSumShare share keys, the mixing
+// coins, the triple dealer, GMW input sharing and the OT parties' entropy —
+// is the AES-CTR keystream under a key derived from the run seed, a purpose
+// label and an index (Key). A draw is therefore a function of (seed,
+// purpose, index, position) alone: no worker count, shard size or batch
+// size can move it.
 //
 // With a 64-bit seed behind the keys the coins are reproducible and sticky,
 // not unpredictable (DESIGN.md §7).
@@ -20,16 +20,16 @@ import (
 // never share a key, whatever the indices.
 type Purpose uint64
 
-// The purpose table (DESIGN.md §7). Publish and Share keep the labels the
-// publication and share keys have always been derived under, so those keys
-// are stable across releases.
+// The purpose table (DESIGN.md §7). Every purpose keeps the label its keys
+// have always been derived under, so those keys are stable across releases.
+// Label 1 is retired: it keyed an earlier release's trusted mixing coins.
 const (
-	// Mix: owner j's trusted-mode mixing coin is word j of Key(seed, Mix, 0).
-	Mix Purpose = 1
 	// Publish: provider i's publication key k_i is Key(seed, Publish, i).
 	Publish Purpose = 2
-	// Coins: coordinator k's secure coin input for owner j is word j of
-	// Key(seed, Coins, k).
+	// Coins: coordinator k's mixing coin for owner j is word j of
+	// Key(seed, Coins, k), in both construction modes: the secure
+	// coordinators input it to RevealSlice, and trusted mode XORs the same
+	// words in the clear.
 	Coins Purpose = 3
 	// Exec: secure construction's GMW execution on session s runs under
 	// Seed(seed, Exec, s).

@@ -34,7 +34,7 @@ func TestKeyVectors(t *testing.T) {
 
 // Key must be a pure function of its inputs.
 func TestKeyDeterministic(t *testing.T) {
-	if Key(42, Mix, 7) != Key(42, Mix, 7) {
+	if Key(42, Coins, 7) != Key(42, Coins, 7) {
 		t.Fatal("Key not deterministic")
 	}
 }
@@ -44,7 +44,7 @@ func TestKeyDeterministic(t *testing.T) {
 func TestKeySeparatesInputs(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for seed := int64(0); seed < 8; seed++ {
-		for _, p := range []Purpose{Mix, Publish, Coins, Exec, Dealer, Input, OT, Share} {
+		for _, p := range []Purpose{Publish, Coins, Exec, Dealer, Input, OT, Share} {
 			for index := uint64(0); index < 64; index++ {
 				key := Key(seed, p, index)
 				for _, w := range []uint64{binary.LittleEndian.Uint64(key[:8]), binary.LittleEndian.Uint64(key[8:])} {

@@ -215,18 +215,21 @@ func (n *tcpNode) startReaders() {
 			continue
 		}
 		n.readers.Add(1)
-		go func(pc *peerConn) {
+		go func(peer int, pc *peerConn) {
 			defer n.readers.Done()
 			for {
 				var m Message
 				if err := pc.dec.Decode(&m); err != nil {
 					return // connection closed
 				}
+				// The sender is the peer at the other end of this
+				// connection, whatever the body says.
+				m.From = peer
 				if n.mb.put(m) != nil {
 					return
 				}
 			}
-		}(pc)
+		}(peer, pc)
 	}
 }
 

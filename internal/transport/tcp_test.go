@@ -56,3 +56,27 @@ func TestTCPHandshakeRefusesForgedHello(t *testing.T) {
 	}
 	acceptor.Close()
 }
+
+// A reader delivers the peer of its connection as From, not the From the
+// body carries: party 1 writes a body claiming to be party 2 straight onto
+// its connection to party 0, bypassing Send's stamp, and party 0 still
+// sees party 1. Receivers (secsum's sender check, gmw's ownership check)
+// then test who sent a message, not what the sender wrote in it.
+func TestTCPStampsFromWithConnectionPeer(t *testing.T) {
+	network, err := NewTCP(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer network.Close()
+	pc := network.nodes[1].conns[0]
+	if err := pc.send(Message{From: 2, To: 0, Kind: KindShare, Seq: 7, Data: []uint64{42}}); err != nil {
+		t.Fatal(err)
+	}
+	got, err := network.Node(0).Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.From != 1 || got.Seq != 7 || len(got.Data) != 1 || got.Data[0] != 42 {
+		t.Fatalf("party 0 received %+v, want From 1 (the connection's peer), Seq 7, Data [42]", got)
+	}
+}
