@@ -54,6 +54,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzBatchEquivalence -fuzztime=30s -run '^$$' ./internal/gateway/
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=10s -run '^$$' ./internal/httpapi/
 	$(GO) test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$$' ./internal/index/
+	$(GO) test -fuzz=FuzzNameIndex -fuzztime=10s -run '^$$' ./internal/index/
 	$(GO) test -fuzz=FuzzGMWWideEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
 	$(GO) test -fuzz=FuzzWideWordsEquivalence -fuzztime=10s -run '^$$' ./internal/gmw/
 	$(GO) test -fuzz=FuzzPublishKernel -fuzztime=10s -run '^$$' ./internal/core/

@@ -69,24 +69,43 @@ func TestLoadAtAllocBound(t *testing.T) {
 	}
 }
 
-var loaded *index.Server
-
-// BenchmarkLoadAt loads both members of a 2-shard set at the trusted
-// benchmark workload's 4 000 × 14 336, as one rollout does: every
-// member checked against the manifest, each frame checked and decoded.
+// BenchmarkLoadAt loads both members of a 2-shard set, as one rollout
+// does: every member checked against the manifest, each frame checked
+// and decoded. It runs at both benchmark workloads' shapes, the trusted
+// 4 000 × 14 336 and the secure 512 × 32 768, and reports what a node
+// keeps: retained-B/owner is the live heap after a GC with both members
+// loaded, minus the reading before the first load, divided by n.
 func BenchmarkLoadAt(b *testing.B) {
-	root := publishPattern(b, 4000, 14336, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for k := 0; k < 2; k++ {
-			srv, err := LoadAt(root, 1, k, 2)
-			if err != nil {
-				b.Fatal(err)
+	for _, shape := range []struct{ providers, owners int }{{4000, 14336}, {512, 32768}} {
+		b.Run(fmt.Sprintf("%dx%d", shape.providers, shape.owners), func(b *testing.B) {
+			root := publishPattern(b, shape.providers, shape.owners, 2)
+			var members [2]*index.Server
+			before := liveHeap()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for k := range members {
+					srv, err := LoadAt(root, 1, k, 2)
+					if err != nil {
+						b.Fatal(err)
+					}
+					members[k] = srv
+				}
 			}
-			loaded = srv
-		}
+			b.StopTimer()
+			retained := float64(liveHeap()) - float64(before)
+			runtime.KeepAlive(&members)
+			b.ReportMetric(retained/float64(shape.owners), "retained-B/owner")
+		})
 	}
+}
+
+// liveHeap returns the heap bytes still reachable after a GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // TestLoadAtChecksEveryMember: LoadAt(k) streams the other members and

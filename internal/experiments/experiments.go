@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/metrics"
 )
@@ -103,15 +104,18 @@ func (t *TableResult) Render(w io.Writer) {
 	renderAligned(w, t.Header, t.Rows)
 }
 
+// renderAligned writes header, a dashed rule and rows in columns two
+// spaces apart. Widths count runes, not bytes, so a cell holding ξ, λ or
+// ≈ is padded to the same column as an ASCII one.
 func renderAligned(w io.Writer, header []string, rows [][]string) {
 	widths := make([]int, len(header))
 	for i, h := range header {
-		widths[i] = len(h)
+		widths[i] = utf8.RuneCountInString(h)
 	}
 	for _, row := range rows {
 		for i, cell := range row {
-			if i < len(widths) && len(cell) > widths[i] {
-				widths[i] = len(cell)
+			if n := utf8.RuneCountInString(cell); i < len(widths) && n > widths[i] {
+				widths[i] = n
 			}
 		}
 	}
@@ -134,10 +138,11 @@ func renderAligned(w io.Writer, header []string, rows [][]string) {
 }
 
 func pad(s string, w int) string {
-	if len(s) >= w {
+	n := utf8.RuneCountInString(s)
+	if n >= w {
 		return s
 	}
-	return s + strings.Repeat(" ", w-len(s))
+	return s + strings.Repeat(" ", w-n)
 }
 
 func trimFloat(v float64) string {

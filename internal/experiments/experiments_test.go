@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func sscan(s string, v *float64) (int, error) {
@@ -340,5 +341,39 @@ func TestRendering(t *testing.T) {
 	table.Render(&buf)
 	if !strings.Contains(buf.String(), "col1") || !strings.Contains(buf.String(), "a") {
 		t.Errorf("table output wrong:\n%s", buf.String())
+	}
+}
+
+// TestRenderAlignsRunes: a cell holding ξ, λ or ≈ (two or three bytes
+// each in UTF-8) is padded by its width in runes, so the next column of
+// its row starts where the header's does.
+func TestRenderAlignsRunes(t *testing.T) {
+	table := &TableResult{
+		ID: "t", Title: "runes",
+		Header: []string{"setting", "cost"},
+		Rows: [][]string{
+			{"mixing on (ξ=0.8)", "26.1"},
+			{"mixing off (λ≈0)", "5.0"},
+			{"plain", "1"},
+		},
+	}
+	var buf bytes.Buffer
+	table.Render(&buf)
+	lines := strings.Split(strings.TrimRight(buf.String(), "\n"), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("rendered %d lines, want 6:\n%s", len(lines), buf.String())
+	}
+	column := func(line, cell string) int {
+		i := strings.LastIndex(line, cell)
+		if i < 0 {
+			t.Fatalf("line %q lacks %q", line, cell)
+		}
+		return utf8.RuneCountInString(line[:i])
+	}
+	want := column(lines[1], "cost")
+	for k, cell := range []string{"26.1", "5.0", "1"} {
+		if got := column(lines[3+k], cell); got != want {
+			t.Errorf("row %q: second column at rune %d, header's at %d\n%s", lines[3+k], got, want, buf.String())
+		}
 	}
 }

@@ -30,7 +30,8 @@ type Server struct {
 	// set of names[j]. It is the only copy of the matrix the server holds.
 	owners *bitmat.Matrix
 	names  []string
-	byName map[string]int
+	// rows finds a name's row in names.
+	rows nameTable
 
 	// shard/shards identify this server as one column shard of a larger
 	// index (0 ≤ shard < shards); shards == 0 means unsharded.
@@ -102,14 +103,11 @@ func Adopt(owners *bitmat.Matrix, names []string) (*Server, error) {
 	if len(names) != owners.Rows() {
 		return nil, fmt.Errorf("index: %d names for %d owner rows", len(names), owners.Rows())
 	}
-	byName := make(map[string]int, len(names))
-	for j, name := range names {
-		if _, dup := byName[name]; dup {
-			return nil, fmt.Errorf("index: duplicate owner name %q", name)
-		}
-		byName[name] = j
+	rows, err := newNameTable(names)
+	if err != nil {
+		return nil, err
 	}
-	return &Server{owners: owners, names: names, byName: byName}, nil
+	return &Server{owners: owners, names: names, rows: rows}, nil
 }
 
 // SetShard marks the server as column shard id of a set of `of` shards.
@@ -170,7 +168,7 @@ func (s *Server) Query(owner string) ([]int, error) {
 // path is a no-op and allocates nothing.
 func (s *Server) QueryCtx(ctx context.Context, owner string) ([]int, error) {
 	_, sp := trace.StartChild(ctx, "index.query")
-	j, ok := s.byName[owner]
+	j, ok := s.rows.find(s.names, owner)
 	if !ok {
 		if in := s.inst.Load(); in != nil {
 			in.unknown.Inc()
@@ -214,7 +212,7 @@ func (s *Server) QueryBatch(ctx context.Context, owners []string) []BatchItem {
 	in := s.inst.Load()
 	for i, owner := range owners {
 		out[i].Owner = owner
-		j, ok := s.byName[owner]
+		j, ok := s.rows.find(s.names, owner)
 		if !ok {
 			if in != nil {
 				in.unknown.Inc()
